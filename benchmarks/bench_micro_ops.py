@@ -146,8 +146,9 @@ def test_micro_kernel_sparse_beats_gather_full_rank(benchmark, suite):
 
     M6 (compressor-tree circuit) has a full-rank LUT — no low-rank
     factorisation exists, so before the sparse kernel this shape was stuck
-    on the reference gather loop.  Measured inline (best-of-N on both
-    kernels) so the ratio lands in the suite report.
+    on the reference gather loop.  ``auto`` picks ``sparse`` only when no
+    compiled backend resolved, so the ratio is asserted here but not
+    recorded as a gated metric; the two timings are.
     """
     codes, sign, magnitude = _kernel_problem(128, 256, 64, seed=2)
     multiplier = get_multiplier("M6")
@@ -159,9 +160,6 @@ def test_micro_kernel_sparse_beats_gather_full_rank(benchmark, suite):
     speedup = gather_s / sparse_s
     suite.record("sparse_vs_gather.gather_s", gather_s)
     suite.record("sparse_vs_gather.sparse_s", sparse_s)
-    suite.record(
-        "sparse_vs_gather.speedup", speedup, unit="ratio", higher_is_better=True
-    )
     benchmark.extra_info["gather_ms"] = gather_s * 1e3
     benchmark.extra_info["sparse_ms"] = sparse_s * 1e3
     benchmark.extra_info["sparse_kernel"] = sparse.describe()

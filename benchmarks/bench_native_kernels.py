@@ -16,6 +16,13 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
 * **fused panel vs per-victim** — a :class:`repro.axnn.VictimPanel` over
   four multipliers against four separate ``predict`` calls on the same
   batch (shared im2col + quantization, identical logits).
+* **auto vs best (the routing calibration sweep)** — for every LeNet-5
+  compute layer plus one AlexNet conv layer, × M2/M4/M5/M6/M8, × batch 1
+  and 60, the kernel ``kernel="auto"`` builds against the other candidate
+  (``percode`` vs ``native``).  ``auto_vs_best.<layer>.b<batch>.<label>``
+  records alternative/auto, so a value below 1 means auto picked the
+  slower kernel; the crossover constant in :mod:`repro.axnn.kernels` is
+  read off these rows.
 
 Every comparison is measured as paired per-round ratios with alternating
 call order (:meth:`repro.benchmarking.Suite.paired`) so machine drift
@@ -32,7 +39,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.axnn import VictimPanel, build_axdnn, clear_profile_cache, make_kernel
+from repro.axnn import (
+    VictimPanel,
+    build_axdnn,
+    clear_profile_cache,
+    make_kernel,
+    multiplier_kernel_profile,
+)
 from repro.axnn.native import BACKEND_ENV_VAR, backend_name, get_backend, reset_backend
 from repro.datasets import load_synthetic_mnist
 from repro.models.architectures import build_lenet5
@@ -246,3 +259,63 @@ def test_fused_panel_vs_per_victim(benchmark, suite):
     assert stats["ratio_median"] >= 0.95, (
         f"fused panel slower than per-victim ({stats['ratio_median']:.3f}x)"
     )
+
+
+#: calibration shapes of the "auto" crossover: (rows per image, K, N) of
+#: every LeNet-5 compute layer (28x28 input) and AlexNet's second conv layer
+ROUTING_SHAPES = {
+    "lenet_conv1": (576, 25, 6),
+    "lenet_conv2": (64, 150, 16),
+    "lenet_conv3": (1, 256, 120),
+    "lenet_fc1": (1, 120, 84),
+    "lenet_fc2": (1, 84, 10),
+    "alexnet_conv2": (256, 144, 32),
+}
+
+#: LUT ranks 3 (M2), 1 (M4), 8 (M5, M8) and full (M6)
+ROUTING_MULTIPLIERS = ("M2", "M4", "M5", "M6", "M8")
+
+#: auto may be this much slower than the alternative (relative noise) ...
+AUTO_NOISE_BUDGET = 0.25
+
+#: ... plus this much per call: at batch 1 both kernels sit near their fixed
+#: per-call costs (the compiled call's argument marshalling, the fused
+#: product's M-independent pass over its (K*r, N) weight factors), which no
+#: M-independent routing rule can trade off exactly
+AUTO_CALL_SLACK_S = 1e-4
+
+
+@pytest.mark.benchmark(group="native-routing")
+@pytest.mark.parametrize("batch", [1, 60])
+@pytest.mark.parametrize("layer", sorted(ROUTING_SHAPES))
+def test_auto_vs_best_routing_sweep(suite, layer, batch):
+    """Acceptance check: on every recorded shape the kernel ``auto`` builds
+    is within the noise budget of the alternative (``percode`` vs
+    ``native``), and both are bit-identical.
+
+    Full-rank M6 has no fused product: its ``percode`` alternative is the
+    per-code loop, 20-50x slower, so one round settles it.
+    """
+    rows_per_image, inner, outputs = ROUTING_SHAPES[layer]
+    codes, sign, magnitude = _kernel_problem(
+        rows_per_image * batch, inner, outputs, seed=6
+    )
+    for label in ROUTING_MULTIPLIERS:
+        multiplier = get_multiplier(label)
+        auto = make_kernel(multiplier, sign, magnitude, "auto")
+        other = "percode" if auto.strategy == "native" else "native"
+        alternative = make_kernel(multiplier, sign, magnitude, other)
+        full_rank = multiplier_kernel_profile(multiplier).lut_rank is None
+        stats = suite.paired(
+            f"auto_vs_best.{layer}.b{batch}.{label}",
+            lambda: alternative.matmul(codes),
+            lambda: auto.matmul(codes),
+            rounds=1 if full_rank else 5,
+        )
+        assert np.array_equal(auto.matmul(codes), alternative.matmul(codes))
+        limit = (1 + AUTO_NOISE_BUDGET) * stats["a_best_s"] + AUTO_CALL_SLACK_S
+        assert stats["b_best_s"] <= limit, (
+            f"{layer} b{batch} {label}: auto ({auto.describe()}) took "
+            f"{stats['b_best_s'] * 1e3:.3f} ms, {other} "
+            f"{stats['a_best_s'] * 1e3:.3f} ms"
+        )

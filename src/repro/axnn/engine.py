@@ -186,11 +186,15 @@ def build_axdnn(
         Optional explicit mapping from float-layer name to multiplier,
         overriding ``multiplier`` for those layers.
     kernel:
-        Matmul kernel strategy for every compute layer: ``"auto"``
-        (structure-based selection, the default), ``"gather"``,
-        ``"percode"``, ``"errorcorrection"`` or ``"exact"`` — see
-        :mod:`repro.axnn.kernels`.  All strategies are bit-identical; they
-        differ only in throughput and memory.
+        Matmul kernel strategy for every compute layer: ``"auto"`` (the
+        default) or one of the names in
+        :data:`repro.axnn.kernels.KERNEL_STRATEGIES`.  ``"auto"`` decides
+        once per layer, at build time, from the multiplier's LUT structure
+        and the layer's output width, so on LeNet-5 a rank >= 2 multiplier
+        runs the narrow conv layers on ``native`` and the wide layers on
+        ``percode`` — see :func:`repro.axnn.kernels.select_strategy`.  All
+        strategies are bit-identical; they differ only in throughput and
+        memory.
     """
     if not model.layers:
         raise ConfigurationError("cannot build an AxDNN from an empty model")

@@ -23,16 +23,18 @@ float64 BLAS instead:
     When the LUT admits an exact integer rank factorisation
     ``LUT = sum_i outer(f_i, g_i)`` (true for the exact, operand-truncation,
     partial-product-truncation, DRUM and mirror-adder array multipliers),
-    the one-hot sum collapses through the LUT's row space into ``r`` fused
-    BLAS products ``sum_i f_i[A] @ (sign * g_i[mag])`` — a single ``dgemm``
-    for the rank-1 truncation/DRUM families.
+    the one-hot sum collapses through the LUT's row space into one fused
+    BLAS product ``F[A] @ G`` with ``F[A]`` the ``(M, K*r)`` gathered code
+    factors and ``G`` the ``(K*r, N)`` interleaved weight factors
+    ``sign * g_i[mag]`` — a single ``dgemm`` for every rank.
 
 ``errorcorrection``
     ``exact_matmul(A, W)`` via one BLAS product plus a correction drawn from
     the multiplier's ``error_lut()`` restricted to its nonzero structure
     (low-rank factors of the error table when they exist, otherwise only the
-    error-active codes present in the batch).  Near-free for mild
-    multipliers whose error tables are mostly zero or low-rank.
+    error-active codes present in the batch).  Never chosen by ``auto`` —
+    it ties or loses against ``percode``/``native`` on every measured
+    shape — and kept constructible by name only.
 
 ``sparse``
     The per-code one-hot sum evaluated as a *single* scipy.sparse matmul:
@@ -56,9 +58,10 @@ float64 BLAS instead:
     ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``): operands
     packed to 8 bits, the LUT to 16 or 32, accumulation in int64 with
     cache blocking over output columns, GIL released for the whole call.
-    Only constructible when a native backend resolved; ``auto`` prefers it
-    over ``sparse`` for full-rank LUTs and ignores it otherwise (the
-    low-rank BLAS decompositions already beat a scalar loop).
+    Only constructible when a native backend resolved; ``auto`` picks it
+    for full-rank LUTs and for rank >= 2 LUTs on narrow layers, where the
+    ``r``-fold fused BLAS product loses to one LUT lookup per MAC (see
+    :func:`select_strategy` for the calibrated crossover).
 
 All BLAS paths operate on integer-valued float64 operands whose partial sums
 are provably below 2**53, so the rounded accumulators are bit-identical to
@@ -126,8 +129,15 @@ _FACTOR_VALUE_BOUND = 1 << 40
 #: are 16M entries; peeling them buys nothing the cache does not)
 _MAX_ANALYSIS_BITS = 10
 
-#: "auto" only picks the error-correction active-code loop below this count
-_AUTO_ACTIVE_CODE_LIMIT = 32
+#: "auto" sends a rank-r LUT to the native kernel when the layer's output
+#: width N is below ``_NATIVE_WIDTH_PER_RANK * r``.  The fused low-rank
+#: product's work grows with r, the compiled loop's (one LUT lookup per
+#: MAC) with N, so the crossover width grows with the rank.  Calibrated
+#: from the per-shape percode-vs-native sweep recorded by
+#: ``benchmarks/bench_native_kernels.py`` (``BENCH_native_kernels.json``,
+#: ``auto_vs_best.*``): at 60 images the crossover sits near N = 20 for
+#: rank 3 and near N = 55 for rank 8.
+_NATIVE_WIDTH_PER_RANK = 8
 
 #: byte budget for per-kernel memoised per-code row tables
 _ROW_TABLE_CACHE_BYTES = 64 * 1024 * 1024
@@ -420,15 +430,17 @@ class _TableOperand:
         ):
             fs, gs = factors
             self.rank = len(fs)
-            #: (r, 2**bits) gather tables applied to the activation codes
-            self._code_factors = fs.astype(np.float64)
-            #: (r*K, N) stacked weight-side factors sign * g_i[mag]
+            #: (2**bits, r) gather table: one row of code factors per code,
+            #: so ``table[codes]`` is already the (M, K*r) operand
+            self._code_factors = np.ascontiguousarray(fs.T, dtype=np.float64)
+            #: (K*r, N) weight-side factors sign * g_i[mag], interleaved so
+            #: row ``k*r + i`` pairs with column ``k*r + i`` of the operand
             sign_f = weight_sign.astype(np.float64)
+            weight_factors = [
+                sign_f * g.astype(np.float64)[weight_magnitude] for g in gs
+            ]
             self._weight_factors = (
-                np.concatenate(
-                    [sign_f * g.astype(np.float64)[weight_magnitude] for g in gs],
-                    axis=0,
-                )
+                np.stack(weight_factors, axis=1).reshape(inner * self.rank, outputs)
                 if self.rank
                 else np.zeros((0, outputs))
             )
@@ -451,12 +463,9 @@ class _TableOperand:
         """Add the fused low-rank contribution for ``codes`` in place."""
         if self.rank == 0:
             return accumulator
-        if self.rank == 1:
-            gathered = self._code_factors[0][codes]
-        else:
-            gathered = np.ascontiguousarray(
-                np.moveaxis(self._code_factors[:, codes], 0, 1)
-            ).reshape(codes.shape[0], self.rank * self.inner)
+        gathered = self._code_factors[codes].reshape(
+            codes.shape[0], self.inner * self.rank
+        )
         accumulator += gathered @ self._weight_factors
         return accumulator
 
@@ -775,31 +784,39 @@ _KERNEL_CLASSES = {
 KernelSpec = Union[str, MatmulKernel]
 
 
-def select_strategy(multiplier: Multiplier) -> str:
+def select_strategy(multiplier: Multiplier, outputs: Optional[int] = None) -> str:
     """The "auto" heuristic: pick the cheapest bit-identical strategy.
 
-    Bit-exact multipliers take the plain BLAS product.  Otherwise the choice
-    follows the error-LUT structure: a cheap low-rank (or sparse-row) error
-    table selects the error-correction kernel, a low-rank product LUT
-    selects the fused per-code BLAS kernel, and unstructured full-rank
-    tables (the compressor-tree circuit multipliers, Mitchell, noisy-LSB)
-    take the native compiled kernel when a backend resolved, else the
-    sparse one-hot kernel — a single int64 scipy.sparse product, which
-    replaces the fancy-indexed gather loop the legacy path used.
-    ``gather`` remains available by explicit request (and as the fallback
-    if scipy is ever absent).
+    ``outputs`` is the output width N of the bound ``(K, N)`` weights;
+    without it the choice is the one for a wide layer.  The rules, in order:
+
+    * bit-exact multipliers take the plain BLAS product (``exact``);
+    * rank-0/1 LUTs (operand truncation, DRUM) take the fused per-code
+      BLAS kernel, a single ``dgemm``;
+    * rank >= 2 LUTs take the native compiled kernel when a backend
+      resolved and ``N < _NATIVE_WIDTH_PER_RANK * rank`` (narrow layers),
+      else the fused per-code BLAS kernel;
+    * full-rank LUTs (compressor trees, Mitchell, noisy-LSB) take the
+      native kernel when a backend resolved, else the sparse one-hot
+      kernel (``gather`` if scipy is ever absent).
+
+    ``errorcorrection`` and ``gather`` are never chosen; both stay
+    constructible by name.  Both candidate kernels cost linearly in the
+    batch rows M, so the choice ignores the batch; only at batch 1 on the
+    dense layers do their fixed per-call costs (tens of microseconds)
+    decide, and there either choice is within 0.1 ms of the other.
     """
     if multiplier.is_exact():
         return "exact"
-    profile = multiplier_kernel_profile(multiplier)
-    lut_rank = profile.lut_rank
-    error_rank = profile.error_rank
-    if error_rank is not None and (lut_rank is None or error_rank + 1 < lut_rank):
-        return "errorcorrection"
+    lut_rank = multiplier_kernel_profile(multiplier).lut_rank
     if lut_rank is not None:
+        narrow = (
+            outputs is not None and lut_rank >= 2
+            and outputs < _NATIVE_WIDTH_PER_RANK * lut_rank
+        )
+        if narrow and _native_strategy_available(multiplier):
+            return "native"
         return "percode"
-    if profile.error_active_codes.size <= _AUTO_ACTIVE_CODE_LIMIT:
-        return "errorcorrection"
     if _native_strategy_available(multiplier):
         return "native"
     return "sparse" if _scipy_sparse is not None else "gather"
@@ -814,12 +831,15 @@ def make_kernel(
     """Build a bound kernel for ``(multiplier, weights)``.
 
     ``strategy`` is a canonical kernel name (see :data:`KERNEL_STRATEGIES`),
-    an accepted alias, ``"auto"`` (structure-based selection), or an already
-    constructed :class:`MatmulKernel` (returned unchanged).
+    an accepted alias, ``"auto"`` (chosen once here from the multiplier's
+    LUT structure and the weights' output width, see
+    :func:`select_strategy`), or an already constructed
+    :class:`MatmulKernel` (returned unchanged).
     """
     if isinstance(strategy, MatmulKernel):
         return strategy
     name = normalize_strategy(strategy)
     if name == "auto":
-        name = select_strategy(multiplier)
+        shape = np.shape(weight_sign)
+        name = select_strategy(multiplier, shape[-1] if shape else None)
     return _KERNEL_CLASSES[name](multiplier, weight_sign, weight_magnitude)

@@ -337,6 +337,19 @@ class Lease:
         holder = self.holder()
         return bool(holder) and holder.get("token") == self._token
 
+    def _claim_in_progress(self) -> bool:
+        """Whether an unreadable lease file is a racing claimant's fresh one.
+
+        A claim creates the file (``O_EXCL``) before writing its document,
+        so for a moment a live lease reads as empty.  Only an unreadable
+        file older than :data:`LEASE_SKEW_S` is a dead writer's leftover.
+        """
+        try:
+            age = time.time() - os.path.getmtime(self.path)
+        except OSError:
+            return False
+        return age < LEASE_SKEW_S
+
     def remaining_s(self) -> float:
         """Seconds until the current holder's expiry (never negative).
 
@@ -367,6 +380,8 @@ class Lease:
         except FileExistsError:
             holder = self.holder()
             if holder is not None and not _lease_expired(holder, time.time()):
+                return False
+            if holder is None and self._claim_in_progress():
                 return False
             # expired (or unreadable) lease: take over atomically and confirm
             # ownership on read-back — of two racing replacers exactly one

@@ -316,6 +316,98 @@ class TestStrategySelection:
         assert set(ALL_STRATEGIES) <= set(KERNEL_STRATEGIES)
 
 
+#: LeNet-5 compute layers as bound (K, N) weight shapes (28x28 input)
+LENET_SHAPES = {
+    "conv1": (25, 6),
+    "conv2": (150, 16),
+    "conv3": (256, 120),
+    "fc1": (120, 84),
+    "fc2": (84, 10),
+}
+
+#: the "auto" routing of the Fig. 4 victims on LeNet-5 with a native backend
+#: (rank: M1 exact, M4/M7 1, M2 3, M3 4, M5/M8 8, M6/M9 full)
+_NARROW_NATIVE = {
+    "conv1": "native", "conv2": "native", "conv3": "percode",
+    "fc1": "percode", "fc2": "native",
+}
+LENET_ROUTING = {
+    "M1": dict.fromkeys(LENET_SHAPES, "exact"),
+    "M2": _NARROW_NATIVE,
+    "M3": _NARROW_NATIVE,
+    "M4": dict.fromkeys(LENET_SHAPES, "percode"),
+    "M5": _NARROW_NATIVE,
+    "M6": dict.fromkeys(LENET_SHAPES, "native"),
+    "M7": dict.fromkeys(LENET_SHAPES, "percode"),
+    "M8": _NARROW_NATIVE,
+    "M9": dict.fromkeys(LENET_SHAPES, "native"),
+}
+
+
+def _native_backend_resolved() -> bool:
+    from repro.axnn.native import get_backend
+
+    return get_backend() is not None
+
+
+class TestShapeAwareRouting:
+    @pytest.mark.parametrize("layer", sorted(LENET_SHAPES))
+    @pytest.mark.parametrize("label", sorted(LENET_ROUTING))
+    def test_lenet_routing_table(self, label, layer):
+        expected = LENET_ROUTING[label][layer]
+        if expected == "native" and not _native_backend_resolved():
+            pytest.skip("no native backend resolved")
+        inner, outputs = LENET_SHAPES[layer]
+        multiplier = get_multiplier(label)
+        sign = np.ones((inner, outputs), dtype=np.int64)
+        kernel = make_kernel(multiplier, sign, np.zeros_like(sign), "auto")
+        assert kernel.strategy == expected
+        assert select_strategy(multiplier, outputs) == expected
+
+    def test_crossover_scales_with_rank(self):
+        if not _native_backend_resolved():
+            pytest.skip("no native backend resolved")
+        from repro.axnn.kernels import _NATIVE_WIDTH_PER_RANK
+
+        for label in ("M2", "M5"):
+            multiplier = get_multiplier(label)
+            crossover = _NATIVE_WIDTH_PER_RANK * multiplier_kernel_profile(
+                multiplier
+            ).lut_rank
+            assert select_strategy(multiplier, crossover - 1) == "native"
+            assert select_strategy(multiplier, crossover) == "percode"
+
+    def test_routing_without_native_backend(self, monkeypatch):
+        import repro.axnn.kernels as kernels_module
+
+        monkeypatch.setattr(
+            kernels_module, "_native_strategy_available", lambda multiplier: False
+        )
+        for label in ("M2", "M5", "M8"):
+            for _, outputs in LENET_SHAPES.values():
+                assert select_strategy(get_multiplier(label), outputs) == "percode"
+        assert select_strategy(get_multiplier("M6"), 6) == "sparse"
+
+    def test_select_strategy_without_shape_is_the_wide_layer_choice(self):
+        # one-argument calls keep working and never take the narrow route
+        for label in ("M2", "M5", "M8"):
+            assert select_strategy(get_multiplier(label)) == "percode"
+
+    @pytest.mark.parametrize("label", ["M2", "M5", "M8"])
+    def test_lenet_auto_bit_identical_across_the_boundary(
+        self, label, trained_lenet, calibration_batch, mnist_small
+    ):
+        x = mnist_small.test.images[:12]
+        auto = build_axdnn(trained_lenet, label, calibration_batch, kernel="auto")
+        gather = build_axdnn(trained_lenet, label, calibration_batch, kernel="gather")
+        strategies = {layer.kernel.strategy for layer in auto.compute_layers()}
+        if _native_backend_resolved():
+            assert strategies == {"native", "percode"}
+        else:
+            assert strategies == {"percode"}
+        assert np.array_equal(auto.predict(x), gather.predict(x))
+
+
 class TestDotGeneralIntegration:
     def test_kernel_param_matches_legacy_path(self):
         multiplier = FAMILY_MULTIPLIERS[1]

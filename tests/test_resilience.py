@@ -30,6 +30,7 @@ from repro.experiments import (
     Session,
     TrainingCheckpointer,
 )
+from repro.experiments.store import LEASE_SKEW_S
 from repro.nn import Adam, Dense, Dropout, Flatten, ReLU, Sequential, Trainer
 from repro.nn.runtime import ProcessShardPool
 from repro.resilience import (
@@ -411,6 +412,20 @@ class TestLease:
         # the crashed holder cannot refresh a lease it no longer owns
         assert not crashed.refresh()
         successor.release()
+
+    def test_fresh_empty_lease_is_a_claim_in_progress(self, tmp_path):
+        # a racing claimant has created the file but not yet written it:
+        # that is a live claim, while the same empty file left by a dead
+        # writer (older than the skew margin) is taken over
+        store = _fast_store(tmp_path)
+        lease = store.lease("model", DIGEST, ttl_s=30.0)
+        os.makedirs(os.path.dirname(lease.path), exist_ok=True)
+        open(lease.path, "wb").close()
+        assert not lease.acquire()
+        stale = time.time() - 2 * LEASE_SKEW_S
+        os.utime(lease.path, (stale, stale))
+        assert lease.acquire()
+        lease.release()
 
     def test_refresh_extends_expiry(self, tmp_path):
         store = _fast_store(tmp_path)
