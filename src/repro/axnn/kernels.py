@@ -804,7 +804,7 @@ def select_strategy(multiplier: Multiplier, outputs: Optional[int] = None) -> st
     constructible by name.  Both candidate kernels cost linearly in the
     batch rows M, so the choice ignores the batch; only at batch 1 on the
     dense layers do their fixed per-call costs (tens of microseconds)
-    decide, and there either choice is within 0.1 ms of the other.
+    decide, and on the recorded shapes the two stay within 0.1 ms.
     """
     if multiplier.is_exact():
         return "exact"
