@@ -5,8 +5,9 @@ dominant stage (training, see PERFORMANCE.md) on the two model shapes of
 the paper:
 
 * **arena vs legacy** — the full training runtime (workspace arenas,
-  fused strided im2col, fused softmax-cross-entropy, flat optimizer step)
-  against the seed training loop it replaced, on the LeNet-5 and
+  fused softmax-cross-entropy, a backward pass that skips the unused input
+  gradient, flat optimizer step) against the seed training loop it
+  replaced, on the LeNet-5 and
   AlexNet-mini shapes.  Weights are bit-identical by contract; only the
   clock moves.  Measured as paired per-round ratios with alternating order
   so machine drift cancels (:func:`repro.benchmarking.paired_ratios`).
@@ -56,8 +57,9 @@ def test_training_arena_vs_legacy_lenet(benchmark, suite):
 
     The weights of both paths are bit-identical (asserted below and in
     tests/test_training_engine.py); the arena buys its time back from
-    buffer reuse, the single-copy strided im2col, the fused loss and the
-    flat optimizer step.
+    buffer reuse, the fused loss, skipping conv1's unused input gradient
+    and the flat optimizer step.  Both runtimes share the single-copy
+    im2col.
     """
     dataset = load_synthetic_mnist(n_train=N_TRAIN_MNIST, n_test=64, seed=0)
     images, labels = dataset.train.images, dataset.train.labels

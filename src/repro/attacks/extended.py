@@ -138,7 +138,7 @@ class DeepFoolL2(Attack):
         logits = model.forward(images, training=False)
         grad_logits = np.zeros_like(logits)
         grad_logits[np.arange(images.shape[0]), class_index] = 1.0
-        return model.backward(grad_logits)
+        return model.backward(grad_logits, param_grads=False)
 
     def perturb(self, ctx, state, prep, payload):
         model, images, labels = ctx.model, ctx.images, ctx.labels

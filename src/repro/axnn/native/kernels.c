@@ -61,11 +61,15 @@ DEFINE_LUT_MATMUL(i32, int32_t)
  * cols (batch, out_h, out_w, kh*kw*channels) back into the zero-initialised
  * padded image out (batch, padded_h, padded_w, channels).
  *
- * Formulated as a gather over output pixels (one write pass instead of the
- * reference's kh*kw strided read-modify-write passes).  Bit-identity with
- * the NumPy loop needs only the *per-element* addition order to match: the
- * reference adds each element's contributions in ascending (i, j) kernel
- * offset order, and the i / j loops below visit them in exactly that order.
+ * Formulated per padded image row (one pass over the rows instead of the
+ * reference's kh*kw strided read-modify-write passes over the image).
+ * Bit-identity with the NumPy loop needs only the *per-element* addition
+ * order to match: the reference adds each element's contributions in
+ * ascending (i, j) kernel offset order, and for a fixed output element the
+ * i / j loops below visit its contributions in exactly that order.  The
+ * innermost loop walks the out_w patch columns of one (i, j) offset, so it
+ * carries no division by the stride; single-channel images (LeNet's input)
+ * get a loop without the channel level.
  */
 void repro_col2im_f64(
     const double *cols, int64_t batch, int64_t out_h, int64_t out_w,
@@ -73,27 +77,29 @@ void repro_col2im_f64(
     int64_t padded_h, int64_t padded_w, double *out)
 {
     const int64_t patch = kh * kw * channels;
+    const int64_t step = stride * channels;
     for (int64_t b = 0; b < batch; b++) {
         const double *cols_b = cols + b * out_h * out_w * patch;
         double *out_b = out + b * padded_h * padded_w * channels;
         for (int64_t hp = 0; hp < padded_h; hp++) {
+            double *out_row = out_b + hp * padded_w * channels;
             for (int64_t i = 0; i < kh; i++) {
                 int64_t oh_num = hp - i;
                 if (oh_num < 0 || oh_num % stride) continue;
                 int64_t oh = oh_num / stride;
                 if (oh >= out_h) continue;
-                for (int64_t wp = 0; wp < padded_w; wp++) {
-                    double *out_row = out_b + (hp * padded_w + wp) * channels;
-                    for (int64_t j = 0; j < kw; j++) {
-                        int64_t ow_num = wp - j;
-                        if (ow_num < 0 || ow_num % stride) continue;
-                        int64_t ow = ow_num / stride;
-                        if (ow >= out_w) continue;
-                        const double *col_row = cols_b
-                            + (oh * out_w + ow) * patch
-                            + (i * kw + j) * channels;
+                const double *cols_row = cols_b + oh * out_w * patch;
+                for (int64_t j = 0; j < kw; j++) {
+                    const double *src = cols_row + (i * kw + j) * channels;
+                    double *dst = out_row + j * channels;
+                    if (channels == 1) {
+                        for (int64_t ow = 0; ow < out_w; ow++)
+                            dst[ow * stride] += src[ow * patch];
+                        continue;
+                    }
+                    for (int64_t ow = 0; ow < out_w; ow++) {
                         for (int64_t c = 0; c < channels; c++)
-                            out_row[c] += col_row[c];
+                            dst[ow * step + c] += src[ow * patch + c];
                     }
                 }
             }

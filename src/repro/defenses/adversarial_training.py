@@ -142,7 +142,6 @@ class AdversarialTrainer:
                         self.model,
                         self.loss,
                         self.optimizer,
-                        self._arena,
                         self._flat,
                         xb,
                         yb,

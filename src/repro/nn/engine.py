@@ -300,23 +300,25 @@ def ensure_training_engine(model, arena: Optional[Workspace], flat):
 
 
 def fused_training_step(
-    model, loss, optimizer, arena: Workspace, flat: FlatParameterView, xb, yb
+    model, loss, optimizer, flat: FlatParameterView, xb, yb
 ) -> Tuple[float, int]:
     """One full-batch arena training step; returns (loss value, #correct).
 
     Bit-identical to the legacy step: same forward, fused
-    ``value_and_gradient`` (same bits as the unfused pair), same optimizer
-    arithmetic.  Optimizers that implement the fused flat update take it;
-    subclasses that only override ``_update`` (the pre-arena extension
-    point) fall back to the per-layer ``step`` — their ``layer.grads``
-    already hold the freshly written gradients (via the arena's gradient
-    sinks or plain buffers), so both routes see identical values.
+    ``value_and_gradient`` (same bits as the unfused pair), the same
+    parameter gradients (the unused input gradient is skipped), same
+    optimizer arithmetic.  The model's workspace arena must already be
+    bound (see :func:`ensure_training_engine`).  Optimizers that implement
+    the fused flat update take it; subclasses that only override
+    ``_update`` (the pre-arena extension point) fall back to the per-layer
+    ``step`` — their ``layer.grads`` already hold the freshly written
+    gradients (via the arena's gradient sinks or plain buffers), so both
+    routes see identical values.
     """
     with workspace_scope():
         logits = model.forward(xb, training=True)
         value, grad = loss.value_and_gradient(logits, yb)
-        # the input gradient is unused in training: recycle its buffer
-        arena.reclaim(model.backward(grad))
+        model.backward(grad, input_grad=False)  # training reads no input grad
     if optimizer.supports_flat_step():
         flat.pack_grads()
         optimizer.step_flat(flat)

@@ -1,9 +1,11 @@
 """Low-level tensor operations shared by the layers.
 
 All image tensors use the NHWC layout ``(batch, height, width, channels)``.
-``im2col``/``col2im`` are implemented with small Python loops over the kernel
-offsets (at most ``kh * kw`` iterations), which keeps them simple, exactly
-invertible, and fast enough for the model sizes used in the paper.
+``im2col`` gathers every patch in one strided copy from a sliding-window
+view; ``col2im``, its scatter-add adjoint, runs as one compiled pass when a
+native backend resolved and as a loop over the ``kh * kw`` kernel offsets
+otherwise.  Both reorder or sum the same elements in a fixed order, so they
+are bit-identical to the slice-loop reference kept in the tests.
 """
 
 from __future__ import annotations
@@ -52,63 +54,32 @@ def im2col(
     stride: int,
     padding: int,
     out: Optional[np.ndarray] = None,
+    padded: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Extract convolution patches from an NHWC tensor.
 
     Returns an array of shape ``(N, OH, OW, kernel_h * kernel_w * C)`` whose
     last axis is ordered kernel-row-major then channel (matching the weight
-    flattening used by :class:`repro.nn.layers.conv.Conv2D`).  ``out``, when
-    given, receives the patches in place (the training runtime passes a
-    workspace buffer); every element is written, so its prior contents never
-    leak through.
+    flattening used by :class:`repro.nn.layers.conv.Conv2D`).  The patch
+    matrix is materialised in one multi-dimensional strided copy from a
+    sliding-window view of the (padded) input.
+
+    ``out``, when given, receives the patches in place (the training
+    runtime passes a workspace buffer); every element is written, so its
+    prior contents never leak through.  ``padded``, when given and
+    ``padding > 0``, receives the zero-padded input (its border bands are
+    re-zeroed here), replacing the ``np.pad`` allocation.
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects an NHWC tensor, got shape {x.shape}")
     batch, height, width, channels = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    x_padded = pad_nhwc(x, padding)
     shape = (batch, out_h, out_w, kernel_h * kernel_w * channels)
     if out is None:
         cols = np.empty(shape, dtype=x.dtype)
     else:
         cols = _checked_out(out, shape, x.dtype)
-    for i in range(kernel_h):
-        for j in range(kernel_w):
-            patch = x_padded[
-                :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
-            ]
-            offset = (i * kernel_w + j) * channels
-            cols[..., offset : offset + channels] = patch
-    return cols
-
-
-def im2col_strided(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-    out: np.ndarray,
-    padded: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Fused single-copy :func:`im2col` (bit-identical, arena path).
-
-    Instead of ``kernel_h * kernel_w`` strided slice copies, the patch
-    matrix is materialised in one multi-dimensional strided copy from a
-    sliding-window view — a pure reordering of the same elements, so the
-    result is bit-identical to the loop.  ``out`` is mandatory (the caller
-    owns the buffer); ``padded``, when given, receives the zero-padded
-    input (its border bands are re-zeroed here, replacing the ``np.pad``
-    allocation and full copy).
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"im2col expects an NHWC tensor, got shape {x.shape}")
-    batch, height, width, channels = x.shape
-    out_h = conv_output_size(height, kernel_h, stride, padding)
-    out_w = conv_output_size(width, kernel_w, stride, padding)
-    shape = (batch, out_h, out_w, kernel_h * kernel_w * channels)
-    cols = _checked_out(out, shape, x.dtype)
     if padding == 0 or padded is None:
         x_padded = pad_nhwc(x, padding)
     else:

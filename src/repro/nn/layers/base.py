@@ -136,7 +136,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Propagate gradients; fills ``self.grads`` and returns grad wrt input."""
+        """Propagate gradients; fills ``self.grads`` and returns grad wrt input.
+
+        Layers with parameters also take ``input_grad``/``param_grads``
+        keywords (default True) and skip what is False: ``self.grads`` stays
+        untouched, or None is returned (see ``Sequential.backward``).
+        """
         raise NotImplementedError
 
     def _keep_grad_cache(self, training: bool) -> bool:
@@ -186,15 +191,6 @@ class Layer:
         workspace = self._workspace
         if workspace is not None and workspace_enabled():
             workspace.reclaim(array)
-
-    def _arena_active(self) -> bool:
-        """Whether this layer is running inside the training arena.
-
-        Layers with a bit-identical fused kernel spelling (e.g. the
-        single-copy strided im2col) switch to it here; the legacy runtime
-        and every inference/attack path keep the seed implementation.
-        """
-        return self._workspace is not None and workspace_enabled()
 
     def data_parallel_safe(self) -> bool:
         """Whether per-micro-batch gradients equal this layer's batch semantics.

@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.functional import col2im, conv_output_size, im2col, im2col_strided
+from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer
 
@@ -88,39 +88,20 @@ class Conv2D(Layer):
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got shape {x.shape}")
         batch, height, width, channels = x.shape
-        out_h = conv_output_size(height, self.kernel_size, self.stride, self.pad_amount)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, self.pad_amount)
+        pad = self.pad_amount
+        out_h = conv_output_size(height, self.kernel_size, self.stride, pad)
+        out_w = conv_output_size(width, self.kernel_size, self.stride, pad)
         patch = self.kernel_size * self.kernel_size * channels
-        cols_buffer = self._buffer("cols", (batch, out_h, out_w, patch), x.dtype)
-        if self._arena_active():
-            # fused single-copy patch extraction (bit-identical to the loop)
-            pad = self.pad_amount
-            cols = im2col_strided(
-                x,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                pad,
-                out=cols_buffer,
-                padded=(
-                    self._buffer(
-                        "x_padded",
-                        (batch, height + 2 * pad, width + 2 * pad, channels),
-                        x.dtype,
-                    )
-                    if pad
-                    else None
-                ),
-            )
-        else:
-            cols = im2col(
-                x,
-                self.kernel_size,
-                self.kernel_size,
-                self.stride,
-                self.pad_amount,
-                out=cols_buffer,
-            )
+        padded_shape = (batch, height + 2 * pad, width + 2 * pad, channels)
+        cols = im2col(
+            x,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            pad,
+            out=self._buffer("cols", (batch, out_h, out_w, patch), x.dtype),
+            padded=self._buffer("x_padded", padded_shape, x.dtype) if pad else None,
+        )
         y = np.matmul(
             cols.reshape(-1, patch),
             self.flattened_weight(),
@@ -141,7 +122,12 @@ class Conv2D(Layer):
             self._input_shape_cache = None
         return y
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_output: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> Optional[np.ndarray]:
         if self._cols_cache is None or self._input_shape_cache is None:
             raise ShapeError(
                 f"{self.name}: backward called without a training forward pass"
@@ -149,16 +135,19 @@ class Conv2D(Layer):
         cols = self._cols_cache
         batch, out_h, out_w, patch = cols.shape
         grad_flat = grad_output.reshape(-1, self.filters)
-        weight_grad = np.matmul(
-            cols.reshape(-1, patch).T,
-            grad_flat,
-            out=self._buffer("weight_grad", (patch, self.filters), cols.dtype),
-        )
-        self.grads["weight"] = weight_grad.reshape(self.params["weight"].shape)
-        if self.use_bias:
-            self.grads["bias"] = grad_flat.sum(
-                axis=0, out=self._buffer("bias_grad", (self.filters,), cols.dtype)
+        if param_grads:
+            weight_grad = np.matmul(
+                cols.reshape(-1, patch).T,
+                grad_flat,
+                out=self._buffer("weight_grad", (patch, self.filters), cols.dtype),
             )
+            self.grads["weight"] = weight_grad.reshape(self.params["weight"].shape)
+            if self.use_bias:
+                self.grads["bias"] = grad_flat.sum(
+                    axis=0, out=self._buffer("bias_grad", (self.filters,), cols.dtype)
+                )
+        if not input_grad:
+            return None
         grad_cols = np.matmul(
             grad_flat,
             self.flattened_weight().T,
@@ -172,7 +161,7 @@ class Conv2D(Layer):
             self.kernel_size,
             self.kernel_size,
             self.stride,
-            self.pad_amount,
+            pad,
             out=self._scratch(
                 (in_batch, in_h + 2 * pad, in_w + 2 * pad, in_c), cols.dtype
             ),

@@ -72,21 +72,29 @@ class Dense(Layer):
             y = np.add(y, self.params["bias"], out=y)
         return y
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_output: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> Optional[np.ndarray]:
         if self._input_cache is None:
             raise ShapeError(
                 f"{self.name}: backward called without a training forward pass"
             )
         x = self._input_cache
-        self.grads["weight"] = np.matmul(
-            x.T,
-            grad_output,
-            out=self._buffer("weight_grad", self.params["weight"].shape, x.dtype),
-        )
-        if self.use_bias:
-            self.grads["bias"] = grad_output.sum(
-                axis=0, out=self._buffer("bias_grad", (self.units,), x.dtype)
+        if param_grads:
+            self.grads["weight"] = np.matmul(
+                x.T,
+                grad_output,
+                out=self._buffer("weight_grad", self.params["weight"].shape, x.dtype),
             )
+            if self.use_bias:
+                self.grads["bias"] = grad_output.sum(
+                    axis=0, out=self._buffer("bias_grad", (self.units,), x.dtype)
+                )
+        if not input_grad:
+            return None
         return np.matmul(
             grad_output,
             self.params["weight"].T,

@@ -80,12 +80,19 @@ class BatchNorm(Layer):
         np.add(out, self.params["beta"], out=out)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_output: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> Optional[np.ndarray]:
         axes = self._batch_axes
         x_hat = self._x_hat
-        count = grad_output.size // grad_output.shape[-1]
-        self.grads["gamma"] = np.sum(grad_output * x_hat, axis=axes)
-        self.grads["beta"] = np.sum(grad_output, axis=axes)
+        if param_grads:
+            self.grads["gamma"] = np.sum(grad_output * x_hat, axis=axes)
+            self.grads["beta"] = np.sum(grad_output, axis=axes)
+        if not input_grad:
+            return None
         gamma = self.params["gamma"]
         # standard batch-norm backward (through batch statistics)
         dx_hat = grad_output * gamma

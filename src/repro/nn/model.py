@@ -88,8 +88,19 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate a gradient through every layer (reverse order).
+    def backward(
+        self,
+        grad_output: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> Optional[np.ndarray]:
+        """Back-propagate a gradient through the layers (reverse order).
+
+        ``input_grad``/``param_grads`` name the gradients the caller
+        consumes (default: both).  With ``param_grads=False`` no
+        ``layer.grads`` entry is written; with ``input_grad=False`` the call
+        returns None and the layers below the lowest parameter layer are not
+        run.  Every gradient computed is bit-identical to a full backward's.
 
         Inside the training runtime's workspace scope, each intermediate
         gradient is handed back to the arena's scratch pool as soon as the
@@ -98,10 +109,22 @@ class Sequential:
         never reclaimed here.
         """
         self._require_built()
+        layers = self.layers
+        if not input_grad:
+            trainable = [i for i, layer in enumerate(layers) if layer.trainable]
+            if not (param_grads and trainable):
+                return None
+            layers = layers[trainable[0] :]
         grad = grad_output
-        for layer in reversed(self.layers):
-            next_grad = layer.backward(grad)
-            if not np.may_share_memory(next_grad, grad):
+        for depth, layer in enumerate(reversed(layers), start=1):
+            wants_input = input_grad or depth < len(layers)
+            if layer.trainable and not (wants_input and param_grads):
+                next_grad = layer.backward(
+                    grad, input_grad=wants_input, param_grads=param_grads
+                )
+            else:
+                next_grad = layer.backward(grad)
+            if next_grad is None or not np.may_share_memory(next_grad, grad):
                 layer._reclaim(grad)
             grad = next_grad
         return grad
@@ -156,7 +179,9 @@ class Sequential:
 
         This is the primitive used by the gradient-based adversarial attacks
         (FGM / BIM / PGD).  The model is evaluated in inference mode (no
-        dropout noise), matching how Foolbox drives a model.
+        dropout noise), matching how Foolbox drives a model.  Only the input
+        gradient is computed: no parameter gradient is, and every
+        ``layer.grads`` array is left untouched.
         """
         self._require_built()
         x = np.asarray(x, dtype=np.float64)
@@ -164,7 +189,7 @@ class Sequential:
         loss = loss if loss is not None else _DEFAULT_LOSS
         logits = self.forward(x, training=False)
         grad_logits = loss.gradient(logits, y)
-        return self.backward(grad_logits)
+        return self.backward(grad_logits, param_grads=False)
 
     def loss_and_input_gradient(
         self,
@@ -176,15 +201,16 @@ class Sequential:
 
         Uses the loss's fused ``value_and_gradient`` (one shifted-exp pass
         for cross-entropy instead of two), bit-identical to calling
-        ``value`` and ``gradient`` separately.
+        ``value`` and ``gradient`` separately.  Like :meth:`input_gradient`
+        it computes no parameter gradient and leaves ``layer.grads``
+        untouched.
         """
         self._require_built()
         x = np.asarray(x, dtype=np.float64)
         loss = loss if loss is not None else _DEFAULT_LOSS
         logits = self.forward(x, training=False)
         value, grad_logits = loss.value_and_gradient(logits, y)
-        grad = self.backward(grad_logits)
-        return value, grad
+        return value, self.backward(grad_logits, param_grads=False)
 
     # ------------------------------------------------------------ parameters
     def trainable_layers(self) -> List[Layer]:

@@ -230,9 +230,7 @@ class Trainer:
         shard_pool = None
         try:
             if micro_batch is not None:
-                shard_pool = _MicroBatchPool(
-                    self.model, flat, resolve_workers(workers), self._arena
-                )
+                shard_pool = _MicroBatchPool(self.model, flat, resolve_workers(workers))
             for epoch in range(start_epoch, epochs):
                 order = np.arange(n_samples)
                 if shuffle:
@@ -309,7 +307,7 @@ class Trainer:
     ) -> Tuple[float, int]:
         """One full-batch step on the arena runtime (bit-identical to legacy)."""
         return fused_training_step(
-            self.model, self.loss, self.optimizer, self._arena, flat, xb, yb
+            self.model, self.loss, self.optimizer, flat, xb, yb
         )
 
     def _micro_batch_step(
@@ -446,9 +444,7 @@ class _MicroBatchPool:
     index, so the reduction input is identical for every worker count.
     """
 
-    def __init__(
-        self, model, flat: FlatParameterView, workers: int, arena: Workspace
-    ) -> None:
+    def __init__(self, model, flat: FlatParameterView, workers: int) -> None:
         self._flat = flat
         self._workers = max(1, workers)
         self._stack: Optional[np.ndarray] = None
@@ -457,14 +453,11 @@ class _MicroBatchPool:
         if self._workers == 1:
             # serial: compute on the model itself (its arena is already bound)
             self._model = model
-            self._arena = arena
         else:
             self._model = None
-            self._arena = None
             for replica in training_replicas(model, self._workers):
-                workspace = Workspace()
-                workspace.bind(replica)
-                self._replicas.put((replica, workspace))
+                Workspace().bind(replica)
+                self._replicas.put(replica)
             self._executor = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-train"
             )
@@ -483,23 +476,20 @@ class _MicroBatchPool:
 
         def run_micro(index: int) -> Tuple[float, int]:
             micro = slices[index]
-            if self._model is not None:
-                replica, workspace = self._model, self._arena
-            else:
-                replica, workspace = self._replicas.get()
+            replica = self._model if self._model is not None else self._replicas.get()
             try:
                 with workspace_scope():
                     logits = replica.forward(xb[micro], training=True)
                     value, grad = loss.value_and_gradient(
                         logits, yb[micro], normalizer=total
                     )
-                    workspace.reclaim(replica.backward(grad))
+                    replica.backward(grad, input_grad=False)
                 self._flat.pack_grads(model=replica, out=stack[index])
                 correct = int(np.sum(np.argmax(logits, axis=-1) == yb[micro]))
                 return value, correct
             finally:
                 if self._model is None:
-                    self._replicas.put((replica, workspace))
+                    self._replicas.put(replica)
 
         indices = range(len(slices))
         if self._executor is None or len(slices) == 1:

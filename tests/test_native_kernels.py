@@ -37,6 +37,8 @@ from repro.multipliers import LUTMultiplier, get_multiplier
 from repro.nn.functional import col2im, im2col
 from repro.quantization.schemes import AffineQuantization
 
+from oracle import col2im_reference
+
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
     reason="no native backend available on this host (no Numba, no C compiler)",
@@ -169,7 +171,7 @@ class TestNativeCol2Im:
         )
         shape = (batch, size, size, channels)
         with_native = col2im(cols, shape, kernel, kernel, stride, padding)
-        reference = _reference_col2im(cols, shape, kernel, kernel, stride, padding)
+        reference = col2im_reference(cols, shape, kernel, kernel, stride, padding)
         assert np.array_equal(with_native, reference)
 
     def test_roundtrip_with_im2col(self):
@@ -189,7 +191,7 @@ class TestNativeCol2Im:
         result = col2im(cols, shape, 3, 3, 2, 1, out=out)
         assert result.base is out or result is out
         assert np.array_equal(
-            result, _reference_col2im(cols, shape, 3, 3, 2, 1)
+            result, col2im_reference(cols, shape, 3, 3, 2, 1)
         )
 
     def test_non_contiguous_cols_fall_back_and_match(self):
@@ -199,29 +201,8 @@ class TestNativeCol2Im:
         shape = (2, 8, 8, 3)
         assert np.array_equal(
             col2im(cols, shape, 2, 2, 2, 0),
-            _reference_col2im(cols, shape, 2, 2, 2, 0),
+            col2im_reference(cols, shape, 2, 2, 2, 0),
         )
-
-
-def _reference_col2im(cols, input_shape, kernel_h, kernel_w, stride, padding):
-    """The pure-NumPy scatter loop, inlined so the test cannot be fooled by
-    the production dispatch."""
-    batch, height, width, channels = input_shape
-    out_h = cols.shape[1]
-    out_w = cols.shape[2]
-    x_padded = np.zeros(
-        (batch, height + 2 * padding, width + 2 * padding, channels),
-        dtype=cols.dtype,
-    )
-    for i in range(kernel_h):
-        for j in range(kernel_w):
-            offset = (i * kernel_w + j) * channels
-            x_padded[
-                :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
-            ] += cols[..., offset : offset + channels]
-    if padding == 0:
-        return x_padded
-    return x_padded[:, padding:-padding, padding:-padding, :]
 
 
 class TestBackendResolution:

@@ -12,7 +12,9 @@ The load-bearing properties, in rough order of importance:
   strides and paddings (checked on integer-valued floats, where the inner
   products are exact);
 * micro-batched data-parallel training is bit-identical across
-  ``workers in {1, 2, "auto"}``.
+  ``workers in {1, 2, "auto"}``;
+* ``Sequential.backward`` computes only the gradients its caller consumes,
+  and each one it computes is bit-identical to a full backward's.
 """
 
 import numpy as np
@@ -25,8 +27,10 @@ from repro.nn import (
     SGD,
     Adam,
     BatchNorm,
+    Conv2D,
     CrossEntropyLoss,
     Dense,
+    Flatten,
     FlatParameterView,
     MeanSquaredError,
     ReLU,
@@ -40,9 +44,12 @@ from repro.nn import (
     training_replicas,
     validate_data_parallel,
 )
+from repro.nn.layers import conv as conv_module
 from repro.nn.layers.base import workspace_scope
 from repro.nn.layers.dropout import Dropout
 from repro.models.architectures import build_ffnn, build_lenet5
+
+from oracle import col2im_reference, im2col_reference
 
 RNG = np.random.default_rng(42)
 
@@ -104,7 +111,8 @@ class TestCol2imAdjoint:
         assert im2col(x, kh, kw, stride, padding, out=cols_buf) is cols_buf
         assert np.array_equal(cols, cols_buf)
         grad = rng.normal(size=cols.shape)
-        reference = col2im(grad, x.shape, kh, kw, stride, padding)
+        reference = col2im_reference(grad, x.shape, kh, kw, stride, padding)
+        assert np.array_equal(reference, col2im(grad, x.shape, kh, kw, stride, padding))
         padded = np.full(
             (batch, height + 2 * padding, width + 2 * padding, channels), np.nan
         )
@@ -114,26 +122,30 @@ class TestCol2imAdjoint:
     @given(geometry=conv_geometries, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_strided_im2col_bit_identical(self, geometry, seed):
-        """The fused single-copy im2col returns the exact bits of the loop."""
-        from repro.nn.functional import im2col_strided
-
+        """The single-copy im2col returns the exact bits of the slice-loop
+        oracle, allocating or writing into NaN-prefilled caller buffers."""
         batch, height, width, channels, kh, kw, stride, padding = geometry
         if height + 2 * padding < kh or width + 2 * padding < kw:
             return
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, height, width, channels))
-        reference = im2col(x, kh, kw, stride, padding)
+        reference = im2col_reference(x, kh, kw, stride, padding)
+        assert np.array_equal(reference, im2col(x, kh, kw, stride, padding))
         out = np.full_like(reference, np.nan)
-        padded = (
-            np.full(
-                (batch, height + 2 * padding, width + 2 * padding, channels), np.nan
-            )
-            if padding
-            else None
-        )
-        fast = im2col_strided(x, kh, kw, stride, padding, out=out, padded=padded)
+        assert im2col(x, kh, kw, stride, padding, out=out) is out
+        assert np.array_equal(reference, out)
+        padded_shape = (batch, height + 2 * padding, width + 2 * padding, channels)
+        out = np.full_like(reference, np.nan)
+        padded = np.full(padded_shape, np.nan)
+        fast = im2col(x, kh, kw, stride, padding, out=out, padded=padded)
         assert fast is out
         assert np.array_equal(reference, fast)
+        if padding:
+            # the caller's padded buffer holds the zero-bordered input
+            assert np.array_equal(
+                padded,
+                np.pad(x, ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0))),
+            )
 
     def test_out_shape_validated(self):
         x = np.zeros((1, 4, 4, 1))
@@ -635,3 +647,153 @@ class TestDataParallelGuards:
         assert np.array_equal(
             replica.layers[0].params["weight"], model.layers[0].params["weight"]
         )
+
+
+# --------------------------------------------------------------------------
+# gradient contract: compute only what the caller consumes
+# --------------------------------------------------------------------------
+
+
+def _bn_model():
+    return Sequential(
+        [Conv2D(4, kernel_size=3, padding="same"), BatchNorm(), ReLU(), Flatten(),
+         Dense(8), BatchNorm(), ReLU(), Dense(3)],
+        input_shape=(6, 6, 2),
+        seed=0,
+    )
+
+
+GRADIENT_MODELS = {
+    "lenet5": lambda: build_lenet5(seed=0),
+    "ffnn": lambda: build_ffnn(seed=0),
+    "batchnorm": _bn_model,
+}
+
+
+def _batch(model, n=5):
+    x = RNG.normal(size=(n,) + tuple(model.input_shape))
+    y = RNG.integers(0, model.output_shape[-1], size=n)
+    return x, y
+
+
+def _grads_snapshot(model):
+    return [
+        {name: (grad, grad.copy()) for name, grad in layer.grads.items()}
+        for layer in model.layers
+    ]
+
+
+def _full_backward(model, x, y, training):
+    """Reference: one default (compute-everything) backward pass."""
+    logits = model.forward(x, training=training)
+    input_grad = model.backward(CrossEntropyLoss().gradient(logits, y)).copy()
+    return input_grad, [
+        {name: grad.copy() for name, grad in layer.grads.items()}
+        for layer in model.layers
+    ]
+
+
+@pytest.fixture(params=sorted(GRADIENT_MODELS))
+def gradient_model(request):
+    return GRADIENT_MODELS[request.param]()
+
+
+class TestGradientContract:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_input_grad_without_param_grads_bit_identical(
+        self, gradient_model, training
+    ):
+        x, y = _batch(gradient_model)
+        reference, _ = _full_backward(gradient_model, x, y, training)
+        logits = gradient_model.forward(x, training=training)
+        fast = gradient_model.backward(
+            CrossEntropyLoss().gradient(logits, y), param_grads=False
+        )
+        assert np.array_equal(reference, fast)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_param_grads_without_input_grad_bit_identical(
+        self, gradient_model, training
+    ):
+        x, y = _batch(gradient_model)
+        _, reference = _full_backward(gradient_model, x, y, training)
+        logits = gradient_model.forward(x, training=training)
+        result = gradient_model.backward(
+            CrossEntropyLoss().gradient(logits, y), input_grad=False
+        )
+        assert result is None
+        for layer, expected in zip(gradient_model.layers, reference):
+            assert set(layer.grads) == set(expected)
+            for name, grad in expected.items():
+                assert np.array_equal(layer.grads[name], grad)
+
+    def test_no_consumed_gradient_runs_nothing(self, gradient_model):
+        x, y = _batch(gradient_model)
+        logits = gradient_model.forward(x)
+        grad = CrossEntropyLoss().gradient(logits, y)
+        assert gradient_model.backward(grad, input_grad=False, param_grads=False) is None
+        assert all(not layer.grads for layer in gradient_model.layers)
+
+    def test_layers_below_lowest_parameter_layer_not_run(self):
+        model = build_ffnn(seed=0)
+        assert isinstance(model.layers[0], Flatten)
+        x, y = _batch(model)
+        logits = model.forward(x)
+
+        def fail(grad_output):
+            raise AssertionError("Flatten.backward must not run")
+
+        model.layers[0].backward = fail
+        model.backward(CrossEntropyLoss().gradient(logits, y), input_grad=False)
+        assert model.layers[1].grads  # the lowest Dense still has its grads
+
+    def test_input_gradient_leaves_layer_grads_untouched(self, gradient_model):
+        x, y = _batch(gradient_model)
+        fresh_grad = gradient_model.input_gradient(x, y)
+        assert all(not layer.grads for layer in gradient_model.layers)
+        reference, _ = _full_backward(gradient_model, x, y, training=False)
+        assert np.array_equal(fresh_grad, reference)
+        before = _grads_snapshot(gradient_model)
+        other_x, other_y = _batch(gradient_model)
+        gradient_model.input_gradient(other_x, other_y)
+        gradient_model.loss_and_input_gradient(other_x, other_y)
+        for layer, snapshot in zip(gradient_model.layers, before):
+            assert set(layer.grads) == set(snapshot)
+            for name, (array, values) in snapshot.items():
+                assert layer.grads[name] is array
+                assert np.array_equal(array, values)
+
+    def test_training_step_skips_first_conv_input_gradient(
+        self, mnist_small, monkeypatch
+    ):
+        """Arena weights stay bit-identical to the legacy loop (which runs
+        a full backward) while conv1 never scatters an input gradient."""
+        calls = []
+        real_col2im = conv_module.col2im
+
+        def counting_col2im(cols, input_shape, *args, **kwargs):
+            calls.append(tuple(input_shape[1:]))
+            return real_col2im(cols, input_shape, *args, **kwargs)
+
+        monkeypatch.setattr(conv_module, "col2im", counting_col2im)
+        first_conv_input = tuple(build_lenet5(seed=0).input_shape)
+        legacy = _train_lenet(mnist_small, runtime="legacy")
+        assert first_conv_input in calls  # the counter does see conv1
+        calls.clear()
+        arena = _train_lenet(mnist_small, runtime="arena")
+        assert _identical(legacy, arena)
+        assert calls  # conv2/conv3 still propagate to their inputs
+        assert first_conv_input not in calls
+
+    def test_micro_batch_matches_serial_full_backward(self, mnist_small, monkeypatch):
+        """Data-parallel shards that skip the input gradient train the same
+        bytes as serial shards running a full backward."""
+        parallel = _train_lenet(mnist_small, workers=2, micro_batch=16)
+        full_backward = Sequential.backward
+
+        def always_full(self, grad_output, input_grad=True, param_grads=True):
+            return full_backward(self, grad_output)
+
+        monkeypatch.setattr(Sequential, "backward", always_full)
+        serial = _train_lenet(mnist_small, workers=1, micro_batch=16)
+        assert _identical(parallel, serial)
