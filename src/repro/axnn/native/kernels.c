@@ -68,8 +68,10 @@ DEFINE_LUT_MATMUL(i32, int32_t)
  * ascending (i, j) kernel offset order, and for a fixed output element the
  * i / j loops below visit its contributions in exactly that order.  The
  * innermost loop walks the out_w patch columns of one (i, j) offset, so it
- * carries no division by the stride; single-channel images (LeNet's input)
- * get a loop without the channel level.
+ * carries no division by the stride.  Single-channel images (LeNet's input)
+ * get a loop without the channel level: on a 60x28x28x1 image with a 5x5
+ * kernel it takes 1.0 ms against 2.6-2.8 ms for the general loop (gcc -O3,
+ * 2-core x86_64 VM, 15 alternating pairs, ratio median 2.6, IQR 2.6-2.7).
  */
 void repro_col2im_f64(
     const double *cols, int64_t batch, int64_t out_h, int64_t out_w,

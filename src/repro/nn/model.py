@@ -117,10 +117,11 @@ class Sequential:
             layers = layers[trainable[0] :]
         grad = grad_output
         for depth, layer in enumerate(reversed(layers), start=1):
-            wants_input = input_grad or depth < len(layers)
-            if layer.trainable and not (wants_input and param_grads):
+            if layer.trainable:
                 next_grad = layer.backward(
-                    grad, input_grad=wants_input, param_grads=param_grads
+                    grad,
+                    input_grad=input_grad or depth < len(layers),
+                    param_grads=param_grads,
                 )
             else:
                 next_grad = layer.backward(grad)
