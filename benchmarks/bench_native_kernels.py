@@ -8,6 +8,10 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
   at the LeNet dense shape and an AlexNet conv shape, plus the int16-packed
   LUT variant.  Bit-identity is asserted on every comparison; only the
   clock moves.
+* **signed table vs LUT loop** — the native kernel's two backend entry
+  points on the same operands at LeNet conv1/conv2 shapes
+  (``native.table_vs_lut.*``): one table row add per (m, k) against N
+  LUT gathers.
 * **native vs reference col2im** — the single-pass compiled scatter-add
   against the ``kh * kw`` strided read-modify-write sweeps, at a LeNet
   conv-backward shape, and the same comparison end-to-end through a full
@@ -148,6 +152,51 @@ def test_native_lut_product_int16_pack(benchmark, suite):
     benchmark.extra_info.update(stats)
     benchmark.extra_info["kernel"] = native.describe()
     benchmark(lambda: native.matmul(codes))
+
+
+#: LeNet-5 conv shapes at 60 images: (rows, K, N) of conv1 and conv2
+TABLE_SHAPES = {
+    "lenet_conv1": (576 * 60, 25, 6),
+    "lenet_conv2": (64 * 60, 150, 16),
+}
+
+
+@pytest.mark.benchmark(group="native-kernels")
+@pytest.mark.parametrize("layer", sorted(TABLE_SHAPES))
+def test_native_table_vs_lut(benchmark, suite, layer):
+    """The native kernel's signed-table loop against its LUT loop (M8).
+
+    Both backend entry points run on the same operands — the uint8 codes,
+    the packed sign/magnitude/LUT of the LUT loop and the kernel's own
+    signed table — so the ratio isolates one row add per (m, k) against N
+    gathers.  Bit-identity is asserted; the table must at least break even.
+    """
+    m, k, n = TABLE_SHAPES[layer]
+    codes, sign, magnitude = _kernel_problem(m, k, n, seed=7)
+    multiplier = get_multiplier("M8")
+    kernel = make_kernel(multiplier, sign, magnitude, "native")
+    assert "table" in kernel.describe()
+    backend = get_backend()
+    codes8 = codes.astype(np.uint8)
+    sign8 = sign.astype(np.int8)
+    mag8 = magnitude.astype(np.uint8)
+    lut = np.ascontiguousarray(multiplier.lut(), dtype=np.int32)
+    via_lut = np.zeros((m, n), dtype=np.int64)
+    via_table = np.zeros((m, n), dtype=np.int64)
+
+    def run_lut():
+        backend.lut_matmul(codes8, sign8, mag8, lut, via_lut)
+
+    def run_table():
+        backend.table_matmul(codes8, kernel._table, via_table)
+
+    stats = suite.paired(f"native.table_vs_lut.{layer}", run_lut, run_table, rounds=10)
+    assert np.array_equal(via_table, via_lut)
+    benchmark.extra_info.update(stats)
+    benchmark(run_table)
+    assert stats["ratio_median"] >= 1.0, (
+        f"{layer}: the signed table is only {stats['ratio_median']:.2f}x the LUT loop"
+    )
 
 
 @pytest.mark.benchmark(group="native-kernels")

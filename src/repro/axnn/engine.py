@@ -4,7 +4,8 @@
 model into an :class:`AxModel`:
 
 1. a calibration batch is pushed through the float model, recording the
-   activation range at the input of every compute layer;
+   activation range at the input of every compute layer (once per victim
+   set in :func:`build_victims`, which shares the schemes);
 2. every ``Conv2D`` / ``Dense`` layer is replaced by its quantized,
    LUT-multiplied counterpart (:class:`repro.axnn.layers.AxConv2D` /
    :class:`AxDense`) bound to the requested approximate multiplier;
@@ -21,7 +22,7 @@ convolutional layers only, which is the default here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.multipliers.base import Multiplier
 from repro.multipliers.library import get_multiplier
 from repro.nn.layers.conv import Conv2D
+from repro.nn.layers.base import no_grad_cache
 from repro.nn.layers.dense import Dense
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
@@ -141,16 +143,71 @@ class AxModel:
 def _calibrate_activations(
     model: Sequential, calibration_data: np.ndarray, bits: int
 ) -> Dict[str, AffineQuantization]:
-    """Record the activation range at the input of every compute layer."""
+    """Record the activation range at the input of every compute layer.
+
+    A pure-inference pass: under ``no_grad_cache`` the source model's
+    layers keep no backward buffers (the conv caches would otherwise stay
+    pinned on the source model after the build).
+    """
     observers: Dict[str, ActivationObserver] = {}
-    x = np.asarray(calibration_data, dtype=np.float64)
-    out = x
-    for layer in model.layers:
-        if isinstance(layer, (Conv2D, Dense)):
-            observer = observers.setdefault(layer.name, ActivationObserver())
-            observer.update(out)
-        out = layer.forward(out, training=False)
+    out = np.asarray(calibration_data, dtype=np.float64)
+    with no_grad_cache():
+        for layer in model.layers:
+            if isinstance(layer, (Conv2D, Dense)):
+                observer = observers.setdefault(layer.name, ActivationObserver())
+                observer.update(out)
+            out = layer.forward(out, training=False)
     return {name: obs.affine_scheme(bits=bits) for name, obs in observers.items()}
+
+
+def _resolve_multiplier(spec: MultiplierSpec) -> Multiplier:
+    return spec if isinstance(spec, Multiplier) else get_multiplier(spec)
+
+
+def _validate_build(model: Sequential, calibration_data: np.ndarray, kernel: str) -> str:
+    """Check the build inputs; returns the canonical kernel strategy."""
+    if not model.layers:
+        raise ConfigurationError("cannot build an AxDNN from an empty model")
+    if calibration_data is None or np.asarray(calibration_data).size == 0:
+        raise ConfigurationError("calibration_data must contain at least one sample")
+    return normalize_strategy(kernel)
+
+
+def _assemble(
+    model: Sequential,
+    default_multiplier: Multiplier,
+    schemes: Dict[str, AffineQuantization],
+    bits: int,
+    convolution_only: bool,
+    overrides: Dict[str, Multiplier],
+    name: str,
+    kernel: str,
+) -> AxModel:
+    """Replace every compute layer of ``model`` by its Ax counterpart."""
+    accurate = get_multiplier("mul8u_1JFF")
+    ax_layers: List[AxLayer] = []
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            chosen = overrides.get(layer.name, default_multiplier)
+            ax_layers.append(
+                AxConv2D(
+                    layer, chosen, schemes[layer.name], weight_bits=bits, kernel=kernel
+                )
+            )
+        elif isinstance(layer, Dense):
+            chosen = overrides.get(
+                layer.name, accurate if convolution_only else default_multiplier
+            )
+            ax_layers.append(
+                AxDense(
+                    layer, chosen, schemes[layer.name], weight_bits=bits, kernel=kernel
+                )
+            )
+        else:
+            ax_layers.append(PassthroughLayer(layer))
+    return AxModel(
+        ax_layers, name, default_multiplier, bits, source=model, kernel=kernel
+    )
 
 
 def build_axdnn(
@@ -190,55 +247,64 @@ def build_axdnn(
         default) or one of the names in
         :data:`repro.axnn.kernels.KERNEL_STRATEGIES`.  ``"auto"`` decides
         once per layer, at build time, from the multiplier's LUT structure
-        and the layer's output width, so on LeNet-5 a rank >= 2 multiplier
-        runs the narrow conv layers on ``native`` and the wide layers on
-        ``percode`` — see :func:`repro.axnn.kernels.select_strategy`.  All
-        strategies are bit-identical; they differ only in throughput and
-        memory.
+        and the layer's ``(K, N)`` weight shape, so on LeNet-5 a low-rank
+        multiplier runs the narrow layers (conv1, conv2, fc2) on
+        ``native`` and the wide ones on ``percode`` — see
+        :func:`repro.axnn.kernels.select_strategy`.  All strategies are
+        bit-identical; they differ only in throughput and memory.
     """
-    if not model.layers:
-        raise ConfigurationError("cannot build an AxDNN from an empty model")
-    if calibration_data is None or np.asarray(calibration_data).size == 0:
-        raise ConfigurationError("calibration_data must contain at least one sample")
-    kernel = normalize_strategy(kernel)
-
-    default_multiplier = (
-        multiplier if isinstance(multiplier, Multiplier) else get_multiplier(multiplier)
+    kernel = _validate_build(model, calibration_data, kernel)
+    default_multiplier = _resolve_multiplier(multiplier)
+    overrides = {
+        layer_name: _resolve_multiplier(spec)
+        for layer_name, spec in (per_layer_multipliers or {}).items()
+    }
+    return _assemble(
+        model,
+        default_multiplier,
+        _calibrate_activations(model, calibration_data, bits),
+        bits,
+        convolution_only,
+        overrides,
+        name or f"ax_{model.name}_{default_multiplier.name}",
+        kernel,
     )
-    accurate = get_multiplier("mul8u_1JFF")
-    overrides: Dict[str, Multiplier] = {}
-    if per_layer_multipliers:
-        for layer_name, spec in per_layer_multipliers.items():
-            overrides[layer_name] = (
-                spec if isinstance(spec, Multiplier) else get_multiplier(spec)
-            )
 
+
+def build_victims(
+    model: Sequential,
+    multiplier_labels: Sequence[str],
+    calibration_data: np.ndarray,
+    bits: int = 8,
+    convolution_only: bool = False,
+    kernel: str = "auto",
+    progress: Optional[Callable[[str], None]] = None,
+) -> Dict[str, AxModel]:
+    """Build one AxDNN per multiplier label (M1..M9 / A1..A8 / library names).
+
+    Each victim is exactly ``build_axdnn(model, label, calibration_data,
+    ..., name=f"ax_{model.name}_{label}")``, but the activation ranges are
+    calibrated once and the (immutable) schemes shared by every victim.
+    ``progress``, when given, is called with each label before its victim
+    is built.
+    """
+    kernel = _validate_build(model, calibration_data, kernel)
     schemes = _calibrate_activations(model, calibration_data, bits)
-    ax_layers: List[AxLayer] = []
-    for layer in model.layers:
-        if isinstance(layer, Conv2D):
-            chosen = overrides.get(layer.name, default_multiplier)
-            ax_layers.append(
-                AxConv2D(
-                    layer, chosen, schemes[layer.name], weight_bits=bits, kernel=kernel
-                )
-            )
-        elif isinstance(layer, Dense):
-            chosen = overrides.get(
-                layer.name, accurate if convolution_only else default_multiplier
-            )
-            ax_layers.append(
-                AxDense(
-                    layer, chosen, schemes[layer.name], weight_bits=bits, kernel=kernel
-                )
-            )
-        else:
-            ax_layers.append(PassthroughLayer(layer))
-
-    model_name = name or f"ax_{model.name}_{default_multiplier.name}"
-    return AxModel(
-        ax_layers, model_name, default_multiplier, bits, source=model, kernel=kernel
-    )
+    victims: Dict[str, AxModel] = {}
+    for label in multiplier_labels:
+        if progress is not None:
+            progress(label)
+        victims[label] = _assemble(
+            model,
+            _resolve_multiplier(label),
+            schemes,
+            bits,
+            convolution_only,
+            {},
+            f"ax_{model.name}_{label}",
+            kernel,
+        )
+    return victims
 
 
 def build_quantized_accurate(

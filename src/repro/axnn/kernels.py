@@ -55,12 +55,17 @@ float64 BLAS instead:
 
 ``native``
     The compiled hot loop from :mod:`repro.axnn.native` (Numba njit or the
-    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``): operands
-    packed to 8 bits, the LUT to 16 or 32, accumulation in int64 with
-    cache blocking over output columns, GIL released for the whole call.
-    Only constructible when a native backend resolved; ``auto`` picks it
-    for full-rank LUTs and for rank >= 2 LUTs on narrow layers, where the
-    ``r``-fold fused BLAS product loses to one LUT lookup per MAC (see
+    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``), GIL released
+    for the whole call.  Where the layer's weight-stationary signed table
+    ``T[k, c, n] = sign[k, n] * LUT[c, mag[k, n]]`` (int32, N padded to 8)
+    is exact in int32 and fits a per-layer byte budget, the loop adds one
+    table row per ``(m, k)`` and 8 output lanes; otherwise it gathers from
+    the LUT packed to 16 or 32 bits with int64 accumulators, cache-blocked
+    over output columns.  It reads the uint8 activation codes the
+    Ax-layers produce without a copy.  Only constructible when a native
+    backend resolved; ``auto`` picks it for full-rank LUTs and for rank-r
+    LUTs on layers whose table fits and whose width is below ``16 * r``,
+    where the ``r``-fold fused BLAS product loses to the table (see
     :func:`select_strategy` for the calibrated crossover).
 
 All BLAS paths operate on integer-valued float64 operands whose partial sums
@@ -129,15 +134,23 @@ _FACTOR_VALUE_BOUND = 1 << 40
 #: are 16M entries; peeling them buys nothing the cache does not)
 _MAX_ANALYSIS_BITS = 10
 
-#: "auto" sends a rank-r LUT to the native kernel when the layer's output
-#: width N is below ``_NATIVE_WIDTH_PER_RANK * r``.  The fused low-rank
-#: product's work grows with r, the compiled loop's (one LUT lookup per
-#: MAC) with N, so the crossover width grows with the rank.  Calibrated
-#: from the per-shape percode-vs-native sweep recorded by
-#: ``benchmarks/bench_native_kernels.py`` (``BENCH_native_kernels.json``,
-#: ``auto_vs_best.*``): at 60 images the crossover sits near N = 20 for
-#: rank 3 and near N = 55 for rank 8.
-_NATIVE_WIDTH_PER_RANK = 8
+#: "auto" sends a rank-r LUT to the native kernel when its signed table
+#: fits and the layer's output width N is below ``_NATIVE_WIDTH_PER_RANK *
+#: r``.  The fused low-rank product's work grows with r, the table loop's
+#: (one row add per (m, k) and 8 output lanes) with N, so the crossover
+#: width grows with the rank.  Calibrated from the per-shape
+#: percode-vs-native sweep recorded by ``benchmarks/bench_native_kernels.py``
+#: (``BENCH_native_kernels.json``, ``auto_vs_best.*``): percode beats the
+#: table only for rank 1 at N >= 16.
+_NATIVE_WIDTH_PER_RANK = 16
+
+#: per-layer byte budget of the native kernel's signed int32 table
+#: ``(K, 2**bits, N padded to 8)``; LeNet conv2 needs 2.3 MiB, conv3 would
+#: need 30 MiB per victim and keeps the LUT loop
+_NATIVE_TABLE_BUDGET_BYTES = 8 * 1024 * 1024
+
+#: lanes of one native table row add; the table's N axis is padded to it
+_NATIVE_TABLE_LANES = 8
 
 #: byte budget for per-kernel memoised per-code row tables
 _ROW_TABLE_CACHE_BYTES = 64 * 1024 * 1024
@@ -232,6 +245,8 @@ class MultiplierKernelProfile:
     error_active_codes: np.ndarray
     #: fraction of nonzero entries in the error LUT
     error_density: float
+    #: largest |entry| of the product LUT
+    lut_peak: int
 
     @property
     def lut_rank(self) -> Optional[int]:
@@ -263,8 +278,9 @@ def multiplier_kernel_profile(multiplier: Multiplier) -> MultiplierKernelProfile
         if key is not None and key in _PROFILE_CACHE:
             return _PROFILE_CACHE[key]
         error = multiplier.error_lut().astype(np.int64)
+        lut = multiplier.lut()
         if multiplier.bit_width <= _MAX_ANALYSIS_BITS:
-            lut_factors = integer_low_rank_factors(multiplier.lut())
+            lut_factors = integer_low_rank_factors(lut)
             error_factors = integer_low_rank_factors(error)
         else:
             lut_factors = None
@@ -274,6 +290,7 @@ def multiplier_kernel_profile(multiplier: Multiplier) -> MultiplierKernelProfile
             error_factors=error_factors,
             error_active_codes=np.flatnonzero(np.any(error != 0, axis=1)),
             error_density=float(np.count_nonzero(error)) / float(error.size),
+            lut_peak=int(np.abs(lut).max(initial=0)),
         )
         if key is not None:
             _PROFILE_CACHE[key] = profile
@@ -348,7 +365,11 @@ class MatmulKernel:
 
     # ------------------------------------------------------------ internals
     def _check_codes(self, activation_codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(activation_codes, dtype=np.int64)
+        """Validate the code matrix; integer codes keep their dtype (the
+        Ax-layers hand over uint8), anything else becomes int64."""
+        codes = np.asarray(activation_codes)
+        if codes.dtype.kind not in "ui":
+            codes = codes.astype(np.int64)
         if codes.ndim != 2:
             raise ShapeError("kernel matmul expects a 2-D activation-code matrix")
         if codes.shape[1] != self.inner:
@@ -641,7 +662,10 @@ class SparseOneHotKernel(MatmulKernel):
     def _onehot(self, codes: np.ndarray, n_code_blocks: int):
         """CSR one-hot of shape ``(M, n_code_blocks * K)`` — K ones per row."""
         m, k = codes.shape
-        columns = (codes * k + np.arange(k, dtype=np.int64)[None, :]).ravel()
+        # int64 before scaling: uint8 codes would wrap at codes * k
+        columns = (
+            codes.astype(np.int64) * k + np.arange(k, dtype=np.int64)[None, :]
+        ).ravel()
         indptr = np.arange(m + 1, dtype=np.int64) * k
         data = np.ones(m * k, dtype=self._dtype)
         return _scipy_sparse.csr_array(
@@ -689,15 +713,26 @@ class SparseOneHotKernel(MatmulKernel):
 class NativeLUTKernel(MatmulKernel):
     """Compiled LUT accumulation from :mod:`repro.axnn.native`.
 
-    Operands are packed once per layer at construction — activation codes
-    and weight magnitudes to uint8, signs to int8, and the LUT to int16
-    when every entry fits (int32 otherwise) — so the compiled loop touches
-    a half to a quarter of the memory the int64 formulations stream.  The
-    loop itself (see ``native/kernels.c``) is cache-blocked over output
-    columns and accumulates in int64, making the result exact by
-    construction; ctypes/Numba release the GIL for the whole call, so the
-    threaded batch-sharding runtime scales where the scipy.sparse path
-    serialised.
+    The weights are constant, so construction folds them into the
+    weight-stationary signed table ``T[k, c, n] = sign[k, n] * LUT[c,
+    mag[k, n]]`` (int32, shape ``(K, 2**bits, N)`` with N zero-padded to a
+    multiple of 8).  The compiled loop then adds one contiguous table row
+    ``T[k, codes[m, k], n0:n0+8]`` per ``(m, k)`` and lane block into
+    int32 register accumulators — one SIMD row add instead of N LUT
+    gathers, sign loads and multiplies.  The table is used while
+    ``K * max|LUT| < 2**31`` (no int32 partial sum can overflow, so the
+    integer result is exact in any order) and it fits
+    ``_NATIVE_TABLE_BUDGET_BYTES``; a LeNet-5 victim's conv1, conv2 and fc2
+    tables take ~3.9 MiB together.
+
+    Layers over either bound keep the LUT loop: operands packed once per
+    layer (weight magnitudes to uint8, signs to int8, the LUT to int16 when
+    every entry fits, int32 otherwise), cache-blocked over output columns
+    with int64 accumulators.  LeNet conv3, whose table would take 30 MiB
+    per victim, runs there.  Activation codes arrive as uint8 from the
+    Ax-layers' quantizers and are used as they are; other integer codes are
+    range-checked and packed.  ctypes/Numba release the GIL for the whole
+    call, so the threaded batch-sharding runtime scales.
 
     Construction fails with :class:`ConfigurationError` when no native
     backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or neither Numba nor
@@ -734,31 +769,74 @@ class NativeLUTKernel(MatmulKernel):
                 "the 'native' kernel packs the LUT to at most 32 bits; "
                 f"{multiplier.name!r} has |entry| up to {peak}"
             )
-        lut_dtype = np.int16 if peak < (1 << 15) else np.int32
         self._backend = backend
-        self._lut_packed = np.ascontiguousarray(lut, dtype=lut_dtype)
-        self._sign8 = np.ascontiguousarray(weight_sign, dtype=np.int8)
-        self._mag8 = np.ascontiguousarray(weight_magnitude, dtype=np.uint8)
         self.codes_total = multiplier.operand_max + 1
+        self._table: Optional[np.ndarray] = None
+        if _native_table_fits(peak, self.codes_total, self.inner, self.outputs):
+            self._table = self._signed_table(lut)
+        else:
+            self._lut_packed = np.ascontiguousarray(
+                lut, dtype=np.int16 if peak < (1 << 15) else np.int32
+            )
+            self._sign8 = np.ascontiguousarray(weight_sign, dtype=np.int8)
+            self._mag8 = np.ascontiguousarray(weight_magnitude, dtype=np.uint8)
+
+    def _signed_table(self, lut: np.ndarray) -> np.ndarray:
+        """``T[k, c, n] = sign[k, n] * LUT[c, mag[k, n]]``, N padded to 8."""
+        padded = _padded_outputs(self.outputs)
+        table = np.zeros((self.inner, self.codes_total, padded), dtype=np.int32)
+        # (K, N, C): row ``mag[k, n]`` of the transposed LUT per weight
+        gathered = np.ascontiguousarray(lut.T, dtype=np.int32)[self.weight_magnitude]
+        gathered *= self.weight_sign[:, :, None].astype(np.int32)
+        table[:, :, : self.outputs] = gathered.transpose(0, 2, 1)
+        return table
 
     def describe(self) -> str:
+        if self._table is not None:
+            return f"native[{self._backend.name}, int32 table]"
         bits = 8 * self._lut_packed.dtype.itemsize
         return f"native[{self._backend.name}, int{bits} lut]"
 
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         codes = self._check_codes(activation_codes)
-        if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
-            raise ConfigurationError(
-                f"activation codes outside the {self.multiplier.bit_width}-bit "
-                "operand range"
-            )
+        if codes.dtype != np.uint8 or self.codes_total != 256:
+            if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
+                raise ConfigurationError(
+                    f"activation codes outside the {self.multiplier.bit_width}-bit "
+                    "operand range"
+                )
         out = np.zeros((codes.shape[0], self.outputs), dtype=np.int64)
         if codes.shape[0] == 0 or self.inner == 0 or self.outputs == 0:
             return out
         codes_u8 = np.ascontiguousarray(codes, dtype=np.uint8)
-        self._backend.lut_matmul(codes_u8, self._sign8, self._mag8,
-                                 self._lut_packed, out)
+        if self._table is not None:
+            self._backend.table_matmul(codes_u8, self._table, out)
+        else:
+            self._backend.lut_matmul(codes_u8, self._sign8, self._mag8,
+                                     self._lut_packed, out)
         return out
+
+
+def _padded_outputs(outputs: int) -> int:
+    """Output width rounded up to the native table's lane count."""
+    return -(-outputs // _NATIVE_TABLE_LANES) * _NATIVE_TABLE_LANES
+
+
+def _native_table_fits(
+    lut_peak: int, codes_total: int, inner: Optional[int], outputs: Optional[int]
+) -> bool:
+    """Whether a ``(K, N)`` native kernel may use the signed int32 table.
+
+    Both bounds of :class:`NativeLUTKernel`: int32 accumulation is exact
+    (``K * max|LUT| < 2**31``) and the table fits the per-layer byte
+    budget.  Unknown shapes never fit.
+    """
+    if inner is None or outputs is None:
+        return False
+    if max(inner, 1) * lut_peak >= (1 << 31):
+        return False
+    table_bytes = inner * codes_total * _padded_outputs(outputs) * 4
+    return table_bytes <= _NATIVE_TABLE_BUDGET_BYTES
 
 
 def _native_strategy_available(multiplier: Multiplier) -> bool:
@@ -769,7 +847,7 @@ def _native_strategy_available(multiplier: Multiplier) -> bool:
         return False
     if multiplier.operand_max > 255:
         return False
-    return int(np.abs(multiplier.lut()).max(initial=0)) < (1 << 31)
+    return multiplier_kernel_profile(multiplier).lut_peak < (1 << 31)
 
 
 _KERNEL_CLASSES = {
@@ -784,35 +862,44 @@ _KERNEL_CLASSES = {
 KernelSpec = Union[str, MatmulKernel]
 
 
-def select_strategy(multiplier: Multiplier, outputs: Optional[int] = None) -> str:
+def select_strategy(
+    multiplier: Multiplier,
+    outputs: Optional[int] = None,
+    inner: Optional[int] = None,
+) -> str:
     """The "auto" heuristic: pick the cheapest bit-identical strategy.
 
-    ``outputs`` is the output width N of the bound ``(K, N)`` weights;
-    without it the choice is the one for a wide layer.  The rules, in order:
+    ``inner`` and ``outputs`` are the contraction depth K and output width
+    N of the bound ``(K, N)`` weights; without them the choice is the one
+    for a wide layer.  The rules, in order:
 
     * bit-exact multipliers take the plain BLAS product (``exact``);
-    * rank-0/1 LUTs (operand truncation, DRUM) take the fused per-code
-      BLAS kernel, a single ``dgemm``;
-    * rank >= 2 LUTs take the native compiled kernel when a backend
-      resolved and ``N < _NATIVE_WIDTH_PER_RANK * rank`` (narrow layers),
-      else the fused per-code BLAS kernel;
+    * rank-r LUTs with r >= 1 take the native kernel when a backend
+      resolved, its signed table fits (``K * max|LUT| < 2**31`` and within
+      ``_NATIVE_TABLE_BUDGET_BYTES``) and ``N < _NATIVE_WIDTH_PER_RANK * r``,
+      else the fused per-code BLAS kernel (also for rank 0);
     * full-rank LUTs (compressor trees, Mitchell, noisy-LSB) take the
-      native kernel when a backend resolved, else the sparse one-hot
-      kernel (``gather`` if scipy is ever absent).
+      native kernel when a backend resolved — with the table when it fits,
+      the LUT loop otherwise — else the sparse one-hot kernel (``gather``
+      if scipy is ever absent).
 
     ``errorcorrection`` and ``gather`` are never chosen; both stay
     constructible by name.  Both candidate kernels cost linearly in the
     batch rows M, so the choice ignores the batch; only at batch 1 on the
     dense layers do their fixed per-call costs (tens of microseconds)
-    decide, and on the recorded shapes the two stay within 0.1 ms.
+    decide.
     """
     if multiplier.is_exact():
         return "exact"
-    lut_rank = multiplier_kernel_profile(multiplier).lut_rank
+    profile = multiplier_kernel_profile(multiplier)
+    lut_rank = profile.lut_rank
     if lut_rank is not None:
         narrow = (
-            outputs is not None and lut_rank >= 2
+            outputs is not None
             and outputs < _NATIVE_WIDTH_PER_RANK * lut_rank
+            and _native_table_fits(
+                profile.lut_peak, multiplier.operand_max + 1, inner, outputs
+            )
         )
         if narrow and _native_strategy_available(multiplier):
             return "native"
@@ -832,7 +919,7 @@ def make_kernel(
 
     ``strategy`` is a canonical kernel name (see :data:`KERNEL_STRATEGIES`),
     an accepted alias, ``"auto"`` (chosen once here from the multiplier's
-    LUT structure and the weights' output width, see
+    LUT structure and the weights' ``(K, N)`` shape, see
     :func:`select_strategy`), or an already constructed
     :class:`MatmulKernel` (returned unchanged).
     """
@@ -841,5 +928,6 @@ def make_kernel(
     name = normalize_strategy(strategy)
     if name == "auto":
         shape = np.shape(weight_sign)
-        name = select_strategy(multiplier, shape[-1] if shape else None)
+        inner, outputs = shape if len(shape) == 2 else (None, None)
+        name = select_strategy(multiplier, outputs, inner)
     return _KERNEL_CLASSES[name](multiplier, weight_sign, weight_magnitude)

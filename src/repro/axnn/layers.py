@@ -88,11 +88,11 @@ class AxDense(AxLayer):
         )
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        """Activation codes for ``x`` — shareable across panel victims whose
-        layers use the same quantization scheme."""
+        """Activation codes for ``x`` (uint8 for 8-bit schemes) — shareable
+        across panel victims whose layers use the same quantization scheme."""
         if x.ndim != 2:
             raise ShapeError(f"{self.name}: expected 2-D input, got {x.shape}")
-        return self.activation_scheme.quantize(x)
+        return self.activation_scheme.quantize_packed(x)
 
     def forward_from_codes(self, codes: np.ndarray) -> np.ndarray:
         """Evaluate the layer from precomputed activation codes.
@@ -162,10 +162,11 @@ class AxConv2D(AxLayer):
         )
 
     def quantize_cols(self, cols: np.ndarray) -> np.ndarray:
-        """Activation codes of a patch matrix — shareable across victims
-        whose layers use the same quantization scheme."""
+        """Activation codes of a patch matrix (uint8 for 8-bit schemes) —
+        shareable across victims whose layers use the same quantization
+        scheme."""
         patch = cols.shape[-1]
-        return self.activation_scheme.quantize(cols.reshape(-1, patch))
+        return self.activation_scheme.quantize_packed(cols.reshape(-1, patch))
 
     def forward_from_codes(
         self, codes: np.ndarray, batch: int, out_h: int, out_w: int

@@ -1,4 +1,4 @@
-"""Optional compiled backend for the three remaining hot loops.
+"""Optional compiled backend for the LUT-product and col2im hot loops.
 
 The approximate-DNN reproduction keeps pure NumPy as its always-available
 reference implementation; this package layers a *native* tier on top:
@@ -58,17 +58,22 @@ _ALIASES = {
 
 @dataclass(frozen=True)
 class NativeBackend:
-    """A resolved compiled backend: a name plus the two kernel entry points.
+    """A resolved compiled backend: a name plus the three kernel entry points.
 
     ``lut_matmul(codes_u8, sign_i8, mag_u8, lut, out_i64)`` accumulates the
     signed LUT product into ``out`` (all arrays C-contiguous, LUT int16 or
-    int32).  ``col2im_add(cols, out, kh, kw, stride, out_h, out_w)``
-    scatter-adds an im2col patch matrix into the pre-zeroed padded image
-    ``out``.  Both are bit-identical to their NumPy references.
+    int32).  ``table_matmul(codes_u8, table_i32, out_i64)`` computes the
+    same product from the weight-stationary signed table ``table[k, c, n]
+    = sign[k, n] * lut[c, mag[k, n]]`` (output axis zero-padded to a
+    multiple of 8; the caller guarantees ``K * max|lut| < 2**31``).
+    ``col2im_add(cols, out, kh, kw, stride, out_h, out_w)`` scatter-adds an
+    im2col patch matrix into the pre-zeroed padded image ``out``.  All are
+    bit-identical to their NumPy references.
     """
 
     name: str
     lut_matmul: Callable
+    table_matmul: Callable
     col2im_add: Callable
 
 
@@ -99,6 +104,7 @@ def _load_numba() -> NativeBackend:
     return NativeBackend(
         name="numba",
         lut_matmul=numba_backend.lut_matmul,
+        table_matmul=numba_backend.table_matmul,
         col2im_add=numba_backend.col2im_add,
     )
 
@@ -111,6 +117,9 @@ def _load_cext() -> NativeBackend:
         name="cext",
         lut_matmul=lambda codes, sign, mag, lut, out: cext.lut_matmul(
             lib, codes, sign, mag, lut, out
+        ),
+        table_matmul=lambda codes, table, out: cext.table_matmul(
+            lib, codes, table, out
         ),
         col2im_add=lambda cols, out, kh, kw, stride, oh, ow: cext.col2im_add(
             lib, cols, out, kh, kw, stride, oh, ow

@@ -145,6 +145,14 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
             i64, i64, i64, i64,  # m, k, n, lut_cols
             ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
         ]
+    table = lib.repro_table_matmul_i32
+    table.restype = None
+    table.argtypes = [
+        _u8(),  # codes (M, K)
+        ndpointer(dtype=np.int32, flags="C_CONTIGUOUS"),  # table (K, C, n_pad)
+        i64, i64, i64, i64, i64,  # m, k, n, codes_total, n_pad
+        ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
+    ]
     col2im = lib.repro_col2im_f64
     col2im.restype = None
     col2im.argtypes = [
@@ -166,6 +174,15 @@ def lut_matmul(lib: ctypes.CDLL, codes, sign, mag, lut, out) -> None:
     else:
         fn = lib.repro_lut_matmul_i32
     fn(codes, sign, mag, lut, m, k, n, lut.shape[1], out)
+
+
+def table_matmul(lib: ctypes.CDLL, codes, table, out) -> None:
+    """Accumulate ``out[m, n] = sum_k table[k, codes[m, k], n]``."""
+    m, k = codes.shape
+    _, codes_total, n_pad = table.shape
+    lib.repro_table_matmul_i32(
+        codes, table, m, k, out.shape[1], codes_total, n_pad, out
+    )
 
 
 def col2im_add(lib: ctypes.CDLL, cols, out, kernel_h, kernel_w, stride,

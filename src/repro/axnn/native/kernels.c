@@ -57,6 +57,46 @@ void repro_lut_matmul_##SUFFIX(                                               \
 DEFINE_LUT_MATMUL(i16, int16_t)
 DEFINE_LUT_MATMUL(i32, int32_t)
 
+/* Lanes of one table row add: the table's output axis is padded to a
+ * multiple of eight int32 columns, which -O3 keeps in two SSE2 registers at
+ * the baseline x86-64 ISA (no -march needed). */
+#define TABLE_MATMUL_LANES 8
+
+/* result[m, n] = sum_k table[k, codes[m, k], n]
+ *
+ * The weight-stationary form of the LUT product: the caller folds the
+ * constant weights into the signed table
+ *     table[k, c, n] = sign[k, n] * lut[c, mag[k, n]]
+ * of shape (k_dim, codes_total, n_pad), n_pad = n_dim rounded up to the
+ * lane count, zero in the padding.  One contiguous row add per (m, k) and
+ * lane block replaces n_dim LUT gathers, sign loads and multiplies.  The
+ * caller only builds the table when k_dim * max|lut| < 2**31, so no int32
+ * partial sum can overflow and the integer result is exact in any order —
+ * bit-identical to the gather reference.
+ */
+void repro_table_matmul_i32(
+    const uint8_t *codes, const int32_t *table, int64_t m_dim, int64_t k_dim,
+    int64_t n_dim, int64_t codes_total, int64_t n_pad, int64_t *out)
+{
+    const int64_t k_stride = codes_total * n_pad;
+    for (int64_t m = 0; m < m_dim; m++) {
+        const uint8_t *code_row = codes + m * k_dim;
+        int64_t *out_row = out + m * n_dim;
+        for (int64_t n0 = 0; n0 < n_pad; n0 += TABLE_MATMUL_LANES) {
+            int32_t acc[TABLE_MATMUL_LANES] = {0};
+            const int32_t *block = table + n0;
+            for (int64_t k = 0; k < k_dim; k++) {
+                const int32_t *row =
+                    block + k * k_stride + (int64_t)code_row[k] * n_pad;
+                for (int j = 0; j < TABLE_MATMUL_LANES; j++) acc[j] += row[j];
+            }
+            int64_t nb = n_dim - n0;
+            if (nb > TABLE_MATMUL_LANES) nb = TABLE_MATMUL_LANES;
+            for (int64_t j = 0; j < nb; j++) out_row[n0 + j] = acc[j];
+        }
+    }
+}
+
 /* The col2im scatter-add: fold an im2col patch matrix
  * cols (batch, out_h, out_w, kh*kw*channels) back into the zero-initialised
  * padded image out (batch, padded_h, padded_w, channels).

@@ -11,7 +11,9 @@ path.
 The loop structure intentionally mirrors ``kernels.c`` line for line —
 int64 accumulation for the LUT matmul (order-independent, hence exact; the
 ``sign * lut`` product itself cannot overflow the LUT dtype because sign is
-in {-1, 0, 1} and the packer rejects tables with |value| >= 2**31) and
+in {-1, 0, 1} and the packer rejects tables with |value| >= 2**31), int32
+accumulation for the table matmul (exact because the caller only builds a
+table when ``K * max|lut| < 2**31``) and
 ascending (i, j) per-element addition order for col2im (which is what makes
 the float path bit-identical to the NumPy reference loop).
 """
@@ -19,10 +21,14 @@ the float path bit-identical to the NumPy reference loop).
 from __future__ import annotations
 
 import numba  # noqa: F401 - presence check; ImportError gates this backend
+import numpy as np
 from numba import njit
 
 #: column-block width, matching LUT_MATMUL_NB in kernels.c
 _BLOCK = 128
+
+#: lanes of one table row add, matching TABLE_MATMUL_LANES in kernels.c
+_LANES = 8
 
 
 @njit(cache=True, nogil=True)
@@ -38,6 +44,26 @@ def lut_matmul(codes, sign, mag, lut, out):  # pragma: no cover - jitted
                 code = codes[m, k]
                 for j in range(n0, n1):
                     out[m, j] += sign[k, j] * lut[code, mag[k, j]]
+    return out
+
+
+@njit(cache=True, nogil=True)
+def table_matmul(codes, table, out):  # pragma: no cover - jitted
+    m_dim, k_dim = codes.shape
+    n_dim = out.shape[1]
+    n_pad = table.shape[2]
+    acc = np.empty(_LANES, dtype=np.int32)
+    for m in range(m_dim):
+        for n0 in range(0, n_pad, _LANES):
+            for j in range(_LANES):
+                acc[j] = 0
+            for k in range(k_dim):
+                code = codes[m, k]
+                for j in range(_LANES):
+                    acc[j] += table[k, code, n0 + j]
+            nb = min(n_dim - n0, _LANES)
+            for j in range(nb):
+                out[m, n0 + j] = acc[j]
     return out
 
 

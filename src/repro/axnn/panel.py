@@ -191,7 +191,11 @@ class VictimPanel:
         for layer_index, steps in enumerate(self._plan):
             next_activations: Dict[_Group, np.ndarray] = {}
             for mode, group, extra in steps:
-                value = activations[group]
+                # each group is consumed by exactly one step: dropping its
+                # input here frees it as soon as the step is done, so one
+                # layer's activations of all groups never coexist with the
+                # next layer's
+                value = activations.pop(group)
                 layer = models[group[0]].layers[layer_index]
                 if mode == "shared" or mode == "solo":
                     next_activations[group] = layer.forward(value)

@@ -33,7 +33,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.axnn.engine import AxModel, build_axdnn, build_quantized_accurate
+from repro.axnn.engine import (
+    AxModel,
+    build_axdnn,
+    build_quantized_accurate,
+    build_victims,
+)
 from repro.datasets import Dataset, load_synthetic_cifar10, load_synthetic_mnist
 from repro.errors import ConfigurationError, MissingArtifactError
 from repro.experiments.spec import (
@@ -776,20 +781,15 @@ class Session:
         self, trained: TrainedModel, victims: VictimSpec
     ) -> Dict[str, AxModel]:
         """Build the AxDNN victim set of a spec from a trained source model."""
-        calibration = trained.dataset.train.images[: victims.calibration_samples]
-        built: Dict[str, AxModel] = {}
-        for label in victims.multipliers:
-            self._emit("victims", "compute", label)
-            built[label] = build_axdnn(
-                trained.model,
-                label,
-                calibration,
-                bits=victims.bits,
-                convolution_only=victims.convolution_only,
-                name=f"ax_{trained.model.name}_{label}",
-                kernel=victims.kernel,
-            )
-        return built
+        return build_victims(
+            trained.model,
+            victims.multipliers,
+            trained.dataset.train.images[: victims.calibration_samples],
+            bits=victims.bits,
+            convolution_only=victims.convolution_only,
+            kernel=victims.kernel,
+            progress=lambda label: self._emit("victims", "compute", label),
+        )
 
     # ------------------------------------------------------------------- run
     def run(

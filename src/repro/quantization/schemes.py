@@ -41,10 +41,23 @@ class AffineQuantization:
         """Largest quantized code."""
         return (1 << self.bits) - 1
 
+    def _clipped_codes(self, x: np.ndarray) -> np.ndarray:
+        """``clip(round(x / scale) + zero_point)`` as float64, computed in
+        one temporary (the division's result is updated in place)."""
+        q = np.asarray(x, dtype=np.float64) / self.scale
+        np.round(q, out=q)
+        q += self.zero_point
+        return np.clip(q, 0, self.qmax, out=q)
+
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Quantize a float array to integer codes (int64)."""
-        q = np.round(np.asarray(x, dtype=np.float64) / self.scale) + self.zero_point
-        return np.clip(q, 0, self.qmax).astype(np.int64)
+        return self._clipped_codes(x).astype(np.int64)
+
+    def quantize_packed(self, x: np.ndarray) -> np.ndarray:
+        """The codes of :meth:`quantize` in the narrowest dtype the kernels
+        take: uint8 for schemes of at most 8 bits, int64 otherwise."""
+        dtype = np.uint8 if self.bits <= 8 else np.int64
+        return self._clipped_codes(x).astype(dtype)
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         """Map integer codes back to floats."""

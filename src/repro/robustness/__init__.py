@@ -1,5 +1,6 @@
 """Robustness-evaluation harness (Algorithm 1, sweeps, transferability, Fig. 8)."""
 
+from repro.axnn.engine import build_victims
 from repro.robustness.evaluator import (
     AdversarialSuite,
     RobustnessResult,
@@ -22,7 +23,6 @@ from repro.robustness.report import ExperimentRecord, ReproductionReport
 from repro.robustness.sweep import (
     RobustnessGrid,
     attack_panel,
-    build_victims,
     grid_from_suite,
     multiplier_sweep,
 )

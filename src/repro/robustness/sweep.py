@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.axnn.engine import AxModel, build_axdnn
+from repro.axnn.engine import AxModel
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
 from repro.nn.runtime import WorkerSpec
@@ -80,29 +80,6 @@ class RobustnessGrid:
             values=np.asarray(payload["values"], dtype=np.float64),
             metadata=dict(payload.get("metadata", {})),
         )
-
-
-def build_victims(
-    model: Sequential,
-    multiplier_labels: Sequence[str],
-    calibration_data: np.ndarray,
-    bits: int = 8,
-    convolution_only: bool = False,
-    kernel: str = "auto",
-) -> Dict[str, AxModel]:
-    """Build one AxDNN per multiplier label (M1..M9 / A1..A8 / library names)."""
-    victims: Dict[str, AxModel] = {}
-    for label in multiplier_labels:
-        victims[label] = build_axdnn(
-            model,
-            label,
-            calibration_data,
-            bits=bits,
-            convolution_only=convolution_only,
-            name=f"ax_{model.name}_{label}",
-            kernel=kernel,
-        )
-    return victims
 
 
 def _panel_or_none(victims: Dict[str, "AxModel"], fused: Optional[bool]):

@@ -192,6 +192,15 @@ class TestSparseOneHotKernel:
         with pytest.raises(ConfigurationError):
             kernel.matmul(codes - 300)
 
+    def test_uint8_codes_do_not_wrap(self):
+        # the one-hot column index codes * K + k exceeds 255 for K = 17
+        codes, sign, mag = random_problem(np.random.default_rng(7), m=40, k=17)
+        codes[0, :] = 255
+        multiplier = get_multiplier("M6")
+        reference = approx_matmul(codes, sign, mag, multiplier.lut())
+        kernel = make_kernel(multiplier, sign, mag, "sparse")
+        assert np.array_equal(kernel.matmul(codes.astype(np.uint8)), reference)
+
     def test_single_row_single_column(self):
         """The degenerate 1x1 weight shape stays bit-identical."""
         multiplier = get_multiplier("M6")
@@ -268,9 +277,13 @@ class TestStrategySelection:
         assert select_strategy(get_multiplier("M1")) == "exact"
 
     def test_low_rank_lut_selects_percode(self):
+        # rank 1 stays on the fused BLAS product from N = 16 up (and
+        # everywhere without a shape); narrower layers go native
         assert select_strategy(get_multiplier("M4")) == "percode"
         kernel = make_kernel(
-            get_multiplier("M4"), *random_problem(np.random.default_rng(1))[1:], "auto"
+            get_multiplier("M4"),
+            *random_problem(np.random.default_rng(1), n=16)[1:],
+            "auto",
         )
         assert isinstance(kernel, PerCodeBLASKernel)
         assert "low-rank" in kernel.describe()
@@ -326,20 +339,24 @@ LENET_SHAPES = {
 }
 
 #: the "auto" routing of the Fig. 4 victims on LeNet-5 with a native backend
-#: (rank: M1 exact, M4/M7 1, M2 3, M3 4, M5/M8 8, M6/M9 full)
-_NARROW_NATIVE = {
+#: (rank: M1 exact, M4/M7 1, M2 3, M3 4, M5/M8 8, M6/M9 full).  Signed
+#: tables fit for conv1, conv2 and fc2; conv3 (30 MiB) and fc1 (10 MiB) are
+#: over the budget, so low-rank LUTs stay on percode there
+_TABLE_NATIVE = {
     "conv1": "native", "conv2": "native", "conv3": "percode",
     "fc1": "percode", "fc2": "native",
 }
+#: rank 1 needs N < 16: conv2 (N = 16) stays on the fused product
+_RANK1_NATIVE = dict(_TABLE_NATIVE, conv2="percode")
 LENET_ROUTING = {
     "M1": dict.fromkeys(LENET_SHAPES, "exact"),
-    "M2": _NARROW_NATIVE,
-    "M3": _NARROW_NATIVE,
-    "M4": dict.fromkeys(LENET_SHAPES, "percode"),
-    "M5": _NARROW_NATIVE,
+    "M2": _TABLE_NATIVE,
+    "M3": _TABLE_NATIVE,
+    "M4": _RANK1_NATIVE,
+    "M5": _TABLE_NATIVE,
     "M6": dict.fromkeys(LENET_SHAPES, "native"),
-    "M7": dict.fromkeys(LENET_SHAPES, "percode"),
-    "M8": _NARROW_NATIVE,
+    "M7": _RANK1_NATIVE,
+    "M8": _TABLE_NATIVE,
     "M9": dict.fromkeys(LENET_SHAPES, "native"),
 }
 
@@ -355,27 +372,49 @@ class TestShapeAwareRouting:
     @pytest.mark.parametrize("label", sorted(LENET_ROUTING))
     def test_lenet_routing_table(self, label, layer):
         expected = LENET_ROUTING[label][layer]
-        if expected == "native" and not _native_backend_resolved():
-            pytest.skip("no native backend resolved")
         inner, outputs = LENET_SHAPES[layer]
         multiplier = get_multiplier(label)
+        if expected == "native" and not _native_backend_resolved():
+            # without a compiled backend the BLAS/sparse fallbacks take over
+            low_rank = multiplier_kernel_profile(multiplier).lut_rank is not None
+            expected = "percode" if low_rank else "sparse"
         sign = np.ones((inner, outputs), dtype=np.int64)
         kernel = make_kernel(multiplier, sign, np.zeros_like(sign), "auto")
         assert kernel.strategy == expected
-        assert select_strategy(multiplier, outputs) == expected
+        assert select_strategy(multiplier, outputs, inner) == expected
+
+    def test_full_rank_table_only_where_it_fits(self):
+        if not _native_backend_resolved():
+            pytest.skip("no native backend resolved")
+        for layer, (inner, outputs) in LENET_SHAPES.items():
+            sign = np.ones((inner, outputs), dtype=np.int64)
+            kernel = make_kernel(get_multiplier("M6"), sign, sign, "auto")
+            uses_table = "table" in kernel.describe()
+            assert uses_table == (_TABLE_NATIVE[layer] == "native"), layer
 
     def test_crossover_scales_with_rank(self):
         if not _native_backend_resolved():
             pytest.skip("no native backend resolved")
         from repro.axnn.kernels import _NATIVE_WIDTH_PER_RANK
 
-        for label in ("M2", "M5"):
+        for label in ("M4", "M2", "M5"):
             multiplier = get_multiplier(label)
             crossover = _NATIVE_WIDTH_PER_RANK * multiplier_kernel_profile(
                 multiplier
             ).lut_rank
-            assert select_strategy(multiplier, crossover - 1) == "native"
-            assert select_strategy(multiplier, crossover) == "percode"
+            assert select_strategy(multiplier, crossover - 1, 16) == "native"
+            assert select_strategy(multiplier, crossover, 16) == "percode"
+
+    def test_over_budget_table_keeps_percode(self):
+        if not _native_backend_resolved():
+            pytest.skip("no native backend resolved")
+        from repro.axnn.kernels import _NATIVE_TABLE_BUDGET_BYTES
+
+        multiplier = get_multiplier("M8")
+        # (K, 256 codes, 8 lanes) int32 rows: the deepest K that still fits
+        deepest = _NATIVE_TABLE_BUDGET_BYTES // (256 * 8 * 4)
+        assert select_strategy(multiplier, 8, deepest) == "native"
+        assert select_strategy(multiplier, 8, deepest + 1) == "percode"
 
     def test_routing_without_native_backend(self, monkeypatch):
         import repro.axnn.kernels as kernels_module
@@ -383,15 +422,19 @@ class TestShapeAwareRouting:
         monkeypatch.setattr(
             kernels_module, "_native_strategy_available", lambda multiplier: False
         )
-        for label in ("M2", "M5", "M8"):
-            for _, outputs in LENET_SHAPES.values():
-                assert select_strategy(get_multiplier(label), outputs) == "percode"
-        assert select_strategy(get_multiplier("M6"), 6) == "sparse"
+        for label in ("M2", "M4", "M5", "M8"):
+            for inner, outputs in LENET_SHAPES.values():
+                assert (
+                    select_strategy(get_multiplier(label), outputs, inner) == "percode"
+                )
+        assert select_strategy(get_multiplier("M6"), 6, 25) == "sparse"
 
     def test_select_strategy_without_shape_is_the_wide_layer_choice(self):
-        # one-argument calls keep working and never take the narrow route
-        for label in ("M2", "M5", "M8"):
+        # one-argument calls keep working and never take the narrow route;
+        # without K the table cannot be sized, so N alone stays on percode
+        for label in ("M2", "M4", "M5", "M8"):
             assert select_strategy(get_multiplier(label)) == "percode"
+            assert select_strategy(get_multiplier(label), 6) == "percode"
 
     @pytest.mark.parametrize("label", ["M2", "M5", "M8"])
     def test_lenet_auto_bit_identical_across_the_boundary(
@@ -447,7 +490,12 @@ class TestEngineKernelSelection:
         ax = build_axdnn(tiny_cnn, "M4", calibration_batch, kernel="auto")
         report = ax.kernel_report()
         assert set(report) == {layer.name for layer in ax.compute_layers()}
-        assert all("low-rank" in entry for entry in report.values())
+        for layer in ax.compute_layers():
+            inner, outputs = layer.weight_sign.shape
+            expected = select_strategy(layer.multiplier, outputs, inner)
+            entry = report[layer.name]
+            assert entry.startswith(expected), (layer.name, entry)
+            assert ("low-rank" in entry) == (expected == "percode")
         assert ax.kernel == "auto"
 
     def test_build_axdnn_rejects_unknown_kernel(self, tiny_cnn, calibration_batch):

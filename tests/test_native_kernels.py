@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.axnn import native
 from repro.axnn.kernels import (
     NativeLUTKernel,
+    _native_table_fits,
     clear_profile_cache,
     make_kernel,
     normalize_strategy,
@@ -79,17 +80,46 @@ class TestNativeLUTMatmul:
         wide=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bit_identity_across_shapes_and_lut_dtypes(self, m, k, n, seed, wide):
+    def test_lut_loop_bit_identity_across_shapes_and_lut_dtypes(
+        self, m, k, n, seed, wide
+    ):
         # `wide` flips between int16-packable and int32-only LUT magnitudes,
-        # covering both native entry points; m/k/n of 0 cover empty batches,
-        # empty reductions and empty outputs
+        # covering both LUT-loop entry points; m/k/n of 0 cover empty
+        # batches, empty reductions and empty outputs
+        rng = np.random.default_rng(seed)
+        lut_range = 2_000_000 if wide else 30_000
+        codes, sign, mag, table = lut_problem(rng, m, k, n, lut_range)
+        out = np.zeros((m, n), dtype=np.int64)
+        get_backend().lut_matmul(
+            codes.astype(np.uint8),
+            sign.astype(np.int8),
+            mag.astype(np.uint8),
+            table.astype(np.int32 if wide else np.int16),
+            out,
+        )
+        assert np.array_equal(out, reference_matmul(codes, sign, mag, table))
+
+    @given(
+        m=st.integers(0, 17),
+        k=st.integers(0, 40),
+        n=st.integers(0, 300),
+        seed=st.integers(0, 2**31),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_bit_identity_across_shapes(self, m, k, n, seed, wide):
+        # the kernel takes the signed table while it is exact in int32 and
+        # fits the byte budget, and the packed LUT loop otherwise
         rng = np.random.default_rng(seed)
         lut_range = 2_000_000 if wide else 30_000
         codes, sign, mag, table = lut_problem(rng, m, k, n, lut_range)
         multiplier = LUTMultiplier(f"native-prop-{seed}-{wide}", table)
         kernel = make_kernel(multiplier, sign, mag, "native")
-        expected_bits = 32 if wide else 16
-        assert f"int{expected_bits}" in kernel.describe()
+        peak = int(np.abs(table).max())
+        if _native_table_fits(peak, 256, k, n):
+            assert "int32 table" in kernel.describe()
+        else:
+            assert f"int{32 if wide else 16} lut" in kernel.describe()
         result = kernel.matmul(codes)
         assert result.dtype == np.int64
         assert np.array_equal(result, reference_matmul(codes, sign, mag, table))
@@ -146,6 +176,94 @@ class TestNativeLUTMatmul:
     def test_strategy_aliases(self):
         assert normalize_strategy("native") == "native"
         assert normalize_strategy("compiled") == "native"
+
+
+class TestNativeTablePath:
+    """The weight-stationary signed table: bit-identical to ``gather``."""
+
+    @given(
+        m=st.integers(0, 12),
+        k=st.integers(1, 30),
+        n=st.sampled_from([1, 6, 8, 9, 16, 17]),
+        seed=st.integers(0, 2**31),
+        packed=st.booleans(),
+        label=st.sampled_from(["M2", "M6", "M8"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identity_against_gather(self, m, k, n, seed, packed, label):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 256, (m, k))
+        sign = rng.integers(-1, 2, (k, n))
+        mag = rng.integers(0, 256, (k, n))
+        multiplier = get_multiplier(label)
+        kernel = make_kernel(multiplier, sign, mag, "native")
+        assert "int32 table" in kernel.describe()
+        if packed:
+            codes = codes.astype(np.uint8)
+        reference = make_kernel(multiplier, sign, mag, "gather").matmul(codes)
+        assert np.array_equal(kernel.matmul(codes), reference)
+
+    def test_table_and_lut_entry_points_agree(self):
+        codes, sign, mag, table = lut_problem(RNG, 37, 23, 17, 1_000_000)
+        multiplier = LUTMultiplier("native-entry-points", table)
+        signed = make_kernel(multiplier, sign, mag, "native")._table
+        assert signed.shape == (23, 256, 24)
+        assert not signed[:, :, 17:].any()
+        codes8 = codes.astype(np.uint8)
+        via_table = np.zeros((37, 17), dtype=np.int64)
+        via_lut = np.zeros((37, 17), dtype=np.int64)
+        backend = get_backend()
+        backend.table_matmul(codes8, signed, via_table)
+        backend.lut_matmul(codes8, sign.astype(np.int8), mag.astype(np.uint8),
+                           table.astype(np.int32), via_lut)
+        assert np.array_equal(via_table, via_lut)
+        assert np.array_equal(via_table, reference_matmul(codes, sign, mag, table))
+
+    @pytest.mark.parametrize("bad", [300, -1])
+    def test_out_of_range_codes_raise(self, bad):
+        codes, sign, mag, table = lut_problem(RNG, 4, 8, 6, 100)
+        kernel = make_kernel(LUTMultiplier("native-range-table", table), sign, mag,
+                             "native")
+        assert "int32 table" in kernel.describe()
+        codes[1, 2] = bad
+        with pytest.raises(ConfigurationError):
+            kernel.matmul(codes)
+
+    def test_narrow_multiplier_checks_uint8_codes(self):
+        # a 4-bit LUT has 16 codes: uint8 codes are range-checked too
+        table = np.arange(256, dtype=np.int64).reshape(16, 16)
+        sign = np.ones((3, 2), dtype=np.int64)
+        mag = np.full((3, 2), 15, dtype=np.int64)
+        kernel = make_kernel(LUTMultiplier("native-4bit", table), sign, mag, "native")
+        codes = np.full((2, 3), 16, dtype=np.uint8)
+        with pytest.raises(ConfigurationError):
+            kernel.matmul(codes)
+        codes[:] = 15
+        assert np.array_equal(
+            kernel.matmul(codes), reference_matmul(codes.astype(np.int64), sign, mag, table)
+        )
+
+    def test_int32_overflow_bound_falls_back_to_the_lut_loop(self):
+        # K * max|LUT| >= 2**31: int32 table sums could overflow, so the
+        # kernel keeps the int64-accumulating LUT loop
+        rng = np.random.default_rng(3)
+        codes, sign, mag, table = lut_problem(rng, 9, 12, 6, 1000)
+        table[255, 255] = 2**28
+        codes[0, :] = 255
+        mag[:, 0] = 255
+        sign[:, 0] = 1
+        kernel = make_kernel(LUTMultiplier("native-overflow", table), sign, mag,
+                             "native")
+        assert kernel.describe().endswith("int32 lut]")
+        result = kernel.matmul(codes)
+        assert result[0, 0] == 12 * 2**28 >= 2**31
+        assert np.array_equal(result, reference_matmul(codes, sign, mag, table))
+
+    def test_over_budget_layer_keeps_the_lut_loop(self):
+        # LeNet conv3 (K=256, N=120) would need a 30 MiB table
+        sign = np.ones((256, 120), dtype=np.int64)
+        kernel = make_kernel(get_multiplier("M6"), sign, sign, "native")
+        assert "lut" in kernel.describe()
 
 
 class TestNativeCol2Im:

@@ -124,6 +124,21 @@ class TestQuantizationProperties:
         assert codes.min() >= 0
         assert codes.max() <= scheme.qmax
 
+    @given(values=float_vectors, bits=st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_codes_equal_the_reference_formula(self, values, bits):
+        # the in-place quantizer computes the same float ops in the same
+        # order as the plain expression, so the integers are identical
+        scheme = calibrate_affine(values, bits=bits)
+        reference = np.clip(
+            np.round(values / scheme.scale) + scheme.zero_point, 0, scheme.qmax
+        ).astype(np.int64)
+        packed = scheme.quantize_packed(values)
+        assert packed.dtype == (np.uint8 if bits <= 8 else np.int64)
+        assert np.array_equal(packed, reference)
+        assert scheme.quantize(values).dtype == np.int64
+        assert np.array_equal(scheme.quantize(values), reference)
+
 
 class TestFunctionalProperties:
     @given(x=float_images)

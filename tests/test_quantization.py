@@ -37,6 +37,16 @@ class TestAffineQuantization:
     def test_qmax(self):
         assert AffineQuantization(scale=1.0, zero_point=0, bits=4).qmax == 15
 
+    def test_packed_codes_round_ties_before_the_zero_point(self):
+        # half-to-even rounding of x / scale, then the zero point: adding
+        # the zero point first would round 0.5 + 3 up to 4
+        scheme = AffineQuantization(scale=1.0, zero_point=3, bits=8)
+        values = np.array([0.5, 1.5, 2.5, -0.5, 300.0])
+        packed = scheme.quantize_packed(values)
+        assert packed.dtype == np.uint8
+        assert packed.tolist() == [3, 5, 5, 3, 255]
+        assert scheme.quantize(values).tolist() == packed.tolist()
+
     def test_rejects_bad_scale(self):
         with pytest.raises(ConfigurationError):
             AffineQuantization(scale=0.0, zero_point=0)

@@ -93,6 +93,43 @@ class TestSweep:
         assert victims["M1"].multiplier.is_exact()
         assert not victims["M8"].multiplier.is_exact()
 
+    def test_build_victims_calibrates_once(
+        self, tiny_cnn, calibration_batch, small_eval, monkeypatch
+    ):
+        import repro.axnn.engine as engine
+        from repro.nn.layers.conv import Conv2D
+
+        calibrations = []
+        calibrate = engine._calibrate_activations
+
+        def counting(*args):
+            calibrations.append(args)
+            return calibrate(*args)
+
+        monkeypatch.setattr(engine, "_calibrate_activations", counting)
+        labels = ["M2", "M6", "M8"]
+        built = []
+        victims = build_victims(
+            tiny_cnn, labels, calibration_batch, progress=built.append
+        )
+        assert len(calibrations) == 1
+        assert built == labels
+        # the pass runs as pure inference: no conv cache stays pinned
+        assert all(
+            layer._cols_cache is None
+            for layer in tiny_cnn.layers
+            if isinstance(layer, Conv2D)
+        )
+        x, _ = small_eval
+        for label, victim in victims.items():
+            single = build_axdnn(
+                tiny_cnn, label, calibration_batch, name=f"ax_tiny_cnn_{label}"
+            )
+            assert victim.name == single.name
+            for shared, own in zip(victim.compute_layers(), single.compute_layers()):
+                assert shared.activation_scheme == own.activation_scheme
+            assert np.array_equal(victim.predict(x), single.predict(x))
+
     def test_grid_shape_and_metadata(self, tiny_cnn, victims, small_eval):
         x, y = small_eval
         grid = multiplier_sweep(
