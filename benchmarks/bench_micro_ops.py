@@ -19,6 +19,7 @@ from repro.axnn.kernels import make_kernel
 from repro.benchmarking import best_of
 from repro.multipliers import get_multiplier
 from repro.multipliers.base import clear_global_lut_cache
+from repro.nn.layers import AvgPool2D
 from repro.nn.runtime import available_workers
 
 RNG = np.random.default_rng(0)
@@ -168,6 +169,40 @@ def test_micro_kernel_sparse_beats_gather_full_rank(benchmark, suite):
     assert np.array_equal(result, gather.matmul(codes))
     assert speedup >= 2.0, (
         f"sparse kernel ({sparse.describe()}) only {speedup:.1f}x faster than gather"
+    )
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_avgpool_offsets_vs_windows(benchmark, suite):
+    """Acceptance check: AvgPool2D's offset loop (forward + backward) is
+    >= 2x the stacked-window spelling at LeNet's first pool shape
+    (32 x 24 x 24 x 6, 2x2/s2), with bit-identical outputs.
+
+    The baseline stacks the windows and reduces them with ``mean``, and
+    accumulates the backward into a zero-filled gradient, as the layer did
+    before it summed strided slices.
+    """
+    x = np.random.default_rng(9).standard_normal((32, 24, 24, 6))
+    layer = AvgPool2D(2)
+
+    def windows():
+        out = layer._windows(x).mean(axis=-1)
+        grad_input = np.zeros_like(x)
+        for _, view in layer._offsets(grad_input, out.shape[1], out.shape[2]):
+            view += out / 4
+        return out, grad_input
+
+    def offsets():
+        out = layer.forward(x)
+        return out, layer.backward(out)
+
+    stats = suite.paired("avgpool_offsets_vs_windows", windows, offsets, rounds=20)
+    for fast, reference in zip(offsets(), windows()):
+        assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+    benchmark.extra_info.update(stats)
+    benchmark(offsets)
+    assert stats["ratio_median"] >= 2.0, (
+        f"offset-loop AvgPool2D only {stats['ratio_median']:.2f}x the windows"
     )
 
 

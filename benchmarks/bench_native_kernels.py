@@ -17,6 +17,8 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
   conv-backward shape, and the same comparison end-to-end through a full
   training epoch (the arena runtime hands ``col2im`` its workspace
   buffers, so the native path engages with no call-site changes).
+* **native vs NumPy im2col** — the compiled patch gather against the
+  sliding-window copy at LeNet conv1's shape.
 * **fused panel vs per-victim** — a :class:`repro.axnn.VictimPanel` over
   four multipliers against four separate ``predict`` calls on the same
   batch (shared im2col + quantization, identical logits).
@@ -55,7 +57,7 @@ from repro.datasets import load_synthetic_mnist
 from repro.models.architectures import build_lenet5
 from repro.multipliers import LUTMultiplier, get_multiplier
 from repro.nn import Adam, Trainer
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import col2im, im2col, im2col_windows
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
@@ -226,6 +228,36 @@ def test_native_col2im(benchmark, suite, backend_env):
     benchmark(lambda: run("auto"))
     assert stats["ratio_median"] >= 1.2, (
         f"native col2im only {stats['ratio_median']:.2f}x the strided reference"
+    )
+
+
+@pytest.mark.benchmark(group="native-kernels")
+def test_native_im2col(benchmark, suite):
+    """Acceptance check: the compiled im2col gather beats the NumPy
+    sliding-window copy at LeNet conv1's shape (60 x 28 x 28 x 1, 5x5/s1).
+
+    One contiguous run of ``kw * C`` values per patch row against NumPy's
+    six-axis strided copy, each filling its own preallocated patch matrix
+    (a backend switch per call would cost more than the gather); a pure
+    copy, so the patches are bit-identical.
+    """
+    x = np.random.default_rng(8).standard_normal((60, 28, 28, 1))
+    backend = get_backend()
+    via_numpy = np.empty((60, 24, 24, 25))
+    via_native = np.empty_like(via_numpy)
+
+    def run_numpy():
+        im2col_windows(x, via_numpy, 5, 5, 1)
+
+    def run_native():
+        backend.im2col(x, via_native, 5, 5, 1)
+
+    stats = suite.paired("im2col", run_numpy, run_native, rounds=10)
+    assert np.array_equal(via_native, via_numpy)
+    benchmark.extra_info.update(stats)
+    benchmark(run_native)
+    assert stats["ratio_median"] >= 1.5, (
+        f"native im2col only {stats['ratio_median']:.2f}x the NumPy copy"
     )
 
 

@@ -1,4 +1,4 @@
-"""Optional compiled backend for the LUT-product and col2im hot loops.
+"""Optional compiled backend for the LUT-product, im2col and col2im hot loops.
 
 The approximate-DNN reproduction keeps pure NumPy as its always-available
 reference implementation; this package layers a *native* tier on top:
@@ -58,7 +58,7 @@ _ALIASES = {
 
 @dataclass(frozen=True)
 class NativeBackend:
-    """A resolved compiled backend: a name plus the three kernel entry points.
+    """A resolved compiled backend: a name plus the four kernel entry points.
 
     ``lut_matmul(codes_u8, sign_i8, mag_u8, lut, out_i64)`` accumulates the
     signed LUT product into ``out`` (all arrays C-contiguous, LUT int16 or
@@ -67,14 +67,17 @@ class NativeBackend:
     = sign[k, n] * lut[c, mag[k, n]]`` (output axis zero-padded to a
     multiple of 8; the caller guarantees ``K * max|lut| < 2**31``).
     ``col2im_add(cols, out, kh, kw, stride, out_h, out_w)`` scatter-adds an
-    im2col patch matrix into the pre-zeroed padded image ``out``.  All are
-    bit-identical to their NumPy references.
+    im2col patch matrix into the pre-zeroed padded image ``out``.
+    ``im2col(x_padded, cols, kh, kw, stride)`` gathers the patches of the
+    padded float64 image into ``cols`` (its shape fixes ``out_h, out_w``).
+    All are bit-identical to their NumPy references.
     """
 
     name: str
     lut_matmul: Callable
     table_matmul: Callable
     col2im_add: Callable
+    im2col: Callable
 
 
 _STATE_LOCK = threading.Lock()
@@ -106,6 +109,7 @@ def _load_numba() -> NativeBackend:
         lut_matmul=numba_backend.lut_matmul,
         table_matmul=numba_backend.table_matmul,
         col2im_add=numba_backend.col2im_add,
+        im2col=numba_backend.im2col,
     )
 
 
@@ -123,6 +127,9 @@ def _load_cext() -> NativeBackend:
         ),
         col2im_add=lambda cols, out, kh, kw, stride, oh, ow: cext.col2im_add(
             lib, cols, out, kh, kw, stride, oh, ow
+        ),
+        im2col=lambda x_padded, cols, kh, kw, stride: cext.im2col(
+            lib, x_padded, cols, kh, kw, stride
         ),
     )
 

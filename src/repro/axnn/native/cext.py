@@ -33,6 +33,8 @@ from typing import Optional
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from repro.errors import ShapeError
+
 #: environment variable overriding where compiled kernels are cached
 CACHE_ENV_VAR = "REPRO_NATIVE_CACHE"
 
@@ -162,6 +164,15 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
         i64, i64,  # padded_h, padded_w
         ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
     ]
+    gather = lib.repro_im2col_f64
+    gather.restype = None
+    gather.argtypes = [
+        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS"),  # padded image
+        i64, i64, i64, i64,  # batch, padded_h, padded_w, channels
+        i64, i64, i64,  # kh, kw, stride
+        i64, i64,  # out_h, out_w
+        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,WRITEABLE"),  # cols
+    ]
     return lib
 
 
@@ -192,4 +203,29 @@ def col2im_add(lib: ctypes.CDLL, cols, out, kernel_h, kernel_w, stride,
     lib.repro_col2im_f64(
         cols, batch, out_h, out_w, kernel_h, kernel_w, channels, stride,
         padded_h, padded_w, out,
+    )
+
+
+def im2col(lib: ctypes.CDLL, x_padded, cols, kernel_h, kernel_w, stride) -> None:
+    """Gather the patches of the padded image ``x_padded`` into ``cols``.
+
+    Raises :class:`ShapeError` unless every patch lies inside the image and
+    ``cols`` holds exactly one patch row per output pixel — the C loop reads
+    and writes through raw pointers.
+    """
+    batch, padded_h, padded_w, channels = x_padded.shape
+    _, out_h, out_w, patch = cols.shape
+    if (
+        cols.shape[0] != batch
+        or patch != kernel_h * kernel_w * channels
+        or (out_h - 1) * stride + kernel_h > padded_h
+        or (out_w - 1) * stride + kernel_w > padded_w
+    ):
+        raise ShapeError(
+            f"im2col: cols {cols.shape} does not match image {x_padded.shape} "
+            f"with a {kernel_h}x{kernel_w} kernel at stride {stride}"
+        )
+    lib.repro_im2col_f64(
+        x_padded, batch, padded_h, padded_w, channels, kernel_h, kernel_w,
+        stride, out_h, out_w, cols,
     )

@@ -148,3 +148,36 @@ void repro_col2im_f64(
         }
     }
 }
+
+/* The im2col gather: copy every convolution patch of the padded image
+ * x (batch, padded_h, padded_w, channels) into
+ * cols (batch, out_h, out_w, kh*kw*channels), last axis ordered kernel row,
+ * kernel column, channel.
+ *
+ * In NHWC one kernel row of a patch is a contiguous run of kw*channels
+ * doubles in the image, and it lands contiguously in the patch row, so the
+ * gather is one run copy per (b, oh, ow, i).  A pure copy — bit-identical to
+ * the NumPy strided copy by construction.
+ */
+void repro_im2col_f64(
+    const double *x, int64_t batch, int64_t padded_h, int64_t padded_w,
+    int64_t channels, int64_t kh, int64_t kw, int64_t stride,
+    int64_t out_h, int64_t out_w, double *cols)
+{
+    const int64_t run = kw * channels;
+    const int64_t image_row = padded_w * channels;
+    for (int64_t b = 0; b < batch; b++) {
+        const double *x_b = x + b * padded_h * image_row;
+        for (int64_t oh = 0; oh < out_h; oh++) {
+            const double *x_rows = x_b + oh * stride * image_row;
+            for (int64_t ow = 0; ow < out_w; ow++) {
+                const double *src = x_rows + ow * stride * channels;
+                for (int64_t i = 0; i < kh; i++) {
+                    const double *row = src + i * image_row;
+                    for (int64_t t = 0; t < run; t++) cols[t] = row[t];
+                    cols += run;
+                }
+            }
+        }
+    }
+}

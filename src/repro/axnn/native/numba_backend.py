@@ -15,7 +15,8 @@ in {-1, 0, 1} and the packer rejects tables with |value| >= 2**31), int32
 accumulation for the table matmul (exact because the caller only builds a
 table when ``K * max|lut| < 2**31``) and
 ascending (i, j) per-element addition order for col2im (which is what makes
-the float path bit-identical to the NumPy reference loop).
+the float path bit-identical to the NumPy reference loop); im2col is a pure
+copy, bit-identical in any order.
 """
 
 from __future__ import annotations
@@ -92,6 +93,24 @@ def col2im_add(cols, out, kernel_h, kernel_w, stride, out_h, out_w):
                         for c in range(channels):
                             out[b, hp, wp, c] += cols[b, oh, ow, base + c]
     return out
+
+
+@njit(cache=True, nogil=True)
+def im2col(x_padded, cols, kernel_h, kernel_w, stride):  # pragma: no cover - jitted
+    batch, out_h, out_w, _ = cols.shape
+    channels = x_padded.shape[3]
+    run = kernel_w * channels
+    for b in range(batch):
+        for oh in range(out_h):
+            for ow in range(out_w):
+                for i in range(kernel_h):
+                    base = i * run
+                    for j in range(kernel_w):
+                        for c in range(channels):
+                            cols[b, oh, ow, base + j * channels + c] = x_padded[
+                                b, oh * stride + i, ow * stride + j, c
+                            ]
+    return cols
 
 
 def numba_version() -> str:

@@ -1,11 +1,13 @@
 """Low-level tensor operations shared by the layers.
 
 All image tensors use the NHWC layout ``(batch, height, width, channels)``.
-``im2col`` gathers every patch in one strided copy from a sliding-window
-view; ``col2im``, its scatter-add adjoint, runs as one compiled pass when a
-native backend resolved and as a loop over the ``kh * kw`` kernel offsets
-otherwise.  Both reorder or sum the same elements in a fixed order, so they
-are bit-identical to the slice-loop reference kept in the tests.
+``im2col`` and ``col2im``, its scatter-add adjoint, each run as one compiled
+pass when a native backend resolved (see :mod:`repro.axnn.native`) and the
+arrays are C-contiguous float64.  Otherwise ``im2col`` gathers every patch in
+one strided copy from a sliding-window view, and ``col2im`` loops over the
+``kh * kw`` kernel offsets.  Both copy or sum the same elements in a fixed
+order, so every path is bit-identical to the slice-loop references kept in
+the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +27,23 @@ def _checked_out(out: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
             f"{tuple(shape)} {np.dtype(dtype)}"
         )
     return out
+
+
+def _native_backend(*arrays: np.ndarray):
+    """The resolved compiled backend when every array is C-contiguous float64.
+
+    ``None`` when any array does not fit the kernels' layout contract or
+    no backend resolved; callers then take their NumPy spelling.
+    """
+    if not all(
+        a.dtype == np.float64 and a.flags["C_CONTIGUOUS"] for a in arrays
+    ):
+        return None
+    # imported lazily: repro.axnn.native depends only on numpy and
+    # repro.errors, so this cannot cycle back into repro.nn
+    from repro.axnn.native import get_backend
+
+    return get_backend()
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -60,8 +79,10 @@ def im2col(
 
     Returns an array of shape ``(N, OH, OW, kernel_h * kernel_w * C)`` whose
     last axis is ordered kernel-row-major then channel (matching the weight
-    flattening used by :class:`repro.nn.layers.conv.Conv2D`).  The patch
-    matrix is materialised in one multi-dimensional strided copy from a
+    flattening used by :class:`repro.nn.layers.conv.Conv2D`).  The compiled
+    backend copies one contiguous run of ``kernel_w * C`` values per patch
+    row; without it (or for strided or non-float64 arrays) the patch matrix
+    is materialised in one multi-dimensional strided copy from a
     sliding-window view of the (padded) input.
 
     ``out``, when given, receives the patches in place (the training
@@ -94,6 +115,24 @@ def im2col(
         x_padded[:, pad:-pad, :pad].fill(0.0)
         x_padded[:, pad:-pad, -pad:].fill(0.0)
         np.copyto(x_padded[:, pad:-pad, pad:-pad, :], x)
+    backend = _native_backend(x_padded, cols)
+    if backend is not None:
+        backend.im2col(x_padded, cols, kernel_h, kernel_w, stride)
+    else:
+        im2col_windows(x_padded, cols, kernel_h, kernel_w, stride)
+    return cols
+
+
+def im2col_windows(
+    x_padded: np.ndarray, cols: np.ndarray, kernel_h: int, kernel_w: int, stride: int
+) -> None:
+    """The NumPy patch gather: one strided copy from a sliding-window view.
+
+    Fills ``cols`` (shape ``(N, OH, OW, kernel_h * kernel_w * C)``) from the
+    already padded image, exactly as the compiled backend's ``im2col`` does.
+    """
+    batch, out_h, out_w, _ = cols.shape
+    channels = x_padded.shape[3]
     windows = np.lib.stride_tricks.sliding_window_view(
         x_padded, (kernel_h, kernel_w), axis=(1, 2)
     )[:, ::stride, ::stride]
@@ -103,7 +142,6 @@ def im2col(
         cols.reshape(batch, out_h, out_w, kernel_h, kernel_w, channels),
         windows.transpose(0, 1, 2, 4, 5, 3),
     )
-    return cols
 
 
 def col2im(
@@ -141,18 +179,7 @@ def col2im(
     else:
         x_padded = _checked_out(out, padded_shape, cols.dtype)
         x_padded.fill(0.0)
-    backend = None
-    if (
-        cols.dtype == np.float64
-        and x_padded.dtype == np.float64
-        and cols.flags["C_CONTIGUOUS"]
-        and x_padded.flags["C_CONTIGUOUS"]
-    ):
-        # imported lazily: repro.axnn.native depends only on numpy and
-        # repro.errors, so this cannot cycle back into repro.nn
-        from repro.axnn.native import get_backend
-
-        backend = get_backend()
+    backend = _native_backend(cols, x_padded)
     if backend is not None:
         backend.col2im_add(
             cols, x_padded, kernel_h, kernel_w, stride, out_h, out_w

@@ -35,7 +35,7 @@ class ReLU(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.multiply(
             grad_output,
-            self._mask,
+            self._require_cache(self._mask),
             out=self._scratch(grad_output.shape, grad_output.dtype),
         )
 
@@ -52,8 +52,9 @@ class Tanh(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # grad * (1 - output ** 2), with the same operation order
+        output = self._require_cache(self._output)
         buf = self._scratch(grad_output.shape, grad_output.dtype)
-        np.power(self._output, 2, out=buf)
+        np.power(output, 2, out=buf)
         np.subtract(1.0, buf, out=buf)
         return np.multiply(grad_output, buf, out=buf)
 
@@ -75,10 +76,11 @@ class Sigmoid(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # (grad * output) * (1 - output), matching grad * output * (1 - output)
+        output = self._require_cache(self._output)
         buf = self._scratch(grad_output.shape, grad_output.dtype)
         one_minus = self._scratch(grad_output.shape, grad_output.dtype)
-        np.multiply(grad_output, self._output, out=buf)
-        np.subtract(1.0, self._output, out=one_minus)
+        np.multiply(grad_output, output, out=buf)
+        np.subtract(1.0, output, out=one_minus)
         np.multiply(buf, one_minus, out=buf)
         self._reclaim(one_minus)
         return buf
@@ -106,7 +108,7 @@ class Softmax(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # Jacobian-vector product of softmax: s * (g - sum(g * s))
-        s = self._output
+        s = self._require_cache(self._output)
         buf = self._scratch(grad_output.shape, grad_output.dtype)
         np.multiply(grad_output, s, out=buf)
         dot = np.sum(buf, axis=-1, keepdims=True)

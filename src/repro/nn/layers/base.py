@@ -15,6 +15,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
+
 #: per-thread grad-cache state (see no_grad_cache).  The flag is
 #: thread-local so concurrent no_grad_cache contexts in different threads
 #: cannot corrupt each other via interleaved save/restore of a shared flag.
@@ -102,7 +104,8 @@ class Layer:
     #: (im2col buffers, activation masks, input shapes).  Subclasses declare
     #: theirs so that pickling a layer — e.g. shipping a model snapshot to a
     #: spawn-started attack worker — carries parameters, never the last
-    #: batch's activations.
+    #: batch's activations.  Each starts as None, which is also what a
+    #: forward under :func:`no_grad_cache` leaves behind.
     _transient_attrs: Tuple[str, ...] = ()
 
     def __init__(self, name: Optional[str] = None) -> None:
@@ -121,6 +124,8 @@ class Layer:
         self.built = False
         #: workspace arena bound by the training runtime (None = allocate)
         self._workspace = None
+        for attr in self._transient_attrs:
+            setattr(self, attr, None)
 
     # ------------------------------------------------------------------ API
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
@@ -153,6 +158,18 @@ class Layer:
         buffers.
         """
         return training or grad_cache_enabled()
+
+    def _require_cache(self, cache):
+        """``cache`` as stored by the last forward; raises if there is none.
+
+        A backward needs the caches of a forward that kept them; on a fresh
+        layer, or after a :func:`no_grad_cache` forward, they are None.
+        """
+        if cache is None:
+            raise ShapeError(
+                f"{self.name}: backward called without a training forward pass"
+            )
+        return cache
 
     def _buffer(self, key: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A reusable workspace buffer, or a fresh array outside the arena.

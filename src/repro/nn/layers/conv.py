@@ -48,8 +48,6 @@ class Conv2D(Layer):
         self.padding = padding
         self.use_bias = use_bias
         self.kernel_initializer = kernel_initializer
-        self._cols_cache: Optional[np.ndarray] = None
-        self._input_shape_cache: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------ geometry
     @property
@@ -128,11 +126,7 @@ class Conv2D(Layer):
         input_grad: bool = True,
         param_grads: bool = True,
     ) -> Optional[np.ndarray]:
-        if self._cols_cache is None or self._input_shape_cache is None:
-            raise ShapeError(
-                f"{self.name}: backward called without a training forward pass"
-            )
-        cols = self._cols_cache
+        cols = self._require_cache(self._cols_cache)
         batch, out_h, out_w, patch = cols.shape
         grad_flat = grad_output.reshape(-1, self.filters)
         if param_grads:

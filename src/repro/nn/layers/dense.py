@@ -39,7 +39,6 @@ class Dense(Layer):
         self.units = units
         self.use_bias = use_bias
         self.kernel_initializer = kernel_initializer
-        self._input_cache: Optional[np.ndarray] = None
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 1:
@@ -78,11 +77,7 @@ class Dense(Layer):
         input_grad: bool = True,
         param_grads: bool = True,
     ) -> Optional[np.ndarray]:
-        if self._input_cache is None:
-            raise ShapeError(
-                f"{self.name}: backward called without a training forward pass"
-            )
-        x = self._input_cache
+        x = self._require_cache(self._input_cache)
         if param_grads:
             self.grads["weight"] = np.matmul(
                 x.T,

@@ -63,3 +63,41 @@ def col2im_reference(cols, input_shape, kernel_h, kernel_w, stride, padding):
     if padding == 0:
         return x_padded
     return x_padded[:, padding:-padding, padding:-padding, :]
+
+
+def _pool_windows(x, pool_size, stride):
+    """Pooling windows stacked along a new last axis: (N, OH, OW, C, k*k)."""
+    batch, height, width, channels = x.shape
+    out_h = _out_size(height, pool_size, stride, 0)
+    out_w = _out_size(width, pool_size, stride, 0)
+    windows = np.empty(
+        (batch, out_h, out_w, channels, pool_size * pool_size), dtype=x.dtype
+    )
+    for i in range(pool_size):
+        for j in range(pool_size):
+            windows[..., i * pool_size + j] = x[
+                :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
+            ]
+    return windows
+
+
+def avg_pool_reference(x, pool_size, stride):
+    """Average pooling as a ``mean`` over the stacked windows.
+
+    :class:`repro.nn.layers.AvgPool2D` must return these bits for every
+    pool size and stride, whatever order NumPy's reduce adds in.
+    """
+    return _pool_windows(x, pool_size, stride).mean(axis=-1)
+
+
+def avg_pool_backward_reference(grad_output, input_shape, pool_size, stride):
+    """Average-pooling gradient: each window's share added into zeros."""
+    out_h, out_w = grad_output.shape[1], grad_output.shape[2]
+    grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
+    share = grad_output / (pool_size * pool_size)
+    for i in range(pool_size):
+        for j in range(pool_size):
+            grad_input[
+                :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
+            ] += share
+    return grad_input

@@ -33,7 +33,7 @@ from repro.axnn.native import (
     requested_backend,
     reset_backend,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.multipliers import LUTMultiplier, get_multiplier
 from repro.nn.functional import col2im, im2col
 from repro.quantization.schemes import AffineQuantization
@@ -321,6 +321,22 @@ class TestNativeCol2Im:
             col2im(cols, shape, 2, 2, 2, 0),
             col2im_reference(cols, shape, 2, 2, 2, 0),
         )
+
+
+class TestNativeIm2Col:
+    @pytest.mark.skipif(backend_name() != "cext", reason="C wrapper check")
+    def test_c_wrapper_rejects_mismatched_cols(self):
+        # the C loop copies through raw pointers: a patch matrix that does
+        # not fit the image must be refused before the call
+        x = RNG.standard_normal((2, 6, 6, 3))
+        backend = get_backend()
+        with pytest.raises(ShapeError):
+            backend.im2col(x, np.empty((2, 3, 3, 3 * 3 * 3)), 3, 3, 2)
+        with pytest.raises(ShapeError):
+            backend.im2col(x, np.empty((2, 4, 4, 2 * 3 * 3)), 3, 3, 1)
+        cols = np.empty((2, 4, 4, 3 * 3 * 3))
+        backend.im2col(x, cols, 3, 3, 1)
+        assert np.array_equal(cols, im2col(x, 3, 3, 1, 0))
 
 
 class TestBackendResolution:

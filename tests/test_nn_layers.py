@@ -20,6 +20,7 @@ from repro.nn.layers import (
     Softmax,
     Tanh,
 )
+from repro.nn.layers.base import no_grad_cache
 
 RNG = np.random.default_rng(0)
 
@@ -258,6 +259,45 @@ class TestActivations:
 
     def test_softmax_gradient(self):
         check_input_gradient(Softmax(), RNG.normal(size=(3, 5)))
+
+
+def _built(layer, input_shape):
+    layer.build(input_shape, np.random.default_rng(0))
+    return layer
+
+
+#: float layers whose backward needs a cached forward: (factory, input shape)
+CACHING_LAYERS = {
+    "relu": (ReLU, (2, 4, 4, 3)),
+    "tanh": (Tanh, (2, 4, 4, 3)),
+    "sigmoid": (Sigmoid, (2, 4, 4, 3)),
+    "softmax": (Softmax, (2, 5)),
+    "avg_pool": (lambda: AvgPool2D(2), (2, 4, 4, 3)),
+    "max_pool": (lambda: MaxPool2D(2), (2, 4, 4, 3)),
+    "global_avg_pool": (GlobalAvgPool2D, (2, 4, 4, 3)),
+    "conv2d": (lambda: _built(Conv2D(2, 3), (4, 4, 3)), (2, 4, 4, 3)),
+    "dense": (lambda: _built(Dense(3), (5,)), (2, 5)),
+}
+
+
+class TestBackwardWithoutForward:
+    """Every float layer refuses a backward that has no cached forward with
+    the same ShapeError, whether the layer is fresh or its last forward ran
+    under ``no_grad_cache``."""
+
+    @pytest.mark.parametrize("forward_first", [False, True], ids=["fresh", "no_grad"])
+    @pytest.mark.parametrize("kind", sorted(CACHING_LAYERS))
+    def test_raises_shape_error(self, kind, forward_first):
+        factory, shape = CACHING_LAYERS[kind]
+        layer = factory()
+        x = RNG.normal(size=shape)
+        if forward_first:
+            with no_grad_cache():
+                out = layer.forward(x)
+        else:
+            out = factory().forward(x)
+        with pytest.raises(ShapeError, match="backward called without a training"):
+            layer.backward(np.ones_like(out))
 
 
 class TestFlattenDropoutBatchNorm:

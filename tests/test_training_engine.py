@@ -11,21 +11,28 @@ The load-bearing properties, in rough order of importance:
 * ``col2im`` is the exact adjoint of ``im2col`` for arbitrary shapes,
   strides and paddings (checked on integer-valued floats, where the inner
   products are exact);
+* ``AvgPool2D`` and ``im2col`` (NumPy and compiled) reproduce their slow
+  oracles' bits on edge-case floats;
 * micro-batched data-parallel training is bit-identical across
   ``workers in {1, 2, "auto"}``;
 * ``Sequential.backward`` computes only the gradients its caller consumes,
   and each one it computes is bit-identical to a full backward's.
 """
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.axnn.native import BACKEND_ENV_VAR, backend_name, reset_backend
 from repro.errors import ConfigurationError
 from repro.nn import (
     SGD,
     Adam,
+    AvgPool2D,
     BatchNorm,
     Conv2D,
     CrossEntropyLoss,
@@ -49,7 +56,12 @@ from repro.nn.layers.base import workspace_scope
 from repro.nn.layers.dropout import Dropout
 from repro.models.architectures import build_ffnn, build_lenet5
 
-from oracle import col2im_reference, im2col_reference
+from oracle import (
+    avg_pool_backward_reference,
+    avg_pool_reference,
+    col2im_reference,
+    im2col_reference,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -157,6 +169,106 @@ class TestCol2imAdjoint:
             col2im(
                 im2col(x, 2, 2, 1, 0), x.shape, 2, 2, 1, 0, out=np.empty((1, 4, 5, 1))
             )
+
+
+# --------------------------------------------------------------------------
+# the float path's fast spellings match their oracles bit for bit
+# --------------------------------------------------------------------------
+
+
+@contextmanager
+def _numpy_kernels():
+    """Run the block on the pure-NumPy paths, then restore the backend."""
+    saved = os.environ.get(BACKEND_ENV_VAR)
+    os.environ[BACKEND_ENV_VAR] = "numpy"
+    reset_backend()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(BACKEND_ENV_VAR, None)
+        else:
+            os.environ[BACKEND_ENV_VAR] = saved
+        reset_backend()
+
+
+#: values whose bits a reordered float path is most likely to move
+EDGE_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-308, 1e300, -1e-300)
+
+
+@st.composite
+def float_path_images(draw):
+    """An NHWC image of edge-case float64 values (±0.0, ±inf, NaN,
+    subnormals, magnitudes near 1e±300), C-contiguous or a strided view.
+
+    Pixels are drawn from a small palette, so whole windows of one value
+    (four ``-0.0``, say) are common.
+    """
+    shape = (
+        draw(st.integers(1, 2)),
+        draw(st.integers(1, 9)),
+        draw(st.integers(1, 9)),
+        draw(st.integers(1, 3)),
+    )
+    palette = draw(
+        st.lists(
+            st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    strided = draw(st.booleans())
+    stored = shape[:3] + (2 * shape[3],) if strided else shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    x = rng.choice(np.array(palette, dtype=np.float64), size=stored)
+    return x[..., ::2] if strided else x
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFloatPathBitIdentity:
+    @given(
+        x=float_path_images(),
+        pool=st.integers(1, 3),
+        pool_stride=st.integers(1, 3),
+        kernel=st.integers(1, 3),
+        conv_stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_pools_and_im2col_match_oracles(
+        self, x, pool, pool_stride, kernel, conv_stride, padding, seed
+    ):
+        """AvgPool2D forward/backward (offset loop for pool <= 2, stacked
+        windows above; tiling, gapped, overlapping and remainder geometries)
+        and im2col on the pure-NumPy path and on the resolved backend
+        reproduce the oracles' int64 bit patterns.  A NumPy upgrade that changes its
+        reduce order fails here instead of silently moving hashes."""
+        _, height, width, _ = x.shape
+        if min(height, width) >= pool:
+            layer = AvgPool2D(pool, stride=pool_stride)
+            out = layer.forward(x)
+            assert _same_bits(out, avg_pool_reference(x, pool, pool_stride))
+            rng = np.random.default_rng(seed)
+            grad = rng.standard_normal(out.shape) * rng.choice(
+                [0.0, -0.0, 1.0, 1e300, np.inf], size=out.shape
+            )
+            assert _same_bits(
+                layer.backward(grad),
+                avg_pool_backward_reference(grad, x.shape, pool, pool_stride),
+            )
+        if min(height, width) + 2 * padding >= kernel:
+            reference = im2col_reference(x, kernel, kernel, conv_stride, padding)
+            resolved = im2col(x, kernel, kernel, conv_stride, padding)
+            assert _same_bits(resolved, reference), backend_name()
+            with _numpy_kernels():
+                plain = im2col(x, kernel, kernel, conv_stride, padding)
+            assert _same_bits(plain, reference)
 
 
 # --------------------------------------------------------------------------
