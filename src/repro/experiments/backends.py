@@ -16,11 +16,12 @@ robustness-first:
     end-to-end integrity check.
 
 :class:`LocalDirBackend`
-    Today's sharded-directory file IO, extracted behaviour-preserving: the
-    same ``<kind>/<digest[:2]>/<digest><ext>`` layout and the same
-    atomic-write path (:func:`atomic_write_bytes`), so a ``file://``
-    backend interoperates bit-for-bit with a directly-rooted store — the
-    shared-filesystem deployment story.
+    Sharded-directory storage and the only code that knows the on-disk
+    layout (``<kind>/<digest[:2]>/<digest><ext>``).  The store keeps one
+    over its own root for its local tier, so a ``file://`` remote reads
+    and writes bytes identical to a directly-rooted store — the
+    shared-filesystem deployment story.  It does not retry: a ``file://``
+    remote is retried once, by :class:`ResilientBackend`.
 
 :class:`InMemoryBackend`
     A dict behind a lock, for tests; ``mem://<name>`` URLs share one
@@ -38,12 +39,10 @@ robustness-first:
     it with zero monkeypatching.
 
 :class:`ResilientBackend`
-    The wrapper every remote backend runs under: per-call timeouts
-    (:func:`repro.resilience.run_with_deadline`), transient-error retries
-    (:class:`repro.resilience.RetryPolicy`), and optional *hedged reads* —
-    when a read has not answered within the hedge delay a second identical
-    request races it and the first answer wins, converting tail latency
-    into a little extra load.
+    The wrapper every remote backend runs under, and the one retry owner
+    of the remote tier: per-call timeouts
+    (:func:`repro.resilience.run_with_deadline`) inside transient-error
+    retries (:class:`repro.resilience.RetryPolicy`).
 
 :class:`CircuitBreaker`
     closed → open → half-open.  ``threshold`` consecutive failures open
@@ -67,8 +66,6 @@ Environment knobs
     Backend URL; unset means local-only (no remote tier).
 ``REPRO_BACKEND_TIMEOUT``
     Per-call timeout in seconds (default 10; 0 disables).
-``REPRO_BACKEND_HEDGE``
-    Hedged-read delay in seconds (default 0 = hedging off).
 ``REPRO_BREAKER_THRESHOLD``
     Consecutive failures that open the circuit (default 5).
 ``REPRO_BREAKER_COOLDOWN``
@@ -87,7 +84,6 @@ import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -106,9 +102,6 @@ STORE_URL_ENV_VAR = "REPRO_STORE_URL"
 #: environment variable setting the per-call backend timeout (seconds)
 BACKEND_TIMEOUT_ENV_VAR = "REPRO_BACKEND_TIMEOUT"
 
-#: environment variable setting the hedged-read delay (seconds; 0 = off)
-BACKEND_HEDGE_ENV_VAR = "REPRO_BACKEND_HEDGE"
-
 #: environment variables tuning the circuit breaker
 BREAKER_THRESHOLD_ENV_VAR = "REPRO_BREAKER_THRESHOLD"
 BREAKER_COOLDOWN_ENV_VAR = "REPRO_BREAKER_COOLDOWN"
@@ -119,10 +112,8 @@ DEFAULT_BACKEND_TIMEOUT_S = 10.0
 
 
 # ------------------------------------------------------------------ file IO
-# The atomic-write primitives used by every on-disk writer in the repo.
-# They lived on the store before the backend split; they live here now so
-# LocalDirBackend *is* the store's file IO rather than a copy of it
-# (store.py re-exports them for its callers).
+# The one temp-file + ``os.replace`` of the package and the fault-seamed,
+# retried write built on it (store.py re-exports the public ones).
 
 
 def _sha256_file(path: str) -> str:
@@ -133,35 +124,50 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_with(path: str, writer, retry=None, on_retry=None) -> str:
-    """Write a file atomically (temp + ``os.replace``); returns the SHA-256.
+def _json_bytes(payload, indent: int = 2) -> bytes:
+    """``payload`` as the sorted-key UTF-8 JSON every on-disk document uses."""
+    return json.dumps(payload, indent=indent, sort_keys=True).encode("utf-8")
 
-    ``writer(handle)`` receives the open binary temp file.  Consults the
-    ``store.write`` fault point before each attempt and retries transient
-    IO errors under ``retry`` (default :meth:`RetryPolicy.from_env`) — the
-    single write path shared by the artifact store, the benchmark-result
-    recorder and the benchmark drivers, so an interrupt mid-dump can never
-    leave a torn file behind at ``path``.
+
+def _read_json(path: str):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _replace_file(path: str, writer) -> str:
+    """Atomically replace ``path`` with what ``writer(handle)`` writes.
+
+    ``writer`` receives the open binary temp file, so large payloads
+    stream to disk; returns their SHA-256.  No fault point and no retry.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    descriptor, temp_path = tempfile.mkstemp(
+        dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1]
+    )
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            writer(handle)
+        payload_hash = _sha256_file(temp_path)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
+    return payload_hash
+
+
+def _atomic_write_with(path: str, writer, retry=None, on_retry=None) -> str:
+    """:func:`_replace_file` behind the ``store.write`` fault point.
+
+    Consults ``store.write`` before each attempt and retries transient IO
+    errors under ``retry`` (default :meth:`RetryPolicy.from_env`).
     """
     policy = retry if retry is not None else RetryPolicy.from_env()
 
     def attempt() -> str:
         FaultInjector.consult("store.write")
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1]
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                writer(handle)
-            payload_hash = _sha256_file(temp_path)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
-        return payload_hash
+        return _replace_file(path, writer)
 
     return policy.run(
         attempt, description=f"store write {path}", on_retry=on_retry
@@ -175,8 +181,7 @@ def atomic_write_bytes(path: str, data: bytes, retry=None) -> str:
 
 def atomic_write_json(path: str, payload, retry=None, indent: int = 2) -> str:
     """Atomically replace ``path`` with ``payload`` as JSON; returns the SHA-256."""
-    body = json.dumps(payload, indent=indent, sort_keys=True).encode("utf-8")
-    return atomic_write_bytes(path, body, retry=retry)
+    return atomic_write_bytes(path, _json_bytes(payload, indent), retry=retry)
 
 
 def _etag_of(data: bytes) -> str:
@@ -256,33 +261,28 @@ class StoreBackend(ABC):
 
 # ----------------------------------------------------------------- local dir
 class LocalDirBackend(StoreBackend):
-    """Sharded-directory storage — the store's historical file IO.
+    """Sharded-directory storage: ``<root>/<kind>/<digest[:2]>/<digest><ext>``.
 
-    Uses the exact layout and atomic-write path of a directly-rooted
-    :class:`~repro.experiments.store.ArtifactStore`
-    (``<root>/<kind>/<digest[:2]>/<digest><ext>``, temp + ``os.replace``),
-    so a ``file://`` remote on a shared filesystem and a local store
-    pointed at the same directory read and write identical bytes.
+    Writes are one :func:`_replace_file` attempt; the caller owns retries
+    (:class:`ResilientBackend` for a remote, the store for its local tier).
     """
 
     scheme = "file"
 
-    def __init__(self, root: str, retry: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, root: str) -> None:
         if not root:
             raise ConfigurationError("file:// backend needs a root directory")
         self.root = os.path.abspath(root)
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
         os.makedirs(self.root, exist_ok=True)
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
+        """The file holding ``key`` (the one place the shard path is built)."""
         kind, name = _validate_backend_key(key)
-        shard = name[:2]
-        return os.path.join(self.root, kind, shard, name)
+        return os.path.join(self.root, kind, name[:2], name)
 
     def get(self, key: str) -> Optional[Blob]:
-        path = self._path(key)
         try:
-            with open(path, "rb") as handle:
+            with open(self.path(key), "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             return None
@@ -295,7 +295,6 @@ class LocalDirBackend(StoreBackend):
         if_match: Optional[str] = None,
         if_none_match: bool = False,
     ) -> str:
-        path = self._path(key)
         current = self.head(key)
         if if_none_match and current is not None:
             raise PreconditionFailedError(
@@ -306,13 +305,24 @@ class LocalDirBackend(StoreBackend):
                 f"{key} etag mismatch (expected {if_match[:12]}, "
                 f"found {(current or 'absent')[:12]})"
             )
-        return atomic_write_bytes(path, data, retry=self.retry)
+        return _replace_file(self.path(key), lambda handle: handle.write(data))
 
     def head(self, key: str) -> Optional[str]:
-        path = self._path(key)
+        path = self.path(key)
         if not os.path.exists(path):
             return None
         return _sha256_file(path)
+
+    def kinds(self) -> List[str]:
+        """Every artifact kind directory under the root, sorted."""
+        if not os.path.isdir(self.root):
+            return []
+        return [
+            name
+            for name in sorted(os.listdir(self.root))
+            if not name.startswith(".")
+            and os.path.isdir(os.path.join(self.root, name))
+        ]
 
     def list_kind(self, kind: str) -> List[str]:
         kind_dir = os.path.join(self.root, kind)
@@ -323,16 +333,16 @@ class LocalDirBackend(StoreBackend):
             shard_dir = os.path.join(kind_dir, shard)
             if not os.path.isdir(shard_dir):
                 continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.startswith(".tmp-"):
-                    continue
-                keys.append(f"{kind}/{name}")
+            keys.extend(
+                f"{kind}/{name}"
+                for name in sorted(os.listdir(shard_dir))
+                if not name.startswith(".")
+            )
         return keys
 
     def delete(self, key: str) -> bool:
-        path = self._path(key)
         try:
-            os.unlink(path)
+            os.unlink(self.path(key))
         except FileNotFoundError:
             return False
         return True
@@ -728,15 +738,12 @@ class CircuitBreaker:
 
 # ---------------------------------------------------------------- resilience
 class ResilientBackend(StoreBackend):
-    """Retry + per-call timeout + hedged reads around any backend.
+    """Retry + per-call timeout around any backend.
 
     Every call runs under the wrapped :class:`RetryPolicy` (transient =
     ``OSError`` *and* :class:`DeadlineExceededError`, so a timed-out call
-    earns another attempt) with an optional hard per-call deadline.  Reads
-    (``get``/``head``) additionally support hedging: when the primary
-    request has not answered within ``hedge_s`` a second identical request
-    is launched and the first to finish wins — both legs are idempotent
-    reads, so the loser is simply discarded.
+    earns another attempt) with an optional hard per-call deadline.  It is
+    the remote tier's only retry loop.
     """
 
     scheme = "resilient"
@@ -746,12 +753,9 @@ class ResilientBackend(StoreBackend):
         inner: StoreBackend,
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
-        hedge_s: Optional[float] = None,
     ) -> None:
         if timeout_s is not None and timeout_s < 0:
             raise ConfigurationError(f"timeout_s must be >= 0, got {timeout_s}")
-        if hedge_s is not None and hedge_s < 0:
-            raise ConfigurationError(f"hedge_s must be >= 0, got {hedge_s}")
         self.inner = inner
         self.retry = (
             retry
@@ -759,71 +763,26 @@ class ResilientBackend(StoreBackend):
             else RetryPolicy.from_env(transient=(OSError, DeadlineExceededError))
         )
         self.timeout_s = timeout_s or None
-        self.hedge_s = hedge_s or None
-        self.hedged_reads = 0
-        self.hedge_wins = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_env(cls, inner: StoreBackend, **overrides) -> "ResilientBackend":
-        """Wrap ``inner`` per ``REPRO_BACKEND_TIMEOUT``/``REPRO_BACKEND_HEDGE``."""
-        settings = {
-            "timeout_s": env_float(
-                BACKEND_TIMEOUT_ENV_VAR, DEFAULT_BACKEND_TIMEOUT_S, minimum=0.0
-            ),
-            "hedge_s": env_float(BACKEND_HEDGE_ENV_VAR, 0.0, minimum=0.0),
-        }
-        settings.update(overrides)
-        return cls(inner, **settings)
-
-    # ------------------------------------------------------------- plumbing
-    def _bounded(self, fn: Callable, description: str):
-        if self.timeout_s:
-            return run_with_deadline(fn, self.timeout_s, description)
-        return fn()
-
-    def _write(self, fn: Callable, description: str):
-        return self.retry.run(
-            lambda: self._bounded(fn, description), description=description
+        """Wrap ``inner`` per ``REPRO_BACKEND_TIMEOUT``."""
+        timeout_s = env_float(
+            BACKEND_TIMEOUT_ENV_VAR, DEFAULT_BACKEND_TIMEOUT_S, minimum=0.0
         )
+        return cls(inner, **{"timeout_s": timeout_s, **overrides})
 
-    def _read(self, fn: Callable, description: str):
-        if not self.hedge_s:
-            return self._write(fn, description)
+    def _call(self, fn: Callable, description: str):
+        def bounded():
+            if self.timeout_s:
+                return run_with_deadline(fn, self.timeout_s, description)
+            return fn()
 
-        def attempt():
-            pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="repro-hedge"
-            )
-            try:
-                primary = pool.submit(lambda: self._bounded(fn, description))
-                done, _ = wait({primary}, timeout=self.hedge_s)
-                if done:
-                    return primary.result()
-                with self._lock:
-                    self.hedged_reads += 1
-                secondary = pool.submit(lambda: self._bounded(fn, description))
-                pending = {primary, secondary}
-                failure: Optional[BaseException] = None
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        exc = future.exception()
-                        if exc is None:
-                            if future is secondary:
-                                with self._lock:
-                                    self.hedge_wins += 1
-                            return future.result()
-                        failure = exc
-                raise failure  # both legs failed: surface the last error
-            finally:
-                pool.shutdown(wait=False)
-
-        return self.retry.run(attempt, description=f"hedged {description}")
+        return self.retry.run(bounded, description=description)
 
     # ------------------------------------------------------------------ API
     def get(self, key: str) -> Optional[Blob]:
-        return self._read(lambda: self.inner.get(key), f"backend get {key}")
+        return self._call(lambda: self.inner.get(key), f"backend get {key}")
 
     def put_atomic(
         self,
@@ -834,7 +793,7 @@ class ResilientBackend(StoreBackend):
     ) -> str:
         # PreconditionFailedError is not transient: it propagates on the
         # first attempt so content-addressed dedupe stays a cheap signal
-        return self._write(
+        return self._call(
             lambda: self.inner.put_atomic(
                 key, data, if_match=if_match, if_none_match=if_none_match
             ),
@@ -842,15 +801,15 @@ class ResilientBackend(StoreBackend):
         )
 
     def head(self, key: str) -> Optional[str]:
-        return self._read(lambda: self.inner.head(key), f"backend head {key}")
+        return self._call(lambda: self.inner.head(key), f"backend head {key}")
 
     def list_kind(self, kind: str) -> List[str]:
-        return self._read(
+        return self._call(
             lambda: self.inner.list_kind(kind), f"backend list {kind}"
         )
 
     def delete(self, key: str) -> bool:
-        return self._write(lambda: self.inner.delete(key), f"backend delete {key}")
+        return self._call(lambda: self.inner.delete(key), f"backend delete {key}")
 
     def describe(self) -> str:
         return self.inner.describe()
@@ -875,8 +834,7 @@ class WriteJournal:
 
     def _load(self) -> None:
         try:
-            with open(self.path) as handle:
-                payload = json.load(handle)
+            payload = _read_json(self.path)
             entries = [
                 (str(item["kind"]), str(item["digest"]))
                 for item in payload.get("pending", [])
@@ -891,26 +849,13 @@ class WriteJournal:
         self._entries = entries
 
     def _persist(self) -> None:
-        # plain temp + os.replace, deliberately *not* through the
-        # store.write fault point: journal writes happen while chaos plans
-        # are live, and shifting scripted store.write ordinals would make
-        # fault plans nondeterministic
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        body = json.dumps(
-            {"pending": [{"kind": k, "digest": d} for k, d in self._entries]},
-            indent=2,
-            sort_keys=True,
-        ).encode("utf-8")
-        descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(body)
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        # deliberately *not* through the store.write fault point: journal
+        # writes happen while chaos plans are live, and shifting scripted
+        # store.write ordinals would make fault plans nondeterministic
+        body = _json_bytes(
+            {"pending": [{"kind": k, "digest": d} for k, d in self._entries]}
+        )
+        _replace_file(self.path, lambda handle: handle.write(body))
 
     def add(self, kind: str, digest: str) -> bool:
         """Journal one artifact for later upload; False when already pending."""
@@ -957,7 +902,6 @@ __all__ = [
     "atomic_write_json",
     "STORE_URL_ENV_VAR",
     "BACKEND_TIMEOUT_ENV_VAR",
-    "BACKEND_HEDGE_ENV_VAR",
     "BREAKER_THRESHOLD_ENV_VAR",
     "BREAKER_COOLDOWN_ENV_VAR",
     "BREAKER_PROBES_ENV_VAR",

@@ -384,8 +384,8 @@ class Session:
                 exc_info=True,
             )
 
-    def _cached_arrays(self, kind: str, digest: str) -> Optional[Dict[str, np.ndarray]]:
-        """``store.get_arrays`` that treats a degraded-backend miss as a miss.
+    def _cached(self, get, kind: str, digest: str):
+        """Store getter ``get(kind, digest)``, treating a degraded miss as a miss.
 
         When the store's remote backend is degraded (circuit open) a local
         miss raises :class:`MissingArtifactError` with ``backend_degraded``
@@ -396,17 +396,7 @@ class Session:
         recomputing is exactly what the caller forbade.
         """
         try:
-            return self.store.get_arrays(kind, digest)
-        except MissingArtifactError as exc:
-            if not getattr(exc, "backend_degraded", False) or self.require_cached:
-                raise
-            self._emit(kind, "degraded", f"{digest[:12]} recomputing locally")
-            return None
-
-    def _cached_json(self, kind: str, digest: str) -> Optional[dict]:
-        """``store.get_json`` with the same degraded-miss policy as above."""
-        try:
-            return self.store.get_json(kind, digest)
+            return get(kind, digest)
         except MissingArtifactError as exc:
             if not getattr(exc, "backend_degraded", False) or self.require_cached:
                 raise
@@ -616,7 +606,7 @@ class Session:
         digest: str,
     ) -> Optional[TrainedModel]:
         """Load the stored weights into ``model``, or ``None`` on a miss."""
-        arrays = self._cached_arrays("model", digest)
+        arrays = self._cached(self.store.get_arrays, "model", digest)
         if arrays is None:
             return None
         try:
@@ -709,7 +699,7 @@ class Session:
             model_spec, attack_spec, epsilons, sweep.n_samples, seed
         )
         if use_cache:
-            arrays = self._cached_arrays("suite", digest)
+            arrays = self._cached(self.store.get_arrays, "suite", digest)
             if arrays is not None:
                 try:
                     suite = AdversarialSuite(
@@ -811,7 +801,7 @@ class Session:
         workers = workers if workers is not None else self.workers
         digest = spec.content_hash()
         if use_cache:
-            payload = self._cached_json("result", digest)
+            payload = self._cached(self.store.get_json, "result", digest)
             if payload is not None:
                 try:
                     result = ExperimentResult.from_dict(payload, spec=spec)

@@ -8,7 +8,7 @@ determines the computation (architecture, dataset parameters, training
 budget, seeds, attack parameters, budgets), a hit is always safe to reuse
 and sharing a store between runs, processes or CI jobs is free.
 
-Layout::
+Layout (built only by :class:`~repro.experiments.backends.LocalDirBackend`)::
 
     <root>/<kind>/<digest[:2]>/<digest>.npz         array artifacts
     <root>/<kind>/<digest[:2]>/<digest>.json        JSON artifacts
@@ -23,7 +23,9 @@ Fault tolerance (the resilience layer, PR 6):
 
 * Writes are atomic (temp file + ``os.replace``) and *retried* under a
   :class:`repro.resilience.RetryPolicy` on transient IO errors, so a flaky
-  filesystem costs a deterministic backoff, not a crashed run.
+  filesystem costs a deterministic backoff, not a crashed run.  The store
+  is the one retry owner of its local tier (counted in
+  ``StoreStats.retries``).
 * Every payload's SHA-256 is recorded in the meta sidecar at put time;
   :meth:`ArtifactStore.verify` re-hashes the store and *quarantines*
   truncated or bit-rotted entries (readers also quarantine entries they
@@ -54,7 +56,8 @@ cache for bit-identical reproduction:
   content-addressed payload is already uploaded — dedupe, not an error).
 * Every remote call runs under the
   :class:`~repro.experiments.backends.ResilientBackend` (retry + per-call
-  timeout + optional hedged reads) and is accounted to a
+  timeout) — the remote tier's one retry owner, so a ``file://`` remote
+  is retried once, by it — and is accounted to a
   :class:`~repro.experiments.backends.CircuitBreaker`.  When the breaker
   opens the store *degrades* instead of hanging: reads are served from
   the local cache, writes are journaled
@@ -76,12 +79,11 @@ import json
 import os
 import secrets
 import socket
-import tempfile
 import threading
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -97,11 +99,14 @@ from repro.errors import (
 from repro.experiments.backends import (
     STORE_URL_ENV_VAR,
     CircuitBreaker,
+    LocalDirBackend,
     ResilientBackend,
     StoreBackend,
     WriteJournal,
     _atomic_write_with,
-    _sha256_file,
+    _json_bytes,
+    _read_json,
+    _replace_file,
     atomic_write_bytes,
     atomic_write_json,
     backend_from_url,
@@ -191,25 +196,8 @@ class StoreStats:
     prefetch_hits: int = 0
 
     def snapshot(self) -> dict:
-        """The counters as a plain dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-            "quarantine_swept": self.quarantine_swept,
-            "remote_hits": self.remote_hits,
-            "remote_misses": self.remote_misses,
-            "remote_puts": self.remote_puts,
-            "remote_failures": self.remote_failures,
-            "journaled": self.journaled,
-            "flushed": self.flushed,
-            "read_repairs": self.read_repairs,
-            "prefetched": self.prefetched,
-            "prefetch_hits": self.prefetch_hits,
-        }
+        """The counters as a plain dict, in field order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -245,6 +233,19 @@ def _validate_key(kind: str, digest: str) -> None:
         raise ConfigurationError(
             f"artifact digest must be a lowercase hex string, got {digest!r}"
         )
+
+
+#: what parsing a torn, truncated or bit-rotted payload raises
+_PARSE_ERRORS = (OSError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def _read_npz(path: str) -> Dict[str, np.ndarray]:
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+#: payload extension -> parser, in lookup order
+_READERS = {".npz": _read_npz, ".json": _read_json}
 
 
 def _lease_skew_s(doc: dict) -> float:
@@ -313,7 +314,7 @@ class Lease:
         self._held = False
 
     # -------------------------------------------------------------- helpers
-    def _payload(self) -> bytes:
+    def _write_doc(self, handle) -> None:
         now = time.time()
         doc = {
             "owner": self.owner,
@@ -323,13 +324,12 @@ class Lease:
             "expires": now + self.ttl_s,
             "ttl_s": self.ttl_s,
         }
-        return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+        handle.write(_json_bytes(doc))
 
     def holder(self) -> Optional[dict]:
         """The current lease document, or ``None`` when unclaimed/unreadable."""
         try:
-            with open(self.path) as handle:
-                return json.load(handle)
+            return _read_json(self.path)
         except (OSError, ValueError):
             return None
 
@@ -385,22 +385,13 @@ class Lease:
                 return False
             # expired (or unreadable) lease: take over atomically and confirm
             # ownership on read-back — of two racing replacers exactly one
-            # token survives in the file
-            descriptor, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(self.path), prefix=".tmp-lease-"
-            )
-            try:
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.write(self._payload())
-                os.replace(temp_path, self.path)
-            except BaseException:
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-                raise
+            # token survives in the file.  Lease writes never consult the
+            # store.write fault point, so chaos-plan ordinals stay put.
+            _replace_file(self.path, self._write_doc)
             self._held = self.held_by_self()
             return self._held
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(self._payload())
+            self._write_doc(handle)
         self._held = True
         return True
 
@@ -409,17 +400,7 @@ class Lease:
         if not self._held or not self.held_by_self():
             self._held = False
             return False
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(self.path), prefix=".tmp-lease-"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(self._payload())
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        _replace_file(self.path, self._write_doc)
         return True
 
     def release(self) -> None:
@@ -480,7 +461,7 @@ class ArtifactStore:
         self.stats = StoreStats()
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         self._lock = threading.Lock()
-        os.makedirs(self.root, exist_ok=True)
+        self._local = LocalDirBackend(self.root)
         if store_url is None:
             store_url = os.environ.get(STORE_URL_ENV_VAR) or None
         self.store_url = store_url
@@ -502,15 +483,20 @@ class ArtifactStore:
         self.stats.retries += 1
 
     # ----------------------------------------------------------------- paths
+    @staticmethod
+    def _key(kind: str, digest: str, extension: str) -> str:
+        """The backend key of one file of an entry, local and remote alike."""
+        return f"{kind}/{digest}{extension}"
+
     def _path(self, kind: str, digest: str, extension: str) -> str:
         _validate_key(kind, digest)
-        return os.path.join(self.root, kind, digest[:2], f"{digest}{extension}")
+        return self._local.path(self._key(kind, digest, extension))
 
     def _quarantine_path(self, kind: str, name: str) -> str:
         return os.path.join(self.root, QUARANTINE_DIR, kind, name)
 
     def _payload_path(self, kind: str, digest: str) -> Optional[str]:
-        for extension in (".npz", ".json"):
+        for extension in _READERS:
             path = self._path(kind, digest, extension)
             if os.path.exists(path):
                 return path
@@ -520,6 +506,11 @@ class ArtifactStore:
         """Write atomically (with fault seam + retry); returns the payload hash."""
         return _atomic_write_with(
             path, writer, retry=self.retry, on_retry=self._count_retry
+        )
+
+    def _write_bytes(self, kind: str, digest: str, extension: str, data: bytes) -> None:
+        self._atomic_write(
+            self._path(kind, digest, extension), lambda handle: handle.write(data)
         )
 
     def _write_meta(
@@ -532,10 +523,7 @@ class ArtifactStore:
             "payload_sha256": payload_hash,
             "meta": meta,
         }
-        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        self._atomic_write(
-            self._path(kind, digest, ".meta.json"), lambda handle: handle.write(body)
-        )
+        self._write_bytes(kind, digest, ".meta.json", _json_bytes(payload))
 
     def _apply_corrupt_fault(self, path: str) -> None:
         # chaos seam: a scripted plan flips payload bytes *after* a
@@ -560,25 +548,66 @@ class ArtifactStore:
         *degraded* remote (circuit open) a local miss raises
         :class:`MissingArtifactError` with ``backend_degraded=True``.
         """
-        path = self._path(kind, digest, ".npz")
+        return self._get(kind, digest, ".npz")
 
-        def attempt() -> Dict[str, np.ndarray]:
+    def get_json(self, kind: str, digest: str):
+        """Load a JSON artifact, or ``None`` on a miss (see :meth:`get_arrays`)."""
+        return self._get(kind, digest, ".json")
+
+    def _get(self, kind: str, digest: str, extension: str):
+        """The one read body of :meth:`get_arrays`/:meth:`get_json`.
+
+        Ladder: local file → remote restore on absence → quarantine + one
+        remote repair on local corruption → malformed-meta check — any
+        dead end is a counted miss (raising instead when the remote is
+        degraded).
+        """
+        path = self._path(kind, digest, extension)
+        read = _READERS[extension]
+
+        def attempt():
             FaultInjector.consult("store.read")
-            with np.load(path) as archive:
-                return {key: archive[key] for key in archive.files}
+            return read(path)
 
-        def load() -> Optional[Dict[str, np.ndarray]]:
+        def load():
+            # None for a torn/corrupt payload
             try:
                 return self.retry.run(
                     attempt,
                     description=f"store read {kind}/{digest[:12]}",
                     on_retry=self._count_retry,
                 )
-            except (OSError, ValueError, zipfile.BadZipFile, zlib.error):
+            except _PARSE_ERRORS:
                 return None
 
         with self._lock:
-            return self._serve(kind, digest, ".npz", path, load)
+            if not os.path.exists(path):
+                if not self._restore_remote(kind, digest, extension):
+                    self.stats.misses += 1
+                    self._raise_if_degraded(kind, digest, path)
+                    return None
+            payload = load()
+            if payload is None:
+                # torn or corrupted local entry: quarantine it, then repair
+                # from the remote copy when one is reachable and clean
+                self._quarantine_entry(kind, digest)
+                if self._restore_remote(kind, digest, extension):
+                    payload = load()
+                    if payload is None:
+                        self._quarantine_entry(kind, digest)
+            if payload is not None and self._meta_malformed(kind, digest):
+                # a malformed/truncated meta sidecar is treated exactly like
+                # a corrupt payload: quarantine the entry and report a miss
+                self._quarantine_entry(kind, digest)
+                payload = None
+            if payload is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
+            if (kind, digest) in self._warmed:
+                self._warmed.discard((kind, digest))
+                self.stats.prefetch_hits += 1
+            return payload
 
     def put_arrays(
         self,
@@ -590,11 +619,20 @@ class ArtifactStore:
         """Store an array artifact; returns the payload path."""
         if not arrays:
             raise ConfigurationError("array artifacts must contain at least one array")
-        path = self._path(kind, digest, ".npz")
+        return self._put(
+            kind, digest, ".npz", lambda handle: np.savez(handle, **arrays), meta
+        )
+
+    def put_json(self, kind: str, digest: str, payload, meta: Optional[dict] = None) -> str:
+        """Store a JSON artifact; returns the payload path."""
+        body = _json_bytes(payload)
+        return self._put(kind, digest, ".json", lambda handle: handle.write(body), meta)
+
+    def _put(self, kind: str, digest: str, extension: str, writer, meta) -> str:
+        """The one write body of :meth:`put_arrays`/:meth:`put_json`."""
+        path = self._path(kind, digest, extension)
         with self._lock:
-            payload_hash = self._atomic_write(
-                path, lambda handle: np.savez(handle, **arrays)
-            )
+            payload_hash = self._atomic_write(path, writer)
             self._write_meta(kind, digest, meta, payload_hash)
             self.stats.puts += 1
             # write-through before the corrupt fault seam: the upload ships
@@ -604,86 +642,11 @@ class ArtifactStore:
             self._apply_corrupt_fault(path)
         return path
 
-    def get_json(self, kind: str, digest: str):
-        """Load a JSON artifact, or ``None`` on a miss (see :meth:`get_arrays`)."""
-        path = self._path(kind, digest, ".json")
-
-        def attempt():
-            FaultInjector.consult("store.read")
-            with open(path) as handle:
-                return json.load(handle)
-
-        def load():
-            try:
-                return self.retry.run(
-                    attempt,
-                    description=f"store read {kind}/{digest[:12]}",
-                    on_retry=self._count_retry,
-                )
-            except (OSError, ValueError):
-                return None
-
-        with self._lock:
-            return self._serve(kind, digest, ".json", path, load)
-
-    def _serve(self, kind: str, digest: str, extension: str, path: str, load):
-        """The shared read ladder of :meth:`get_arrays`/:meth:`get_json`.
-
-        Called under the store lock.  ``load()`` parses the local payload
-        (``None`` for torn/corrupt).  Ladder: local file → remote restore
-        on absence → quarantine + one remote repair on local corruption →
-        malformed-meta check — any dead end is a counted miss (raising
-        instead when the remote is degraded).
-        """
-        if not os.path.exists(path):
-            if not self._restore_remote(kind, digest, extension):
-                self.stats.misses += 1
-                self._raise_if_degraded(kind, digest, path)
-                return None
-        payload = load()
-        if payload is None:
-            # torn or corrupted local entry: quarantine it, then repair
-            # from the remote copy when one is reachable and clean
-            self._quarantine_entry(kind, digest)
-            if self._restore_remote(kind, digest, extension):
-                payload = load()
-                if payload is None:
-                    self._quarantine_entry(kind, digest)
-        if payload is not None and self._meta_malformed(kind, digest):
-            # a malformed/truncated meta sidecar is treated exactly like a
-            # corrupt payload: quarantine the entry and report a miss
-            self._quarantine_entry(kind, digest)
-            payload = None
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if (kind, digest) in self._warmed:
-            self._warmed.discard((kind, digest))
-            self.stats.prefetch_hits += 1
-        return payload
-
-    def put_json(self, kind: str, digest: str, payload, meta: Optional[dict] = None) -> str:
-        """Store a JSON artifact; returns the payload path."""
-        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        path = self._path(kind, digest, ".json")
-        with self._lock:
-            payload_hash = self._atomic_write(path, lambda handle: handle.write(body))
-            self._write_meta(kind, digest, meta, payload_hash)
-            self.stats.puts += 1
-            self._push_remote(kind, digest)
-            self._apply_corrupt_fault(path)
-        return path
-
     def _read_meta_raw(self, kind: str, digest: str) -> Tuple[Optional[dict], bool]:
         """``(meta, malformed)`` — malformed means the sidecar exists but
         does not parse (truncated or torn), as opposed to simply absent."""
-        path = self._path(kind, digest, ".meta.json")
-        if not os.path.exists(path):
-            return None, False
         try:
-            with open(path) as handle:
-                return json.load(handle), False
+            return _read_json(self._path(kind, digest, ".meta.json")), False
         except ValueError:
             return None, True
         except OSError:
@@ -720,10 +683,6 @@ class ArtifactStore:
         """Journaled writes awaiting upload (0 without a remote)."""
         return 0 if self.journal is None else len(self.journal)
 
-    @staticmethod
-    def _remote_key(kind: str, digest: str, extension: str) -> str:
-        return f"{kind}/{digest}{extension}"
-
     def _raise_if_degraded(self, kind: str, digest: str, path: str) -> None:
         if self.remote is None or not self.degraded:
             return
@@ -743,11 +702,22 @@ class ArtifactStore:
         """Preserve a hash-mismatched remote payload for debugging."""
         target = self._quarantine_path(kind, f"{digest}{extension}.fetched")
         try:
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            with open(target, "wb") as handle:
-                handle.write(data)
+            _replace_file(target, lambda handle: handle.write(data))
         except OSError:  # pragma: no cover - debris preservation is best-effort
             pass
+
+    def _remote_call(self, call) -> Tuple[bool, object]:
+        """``(True, call())``, or ``(False, None)`` after a transport failure.
+
+        The one place a transport failure is accounted to the breaker.
+        Successes are the caller's to record (evict records none).
+        """
+        try:
+            return True, call()
+        except _REMOTE_ERRORS:
+            self.breaker.record_failure()
+            self.stats.remote_failures += 1
+            return False, None
 
     def _restore_remote(self, kind: str, digest: str, extension: str) -> bool:
         """Fetch one artifact remote→local cache; True when restored.
@@ -762,15 +732,17 @@ class ArtifactStore:
         """
         if self.remote is None or not self.breaker.allow():
             return False
-        key = self._remote_key(kind, digest, extension)
-        meta_key = self._remote_key(kind, digest, ".meta.json")
-        try:
+        key = self._key(kind, digest, extension)
+        meta_key = self._key(kind, digest, ".meta.json")
+
+        def fetch():
             blob = self.remote.get(key)
-            meta_blob = self.remote.get(meta_key) if blob is not None else None
-        except _REMOTE_ERRORS:
-            self.breaker.record_failure()
-            self.stats.remote_failures += 1
+            return blob, (self.remote.get(meta_key) if blob is not None else None)
+
+        ok, fetched = self._remote_call(fetch)
+        if not ok:
             return False
+        blob, meta_blob = fetched
         if blob is None:
             self.breaker.record_success()
             self.stats.remote_misses += 1
@@ -786,11 +758,8 @@ class ArtifactStore:
             # read-repair: quarantine the bad bytes, re-fetch exactly once
             self.stats.read_repairs += 1
             self._quarantine_fetched_bytes(kind, digest, extension, data)
-            try:
-                blob = self.remote.get(key)
-            except _REMOTE_ERRORS:
-                self.breaker.record_failure()
-                self.stats.remote_failures += 1
+            ok, blob = self._remote_call(lambda: self.remote.get(key))
+            if not ok:
                 return False
             if (
                 blob is None
@@ -802,16 +771,9 @@ class ArtifactStore:
             data = blob.data
         self.breaker.record_success()
         try:
-            self._atomic_write(
-                self._path(kind, digest, extension),
-                lambda handle: handle.write(data),
-            )
+            self._write_bytes(kind, digest, extension, data)
             if meta_blob is not None:
-                meta_data = meta_blob.data
-                self._atomic_write(
-                    self._path(kind, digest, ".meta.json"),
-                    lambda handle: handle.write(meta_data),
-                )
+                self._write_bytes(kind, digest, ".meta.json", meta_blob.data)
         except OSError:
             return False
         self.stats.remote_hits += 1
@@ -827,28 +789,22 @@ class ArtifactStore:
         transport error on failure; returns False when the local payload
         has vanished (nothing to upload).
         """
-        path = self._payload_path(kind, digest)
-        if path is None:
+        for extension in _READERS:
+            key = self._key(kind, digest, extension)
+            payload = self._local.get(key)
+            if payload is not None:
+                break
+        else:
             return False
-        extension = ".npz" if path.endswith(".npz") else ".json"
-        with open(path, "rb") as handle:
-            payload = handle.read()
         try:
-            self.remote.put_atomic(
-                self._remote_key(kind, digest, extension),
-                payload,
-                if_none_match=True,
-            )
+            self.remote.put_atomic(key, payload.data, if_none_match=True)
         except PreconditionFailedError:
             pass  # already uploaded (same content address): success
-        meta_path = self._path(kind, digest, ".meta.json")
-        if os.path.exists(meta_path):
-            with open(meta_path, "rb") as handle:
-                meta_payload = handle.read()
+        meta_key = self._key(kind, digest, ".meta.json")
+        meta = self._local.get(meta_key)
+        if meta is not None:
             # meta carries a creation timestamp, so last-writer-wins here
-            self.remote.put_atomic(
-                self._remote_key(kind, digest, ".meta.json"), meta_payload
-            )
+            self.remote.put_atomic(meta_key, meta.data)
         return True
 
     def _journal_add(self, kind: str, digest: str) -> None:
@@ -863,11 +819,8 @@ class ArtifactStore:
             # degraded: journal the write for upload after recovery
             self._journal_add(kind, digest)
             return
-        try:
-            self._upload_entry(kind, digest)
-        except _REMOTE_ERRORS:
-            self.breaker.record_failure()
-            self.stats.remote_failures += 1
+        ok, _ = self._remote_call(lambda: self._upload_entry(kind, digest))
+        if not ok:
             self._journal_add(kind, digest)
             return
         self.breaker.record_success()
@@ -882,11 +835,10 @@ class ArtifactStore:
         for kind, digest in self.journal.pending():
             if not self.breaker.allow():
                 break
-            try:
-                uploaded = self._upload_entry(kind, digest)
-            except _REMOTE_ERRORS:
-                self.breaker.record_failure()
-                self.stats.remote_failures += 1
+            ok, uploaded = self._remote_call(
+                lambda: self._upload_entry(kind, digest)
+            )
+            if not ok:
                 break
             self.breaker.record_success()
             self.journal.remove(kind, digest)
@@ -921,7 +873,7 @@ class ArtifactStore:
             with self._lock:
                 if self._payload_path(kind, digest) is not None:
                     return True
-                for extension in (".npz", ".json"):
+                for extension in _READERS:
                     if self._restore_remote(kind, digest, extension):
                         self.stats.prefetched += 1
                         self._warmed.add((kind, digest))
@@ -954,12 +906,10 @@ class ArtifactStore:
 
     # ------------------------------------------------------------ management
     def _unlink_entry(self, kind: str, digest: str) -> bool:
+        _validate_key(kind, digest)
         removed = False
         for extension in (".npz", ".json", ".meta.json", ".lease.json"):
-            path = self._path(kind, digest, extension)
-            if os.path.exists(path):
-                os.unlink(path)
-                removed = True
+            removed |= self._local.delete(self._key(kind, digest, extension))
         return removed
 
     def _quarantine_entry(self, kind: str, digest: str) -> bool:
@@ -995,14 +945,12 @@ class ArtifactStore:
             if removed:
                 self.stats.evictions += 1
             if remote and self.remote is not None and self.breaker.allow():
-                try:
+
+                def delete_remote() -> None:
                     for extension in (".npz", ".json", ".meta.json"):
-                        self.remote.delete(
-                            self._remote_key(kind, digest, extension)
-                        )
-                except _REMOTE_ERRORS:
-                    self.breaker.record_failure()
-                    self.stats.remote_failures += 1
+                        self.remote.delete(self._key(kind, digest, extension))
+
+                self._remote_call(delete_remote)
             return removed
 
     def clear(self) -> int:
@@ -1016,36 +964,24 @@ class ArtifactStore:
     def entries(self) -> List[ArtifactEntry]:
         """Every stored artifact, oldest first (leases and sidecars excluded)."""
         found: List[ArtifactEntry] = []
-        for kind in sorted(os.listdir(self.root)) if os.path.isdir(self.root) else []:
-            kind_dir = os.path.join(self.root, kind)
-            if kind.startswith(".") or not os.path.isdir(kind_dir):
-                continue
-            for shard in sorted(os.listdir(kind_dir)):
-                shard_dir = os.path.join(kind_dir, shard)
-                if not os.path.isdir(shard_dir):
+        for kind in self._local.kinds():
+            for key in self._local.list_kind(kind):
+                if key.endswith((".meta.json", ".lease.json")):
                     continue
-                for name in sorted(os.listdir(shard_dir)):
-                    if (
-                        name.endswith(".meta.json")
-                        or name.endswith(".lease.json")
-                        or name.startswith(".tmp-")
-                    ):
-                        continue
-                    digest, _ = os.path.splitext(name)
-                    path = os.path.join(shard_dir, name)
-                    try:
-                        stat = os.stat(path)
-                    except OSError:  # pragma: no cover - raced removal
-                        continue
-                    found.append(
-                        ArtifactEntry(
-                            kind=kind,
-                            digest=digest,
-                            path=path,
-                            size_bytes=int(stat.st_size),
-                            mtime=stat.st_mtime,
-                        )
+                path = self._local.path(key)
+                try:
+                    stat = os.stat(path)
+                except OSError:  # pragma: no cover - raced removal
+                    continue
+                found.append(
+                    ArtifactEntry(
+                        kind=kind,
+                        digest=os.path.splitext(os.path.basename(path))[0],
+                        path=path,
+                        size_bytes=int(stat.st_size),
+                        mtime=stat.st_mtime,
                     )
+                )
         found.sort(key=lambda entry: (entry.mtime, entry.kind, entry.digest))
         return found
 
@@ -1127,22 +1063,22 @@ class ArtifactStore:
         expected = (meta or {}).get("payload_sha256")
         if expected is not None:
             try:
-                actual = _sha256_file(entry.path)
+                actual = self._local.head(
+                    f"{entry.kind}/{os.path.basename(entry.path)}"
+                )
             except OSError as exc:
                 return f"unreadable: {exc}"
             if actual != expected:
-                return f"payload hash mismatch (expected {expected[:12]}, got {actual[:12]})"
+                return (
+                    f"payload hash mismatch (expected {expected[:12]}, "
+                    f"got {(actual or 'nothing')[:12]})"
+                )
             return None
         # no recorded hash (artifact predates hashing): fall back to a parse
+        read = _read_npz if entry.path.endswith(".npz") else _read_json
         try:
-            if entry.path.endswith(".npz"):
-                with np.load(entry.path) as archive:
-                    for key in archive.files:
-                        archive[key]
-            else:
-                with open(entry.path) as handle:
-                    json.load(handle)
-        except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            read(entry.path)
+        except _PARSE_ERRORS as exc:
             return f"unparseable: {type(exc).__name__}: {exc}"
         return None
 
@@ -1161,9 +1097,7 @@ class ArtifactStore:
                         if now - os.path.getmtime(path) > 60.0:
                             os.unlink(path)
                     elif name.endswith(".lease.json"):
-                        with open(path) as handle:
-                            doc = json.load(handle)
-                        if _lease_expired(doc, now):
+                        if _lease_expired(_read_json(path), now):
                             os.unlink(path)
                 except (OSError, ValueError):  # pragma: no cover - raced
                     continue

@@ -172,7 +172,7 @@ class ServiceApp:
         for name, value in self.store.stats.snapshot().items():
             self.metrics.set_gauge(f"store_{name}", float(value))
         # circuit/degraded/journal state: sampled at scrape time like the
-        # stats snapshot above (0=closed, 1=open, 2=half-open)
+        # stats snapshot above (0=closed, 1=half-open, 2=open)
         self.metrics.set_gauge("store_breaker_state", float(self.store.breaker_state_code()))
         self.metrics.set_gauge("store_degraded", 1.0 if self.store.degraded else 0.0)
         self.metrics.set_gauge("store_journal_pending", float(self.store.journal_pending()))

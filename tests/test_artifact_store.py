@@ -1,5 +1,6 @@
 """Tests for the content-addressed artifact store."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ArtifactStore, default_store_root
-from repro.experiments.store import STORE_ENV_VAR
+from repro.experiments.store import STORE_ENV_VAR, StoreStats
 
 DIGEST = "a" * 64
 OTHER = "b" * 64
@@ -28,6 +29,13 @@ class TestRoot:
     def test_default_root_under_home(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
         assert default_store_root().endswith(os.path.join(".cache", "repro"))
+
+
+class TestStats:
+    def test_snapshot_keys_are_the_dataclass_fields(self):
+        snapshot = StoreStats(puts=1).snapshot()
+        assert list(snapshot) == [f.name for f in dataclasses.fields(StoreStats)]
+        assert snapshot["puts"] == 1
 
 
 class TestArrays:

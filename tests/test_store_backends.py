@@ -42,12 +42,20 @@ from repro.experiments.backends import (
     shared_memory_backend,
 )
 from repro.experiments.store import QUARANTINE_TTL_ENV_VAR, STORE_ENV_VAR
-from repro.resilience import FaultRule, RetryPolicy, fault_plan
+from repro.resilience import FaultInjector, FaultRule, RetryPolicy, fault_plan
 
 DIGEST = "a" * 64
 OTHER = "b" * 64
 
 _FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0, sleep=lambda _s: None)
+
+#: a no-op rule on every ``store.write`` consult, so ``fired()`` counts them
+_COUNT_STORE_WRITES = FaultRule(point="store.write", count=10**6, action="delay")
+
+
+def _store_write_consults() -> int:
+    """``store.write`` consults under the active plan (call inside it)."""
+    return sum(1 for point, _, _ in FaultInjector.fired() if point == "store.write")
 
 
 class FakeClock:
@@ -120,7 +128,7 @@ def local_store(tmp_path, name="store"):
 @pytest.fixture(params=["file", "mem", "sim"])
 def backend(request, tmp_path):
     if request.param == "file":
-        return LocalDirBackend(str(tmp_path / "remote"), retry=_FAST_RETRY)
+        return LocalDirBackend(str(tmp_path / "remote"))
     if request.param == "mem":
         return InMemoryBackend()
     return SimulatedRemoteBackend()
@@ -172,7 +180,7 @@ class TestLocalDirInterop:
         """A file:// backend and a store rooted at the same dir share bytes."""
         store = local_store(tmp_path, "shared")
         store.put_json("result", DIGEST, {"v": 1})
-        backend = LocalDirBackend(store.root, retry=_FAST_RETRY)
+        backend = LocalDirBackend(store.root)
         blob = backend.get(f"result/{DIGEST}.json")
         assert json.loads(blob.data) == {"v": 1}
         backend.put_atomic(f"result/{OTHER}.json", b'{"v": 2}')
@@ -320,12 +328,31 @@ class TestResilientBackend:
             wrapped.put_atomic(f"model/{DIGEST}.npz", b"y", if_none_match=True)
         assert len(calls) == 1
 
-    def test_hedged_read_races_a_second_request(self):
-        slow = SimulatedRemoteBackend(latency_s=0.05)
-        slow.inner.put_atomic(f"model/{DIGEST}.npz", b"x")
-        wrapped = ResilientBackend(slow, retry=_FAST_RETRY, hedge_s=0.005)
-        assert wrapped.get(f"model/{DIGEST}.npz").data == b"x"
-        assert wrapped.hedged_reads >= 1
+    def test_file_remote_is_retried_once(self, tmp_path, monkeypatch):
+        """A failing file:// put retries in ResilientBackend only — never
+        in a nested loop — and spends no local ``store.write`` ordinals."""
+        root = tmp_path / "remote"
+        root.mkdir()
+        # a regular file where the kind directory belongs: every write fails
+        (root / "model").write_text("not a directory")
+        shard = str(root / "model" / DIGEST[:2])
+        attempts = []
+        makedirs = os.makedirs
+
+        def counting_makedirs(name, *args, **kwargs):
+            if os.fspath(name) == shard:
+                attempts.append(name)
+            return makedirs(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting_makedirs)
+        wrapped = ResilientBackend(
+            LocalDirBackend(str(root)), retry=RetryPolicy(max_attempts=3, backoff_s=0)
+        )
+        with fault_plan([_COUNT_STORE_WRITES]):
+            with pytest.raises(OSError):
+                wrapped.put_atomic(f"model/{DIGEST}.npz", b"x")
+            assert _store_write_consults() == 0
+        assert len(attempts) == 3
 
     def test_per_call_timeout(self):
         from repro.errors import DeadlineExceededError
@@ -725,6 +752,77 @@ class TestSessionPrefetch:
         monkeypatch.delenv(PREFETCH_ENV_VAR)
         assert Session(store=store).prefetch  # default: on with a remote
         assert not Session(store=local_store(tmp_path)).prefetch  # ...off without one
+
+
+class _RecordingBackend(InMemoryBackend):
+    """An in-memory remote that records every get/put as ``(op, kind+ext)``."""
+
+    def __init__(self) -> None:
+        super().__init__(name="recording")
+        self.ops = []
+
+    def _record(self, op, key):
+        kind, name = key.split("/")
+        self.ops.append((op, kind + name[name.index(".") :]))
+
+    def get(self, key):
+        self._record("get", key)
+        return super().get(key)
+
+    def put_atomic(self, key, data, if_match=None, if_none_match=False):
+        self._record("put", key)
+        return super().put_atomic(
+            key, data, if_match=if_match, if_none_match=if_none_match
+        )
+
+
+class TestChaosPlanOrdinals:
+    """Pin the op order the CI fault plans index into by ordinal."""
+
+    def test_cold_run_remote_ops_and_store_write_consults(self, tmp_path):
+        # the CI remote-store-chaos Fig. 4a spec
+        spec = ExperimentSpec(
+            name="ci-remote-chaos",
+            model=ModelSpec(
+                architecture="lenet5", dataset="mnist",
+                n_train=400, n_test=80, epochs=2,
+            ),
+            victims=VictimSpec(multipliers=("M1", "M4"), calibration_samples=64),
+            attacks=(AttackSpec(attack="BIM_linf"),),
+            sweep=SweepSpec(epsilons=(0.0, 0.1, 0.25), n_samples=24),
+        )
+        remote = _RecordingBackend()
+        store = ArtifactStore(str(tmp_path / "store"), backend=remote)
+        with fault_plan([_COUNT_STORE_WRITES]):
+            Session(store=store, prefetch=False).run(spec)
+            consults = _store_write_consults()
+        assert remote.ops == [
+            ("get", "result.json"),
+            ("get", "model.npz"),
+            ("put", "model.npz"),
+            ("put", "model.meta.json"),
+            ("get", "suite.npz"),
+            ("put", "suite.npz"),
+            ("put", "suite.meta.json"),
+            ("put", "result.json"),
+            ("put", "result.meta.json"),
+        ]
+        assert consults == 6
+
+    def test_lease_and_journal_writes_skip_the_store_write_point(self, tmp_path):
+        store = local_store(tmp_path)
+        journal = WriteJournal(str(tmp_path / "journal" / "pending.json"))
+        with fault_plan([_COUNT_STORE_WRITES]):
+            lease = store.lease("model", DIGEST, ttl_s=60.0)
+            assert lease.acquire()
+            assert lease.refresh()
+            stale = store.lease("model", OTHER, ttl_s=0.01)
+            assert stale.acquire()
+            time.sleep(0.05)
+            taker = store.lease("model", OTHER, ttl_s=60.0)
+            assert taker.acquire()  # takeover of the expired lease
+            assert journal.add("model", DIGEST)
+            assert _store_write_consults() == 0
 
 
 class TestSessionDegradationLadder:
