@@ -1,4 +1,4 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's design choices.
 
 These go beyond the paper's own tables:
 

@@ -17,6 +17,7 @@ from repro.attacks import get_attack
 from repro.axnn.approx_ops import approx_matmul, exact_matmul
 from repro.axnn.kernels import make_kernel
 from repro.benchmarking import best_of
+from repro.circuits.bitops import from_bits, to_bits
 from repro.multipliers import get_multiplier
 from repro.multipliers.base import clear_global_lut_cache
 from repro.nn.layers import AvgPool2D
@@ -62,7 +63,16 @@ def test_micro_exact_int_matmul(benchmark, suite):
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_lut_construction(benchmark, suite):
-    """Cost of building a circuit-backed 256x256 multiplier LUT from scratch."""
+    """Cost of building a circuit-backed 256x256 multiplier LUT from scratch.
+
+    Acceptance check: the bit-sliced build of M8 (``mul8u_L40``, an array
+    multiplier with AMA2 cells in its 8 low columns) is >= 10x the per-lane
+    spelling with bit-identical tables.  The baseline evaluates each cell's
+    ``add`` on one 0/1 ``int64`` array per bit and ripples every partial-
+    product row through the adder, as the circuit did before it packed 64
+    lanes per word.  The shipped build starts from a cleared LUT cache each
+    round.
+    """
     def build():
         multiplier = get_multiplier("mul8u_L40")
         multiplier.clear_cache()
@@ -70,8 +80,32 @@ def test_micro_lut_construction(benchmark, suite):
         return multiplier.lut()
 
     suite.timed("lut_construction_s", build)
+    circuit = get_multiplier("mul8u_L40").circuit
+    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+
+    def per_lane():
+        a_bits, b_bits = to_bits(a, 8), to_bits(b, 8)
+        accumulator = np.zeros(a.shape + (16,), dtype=np.int64)
+        for row in range(8):
+            row_bits = np.zeros_like(accumulator)
+            row_bits[..., row : row + 8] = a_bits * b_bits[..., row : row + 1]
+            carry = np.zeros(a.shape, dtype=np.int64)
+            sum_bits = np.zeros_like(accumulator)
+            for position, cell in enumerate(circuit._row_adder.cells):
+                sum_bits[..., position], carry = cell.add(
+                    accumulator[..., position], row_bits[..., position], carry
+                )
+            accumulator = sum_bits
+        return from_bits(accumulator).astype(np.int32)
+
+    stats = suite.paired("lut_construction", per_lane, build)
+    assert np.array_equal(build(), per_lane())
+    benchmark.extra_info.update(stats)
     lut = benchmark(build)
     assert lut.shape == (256, 256)
+    assert stats["ratio_median"] >= 10.0, (
+        f"bit-sliced LUT build only {stats['ratio_median']:.1f}x the per-lane one"
+    )
 
 
 @pytest.mark.benchmark(group="micro-kernels")

@@ -1,8 +1,8 @@
 """Trend/shape checks comparing the reproduction against the paper.
 
 Because the reproduction runs on synthetic datasets and behavioural
-multiplier stand-ins (see DESIGN.md), absolute accuracy values differ from
-the paper.  What is expected to hold — and what these functions verify — is
+multiplier stand-ins (see README.md, "Substitutions"), absolute accuracy
+values differ from the paper.  What is expected to hold — and what these functions verify — is
 the *shape* of every result:
 
 * robustness decreases (never meaningfully increases) as the perturbation

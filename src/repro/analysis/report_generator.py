@@ -107,7 +107,8 @@ def generate_experiments_markdown(results_dir: str) -> str:
         "`pytest benchmarks/ --benchmark-only`) via "
         "`python -m repro.cli report`.  Absolute values differ from the paper "
         "because the datasets and multiplier netlists are synthetic "
-        "substitutes (see DESIGN.md); the comparison targets are the trends."
+        "substitutes (see README.md, \"Substitutions\"); the comparison "
+        "targets are the trends."
     )
     lines.append("")
 

@@ -11,9 +11,15 @@ circuits that the paper's approximate multipliers are built from:
 * unsigned array multipliers whose internal adders can be swapped for
   approximate cells column-by-column.
 
-All circuits operate on NumPy integer arrays and are fully vectorised, so a
-complete 256x256 look-up table for an 8-bit multiplier can be evaluated in a
-single call.
+Each cell and compressor defines its logic once, as ``add`` / ``compress`` on
+per-lane 0/1 ``int64`` arrays; those helpers (:func:`to_bits`,
+:func:`bit_and`, ...) stay the per-lane form the truth tables are read from.
+The adders and multipliers evaluate bit-sliced: operands are packed 64 lanes
+per ``uint64`` word, one word array per bit position, and each cell runs a
+program compiled once from its truth table, so every gate is one bitwise
+NumPy op on whole words (see :mod:`repro.circuits.bitops`).  A complete
+256x256 look-up table for an 8-bit multiplier is a single call over 1,024
+words per bit position.
 """
 
 from repro.circuits.bitops import (

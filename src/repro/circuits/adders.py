@@ -7,10 +7,13 @@ TCAD 2013) and used by the defensive-approximation baseline of Guesmi et al.
 which manifests behaviourally as a handful of wrong rows in the 8-row truth
 table.  The exact truth tables implemented here are documented per class and
 verified by the test-suite; they are behavioural stand-ins for the published
-netlists (see DESIGN.md, substitution table).
+netlists (see README.md, "Substitutions").
 
 Every cell is a stateless object exposing ``add(a, b, cin) -> (sum, cout)``
-on vectorised bit arrays.
+on per-lane 0/1 arrays; that method is the single definition of the cell's
+logic.  :meth:`AdderCell.add_packed` evaluates the same cell on packed
+64-lane words (see :mod:`repro.circuits.bitops`) with a program compiled
+once from :meth:`AdderCell.truth_table`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.circuits.bitops import bit_and, bit_not, bit_or, bit_xor, majority
+from repro.circuits.bitops import (
+    bit_and,
+    bit_not,
+    bit_or,
+    bit_xor,
+    compile_truth_table,
+    majority,
+    run_packed,
+)
 
 
 class AdderCell(ABC):
@@ -28,6 +39,10 @@ class AdderCell(ABC):
 
     #: short, registry-friendly identifier
     name: str = "adder"
+
+    #: packed program compiled from :meth:`truth_table` on first use (two
+    #: threads racing here compile the same program; either one is kept)
+    _packed = None
 
     @abstractmethod
     def add(
@@ -46,6 +61,14 @@ class AdderCell(ABC):
                     )
                     rows.append([a, b, cin, int(s[0]), int(cout[0])])
         return np.array(rows, dtype=np.int64)
+
+    def add_packed(
+        self, a: np.ndarray, b: np.ndarray, cin: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`add` on packed 64-lane ``uint64`` words; ``(sum, carry_out)``."""
+        if self._packed is None:
+            self._packed = compile_truth_table(self.truth_table(), inputs=3)
+        return run_packed(self._packed, (a, b, cin))
 
     def error_count(self) -> Tuple[int, int]:
         """Number of wrong (sum, carry) rows relative to the exact adder."""

@@ -14,8 +14,10 @@ Two circuit families are provided:
     compressors (exact or approximate) until at most two bits per column
     remain, then a final exact ripple-carry adder produces the product.
 
-Both circuits are fully vectorised over NumPy arrays so a complete 256x256
-look-up table is a single call.
+Both circuits broadcast their operands, pack them 64 lanes per ``uint64``
+word (see :mod:`repro.circuits.bitops`) and evaluate every gate as one
+bitwise NumPy op on those words, so a complete 256x256 look-up table is a
+single call over 1,024 words per bit position.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.circuits.adders import AdderCell, ExactFullAdder
-from repro.circuits.bitops import from_bits, to_bits
+from repro.circuits.bitops import from_planes, to_planes
 from repro.circuits.compressors import Compressor42, ExactCompressor42
 from repro.circuits.ripple import RippleCarryAdder
 from repro.errors import ConfigurationError
@@ -79,18 +81,17 @@ class ArrayMultiplierCircuit:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Multiply unsigned integer arrays ``a`` and ``b`` element-wise."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        a_bits = to_bits(a, self.width)
-        b_bits = to_bits(b, self.width)
-        accumulator = np.zeros(a_bits.shape[:-1] + (self.result_width,), dtype=np.int64)
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        a_planes = to_planes(a, self.width)
+        b_planes = to_planes(b, self.width)
+        zero = np.zeros_like(a_planes[0])
+        accumulator = [zero] * self.result_width
         for row in range(self.width):
-            # partial-product row `row`: (a & -b_row) shifted left by `row`
-            row_bits = np.zeros_like(accumulator)
-            pp = a_bits * b_bits[..., row : row + 1]
-            row_bits[..., row : row + self.width] = pp
-            accumulator, _ = self._row_adder.add_bits(accumulator, row_bits)
-        return from_bits(accumulator)
+            # partial-product row `row`: (a & b_row) shifted left by `row`
+            row_planes = [zero] * self.result_width
+            row_planes[row : row + self.width] = list(a_planes & b_planes[row])
+            accumulator, _ = self._row_adder.add_words(accumulator, row_planes)
+        return from_planes(accumulator, a.size).reshape(a.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cell = self.approx_cell.name if self.approx_cell is not None else "exact"
@@ -133,7 +134,8 @@ class CompressorTreeMultiplierCircuit:
         self.approx_columns = approx_columns
         self._approx_compressor = compressor if compressor is not None else ExactCompressor42()
         self._exact_compressor = ExactCompressor42()
-        self._final_adder = RippleCarryAdder(result_width, ExactFullAdder())
+        self._full_adder = ExactFullAdder()
+        self._final_adder = RippleCarryAdder(result_width, self._full_adder)
 
     def _compressor_for(self, column: int) -> Compressor42:
         if column < self.approx_columns:
@@ -142,22 +144,19 @@ class CompressorTreeMultiplierCircuit:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Multiply unsigned integer arrays ``a`` and ``b`` element-wise."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        a_bits = to_bits(a, self.width)
-        b_bits = to_bits(b, self.width)
-        batch_shape = a_bits.shape[:-1]
-        zero = np.zeros(batch_shape, dtype=np.int64)
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        a_planes = to_planes(a, self.width)
+        b_planes = to_planes(b, self.width)
+        zero = np.zeros_like(a_planes[0])
 
         # Build the partial-product columns: column j holds bits a_i & b_k with i+k=j.
         columns: List[List[np.ndarray]] = [[] for _ in range(self.result_width)]
         for i in range(self.width):
             for k in range(self.width):
-                columns[i + k].append(a_bits[..., i] * b_bits[..., k])
+                columns[i + k].append(a_planes[i] & b_planes[k])
 
         # Reduce columns with 4:2 compressors (and 3:2 full adders for the
         # leftover triples) until every column has <= 2 bits.
-        full_adder = ExactFullAdder()
         while any(len(column) > 2 for column in columns):
             new_columns: List[List[np.ndarray]] = [[] for _ in range(self.result_width)]
             for j in range(self.result_width):
@@ -166,7 +165,7 @@ class CompressorTreeMultiplierCircuit:
                 while len(column) - index >= 4:
                     compressor = self._compressor_for(j)
                     x1, x2, x3, x4 = column[index : index + 4]
-                    s, carry, cout = compressor.compress(x1, x2, x3, x4, zero)
+                    s, carry, cout = compressor.compress_packed(x1, x2, x3, x4, zero)
                     new_columns[j].append(s)
                     if j + 1 < self.result_width:
                         new_columns[j + 1].append(carry)
@@ -174,7 +173,7 @@ class CompressorTreeMultiplierCircuit:
                     index += 4
                 if len(column) - index == 3:
                     x1, x2, x3 = column[index : index + 3]
-                    s, carry = full_adder.add(x1, x2, x3)
+                    s, carry = self._full_adder.add_packed(x1, x2, x3)
                     new_columns[j].append(s)
                     if j + 1 < self.result_width:
                         new_columns[j + 1].append(carry)
@@ -183,15 +182,10 @@ class CompressorTreeMultiplierCircuit:
             columns = new_columns
 
         # Final carry-propagate addition of the two remaining rows.
-        row_a = np.zeros(batch_shape + (self.result_width,), dtype=np.int64)
-        row_b = np.zeros_like(row_a)
-        for j, column in enumerate(columns):
-            if len(column) >= 1:
-                row_a[..., j] = column[0]
-            if len(column) == 2:
-                row_b[..., j] = column[1]
-        sum_bits, _ = self._final_adder.add_bits(row_a, row_b)
-        return from_bits(sum_bits)
+        row_a = [column[0] if column else zero for column in columns]
+        row_b = [column[1] if len(column) == 2 else zero for column in columns]
+        sum_planes, _ = self._final_adder.add_words(row_a, row_b)
+        return from_planes(sum_planes, a.size).reshape(a.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,6 +8,11 @@ a sum bit, a carry bit and a carry-out such that
 Approximate compressors break this identity for a documented subset of the 32
 input combinations; they are the building blocks of the compressor-tree
 multipliers in :mod:`repro.circuits.array_multiplier`.
+
+``compress`` on per-lane 0/1 arrays is the single definition of each
+compressor's logic; :meth:`Compressor42.compress_packed` evaluates it on
+packed 64-lane words through a program compiled once from the 32-row
+:meth:`Compressor42.truth_table`.
 """
 
 from __future__ import annotations
@@ -17,13 +22,23 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.circuits.bitops import bit_and, bit_or, bit_xor
+from repro.circuits.bitops import (
+    bit_and,
+    bit_or,
+    bit_xor,
+    compile_truth_table,
+    run_packed,
+)
 
 
 class Compressor42(ABC):
     """Interface for a 4:2 compressor operating on vectorised bit arrays."""
 
     name: str = "compressor42"
+
+    #: packed program compiled from :meth:`truth_table` on first use (two
+    #: threads racing here compile the same program; either one is kept)
+    _packed = None
 
     @abstractmethod
     def compress(
@@ -45,6 +60,19 @@ class Compressor42(ABC):
             s, c, co = self.compress(x1, x2, x3, x4, cin)
             rows.append(bits + [int(s[0]), int(c[0]), int(co[0])])
         return np.array(rows, dtype=np.int64)
+
+    def compress_packed(
+        self,
+        x1: np.ndarray,
+        x2: np.ndarray,
+        x3: np.ndarray,
+        x4: np.ndarray,
+        cin: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`compress` on packed 64-lane ``uint64`` words."""
+        if self._packed is None:
+            self._packed = compile_truth_table(self.truth_table(), inputs=5)
+        return run_packed(self._packed, (x1, x2, x3, x4, cin))
 
     def error_rate(self) -> float:
         """Fraction of the 32 input rows whose weighted output value is wrong."""

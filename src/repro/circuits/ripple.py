@@ -5,6 +5,10 @@ can use a different cell, which is how lower-part approximate adders (e.g.
 the Guesmi-style mirror-adder array multiplier, or LOA adders) are modelled:
 the ``k`` least-significant positions use an approximate cell and the rest
 use the exact full adder.
+
+The carry chain runs once, over packed 64-lane words
+(:meth:`RippleCarryAdder.add_words`); :meth:`RippleCarryAdder.add` and
+:meth:`RippleCarryAdder.add_bits` pack their operands into it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits.adders import AdderCell, ExactFullAdder, LowerOrCell
-from repro.circuits.bitops import from_bits, to_bits
+from repro.circuits.bitops import (
+    from_planes,
+    pack_lanes,
+    to_planes,
+    unpack_lanes,
+)
 from repro.errors import ConfigurationError
 
 
@@ -67,6 +76,25 @@ class RippleCarryAdder:
         cells = [approx_cell] * approx_bits + [exact] * (width - approx_bits)
         return cls(width, cells)
 
+    def add_words(
+        self,
+        a_planes: Sequence[np.ndarray],
+        b_planes: Sequence[np.ndarray],
+        cin: Optional[np.ndarray] = None,
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Add packed operands: ``width`` bit planes each, LSB first.
+
+        Each plane is a ``uint64`` word array holding one bit position of 64
+        lanes per word (see :mod:`repro.circuits.bitops`); ``cin`` defaults
+        to zero.  Returns ``(sum_planes, carry_out)`` in the same form.
+        """
+        carry = np.zeros_like(a_planes[0]) if cin is None else cin
+        sum_planes = []
+        for cell, a, b in zip(self.cells, a_planes, b_planes):
+            s, carry = cell.add_packed(a, b, carry)
+            sum_planes.append(s)
+        return sum_planes, carry
+
     def add_bits(
         self, a_bits: np.ndarray, b_bits: np.ndarray, cin: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -78,23 +106,25 @@ class RippleCarryAdder:
                 "operand bit arrays must both have last dimension "
                 f"{self.width}; got {a_bits.shape} and {b_bits.shape}"
             )
-        carry = (
-            np.zeros(a_bits.shape[:-1], dtype=np.int64)
-            if cin is None
-            else np.asarray(cin, dtype=np.int64)
+        batch = a_bits.shape[:-1]
+        count = int(np.prod(batch))
+        carry = None if cin is None else pack_lanes(np.broadcast_to(cin, batch).reshape(-1))
+        sum_planes, carry = self.add_words(
+            pack_lanes(a_bits.reshape(count, self.width).T),
+            pack_lanes(b_bits.reshape(count, self.width).T),
+            carry,
         )
-        sum_bits = np.zeros_like(a_bits)
-        for position, cell in enumerate(self.cells):
-            s, carry = cell.add(a_bits[..., position], b_bits[..., position], carry)
-            sum_bits[..., position] = s
-        return sum_bits, carry
+        sum_bits = unpack_lanes(np.stack(sum_planes), count).T.reshape(a_bits.shape)
+        cout = unpack_lanes(carry, count).reshape(batch)
+        return sum_bits.astype(np.int64), cout.astype(np.int64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Add two unsigned integer arrays, returning ``width + 1``-bit results."""
-        a_bits = to_bits(np.asarray(a), self.width)
-        b_bits = to_bits(np.asarray(b), self.width)
-        sum_bits, cout = self.add_bits(a_bits, b_bits)
-        return from_bits(sum_bits) + (cout.astype(np.int64) << self.width)
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        sum_planes, cout = self.add_words(
+            to_planes(a, self.width), to_planes(b, self.width)
+        )
+        return from_planes(sum_planes + [cout], a.size).reshape(a.shape)
 
 
 class LowerPartOrAdder(RippleCarryAdder):

@@ -1,9 +1,9 @@
 """Synthetic datasets replacing the MNIST / CIFAR-10 downloads (offline).
 
-See DESIGN.md for the substitution rationale: the datasets preserve tensor
-shapes, value ranges and class counts so every downstream code path (training,
-quantization, LUT inference, attacks, robustness sweeps) is exercised exactly
-as with the real data.
+See README.md, "Substitutions", for the rationale: the datasets preserve
+tensor shapes, value ranges and class counts so every downstream code path
+(training, quantization, LUT inference, attacks, robustness sweeps) is
+exercised exactly as with the real data.
 """
 
 from repro.datasets.base import DataSplit, Dataset

@@ -7,7 +7,7 @@ corresponding digit; every sample applies a random affine perturbation
 (shift / rotation / scale), intensity jitter and additive noise, which gives
 the intra-class variability needed for the accurate models, the quantized
 models and the AxDNNs to behave like their MNIST counterparts in the paper's
-pipeline (see DESIGN.md, substitution table).
+pipeline (see README.md, "Substitutions").
 """
 
 from __future__ import annotations

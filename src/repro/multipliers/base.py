@@ -23,10 +23,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: process-wide LUT store keyed by multiplier identity (class, name,
-#: bit width and scalar configuration).  Circuit-backed tables cost seconds
-#: to build; they are built once per process and shared read-only between
-#: every instance of the same multiplier, surviving per-instance
-#: ``clear_cache`` calls.
+#: bit width and scalar configuration).  Tables are built once per process
+#: and shared read-only between every instance of the same multiplier,
+#: surviving per-instance ``clear_cache`` calls.
 _GLOBAL_LUT_CACHE: Dict[Tuple, np.ndarray] = {}
 
 #: serialises first-touch LUT construction: the parallel inference runtime
@@ -75,11 +74,13 @@ class Multiplier(ABC):
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Multiply two unsigned integer arrays element-wise.
 
-        Inputs are validated to be within ``[0, operand_max]``; the result is
-        an ``int64`` array of approximate products.
+        Inputs broadcast against each other and are validated to be within
+        ``[0, operand_max]``; the result is an ``int64`` array of approximate
+        products with the broadcast shape.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = np.broadcast_arrays(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        )
         if np.any(a < 0) or np.any(b < 0):
             raise ConfigurationError(f"{self.name}: operands must be non-negative")
         if np.any(a > self.operand_max) or np.any(b > self.operand_max):

@@ -4,7 +4,7 @@ These are parametric, well-understood approximation schemes from the
 approximate-arithmetic literature.  Named EvoApprox-like instances (see
 :mod:`repro.multipliers.evoapprox`) are built by picking a family and a
 parameter set whose measured error profile matches the role the multiplier
-plays in the paper (see DESIGN.md substitution table).
+plays in the paper (see README.md, "Substitutions").
 
 Families
 --------

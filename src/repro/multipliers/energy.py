@@ -6,7 +6,7 @@ every circuit; those netlists are not available offline, so this module ships
 *representative* hardware-cost figures for each named stand-in, scaled from
 the published EvoApprox8b trends (higher error -> lower power/area).  They
 are intended for relative comparisons (accuracy-vs-energy Pareto plots in the
-examples), not absolute silicon numbers; see DESIGN.md.
+examples), not absolute silicon numbers; see README.md, "Substitutions".
 """
 
 from __future__ import annotations

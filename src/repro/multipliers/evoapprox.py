@@ -4,7 +4,7 @@ The paper selects unsigned 8-bit multipliers from the EvoApprox8b library
 (Mrazek et al., DATE 2017) and refers to them by their library suffix (1JFF,
 96D, 12N4, ...).  The original library ships Verilog/C netlists that are not
 available offline, so each paper label is bound here to a behavioural or
-circuit-backed stand-in (see DESIGN.md substitution table) chosen so that
+circuit-backed stand-in (see README.md, "Substitutions") chosen so that
 
 * the accurate multiplier (1JFF) is bit-exact,
 * the *ordering* of mean-absolute-error across the LeNet-5 set (M1..M9) and

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circuits.adders import ExactFullAdder
+from repro.circuits.bitops import from_bits, to_bits
+
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
@@ -101,3 +104,99 @@ def avg_pool_backward_reference(grad_output, input_shape, pool_size, stride):
                 :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
             ] += share
     return grad_input
+
+
+def ripple_add_bits_reference(adder, a_bits, b_bits, cin=None):
+    """Per-lane ripple-carry addition: one ``cell.add`` call per position.
+
+    ``a_bits`` / ``b_bits`` are 0/1 arrays of shape ``(..., adder.width)``;
+    returns ``(sum_bits, carry_out)`` like
+    :meth:`repro.circuits.RippleCarryAdder.add_bits`.
+    """
+    a_bits = np.asarray(a_bits, dtype=np.int64)
+    b_bits = np.asarray(b_bits, dtype=np.int64)
+    carry = (
+        np.zeros(a_bits.shape[:-1], dtype=np.int64)
+        if cin is None
+        else np.asarray(cin, dtype=np.int64)
+    )
+    sum_bits = np.zeros_like(a_bits)
+    for position, cell in enumerate(adder.cells):
+        s, carry = cell.add(a_bits[..., position], b_bits[..., position], carry)
+        sum_bits[..., position] = s
+    return sum_bits, carry
+
+
+def array_multiplier_reference(circuit, a, b):
+    """Per-lane :class:`repro.circuits.ArrayMultiplierCircuit` product.
+
+    Partial-product rows are accumulated on 0/1 bit arrays through
+    :func:`ripple_add_bits_reference` with the circuit's row adder cells.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    a_bits = to_bits(a, circuit.width)
+    b_bits = to_bits(b, circuit.width)
+    accumulator = np.zeros(a_bits.shape[:-1] + (circuit.result_width,), dtype=np.int64)
+    for row in range(circuit.width):
+        # partial-product row `row`: (a & b_row) shifted left by `row`
+        row_bits = np.zeros_like(accumulator)
+        row_bits[..., row : row + circuit.width] = a_bits * b_bits[..., row : row + 1]
+        accumulator, _ = ripple_add_bits_reference(
+            circuit._row_adder, accumulator, row_bits
+        )
+    return from_bits(accumulator)
+
+
+def compressor_tree_reference(circuit, a, b):
+    """Per-lane :class:`repro.circuits.CompressorTreeMultiplierCircuit` product.
+
+    Columns are reduced with each compressor's per-lane ``compress`` (and
+    the exact full adder's ``add`` for leftover triples), then the two
+    remaining rows go through :func:`ripple_add_bits_reference`.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    a_bits = to_bits(a, circuit.width)
+    b_bits = to_bits(b, circuit.width)
+    batch_shape = a_bits.shape[:-1]
+    width, result_width = circuit.width, circuit.result_width
+    zero = np.zeros(batch_shape, dtype=np.int64)
+
+    columns = [[] for _ in range(result_width)]
+    for i in range(width):
+        for k in range(width):
+            columns[i + k].append(a_bits[..., i] * b_bits[..., k])
+
+    full_adder = ExactFullAdder()
+    while any(len(column) > 2 for column in columns):
+        new_columns = [[] for _ in range(result_width)]
+        for j in range(result_width):
+            column = columns[j]
+            index = 0
+            while len(column) - index >= 4:
+                compressor = circuit._compressor_for(j)
+                x1, x2, x3, x4 = column[index : index + 4]
+                s, carry, cout = compressor.compress(x1, x2, x3, x4, zero)
+                new_columns[j].append(s)
+                if j + 1 < result_width:
+                    new_columns[j + 1].append(carry)
+                    new_columns[j + 1].append(cout)
+                index += 4
+            if len(column) - index == 3:
+                x1, x2, x3 = column[index : index + 3]
+                s, carry = full_adder.add(x1, x2, x3)
+                new_columns[j].append(s)
+                if j + 1 < result_width:
+                    new_columns[j + 1].append(carry)
+                index += 3
+            new_columns[j].extend(column[index:])
+        columns = new_columns
+
+    row_a = np.zeros(batch_shape + (result_width,), dtype=np.int64)
+    row_b = np.zeros_like(row_a)
+    for j, column in enumerate(columns):
+        if len(column) >= 1:
+            row_a[..., j] = column[0]
+        if len(column) == 2:
+            row_b[..., j] = column[1]
+    sum_bits, _ = ripple_add_bits_reference(circuit._final_adder, row_a, row_b)
+    return from_bits(sum_bits)
