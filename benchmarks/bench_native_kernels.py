@@ -15,8 +15,8 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
 * **native vs reference col2im** — the single-pass compiled scatter-add
   against the ``kh * kw`` strided read-modify-write sweeps, at a LeNet
   conv-backward shape, and the same comparison end-to-end through a full
-  training epoch (the arena runtime hands ``col2im`` its workspace
-  buffers, so the native path engages with no call-site changes).
+  training epoch (the conv backward pass hands ``col2im`` C-contiguous
+  float64 patches, so the native path engages with no call-site changes).
 * **native vs NumPy im2col** — the compiled patch gather against the
   sliding-window copy at LeNet conv1's shape.
 * **fused panel vs per-victim** — a :class:`repro.axnn.VictimPanel` over
@@ -263,11 +263,11 @@ def test_native_im2col(benchmark, suite):
 
 @pytest.mark.benchmark(group="native-kernels")
 def test_native_training_epoch(benchmark, suite, backend_env):
-    """Full arena training epoch (LeNet-5, 512 images) with and without the
+    """Full training epoch (LeNet-5, 512 images) with and without the
     native col2im underneath — the end-to-end view of the same swap.
 
-    The conv backward pass hands ``col2im`` its arena workspace, so the
-    native path engages with no call-site changes.  Weights must come out
+    The conv backward pass hands ``col2im`` C-contiguous float64 patches,
+    so the native path engages with no call-site changes.  Weights must come out
     bit-identical; col2im is one slice of the epoch, so only parity-or-better
     is asserted and the measured ratio is what lands in the report.
     """
@@ -281,9 +281,7 @@ def test_native_training_epoch(benchmark, suite, backend_env):
     def run(backend):
         os.environ[BACKEND_ENV_VAR] = backend
         reset_backend()
-        trainers[backend].fit(
-            images, labels, epochs=1, batch_size=64, runtime="arena"
-        )
+        trainers[backend].fit(images, labels, epochs=1, batch_size=64)
 
     stats = suite.paired(
         "training_epoch", lambda: run("numpy"), lambda: run("auto"), rounds=6

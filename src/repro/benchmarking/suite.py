@@ -100,7 +100,7 @@ class Suite:
 
         suite = Suite("training")
         suite.measure("lenet.epoch_s", lambda: trainer.fit(...))
-        stats = suite.paired("lenet.arena", run_legacy, run_arena, rounds=10)
+        stats = suite.paired("lenet.fit", run_seed_loop, run_fit, rounds=10)
         record_report(suite.report(), results_dir)
     """
 

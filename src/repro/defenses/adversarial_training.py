@@ -7,12 +7,11 @@ and approximated with :func:`repro.axnn.build_axdnn` exactly like a normally
 trained model, which is how the "does adversarial training survive
 approximation?" follow-up question can be studied with this package.
 
-The training step runs on the same runtime as :class:`repro.nn.trainer.
-Trainer`: workspace-arena buffers, the fused ``value_and_gradient`` loss
-path (one shifted-exp pass instead of three, one shared loss object instead
-of per-call instances) and the fused flat optimizer step — all bit-identical
-to the allocating loop they replace.  Attack crafting runs *outside* the
-workspace scope, so the perturbation search never aliases training buffers.
+The training step is :class:`repro.nn.trainer.Trainer`'s own
+(:func:`repro.nn.engine.fused_training_step`): the fused
+``value_and_gradient`` loss path (one shifted-exp pass instead of three,
+one shared loss object instead of per-call instances) and the fused flat
+optimizer step — bit-identical to the seed loop.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from repro.attacks.fgm import FGMLinf
 from repro.errors import ConfigurationError
 from repro.nn.engine import (
     FlatParameterView,
-    Workspace,
     ensure_training_engine,
     fused_training_step,
+    validate_fit_arguments,
 )
 from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.metrics import accuracy
@@ -77,7 +76,6 @@ class AdversarialTrainer:
         self.loss = loss if loss is not None else CrossEntropyLoss()
         self.optimizer = optimizer if optimizer is not None else SGD(0.01, momentum=0.9)
         self._rng = np.random.default_rng(seed)
-        self._arena: Optional[Workspace] = None
         self._flat: Optional[FlatParameterView] = None
 
     def _augment_batch(
@@ -116,42 +114,26 @@ class AdversarialTrainer:
         shuffle: bool = True,
     ) -> TrainingHistory:
         """Adversarially train the model; returns the training history."""
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        x, y = validate_fit_arguments(x, y, epochs, batch_size)
         history = TrainingHistory()
         n_samples = x.shape[0]
-        self._arena, self._flat = ensure_training_engine(
-            self.model, self._arena, self._flat
-        )
-        try:
-            for _ in range(epochs):
-                order = np.arange(n_samples)
-                if shuffle:
-                    self._rng.shuffle(order)
-                losses = []
-                correct = 0
-                for start in range(0, n_samples, batch_size):
-                    batch_idx = order[start : start + batch_size]
-                    # crafting differentiates through the model outside the
-                    # workspace scope: gradients it holds across attack
-                    # steps must not alias reusable training buffers
-                    xb, yb = self._augment_batch(x[batch_idx], y[batch_idx])
-                    value, n_correct = fused_training_step(
-                        self.model,
-                        self.loss,
-                        self.optimizer,
-                        self._flat,
-                        xb,
-                        yb,
-                    )
-                    losses.append(value)
-                    correct += n_correct
-                history.train_loss.append(float(np.mean(losses)))
-                history.train_accuracy.append(correct / n_samples)
-        finally:
-            Workspace.unbind(self.model)
+        self._flat = ensure_training_engine(self.model, self._flat)
+        for _ in range(epochs):
+            order = np.arange(n_samples)
+            if shuffle:
+                self._rng.shuffle(order)
+            losses = []
+            correct = 0
+            for start in range(0, n_samples, batch_size):
+                batch_idx = order[start : start + batch_size]
+                xb, yb = self._augment_batch(x[batch_idx], y[batch_idx])
+                value, n_correct = fused_training_step(
+                    self.model, self.loss, self.optimizer, self._flat, xb, yb
+                )
+                losses.append(value)
+                correct += n_correct
+            history.train_loss.append(float(np.mean(losses)))
+            history.train_accuracy.append(correct / n_samples)
         return history
 
     def robust_accuracy(

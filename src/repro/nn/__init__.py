@@ -7,7 +7,6 @@ batched inference, and input gradients for gradient-based attacks.
 
 from repro.nn.engine import (
     FlatParameterView,
-    Workspace,
     micro_batch_slices,
     training_replicas,
     validate_data_parallel,
@@ -59,7 +58,6 @@ __all__ = [
     "log_softmax",
     "one_hot",
     "softmax_cross_entropy",
-    "Workspace",
     "FlatParameterView",
     "micro_batch_slices",
     "training_replicas",

@@ -1,19 +1,7 @@
-"""The deterministic training runtime: arenas, flat views, micro-batching.
+"""The deterministic training runtime: flat views, fused steps, micro-batching.
 
-PRs 1-4 made inference, attack crafting and re-runs fast; this module makes
-the remaining cold-path cost — training — allocation-free and data-parallel
-without ever changing a trained bit:
-
-:class:`Workspace`
-    A per-model buffer arena.  Layers route activation-sized allocations of
-    their forward/backward passes through :meth:`repro.nn.layers.base.Layer.
-    _buffer`, which resolves to a reusable workspace buffer inside a
-    :func:`repro.nn.layers.base.workspace_scope` block.  Buffers are keyed
-    by (layer, slot, shape, dtype), so steady-state training touches the
-    heap only on the first occurrence of each shape (one full batch and one
-    remainder batch per epoch schedule).  Every buffered operation performs
-    the same float64 arithmetic in the same order as its allocating
-    spelling, so arena training is bit-identical to the legacy loop.
+This module makes training, the stage that dominates a cold figure run,
+cheaper and data-parallel without ever changing a trained bit:
 
 :class:`FlatParameterView`
     Rebinds every trainable parameter of a model as a view into one
@@ -23,6 +11,13 @@ without ever changing a trained bit:
     elementwise updates are position-independent, so the flat step is
     bit-identical to the per-layer loop.
 
+:func:`fused_training_step`
+    The one full-batch training step: forward, the fused single-pass loss
+    and gradient, a backward pass that skips the unused input gradient, and
+    the flat optimizer step.  Every piece performs the same float64
+    operations in the same order as the seed loop (kept as the reference in
+    the tests), so trained weights are bit-identical to it.
+
 micro-batching (:func:`micro_batch_slices`, :func:`training_replicas`)
     The canonical micro-batch partition of a mini-batch is fixed by
     ``(batch size, micro_batch)`` alone — never by the worker count — and
@@ -30,156 +25,20 @@ micro-batching (:func:`micro_batch_slices`, :func:`training_replicas`)
     trained weights are bit-identical for every ``workers`` value.  Worker
     threads run on shallow model replicas that share the parameter storage
     (reads during the step, updated in place by the optimizer afterwards)
-    but own private cache slots, grads and workspaces — the same
-    snapshot-isolation idea as the PR 3 attack runtime, without any
-    serialization because threads share memory.
+    but own private cache slots and grads — the same snapshot-isolation
+    idea as the attack runtime, without any serialization because threads
+    share memory.
 """
 
 from __future__ import annotations
 
 from copy import copy as _shallow_copy
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.layers.base import Layer, workspace_scope
-
-
-class Workspace:
-    """A keyed arena of reusable ndarray buffers.
-
-    ``get`` returns an *uninitialised* buffer — callers overwrite every
-    element (or zero it explicitly).  Buffers are keyed by
-    ``(owner key, shape, dtype)``, so a workload alternating between a full
-    batch and a remainder batch keeps both buffers resident instead of
-    reallocating twice per epoch.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple[Hashable, Tuple[int, ...], np.dtype], np.ndarray] = {}
-        #: externally owned flat segments served for specific keys (see
-        #: FlatParameterView.bind_gradient_sinks)
-        self._sinks: Dict[Hashable, np.ndarray] = {}
-        #: free scratch slabs (raw uint8), reused best-fit by byte size
-        self._free: List[np.ndarray] = []
-        #: registry of every scratch slab ever handed out, by id — holds a
-        #: strong reference, so ids stay unique for the workspace's lifetime
-        self._scratch_registry: Dict[int, np.ndarray] = {}
-        #: buffers served from the arena / created on first use
-        self.hits = 0
-        self.allocations = 0
-
-    def get(self, key: Hashable, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        shape = tuple(int(dim) for dim in shape)
-        sink = self._sinks.get(key)
-        if sink is not None:
-            if sink.dtype == np.dtype(dtype) and sink.size == int(
-                np.prod(shape, dtype=np.int64)
-            ):
-                self.hits += 1
-                return sink.reshape(shape)
-        full_key = (key, shape, np.dtype(dtype))
-        buf = self._buffers.get(full_key)
-        if buf is None:
-            self.allocations += 1
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[full_key] = buf
-        else:
-            self.hits += 1
-        return buf
-
-    def set_sink(self, key: Hashable, flat: np.ndarray) -> None:
-        """Serve ``flat`` (reshaped) for every :meth:`get` of ``key``.
-
-        Used to alias a layer's gradient buffer to its segment of a flat
-        gradient vector, so backward passes write gradients in their final
-        resting place.  The requested shape only needs to match in size —
-        layers may ask for flattened spellings of the same parameter.
-        """
-        self._sinks[key] = flat
-
-    def scratch(self, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A transient buffer from the size-keyed free pool.
-
-        For short-lived arrays with stack-like lifetimes — the backward
-        gradient chain, pooling window stacks — a dedicated per-layer slot
-        (:meth:`get`) would pin one buffer per layer and blow the cache
-        footprint far past what malloc's address reuse achieves.  The
-        scratch pool mirrors malloc instead: raw byte slabs are handed back
-        via :meth:`reclaim` the moment their last reader is done and reused
-        best-fit for the next request of *any* shape — the same address
-        recycling as the allocator, without the syscalls, page faults or
-        per-call bookkeeping.  A slab is never handed out while live, and
-        every buffer is fully written before it is read, so values are
-        unaffected — only addresses.
-        """
-        shape = tuple(int(dim) for dim in shape)
-        dtype = np.dtype(dtype)
-        need = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        best = -1
-        for index, slab in enumerate(self._free):
-            if slab.nbytes >= need and (
-                best < 0 or slab.nbytes < self._free[best].nbytes
-            ):
-                best = index
-        if best >= 0:
-            slab = self._free.pop(best)
-            self.hits += 1
-        else:
-            self.allocations += 1
-            slab = np.empty(max(need, 1), dtype=np.uint8)
-            self._scratch_registry[id(slab)] = slab
-        return slab[:need].view(dtype).reshape(shape)
-
-    def reclaim(self, array: Optional[np.ndarray]) -> None:
-        """Return a scratch buffer (or any view into one) to the free pool.
-
-        Arrays that did not come from :meth:`scratch` — layer inputs, keyed
-        buffers, externally allocated gradients — are ignored, so callers
-        can reclaim unconditionally.
-        """
-        if array is None:
-            return
-        base = array
-        while base.base is not None:
-            base = base.base
-        registered = self._scratch_registry.get(id(base))
-        if registered is not base:
-            return
-        if any(entry is base for entry in self._free):  # double-reclaim guard
-            return
-        self._free.append(base)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by the arena (keyed + scratch)."""
-        return int(
-            sum(buf.nbytes for buf in self._buffers.values())
-            + sum(buf.nbytes for buf in self._scratch_registry.values())
-        )
-
-    def bind(self, model) -> None:
-        """Attach this arena to every layer of ``model``.
-
-        Binding alone changes nothing: layers only consult the workspace
-        inside a :func:`repro.nn.layers.base.workspace_scope` block.
-        """
-        for layer in model.layers:
-            layer._workspace = self
-
-    @staticmethod
-    def unbind(model) -> None:
-        """Detach any arena from ``model``'s layers (buffers stay cached here)."""
-        for layer in model.layers:
-            layer._workspace = None
-
-    def release(self) -> None:
-        """Drop every cached buffer, gradient sink and scratch slab."""
-        self._buffers.clear()
-        self._sinks.clear()
-        self._free.clear()
-        self._scratch_registry.clear()
+from repro.nn.layers.base import Layer
 
 
 class FlatParameterView:
@@ -237,31 +96,13 @@ class FlatParameterView:
                 return False
         return True
 
-    def bind_gradient_sinks(self, workspace: "Workspace") -> None:
-        """Point each layer's gradient buffer at its flat-vector segment.
-
-        Layers request their weight/bias gradient buffers from the
-        workspace under the key ``f"{param}_grad"``; registering those keys
-        as sinks into :attr:`grads` makes the backward pass write gradients
-        *directly* into the flat vector — the subsequent :meth:`pack_grads`
-        skips them (same-memory check), so the fused optimizer step reads
-        gradients that were never copied.
-        """
-        for index, name, start, size, shape in self._entries:
-            layer = self._model.layers[index]
-            workspace.set_sink(
-                (id(layer), f"{name}_grad"), self.grads[start : start + size]
-            )
-
     def pack_grads(self, model=None, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Gather ``layer.grads`` into a flat vector in canonical order.
 
         ``model`` defaults to the view's own model; a thread replica with
         the same layer structure may be passed instead.  ``out`` defaults
         to :attr:`grads`.  Every entry must have a gradient — the training
-        step always runs a full backward pass first.  Gradients that
-        already live in their ``out`` segment (see
-        :meth:`bind_gradient_sinks`) are left in place.
+        step always runs a backward pass over the parameter layers first.
         """
         model = model if model is not None else self._model
         out = out if out is not None else self.grads
@@ -272,53 +113,75 @@ class FlatParameterView:
                     f"layer {model.layers[index].name!r} has no gradient for "
                     f"{name!r}; backward must run before packing"
                 )
-            root = grad
-            while root.base is not None:
-                root = root.base
-            if root is out:
-                continue  # already accumulated in place via a gradient sink
             np.copyto(out[start : start + size].reshape(shape), grad)
         return out
 
 
-def ensure_training_engine(model, arena: Optional[Workspace], flat):
-    """Lazily create/rebind the (arena, flat view) pair of one trainer.
+def _check_positive_int(name: str, value) -> None:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def validate_fit_arguments(
+    x, y, epochs, batch_size, **optional_sizes
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The argument check both trainers' ``fit`` run first.
+
+    ``epochs``, ``batch_size`` and every ``optional_sizes`` entry that is
+    not None (``micro_batch=``, ``checkpoint_every=``) must be positive
+    integers, and ``x`` and ``y`` must hold the same, non-zero number of
+    samples.  Raises :class:`ConfigurationError` naming the offending
+    argument; returns ``(x, y)`` as float64 samples and int64 labels.
+    """
+    _check_positive_int("epochs", epochs)
+    _check_positive_int("batch_size", batch_size)
+    for name, value in optional_sizes.items():
+        if value is not None:
+            _check_positive_int(name, value)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim == 0 or y.ndim == 0 or x.shape[0] != y.shape[0]:
+        raise ConfigurationError(
+            f"x and y must hold the same number of samples, got shapes "
+            f"{x.shape} and {y.shape}"
+        )
+    if x.shape[0] == 0:
+        raise ConfigurationError("x and y hold no samples; fit needs at least one")
+    return x, y
+
+
+def ensure_training_engine(
+    model, flat: Optional[FlatParameterView]
+) -> FlatParameterView:
+    """The trainer's flat view of ``model``, rebuilt when it went stale.
 
     Shared by :class:`repro.nn.trainer.Trainer` and
-    :class:`repro.defenses.adversarial_training.AdversarialTrainer` so the
-    binding invariants (rebuild the flat view when ``load_state_dict``
-    replaced the parameter arrays, route gradient sinks into the arena)
-    live in exactly one place.  Returns the pair to store back.
+    :class:`repro.defenses.adversarial_training.AdversarialTrainer`:
+    ``load_state_dict`` replaces the parameter arrays wholesale, so a view
+    cached across ``fit`` calls is rebuilt unless it still backs ``model``.
     """
-    if arena is None:
-        arena = Workspace()
-    arena.bind(model)
     if flat is None or not flat.is_bound(model):
         flat = FlatParameterView(model)
-        flat.bind_gradient_sinks(arena)
-    return arena, flat
+    return flat
 
 
 def fused_training_step(
     model, loss, optimizer, flat: FlatParameterView, xb, yb
 ) -> Tuple[float, int]:
-    """One full-batch arena training step; returns (loss value, #correct).
+    """One full-batch training step; returns (loss value, #correct).
 
-    Bit-identical to the legacy step: same forward, fused
+    Bit-identical to the seed step: same forward, fused
     ``value_and_gradient`` (same bits as the unfused pair), the same
     parameter gradients (the unused input gradient is skipped), same
-    optimizer arithmetic.  The model's workspace arena must already be
-    bound (see :func:`ensure_training_engine`).  Optimizers that implement
-    the fused flat update take it; subclasses that only override
-    ``_update`` (the pre-arena extension point) fall back to the per-layer
-    ``step`` — their ``layer.grads`` already hold the freshly written
-    gradients (via the arena's gradient sinks or plain buffers), so both
-    routes see identical values.
+    optimizer arithmetic.  Optimizers that implement the fused flat update
+    take it; subclasses that only override ``_update`` (the per-layer
+    extension point) fall back to the per-layer ``step`` on the freshly
+    written ``layer.grads`` — both routes see identical values.
     """
-    with workspace_scope():
-        logits = model.forward(xb, training=True)
-        value, grad = loss.value_and_gradient(logits, yb)
-        model.backward(grad, input_grad=False)  # training reads no input grad
+    logits = model.forward(xb, training=True)
+    value, grad = loss.value_and_gradient(logits, yb)
+    model.backward(grad, input_grad=False)  # training reads no input grad
     if optimizer.supports_flat_step():
         flat.pack_grads()
         optimizer.step_flat(flat)
@@ -375,7 +238,6 @@ def _replicate_layer(layer: Layer) -> Layer:
     clone = _shallow_copy(layer)
     clone.params = layer.params
     clone.grads = {}
-    clone._workspace = None
     for attr in layer._transient_attrs:
         if hasattr(clone, attr):
             setattr(clone, attr, None)

@@ -19,16 +19,6 @@ import numpy as np
 from repro.errors import ShapeError
 
 
-def _checked_out(out: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Validate a caller-provided output buffer (shape and dtype must match)."""
-    if out.shape != tuple(shape) or out.dtype != np.dtype(dtype):
-        raise ShapeError(
-            f"out buffer has shape {out.shape} dtype {out.dtype}, expected "
-            f"{tuple(shape)} {np.dtype(dtype)}"
-        )
-    return out
-
-
 def _native_backend(*arrays: np.ndarray):
     """The resolved compiled backend when every array is C-contiguous float64.
 
@@ -57,23 +47,12 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial dimensions of an NHWC tensor."""
-    if padding == 0:
-        return x
-    return np.pad(
-        x, ((0, 0), (padding, padding), (padding, padding), (0, 0)), mode="constant"
-    )
-
-
 def im2col(
     x: np.ndarray,
     kernel_h: int,
     kernel_w: int,
     stride: int,
     padding: int,
-    out: Optional[np.ndarray] = None,
-    padded: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Extract convolution patches from an NHWC tensor.
 
@@ -85,30 +64,24 @@ def im2col(
     is materialised in one multi-dimensional strided copy from a
     sliding-window view of the (padded) input.
 
-    ``out``, when given, receives the patches in place (the training
-    runtime passes a workspace buffer); every element is written, so its
-    prior contents never leak through.  ``padded``, when given and
-    ``padding > 0``, receives the zero-padded input (its border bands are
-    re-zeroed here), replacing the ``np.pad`` allocation.
+    With ``padding > 0`` the input is first copied into a fresh padded
+    image whose four border bands are zero-filled — cheaper than ``np.pad``
+    and the same values.
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects an NHWC tensor, got shape {x.shape}")
     batch, height, width, channels = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    shape = (batch, out_h, out_w, kernel_h * kernel_w * channels)
-    if out is None:
-        cols = np.empty(shape, dtype=x.dtype)
-    else:
-        cols = _checked_out(out, shape, x.dtype)
-    if padding == 0 or padded is None:
-        x_padded = pad_nhwc(x, padding)
+    cols = np.empty(
+        (batch, out_h, out_w, kernel_h * kernel_w * channels), dtype=x.dtype
+    )
+    if padding == 0:
+        x_padded = x
     else:
         pad = padding
-        x_padded = _checked_out(
-            padded,
-            (batch, height + 2 * pad, width + 2 * pad, channels),
-            x.dtype,
+        x_padded = np.empty(
+            (batch, height + 2 * pad, width + 2 * pad, channels), dtype=x.dtype
         )
         x_padded[:, :pad].fill(0.0)
         x_padded[:, -pad:].fill(0.0)
@@ -151,21 +124,17 @@ def col2im(
     kernel_w: int,
     stride: int,
     padding: int,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Scatter-add patches back into an NHWC tensor (the adjoint of im2col).
 
-    ``out``, when given, must have the *padded* spatial shape
-    ``(N, H + 2p, W + 2p, C)``; it is zeroed here before the scatter-add,
-    and the returned array is the unpadded view into it.
-
-    When a compiled backend resolved (see :mod:`repro.axnn.native`) and both
-    arrays are C-contiguous float64 — which is what the training arena's
-    ``out=`` workspaces always hand in — the scatter-add runs as one native
-    pass over the padded image instead of ``kh * kw`` strided
-    read-modify-write sweeps.  The native formulation adds each output
-    element's contributions in the same ascending kernel-offset order as
-    the loop below, so the result is bit-identical.
+    The patches are added into a zero-filled padded image, and the
+    returned array is the unpadded view into it.  When a compiled backend
+    resolved (see :mod:`repro.axnn.native`) and ``cols`` is C-contiguous
+    float64 — as the conv layer's backward always hands in — the
+    scatter-add runs as one native pass over the padded image instead of
+    ``kh * kw`` strided read-modify-write sweeps.  The native formulation
+    adds each output element's contributions in the same ascending
+    kernel-offset order as the loop below, so the result is bit-identical.
     """
     batch, height, width, channels = input_shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
@@ -173,12 +142,10 @@ def col2im(
     expected = (batch, out_h, out_w, kernel_h * kernel_w * channels)
     if cols.shape != expected:
         raise ShapeError(f"col2im expects shape {expected}, got {cols.shape}")
-    padded_shape = (batch, height + 2 * padding, width + 2 * padding, channels)
-    if out is None:
-        x_padded = np.zeros(padded_shape, dtype=cols.dtype)
-    else:
-        x_padded = _checked_out(out, padded_shape, cols.dtype)
-        x_padded.fill(0.0)
+    x_padded = np.zeros(
+        (batch, height + 2 * padding, width + 2 * padding, channels),
+        dtype=cols.dtype,
+    )
     backend = _native_backend(cols, x_padded)
     if backend is not None:
         backend.col2im_add(
@@ -216,7 +183,6 @@ def softmax_cross_entropy(
     logits: np.ndarray,
     targets: np.ndarray,
     normalizer: Optional[int] = None,
-    grad_out: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray]:
     """Fused softmax cross-entropy: loss value and logits gradient together.
 
@@ -233,7 +199,6 @@ def softmax_cross_entropy(
     trainer normalises each micro-batch by the full mini-batch size, so the
     canonical-order sum over micro-batches reproduces the batch loss and
     gradient).  The returned value is ``-sum(log p_target) / normalizer``.
-    ``grad_out``, when given, receives the gradient in place.
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D (N, classes), got {logits.shape}")
@@ -253,10 +218,7 @@ def softmax_cross_entropy(
     rows = np.arange(n)
     picked = shifted[rows, targets] - np.log(sum_exp)[rows, 0]
     value = float(-(picked.sum() / normalizer))
-    if grad_out is None:
-        grad = np.divide(exp, sum_exp, out=exp)
-    else:
-        grad = np.divide(exp, sum_exp, out=_checked_out(grad_out, logits.shape, exp.dtype))
+    grad = np.divide(exp, sum_exp, out=exp)
     grad[rows, targets] -= 1.0
     np.divide(grad, normalizer, out=grad)
     return value, grad

@@ -1,11 +1,8 @@
 """Activation layers.
 
-Every forward/backward routes its activation-sized temporaries through the
-workspace hook (:meth:`repro.nn.layers.base.Layer._buffer`): outside the
-training runtime the hook is plain allocation, inside it the buffers are
-reused across mini-batches.  Each buffered spelling performs the same
-float64 operations in the same order as the allocating expression it
-replaces, so results are bit-identical either way.
+Forwards and backwards that fill a buffer step by step spell out the same
+float64 operations, in the same order, as the plain expression named in
+their comment, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -26,18 +23,12 @@ class ReLU(Layer):
         # produces (-0.0 rectifies to +0.0 either way), in one pass; the
         # mask pass is skipped entirely in pure inference.
         self._mask = (
-            np.greater(x, 0, out=self._buffer("mask", x.shape, bool))
-            if self._keep_grad_cache(training)
-            else None
+            np.greater(x, 0) if self._keep_grad_cache(training) else None
         )
-        return np.maximum(x, 0.0, out=self._buffer("out", x.shape, x.dtype))
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.multiply(
-            grad_output,
-            self._require_cache(self._mask),
-            out=self._scratch(grad_output.shape, grad_output.dtype),
-        )
+        return np.multiply(grad_output, self._require_cache(self._mask))
 
 
 class Tanh(Layer):
@@ -46,15 +37,14 @@ class Tanh(Layer):
     _transient_attrs = ("_output",)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        output = np.tanh(x, out=self._buffer("out", x.shape, x.dtype))
+        output = np.tanh(x)
         self._output = output if self._keep_grad_cache(training) else None
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # grad * (1 - output ** 2), with the same operation order
         output = self._require_cache(self._output)
-        buf = self._scratch(grad_output.shape, grad_output.dtype)
-        np.power(output, 2, out=buf)
+        buf = np.power(output, 2)
         np.subtract(1.0, buf, out=buf)
         return np.multiply(grad_output, buf, out=buf)
 
@@ -66,8 +56,7 @@ class Sigmoid(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # 1 / (1 + exp(-x)) step by step into one buffer
-        output = self._buffer("out", x.shape, x.dtype)
-        np.negative(x, out=output)
+        output = np.negative(x)
         np.exp(output, out=output)
         np.add(output, 1.0, out=output)
         np.divide(1.0, output, out=output)
@@ -77,13 +66,8 @@ class Sigmoid(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # (grad * output) * (1 - output), matching grad * output * (1 - output)
         output = self._require_cache(self._output)
-        buf = self._scratch(grad_output.shape, grad_output.dtype)
-        one_minus = self._scratch(grad_output.shape, grad_output.dtype)
-        np.multiply(grad_output, output, out=buf)
-        np.subtract(1.0, output, out=one_minus)
-        np.multiply(buf, one_minus, out=buf)
-        self._reclaim(one_minus)
-        return buf
+        buf = np.multiply(grad_output, output)
+        return np.multiply(buf, np.subtract(1.0, output), out=buf)
 
 
 class Softmax(Layer):
@@ -98,9 +82,8 @@ class Softmax(Layer):
     _transient_attrs = ("_output",)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # the numerically stable softmax of repro.nn.functional, buffered
-        output = self._buffer("out", x.shape, x.dtype)
-        np.subtract(x, np.max(x, axis=-1, keepdims=True), out=output)
+        # the numerically stable softmax of repro.nn.functional
+        output = np.subtract(x, np.max(x, axis=-1, keepdims=True))
         np.exp(output, out=output)
         np.divide(output, np.sum(output, axis=-1, keepdims=True), out=output)
         self._output = output if self._keep_grad_cache(training) else None
@@ -109,8 +92,7 @@ class Softmax(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # Jacobian-vector product of softmax: s * (g - sum(g * s))
         s = self._require_cache(self._output)
-        buf = self._scratch(grad_output.shape, grad_output.dtype)
-        np.multiply(grad_output, s, out=buf)
+        buf = np.multiply(grad_output, s)
         dot = np.sum(buf, axis=-1, keepdims=True)
         np.subtract(grad_output, dot, out=buf)
         return np.multiply(s, buf, out=buf)

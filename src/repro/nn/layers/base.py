@@ -26,42 +26,6 @@ from repro.errors import ShapeError
 #: caches as they traverse the layers).
 _GRAD_CACHE_STATE = threading.local()
 
-#: per-thread workspace-arena state (see workspace_scope).  Workspace
-#: buffers are reused across mini-batches and are therefore only safe for
-#: the single-threaded training step that owns them; the flag scopes their
-#: use to exactly that step, so sharded predicts and attack crafting on a
-#: workspace-bound model keep allocating fresh arrays as before.
-_WORKSPACE_STATE = threading.local()
-
-
-def workspace_enabled() -> bool:
-    """Whether layer forwards/backwards may write into workspace buffers.
-
-    False by default: binding a :class:`repro.nn.engine.Workspace` to a
-    model has no effect outside a :func:`workspace_scope` block, so any
-    other code path (sharded ``predict``, adversarial crafting between
-    training steps) sees the allocation behaviour it always had.
-    """
-    return getattr(_WORKSPACE_STATE, "enabled", False)
-
-
-@contextmanager
-def workspace_scope() -> Iterator[None]:
-    """Context manager enabling workspace-arena buffers on the calling thread.
-
-    The training runtime wraps each forward/loss/backward step in this
-    scope; every shard worker of a data-parallel step enters it on its own
-    thread (the flag is thread-local, and each replica owns a private
-    workspace, so shards never contend on buffers).
-    """
-    previous = workspace_enabled()
-    _WORKSPACE_STATE.enabled = True
-    try:
-        yield
-    finally:
-        _WORKSPACE_STATE.enabled = previous
-
-
 def grad_cache_enabled() -> bool:
     """Whether evaluation-mode forwards should keep backward caches.
 
@@ -122,8 +86,6 @@ class Layer:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
         self.built = False
-        #: workspace arena bound by the training runtime (None = allocate)
-        self._workspace = None
         for attr in self._transient_attrs:
             setattr(self, attr, None)
 
@@ -171,44 +133,6 @@ class Layer:
             )
         return cache
 
-    def _buffer(self, key: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A reusable workspace buffer, or a fresh array outside the arena.
-
-        Layers route every activation-sized allocation of their forward and
-        backward passes through this hook.  With no workspace bound — or
-        outside a :func:`workspace_scope` block — it is exactly ``np.empty``,
-        so inference and attack paths are unchanged.  Inside the training
-        runtime it returns a per-layer buffer that is reused across
-        mini-batches, which is what makes steady-state training allocation
-        free.  The buffer is uninitialised either way: callers fully
-        overwrite it (and zero it themselves when they need zeros).
-        """
-        workspace = self._workspace
-        if workspace is None or not workspace_enabled():
-            return np.empty(shape, dtype=dtype)
-        return workspace.get((id(self), key), shape, dtype)
-
-    def _scratch(self, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A transient pooled buffer for stack-lifetime arrays.
-
-        Used for arrays that die as soon as their single consumer has read
-        them — the backward gradient chain, pooling window stacks.  Pooled
-        (instead of per-layer keyed) buffers keep the arena's cache
-        footprint as small as malloc's address reuse would; the producer or
-        consumer hands them back via :meth:`_reclaim`.  Outside the arena
-        this is plain allocation, exactly like :meth:`_buffer`.
-        """
-        workspace = self._workspace
-        if workspace is None or not workspace_enabled():
-            return np.empty(shape, dtype=dtype)
-        return workspace.scratch(shape, dtype)
-
-    def _reclaim(self, array: Optional[np.ndarray]) -> None:
-        """Return a :meth:`_scratch` buffer to the pool (no-op otherwise)."""
-        workspace = self._workspace
-        if workspace is not None and workspace_enabled():
-            workspace.reclaim(array)
-
     def data_parallel_safe(self) -> bool:
         """Whether per-micro-batch gradients equal this layer's batch semantics.
 
@@ -225,12 +149,9 @@ class Layer:
 
         A pickled layer is a snapshot of its configuration and parameters; a
         following ``backward`` on the unpickled copy requires a fresh forward
-        pass, exactly as after :func:`no_grad_cache` inference.  Workspace
-        bindings never travel either: an unpickled layer allocates until a
-        trainer binds an arena of its own.
+        pass, exactly as after :func:`no_grad_cache` inference.
         """
         state = self.__dict__.copy()
-        state["_workspace"] = None
         for attr in self._transient_attrs:
             if attr in state:
                 state[attr] = None

@@ -85,26 +85,11 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got shape {x.shape}")
-        batch, height, width, channels = x.shape
-        pad = self.pad_amount
-        out_h = conv_output_size(height, self.kernel_size, self.stride, pad)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, pad)
-        patch = self.kernel_size * self.kernel_size * channels
-        padded_shape = (batch, height + 2 * pad, width + 2 * pad, channels)
         cols = im2col(
-            x,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            pad,
-            out=self._buffer("cols", (batch, out_h, out_w, patch), x.dtype),
-            padded=self._buffer("x_padded", padded_shape, x.dtype) if pad else None,
+            x, self.kernel_size, self.kernel_size, self.stride, self.pad_amount
         )
-        y = np.matmul(
-            cols.reshape(-1, patch),
-            self.flattened_weight(),
-            out=self._buffer("out", (batch * out_h * out_w, self.filters), x.dtype),
-        )
+        batch, out_h, out_w, patch = cols.shape
+        y = np.matmul(cols.reshape(-1, patch), self.flattened_weight())
         y = y.reshape(batch, out_h, out_w, self.filters)
         if self.use_bias:
             y = np.add(y, self.params["bias"], out=y)
@@ -127,38 +112,21 @@ class Conv2D(Layer):
         param_grads: bool = True,
     ) -> Optional[np.ndarray]:
         cols = self._require_cache(self._cols_cache)
-        batch, out_h, out_w, patch = cols.shape
+        patch = cols.shape[-1]
         grad_flat = grad_output.reshape(-1, self.filters)
         if param_grads:
-            weight_grad = np.matmul(
-                cols.reshape(-1, patch).T,
-                grad_flat,
-                out=self._buffer("weight_grad", (patch, self.filters), cols.dtype),
-            )
+            weight_grad = np.matmul(cols.reshape(-1, patch).T, grad_flat)
             self.grads["weight"] = weight_grad.reshape(self.params["weight"].shape)
             if self.use_bias:
-                self.grads["bias"] = grad_flat.sum(
-                    axis=0, out=self._buffer("bias_grad", (self.filters,), cols.dtype)
-                )
+                self.grads["bias"] = grad_flat.sum(axis=0)
         if not input_grad:
             return None
-        grad_cols = np.matmul(
-            grad_flat,
-            self.flattened_weight().T,
-            out=self._scratch((grad_flat.shape[0], patch), cols.dtype),
-        ).reshape(cols.shape)
-        in_batch, in_h, in_w, in_c = self._input_shape_cache
-        pad = self.pad_amount
-        grad_input = col2im(
-            grad_cols,
+        grad_cols = np.matmul(grad_flat, self.flattened_weight().T)
+        return col2im(
+            grad_cols.reshape(cols.shape),
             self._input_shape_cache,
             self.kernel_size,
             self.kernel_size,
             self.stride,
-            pad,
-            out=self._scratch(
-                (in_batch, in_h + 2 * pad, in_w + 2 * pad, in_c), cols.dtype
-            ),
+            self.pad_amount,
         )
-        self._reclaim(grad_cols)
-        return grad_input

@@ -62,11 +62,7 @@ class Dense(Layer):
         # attacks need input gradients of the model in evaluation mode.  Under
         # no_grad_cache (pure batched inference) the reference is dropped.
         self._input_cache = x if self._keep_grad_cache(training) else None
-        y = np.matmul(
-            x,
-            self.params["weight"],
-            out=self._buffer("out", (x.shape[0], self.units), x.dtype),
-        )
+        y = np.matmul(x, self.params["weight"])
         if self.use_bias:
             y = np.add(y, self.params["bias"], out=y)
         return y
@@ -79,19 +75,9 @@ class Dense(Layer):
     ) -> Optional[np.ndarray]:
         x = self._require_cache(self._input_cache)
         if param_grads:
-            self.grads["weight"] = np.matmul(
-                x.T,
-                grad_output,
-                out=self._buffer("weight_grad", self.params["weight"].shape, x.dtype),
-            )
+            self.grads["weight"] = np.matmul(x.T, grad_output)
             if self.use_bias:
-                self.grads["bias"] = grad_output.sum(
-                    axis=0, out=self._buffer("bias_grad", (self.units,), x.dtype)
-                )
+                self.grads["bias"] = grad_output.sum(axis=0)
         if not input_grad:
             return None
-        return np.matmul(
-            grad_output,
-            self.params["weight"].T,
-            out=self._scratch(x.shape, x.dtype),
-        )
+        return np.matmul(grad_output, self.params["weight"].T)

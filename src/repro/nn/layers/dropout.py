@@ -39,21 +39,10 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        # same draws and ops as (rng.random(shape) < keep) / keep, buffered
-        draws = self._rng.random(out=self._buffer("draws", x.shape, np.float64))
-        kept = np.less(draws, keep, out=self._buffer("kept", x.shape, bool))
-        self._mask = np.divide(
-            kept, keep, out=self._buffer("mask", x.shape, np.float64)
-        )
-        return np.multiply(
-            x, self._mask, out=self._buffer("out", x.shape, x.dtype)
-        )
+        self._mask = (self._rng.random(x.shape) < keep) / keep
+        return x * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_output
-        return np.multiply(
-            grad_output,
-            self._mask,
-            out=self._scratch(grad_output.shape, grad_output.dtype),
-        )
+        return grad_output * self._mask

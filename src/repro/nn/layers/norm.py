@@ -62,11 +62,7 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         std = np.sqrt(var + self.epsilon)
-        # (x - mean) / std into a workspace buffer, same ops as the
-        # allocating expression
-        x_hat = self._buffer("x_hat", x.shape, x.dtype)
-        np.subtract(x, mean, out=x_hat)
-        np.divide(x_hat, std, out=x_hat)
+        x_hat = (x - mean) / std
         if self._keep_grad_cache(training):
             self._std = std
             self._x_hat = x_hat
@@ -75,10 +71,7 @@ class BatchNorm(Layer):
             self._std = None
             self._x_hat = None
             self._batch_axes = None
-        out = self._buffer("out", x.shape, x.dtype)
-        np.multiply(self.params["gamma"], x_hat, out=out)
-        np.add(out, self.params["beta"], out=out)
-        return out
+        return self.params["gamma"] * x_hat + self.params["beta"]
 
     def backward(
         self,

@@ -66,9 +66,9 @@ class _Pool2D(Layer):
         batch, out_h, out_w, channels = (x.shape[0],) + self.output_shape(
             x.shape[1:]
         )
-        windows = self._scratch(
+        windows = np.empty(
             (batch, out_h, out_w, channels, self.pool_size * self.pool_size),
-            x.dtype,
+            dtype=x.dtype,
         )
         for index, view in self._offsets(x, out_h, out_w):
             windows[..., index] = view
@@ -98,17 +98,11 @@ class AvgPool2D(_Pool2D):
             raise ShapeError(f"{self.name}: expected NHWC input, got shape {x.shape}")
         self._input_shape = x.shape if self._keep_grad_cache(training) else None
         if self.pool_size > 2:
-            windows = self._windows(x)
-            out = windows.mean(
-                axis=-1, out=self._buffer("out", windows.shape[:-1], windows.dtype)
-            )
-            self._reclaim(windows)
-            return out
-        out_shape = (x.shape[0],) + self.output_shape(x.shape[1:])
-        out = self._buffer("out", out_shape, x.dtype)
-        views = self._offsets(x, out_shape[1], out_shape[2])
+            return self._windows(x).mean(axis=-1)
+        out_h, out_w, _ = self.output_shape(x.shape[1:])
+        views = self._offsets(x, out_h, out_w)
         _, first = next(views)
-        np.add(first, 0.0, out=out)  # the +0.0 seed of NumPy's sequential sum
+        out = np.add(first, 0.0)  # the +0.0 seed of NumPy's sequential sum
         for _, view in views:
             np.add(out, view, out=out)
         return np.divide(out, self.pool_size * self.pool_size, out=out)
@@ -116,12 +110,8 @@ class AvgPool2D(_Pool2D):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         input_shape = self._require_cache(self._input_shape)
         out_h, out_w = grad_output.shape[1], grad_output.shape[2]
-        grad_input = self._scratch(input_shape, grad_output.dtype)
-        share = np.divide(
-            grad_output,
-            self.pool_size * self.pool_size,
-            out=self._scratch(grad_output.shape, grad_output.dtype),
-        )
+        grad_input = np.empty(input_shape, dtype=grad_output.dtype)
+        share = grad_output / (self.pool_size * self.pool_size)
         pool, stride = self.pool_size, self.stride
         if stride < pool:
             grad_input.fill(0.0)
@@ -144,7 +134,6 @@ class AvgPool2D(_Pool2D):
                     grad_input[:, :, gap:covered_w:stride].fill(0.0)
             for _, view in self._offsets(grad_input, out_h, out_w):
                 np.add(share, 0.0, out=view)
-        self._reclaim(share)
         return grad_input
 
 
@@ -160,32 +149,15 @@ class MaxPool2D(_Pool2D):
         self._input_shape = x.shape if keep else None
         windows = self._windows(x)
         # The argmax map is activation-sized; skip it in pure inference.
-        self._argmax = (
-            windows.argmax(
-                axis=-1, out=self._buffer("argmax", windows.shape[:-1], np.intp)
-            )
-            if keep
-            else None
-        )
-        out = windows.max(
-            axis=-1, out=self._buffer("out", windows.shape[:-1], windows.dtype)
-        )
-        self._reclaim(windows)
-        return out
+        self._argmax = windows.argmax(axis=-1) if keep else None
+        return windows.max(axis=-1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         argmax = self._require_cache(self._argmax)
         out_h, out_w = grad_output.shape[1], grad_output.shape[2]
-        grad_input = self._scratch(self._input_shape, grad_output.dtype)
-        grad_input.fill(0.0)
-        mask = self._scratch(argmax.shape, bool)
-        contribution = self._scratch(grad_output.shape, grad_output.dtype)
+        grad_input = np.zeros(self._input_shape, dtype=grad_output.dtype)
         for index, view in self._offsets(grad_input, out_h, out_w):
-            np.equal(argmax, index, out=mask)
-            np.multiply(grad_output, mask, out=contribution)
-            view += contribution
-        self._reclaim(mask)
-        self._reclaim(contribution)
+            view += grad_output * (argmax == index)
         return grad_input
 
 
@@ -201,16 +173,14 @@ class GlobalAvgPool2D(Layer):
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got shape {x.shape}")
         self._input_shape = x.shape if self._keep_grad_cache(training) else None
-        return x.mean(
-            axis=(1, 2), out=self._buffer("out", (x.shape[0], x.shape[3]), x.dtype)
-        )
+        return x.mean(axis=(1, 2))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         input_shape = self._require_cache(self._input_shape)
         batch, height, width, channels = input_shape
         scale = 1.0 / (height * width)
         # broadcast-then-scale, matching the allocating expression bit for bit
-        grad_input = self._scratch(input_shape, grad_output.dtype)
+        grad_input = np.empty(input_shape, dtype=grad_output.dtype)
         np.multiply(
             np.broadcast_to(grad_output[:, None, None, :], input_shape),
             scale,

@@ -34,7 +34,6 @@ class Loss:
         predictions: np.ndarray,
         targets: np.ndarray,
         normalizer: Optional[int] = None,
-        grad_out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
         """Loss value and gradient of one batch in a single call.
 
@@ -49,12 +48,7 @@ class Loss:
                 f"normalization (normalizer={normalizer} for a batch of "
                 f"{predictions.shape[0]})"
             )
-        value = self.value(predictions, targets)
-        grad = self.gradient(predictions, targets)
-        if grad_out is not None:
-            np.copyto(grad_out, grad)
-            grad = grad_out
-        return value, grad
+        return self.value(predictions, targets), self.gradient(predictions, targets)
 
     def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         return self.value(predictions, targets)
@@ -96,12 +90,9 @@ class CrossEntropyLoss(Loss):
         logits: np.ndarray,
         targets: np.ndarray,
         normalizer: Optional[int] = None,
-        grad_out: Optional[np.ndarray] = None,
     ) -> Tuple[float, np.ndarray]:
         self._check(logits, np.asarray(targets))
-        return softmax_cross_entropy(
-            logits, targets, normalizer=normalizer, grad_out=grad_out
-        )
+        return softmax_cross_entropy(logits, targets, normalizer=normalizer)
 
 
 class MeanSquaredError(Loss):

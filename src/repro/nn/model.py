@@ -101,12 +101,6 @@ class Sequential:
         ``layer.grads`` entry is written; with ``input_grad=False`` the call
         returns None and the layers below the lowest parameter layer are not
         run.  Every gradient computed is bit-identical to a full backward's.
-
-        Inside the training runtime's workspace scope, each intermediate
-        gradient is handed back to the arena's scratch pool as soon as the
-        next layer has consumed it (unless the layer passed it through as a
-        view, e.g. Flatten/inactive Dropout).  The final input gradient is
-        never reclaimed here.
         """
         self._require_built()
         layers = self.layers
@@ -118,16 +112,13 @@ class Sequential:
         grad = grad_output
         for depth, layer in enumerate(reversed(layers), start=1):
             if layer.trainable:
-                next_grad = layer.backward(
+                grad = layer.backward(
                     grad,
                     input_grad=input_grad or depth < len(layers),
                     param_grads=param_grads,
                 )
             else:
-                next_grad = layer.backward(grad)
-            if next_grad is None or not np.may_share_memory(next_grad, grad):
-                layer._reclaim(grad)
-            grad = next_grad
+                grad = layer.backward(grad)
         return grad
 
     def predict(

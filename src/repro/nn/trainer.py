@@ -1,13 +1,11 @@
 """Mini-batch training loop on the deterministic training runtime.
 
-The default ``runtime="arena"`` path routes every step through
-:mod:`repro.nn.engine`: layer forwards/backwards reuse per-model workspace
-buffers, the loss runs as the fused single-pass
-:func:`repro.nn.functional.softmax_cross_entropy`, and the optimizer applies
-one fused elementwise update to a flat parameter view.  All of it performs
-the same float64 operations in the same order as the original loop, so the
-trained weights are bit-identical to ``runtime="legacy"`` (the seed loop,
-kept as the reference and for benchmarking).
+Every step runs through :mod:`repro.nn.engine`: the loss runs as the fused
+single-pass :func:`repro.nn.functional.softmax_cross_entropy`, the backward
+pass skips the input gradient nobody reads, and the optimizer applies one
+fused elementwise update to a flat parameter view.  All of it performs the
+same float64 operations in the same order as the seed loop (kept in the
+tests as the reference), so the trained weights are bit-identical to it.
 
 ``micro_batch=m`` additionally turns on deterministic data-parallel
 gradients: each mini-batch is split into the *canonical* micro-batch
@@ -35,19 +33,18 @@ from repro.errors import ConfigurationError
 from repro.resilience import FaultInjector
 from repro.nn.engine import (
     FlatParameterView,
-    Workspace,
     ensure_training_engine,
     fused_training_step,
     micro_batch_slices,
     training_replicas,
     validate_data_parallel,
+    validate_fit_arguments,
 )
-from repro.nn.layers.base import workspace_scope
 from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer, SGD
-from repro.nn.runtime import WorkerSpec, resolve_workers, validate_batch_size
+from repro.nn.runtime import WorkerSpec, resolve_workers
 
 #: called after every epoch with (1-based epoch index, metrics of the epoch)
 EpochCallback = Callable[[int, Dict[str, float]], None]
@@ -99,21 +96,13 @@ class Trainer:
         self.loss = loss if loss is not None else CrossEntropyLoss()
         self.optimizer = optimizer if optimizer is not None else SGD(0.01, momentum=0.9)
         self._rng = np.random.default_rng(seed)
-        self._arena: Optional[Workspace] = None
         self._flat: Optional[FlatParameterView] = None
 
     # ------------------------------------------------------------- plumbing
     def _ensure_engine(self) -> FlatParameterView:
-        """Bind the workspace arena and (re)build the flat parameter view."""
-        self._arena, self._flat = ensure_training_engine(
-            self.model, self._arena, self._flat
-        )
+        """(Re)build the flat parameter view of the model."""
+        self._flat = ensure_training_engine(self.model, self._flat)
         return self._flat
-
-    @property
-    def workspace(self) -> Optional[Workspace]:
-        """The trainer's buffer arena (populated after the first arena fit)."""
-        return self._arena
 
     # ------------------------------------------------------------------ fit
     def fit(
@@ -127,7 +116,6 @@ class Trainer:
         verbose: bool = False,
         workers: WorkerSpec = None,
         micro_batch: Optional[int] = None,
-        runtime: str = "arena",
         on_epoch: Optional[EpochCallback] = None,
         checkpoint=None,
         checkpoint_every: Optional[int] = None,
@@ -146,10 +134,6 @@ class Trainer:
             Canonical micro-batch size for deterministic data-parallel
             gradients.  ``None`` (default) keeps the exact full-batch
             gradient math of the seed trainer.
-        runtime:
-            ``"arena"`` (default) — workspace buffers, fused loss, flat
-            optimizer step; bit-identical to ``"legacy"``, the original
-            allocating loop kept as reference.
         on_epoch:
             Callback invoked after each epoch with ``(epoch, metrics)`` —
             the hook :class:`repro.experiments.session.Session` uses for
@@ -165,43 +149,31 @@ class Trainer:
         checkpoint_every:
             Overrides the checkpointer's cadence (epochs between saves).
         """
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        validate_batch_size(batch_size)
-        if runtime not in ("arena", "legacy"):
+        x, y = validate_fit_arguments(
+            x,
+            y,
+            epochs,
+            batch_size,
+            micro_batch=micro_batch,
+            checkpoint_every=checkpoint_every,
+        )
+        if checkpoint_every is not None and checkpoint is None:
             raise ConfigurationError(
-                f"runtime must be 'arena' or 'legacy', got {runtime!r}"
+                "checkpoint_every requires a checkpointer to write to; "
+                "pass checkpoint= (see TrainingCheckpointer)"
             )
-        if checkpoint_every is not None:
-            if checkpoint is None:
-                raise ConfigurationError(
-                    "checkpoint_every requires a checkpointer to write to; "
-                    "pass checkpoint= (see TrainingCheckpointer)"
-                )
-            validate_batch_size(checkpoint_every)
-        if checkpoint is not None:
-            if runtime != "arena":
-                raise ConfigurationError(
-                    "checkpointing serializes the flat parameter vector and "
-                    "requires the arena runtime"
-                )
-            if not self.optimizer.supports_flat_step():
-                raise ConfigurationError(
-                    f"{type(self.optimizer).__name__} does not implement the "
-                    f"flat update; its state cannot be checkpointed — train "
-                    f"with checkpoint=None"
-                )
+        if checkpoint is not None and not self.optimizer.supports_flat_step():
+            raise ConfigurationError(
+                f"{type(self.optimizer).__name__} does not implement the "
+                f"flat update; its state cannot be checkpointed — train "
+                f"with checkpoint=None"
+            )
         checkpoint_cadence = (
             checkpoint_every
             if checkpoint_every is not None
             else getattr(checkpoint, "every", 1)
         )
         if micro_batch is not None:
-            if runtime == "legacy":
-                raise ConfigurationError(
-                    "micro_batch requires the arena runtime"
-                )
-            validate_batch_size(micro_batch)
             validate_data_parallel(self.model)
             if not getattr(self.loss, "supports_normalizer", False):
                 raise ConfigurationError(
@@ -214,16 +186,9 @@ class Trainer:
                     f"per-layer update; micro-batch gradients reduce into a "
                     f"flat vector — train with micro_batch=None"
                 )
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if x.shape[0] != y.shape[0]:
-            raise ConfigurationError(
-                f"x and y must have matching first dimensions, got {x.shape[0]} and "
-                f"{y.shape[0]}"
-            )
         history = TrainingHistory()
         n_samples = x.shape[0]
-        flat = self._ensure_engine() if runtime == "arena" else None
+        flat = self._ensure_engine()
         start_epoch = 0
         if checkpoint is not None:
             start_epoch = self._restore_checkpoint(checkpoint, epochs, flat, history)
@@ -240,14 +205,14 @@ class Trainer:
                 for start in range(0, n_samples, batch_size):
                     batch_idx = order[start : start + batch_size]
                     xb, yb = x[batch_idx], y[batch_idx]
-                    if runtime == "legacy":
-                        batch_loss, correct = self._legacy_step(xb, yb)
-                    elif shard_pool is not None:
+                    if shard_pool is not None:
                         batch_loss, correct = self._micro_batch_step(
                             xb, yb, micro_batch, flat, shard_pool
                         )
                     else:
-                        batch_loss, correct = self._arena_step(xb, yb, flat)
+                        batch_loss, correct = fused_training_step(
+                            self.model, self.loss, self.optimizer, flat, xb, yb
+                        )
                     epoch_losses.append(batch_loss)
                     epoch_correct += correct
                 history.train_loss.append(float(np.mean(epoch_losses)))
@@ -284,32 +249,9 @@ class Trainer:
         finally:
             if shard_pool is not None:
                 shard_pool.shutdown()
-            if runtime == "arena":
-                # drop buffer bindings so the trained model doesn't pin
-                # activation-sized arrays; the arena itself stays cached on
-                # the trainer for the next fit
-                Workspace.unbind(self.model)
         return history
 
     # ------------------------------------------------------------ the steps
-    def _legacy_step(self, xb: np.ndarray, yb: np.ndarray) -> Tuple[float, int]:
-        """The seed training step: allocating ops, per-layer optimizer loop."""
-        logits = self.model.forward(xb, training=True)
-        batch_loss = self.loss.value(logits, yb)
-        grad = self.loss.gradient(logits, yb)
-        self.model.backward(grad)
-        self.optimizer.step(self.model.trainable_layers())
-        correct = int(np.sum(np.argmax(logits, axis=-1) == yb))
-        return batch_loss, correct
-
-    def _arena_step(
-        self, xb: np.ndarray, yb: np.ndarray, flat: FlatParameterView
-    ) -> Tuple[float, int]:
-        """One full-batch step on the arena runtime (bit-identical to legacy)."""
-        return fused_training_step(
-            self.model, self.loss, self.optimizer, flat, xb, yb
-        )
-
     def _micro_batch_step(
         self,
         xb: np.ndarray,
@@ -436,11 +378,10 @@ class _MicroBatchPool:
     """Thread replicas + executor for one data-parallel ``fit`` call.
 
     Each worker thread checks a replica out of a queue, runs the
-    forward/loss/backward of one micro-batch inside its own
-    :func:`workspace_scope`, packs the replica's gradients into the
-    micro-batch's row of a shared stack, and returns the replica.  Which
-    thread computes which micro-batch never matters: replicas share the
-    parameter storage and the packing row is fixed by the micro-batch
+    forward/loss/backward of one micro-batch, packs the replica's gradients
+    into the micro-batch's row of a shared stack, and returns the replica.
+    Which thread computes which micro-batch never matters: replicas share
+    the parameter storage and the packing row is fixed by the micro-batch
     index, so the reduction input is identical for every worker count.
     """
 
@@ -451,12 +392,11 @@ class _MicroBatchPool:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._replicas: "queue.SimpleQueue" = queue.SimpleQueue()
         if self._workers == 1:
-            # serial: compute on the model itself (its arena is already bound)
+            # serial: compute on the model itself
             self._model = model
         else:
             self._model = None
             for replica in training_replicas(model, self._workers):
-                Workspace().bind(replica)
                 self._replicas.put(replica)
             self._executor = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-train"
@@ -478,12 +418,11 @@ class _MicroBatchPool:
             micro = slices[index]
             replica = self._model if self._model is not None else self._replicas.get()
             try:
-                with workspace_scope():
-                    logits = replica.forward(xb[micro], training=True)
-                    value, grad = loss.value_and_gradient(
-                        logits, yb[micro], normalizer=total
-                    )
-                    replica.backward(grad, input_grad=False)
+                logits = replica.forward(xb[micro], training=True)
+                value, grad = loss.value_and_gradient(
+                    logits, yb[micro], normalizer=total
+                )
+                replica.backward(grad, input_grad=False)
                 self._flat.pack_grads(model=replica, out=stack[index])
                 correct = int(np.sum(np.argmax(logits, axis=-1) == yb[micro]))
                 return value, correct

@@ -106,6 +106,36 @@ def avg_pool_backward_reference(grad_output, input_shape, pool_size, stride):
     return grad_input
 
 
+def train_seed_loop_reference(model, loss, optimizer, rng, x, y, epochs, batch_size):
+    """The seed training loop: :meth:`repro.nn.Trainer.fit`'s reference.
+
+    Shuffles with ``rng`` exactly as ``fit`` does (one permutation of
+    ``arange(n)`` per epoch), then per mini-batch runs ``forward``, the
+    unfused ``loss.value`` and ``loss.gradient``, a full ``backward`` (input
+    gradient included) and the per-layer ``optimizer.step``.  ``fit``'s
+    fused loss, skipped input gradient and flat optimizer step must train
+    the same bytes.  Returns the mean batch loss of each epoch, which
+    ``fit`` records as ``history.train_loss``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_samples = x.shape[0]
+    epoch_losses = []
+    for _ in range(epochs):
+        order = np.arange(n_samples)
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, n_samples, batch_size):
+            batch_idx = order[start : start + batch_size]
+            xb, yb = x[batch_idx], y[batch_idx]
+            logits = model.forward(xb, training=True)
+            losses.append(loss.value(logits, yb))
+            model.backward(loss.gradient(logits, yb))
+            optimizer.step(model.trainable_layers())
+        epoch_losses.append(float(np.mean(losses)))
+    return epoch_losses
+
+
 def ripple_add_bits_reference(adder, a_bits, b_bits, cin=None):
     """Per-lane ripple-carry addition: one ``cell.add`` call per position.
 

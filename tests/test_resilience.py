@@ -31,7 +31,16 @@ from repro.experiments import (
     TrainingCheckpointer,
 )
 from repro.experiments.store import LEASE_SKEW_S
-from repro.nn import Adam, Dense, Dropout, Flatten, ReLU, Sequential, Trainer
+from repro.nn import (
+    Adam,
+    Dense,
+    Dropout,
+    Flatten,
+    Optimizer,
+    ReLU,
+    Sequential,
+    Trainer,
+)
 from repro.nn.runtime import ProcessShardPool
 from repro.resilience import (
     FAULT_PLAN_ENV_VAR,
@@ -534,6 +543,13 @@ def _dropout_model():
     return model
 
 
+class _PerLayerSGD(Optimizer):
+    """An optimizer implementing only the per-layer ``_update``."""
+
+    def _update(self, layer, name, value, grad):
+        value -= 0.01 * grad
+
+
 class _MemoryCheckpointer:
     """Duck-typed checkpointer keeping epoch states in a dict."""
 
@@ -611,14 +627,10 @@ class TestTrainerCheckpointResume:
         trainer = Trainer(_dropout_model(), optimizer=Adam(0.01), seed=5)
         with pytest.raises(ConfigurationError):
             trainer.fit(x, y, epochs=1, checkpoint_every=1)  # no checkpointer
-        with pytest.raises(ConfigurationError):
-            trainer.fit(
-                x,
-                y,
-                epochs=1,
-                checkpoint=_MemoryCheckpointer(),
-                runtime="legacy",
-            )
+        # a per-layer-only optimizer has no flat state to serialize
+        per_layer = Trainer(_dropout_model(), optimizer=_PerLayerSGD(), seed=5)
+        with pytest.raises(ConfigurationError, match="cannot be checkpointed"):
+            per_layer.fit(x, y, epochs=1, checkpoint=_MemoryCheckpointer())
 
     def test_cadence_skips_intermediate_epochs(self):
         x, y = self._data()

@@ -2,10 +2,10 @@
 
 The load-bearing properties, in rough order of importance:
 
-* trained weights on the arena runtime (workspace buffers + fused loss +
-  flat optimizer) are bit-identical to the legacy seed loop, for every
-  optimizer and every worker count — the artifact store keeps serving
-  pre-PR model weights;
+* ``Trainer.fit`` (fused loss + skipped input gradient + flat optimizer)
+  trains the bytes of the seed loop in ``tests/oracle.py``, for every
+  optimizer and every worker count, and four pinned weight hashes hold —
+  the artifact store keeps serving earlier model weights;
 * the fused softmax cross-entropy is bit-identical to the unfused
   value/gradient pair;
 * ``col2im`` is the exact adjoint of ``im2col`` for arbitrary shapes,
@@ -16,10 +16,14 @@ The load-bearing properties, in rough order of importance:
 * micro-batched data-parallel training is bit-identical across
   ``workers in {1, 2, "auto"}``;
 * ``Sequential.backward`` computes only the gradients its caller consumes,
-  and each one it computes is bit-identical to a full backward's.
+  and each one it computes is bit-identical to a full backward's;
+* both trainers refuse bad training inputs with a ``ConfigurationError``
+  that names the argument.
 """
 
+import hashlib
 import os
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,7 +47,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     Trainer,
-    Workspace,
     col2im,
     im2col,
     micro_batch_slices,
@@ -51,16 +54,18 @@ from repro.nn import (
     training_replicas,
     validate_data_parallel,
 )
+from repro.datasets import load_synthetic_cifar10, load_synthetic_mnist
+from repro.defenses.adversarial_training import AdversarialTrainer
 from repro.nn.layers import conv as conv_module
-from repro.nn.layers.base import workspace_scope
 from repro.nn.layers.dropout import Dropout
-from repro.models.architectures import build_ffnn, build_lenet5
+from repro.models.architectures import build_alexnet, build_ffnn, build_lenet5
 
 from oracle import (
     avg_pool_backward_reference,
     avg_pool_reference,
     col2im_reference,
     im2col_reference,
+    train_seed_loop_reference,
 )
 
 RNG = np.random.default_rng(42)
@@ -69,6 +74,20 @@ RNG = np.random.default_rng(42)
 def _identical(a: dict, b: dict) -> bool:
     assert set(a) == set(b)
     return all(np.array_equal(a[key], b[key]) for key in a)
+
+
+def _seed_loop(model, optimizer, x, y, epochs, batch_size, rng=None):
+    """Train ``model`` with the oracle seed loop; returns its state dict.
+
+    ``rng`` defaults to the shuffle generator of ``Trainer(seed=0)``; pass
+    one generator to consecutive calls to mirror consecutive ``fit`` calls.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    train_seed_loop_reference(
+        model, CrossEntropyLoss(), optimizer, rng, x, y, epochs, batch_size
+    )
+    return model.state_dict()
 
 
 # --------------------------------------------------------------------------
@@ -110,32 +129,10 @@ class TestCol2imAdjoint:
         assert float(np.sum(u * cols)) == float(np.sum(back * x))
 
     @given(geometry=conv_geometries, seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_out_buffers_bit_identical(self, geometry, seed):
-        """im2col/col2im write the same bits into caller buffers."""
-        batch, height, width, channels, kh, kw, stride, padding = geometry
-        if height + 2 * padding < kh or width + 2 * padding < kw:
-            return
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(batch, height, width, channels))
-        cols = im2col(x, kh, kw, stride, padding)
-        cols_buf = np.full_like(cols, np.nan)
-        assert im2col(x, kh, kw, stride, padding, out=cols_buf) is cols_buf
-        assert np.array_equal(cols, cols_buf)
-        grad = rng.normal(size=cols.shape)
-        reference = col2im_reference(grad, x.shape, kh, kw, stride, padding)
-        assert np.array_equal(reference, col2im(grad, x.shape, kh, kw, stride, padding))
-        padded = np.full(
-            (batch, height + 2 * padding, width + 2 * padding, channels), np.nan
-        )
-        buffered = col2im(grad, x.shape, kh, kw, stride, padding, out=padded)
-        assert np.array_equal(reference, buffered)
-
-    @given(geometry=conv_geometries, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_strided_im2col_bit_identical(self, geometry, seed):
         """The single-copy im2col returns the exact bits of the slice-loop
-        oracle, allocating or writing into NaN-prefilled caller buffers."""
+        oracle, and col2im those of its scatter-add oracle."""
         batch, height, width, channels, kh, kw, stride, padding = geometry
         if height + 2 * padding < kh or width + 2 * padding < kw:
             return
@@ -143,32 +140,11 @@ class TestCol2imAdjoint:
         x = rng.normal(size=(batch, height, width, channels))
         reference = im2col_reference(x, kh, kw, stride, padding)
         assert np.array_equal(reference, im2col(x, kh, kw, stride, padding))
-        out = np.full_like(reference, np.nan)
-        assert im2col(x, kh, kw, stride, padding, out=out) is out
-        assert np.array_equal(reference, out)
-        padded_shape = (batch, height + 2 * padding, width + 2 * padding, channels)
-        out = np.full_like(reference, np.nan)
-        padded = np.full(padded_shape, np.nan)
-        fast = im2col(x, kh, kw, stride, padding, out=out, padded=padded)
-        assert fast is out
-        assert np.array_equal(reference, fast)
-        if padding:
-            # the caller's padded buffer holds the zero-bordered input
-            assert np.array_equal(
-                padded,
-                np.pad(x, ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0))),
-            )
-
-    def test_out_shape_validated(self):
-        x = np.zeros((1, 4, 4, 1))
-        from repro.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            im2col(x, 2, 2, 1, 0, out=np.empty((1, 3, 3, 5)))
-        with pytest.raises(ShapeError):
-            col2im(
-                im2col(x, 2, 2, 1, 0), x.shape, 2, 2, 1, 0, out=np.empty((1, 4, 5, 1))
-            )
+        grad = rng.normal(size=reference.shape)
+        assert np.array_equal(
+            col2im_reference(grad, x.shape, kh, kw, stride, padding),
+            col2im(grad, x.shape, kh, kw, stride, padding),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -313,14 +289,6 @@ class TestFusedLoss:
         # per-row gradients only depend on the row and the normalizer
         assert np.array_equal(grad, full_grad)
 
-    def test_grad_out_buffer(self):
-        logits = RNG.normal(size=(6, 4))
-        targets = np.array([0, 1, 2, 3, 0, 1])
-        buf = np.full((6, 4), np.nan)
-        value, grad = softmax_cross_entropy(logits, targets, grad_out=buf)
-        assert grad is buf
-        assert np.array_equal(buf, CrossEntropyLoss().gradient(logits, targets))
-
     def test_validation(self):
         from repro.errors import ShapeError
 
@@ -335,59 +303,6 @@ class TestFusedLoss:
         loss = MeanSquaredError()
         with pytest.raises(ConfigurationError):
             loss.value_and_gradient(np.zeros((4, 2)), np.zeros((4, 2)), normalizer=8)
-
-
-# --------------------------------------------------------------------------
-# workspace arena
-# --------------------------------------------------------------------------
-
-
-class TestWorkspace:
-    def test_buffers_keyed_by_shape_and_reused(self):
-        ws = Workspace()
-        a = ws.get("slot", (4, 3))
-        b = ws.get("slot", (4, 3))
-        c = ws.get("slot", (2, 3))
-        assert a is b
-        assert c is not a
-        assert ws.allocations == 2 and ws.hits == 1
-        assert ws.nbytes == a.nbytes + c.nbytes
-        ws.release()
-        assert ws.nbytes == 0
-
-    def test_layers_allocate_outside_scope(self):
-        """A bound workspace is inert outside workspace_scope (thread safety)."""
-        model = Sequential([Dense(4), ReLU(), Dense(2)], input_shape=(3,), seed=0)
-        ws = Workspace()
-        ws.bind(model)
-        x = RNG.normal(size=(5, 3))
-        out1 = model.forward(x)
-        out2 = model.forward(x)
-        assert out1 is not out2  # fresh arrays: predict/attack semantics
-        with workspace_scope():
-            out3 = model.forward(x)
-            out4 = model.forward(x)
-        assert out3 is out4  # the reused dense output buffer
-        assert np.array_equal(out1, out3)
-
-    def test_steady_state_training_is_allocation_free(self, mnist_small):
-        model = build_lenet5(seed=0)
-        trainer = Trainer(model, optimizer=Adam(2e-3), seed=0)
-        x = mnist_small.train.images[:96]
-        y = mnist_small.train.labels[:96]
-        trainer.fit(x, y, epochs=1, batch_size=32)
-        allocations = trainer.workspace.allocations
-        trainer.fit(x, y, epochs=2, batch_size=32)
-        assert trainer.workspace.allocations == allocations
-        assert trainer.workspace.hits > 0
-
-    def test_workspace_binding_not_pickled(self):
-        import pickle
-
-        model = Sequential([Dense(2)], input_shape=(3,), seed=0)
-        Workspace().bind(model)
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone.layers[0]._workspace is None
 
 
 # --------------------------------------------------------------------------
@@ -424,10 +339,12 @@ class TestFlatParameterView:
         with pytest.raises(ConfigurationError):
             view.pack_grads()
 
-    def test_custom_per_layer_optimizer_falls_back_on_arena(self, mnist_small):
-        """Optimizer subclasses implementing only _update (the pre-arena
-        extension point) still train on the default runtime, bit-identical
-        to the legacy loop, via the per-layer fallback."""
+    def test_custom_per_layer_optimizer_falls_back_to_per_layer_step(
+        self, mnist_small
+    ):
+        """Optimizer subclasses implementing only _update (the per-layer
+        extension point) still train with ``fit``, bit-identical to the
+        seed loop, via the per-layer fallback."""
         from repro.nn.optimizers import Optimizer
 
         class PlainSGD(Optimizer):
@@ -438,13 +355,12 @@ class TestFlatParameterView:
         x = mnist_small.train.images[:64]
         y = mnist_small.train.labels[:64]
 
-        def run(runtime):
-            model = build_ffnn(seed=0)
-            trainer = Trainer(model, optimizer=PlainSGD(), seed=0)
-            trainer.fit(x, y, epochs=2, batch_size=32, runtime=runtime)
-            return model.state_dict()
-
-        assert _identical(run("legacy"), run("arena"))
+        model = build_ffnn(seed=0)
+        Trainer(model, optimizer=PlainSGD(), seed=0).fit(
+            x, y, epochs=2, batch_size=32
+        )
+        reference = _seed_loop(build_ffnn(seed=0), PlainSGD(), x, y, 2, 32)
+        assert _identical(reference, model.state_dict())
         # micro-batching genuinely needs the flat reduction: clear refusal
         model = build_ffnn(seed=0)
         with pytest.raises(ConfigurationError):
@@ -465,13 +381,12 @@ class TestFlatParameterView:
         x = mnist_small.train.images[:64]
         y = mnist_small.train.labels[:64]
 
-        def run(runtime):
-            model = build_ffnn(seed=0)
-            trainer = Trainer(model, optimizer=ClippedSGD(0.05), seed=0)
-            trainer.fit(x, y, epochs=1, batch_size=32, runtime=runtime)
-            return model.state_dict()
-
-        assert _identical(run("legacy"), run("arena"))
+        model = build_ffnn(seed=0)
+        Trainer(model, optimizer=ClippedSGD(0.05), seed=0).fit(
+            x, y, epochs=1, batch_size=32
+        )
+        reference = _seed_loop(build_ffnn(seed=0), ClippedSGD(0.05), x, y, 1, 32)
+        assert _identical(reference, model.state_dict())
 
     def test_micro_batch_size_strictly_validated(self, mnist_small):
         model = build_ffnn(seed=0)
@@ -500,8 +415,9 @@ class TestFlatParameterView:
         assert np.array_equal(shared_params, fresh_params)
 
     def test_runtime_switch_with_optimizer_state_rejected(self):
-        """Momentum/moment state cannot silently carry across a runtime
-        switch — the other entry point must refuse, not reset to zero."""
+        """Momentum/moment state cannot silently carry across a switch
+        between the per-layer and the flat step — the other entry point
+        must refuse, not reset to zero."""
         model = self._model()
         view = FlatParameterView(model)
         x = RNG.normal(size=(6, 5))
@@ -560,11 +476,11 @@ class TestFlatParameterView:
 
 
 # --------------------------------------------------------------------------
-# trainer: arena vs legacy, worker invariance, micro-batching
+# trainer: seed-loop identity, worker invariance, micro-batching
 # --------------------------------------------------------------------------
 
 
-def _train_lenet(mnist_small, runtime="arena", workers=None, micro_batch=None,
+def _train_lenet(mnist_small, workers=None, micro_batch=None,
                  make_optimizer=lambda: Adam(2e-3)):
     model = build_lenet5(seed=0)
     trainer = Trainer(model, optimizer=make_optimizer(), seed=0)
@@ -573,11 +489,22 @@ def _train_lenet(mnist_small, runtime="arena", workers=None, micro_batch=None,
         mnist_small.train.labels[:128],
         epochs=2,
         batch_size=48,  # deliberately ragged: 128 = 48 + 48 + 32
-        runtime=runtime,
         workers=workers,
         micro_batch=micro_batch,
     )
     return model.state_dict()
+
+
+def _seed_loop_lenet(mnist_small, make_optimizer=lambda: Adam(2e-3)):
+    """:func:`_train_lenet`'s training run on the oracle seed loop."""
+    return _seed_loop(
+        build_lenet5(seed=0),
+        make_optimizer(),
+        mnist_small.train.images[:128],
+        mnist_small.train.labels[:128],
+        epochs=2,
+        batch_size=48,
+    )
 
 
 class TestTrainerRuntimes:
@@ -585,15 +512,15 @@ class TestTrainerRuntimes:
         "make_optimizer",
         [lambda: Adam(2e-3), lambda: SGD(0.01, momentum=0.9)],
     )
-    def test_arena_bit_identical_to_legacy(self, mnist_small, make_optimizer):
-        """The acceptance property: arena weights == seed-loop weights."""
-        legacy = _train_lenet(mnist_small, runtime="legacy", make_optimizer=make_optimizer)
-        arena = _train_lenet(mnist_small, runtime="arena", make_optimizer=make_optimizer)
-        assert _identical(legacy, arena)
+    def test_fit_bit_identical_to_seed_loop(self, mnist_small, make_optimizer):
+        """The acceptance property: fit weights == seed-loop weights."""
+        reference = _seed_loop_lenet(mnist_small, make_optimizer=make_optimizer)
+        trained = _train_lenet(mnist_small, make_optimizer=make_optimizer)
+        assert _identical(reference, trained)
 
     def test_worker_invariance_of_trained_weights(self, mnist_small):
-        """workers in {1, 2, 'auto'} -> identical bytes (and == legacy)."""
-        reference = _train_lenet(mnist_small, runtime="legacy")
+        """workers in {1, 2, 'auto'} -> identical bytes (and == seed loop)."""
+        reference = _seed_loop_lenet(mnist_small)
         for workers in (1, 2, "auto"):
             assert _identical(reference, _train_lenet(mnist_small, workers=workers))
 
@@ -671,20 +598,22 @@ class TestTrainerRuntimes:
         assert [epoch for epoch, _ in events] == [1, 2, 3]
         assert all("train_loss" in metrics for _, metrics in events)
 
-    def test_fit_twice_matches_single_fresh_double_legacy(self, mnist_small):
-        """Arena state (workspace, flat view, optimizer scratch) survives
-        a second fit with the same bits as the legacy loop."""
+    def test_fit_twice_matches_seed_loop_twice(self, mnist_small):
+        """Trainer state (flat view, optimizer scratch) survives a second
+        fit with the same bits as the seed loop run twice."""
         x = mnist_small.train.images[:64]
         y = mnist_small.train.labels[:64]
+        model = build_ffnn(seed=0)
+        trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
+        trainer.fit(x, y, epochs=1, batch_size=32)
+        trainer.fit(x, y, epochs=1, batch_size=32)
 
-        def run(runtime):
-            model = build_ffnn(seed=0)
-            trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-            trainer.fit(x, y, epochs=1, batch_size=32, runtime=runtime)
-            trainer.fit(x, y, epochs=1, batch_size=32, runtime=runtime)
-            return model.state_dict()
-
-        assert _identical(run("legacy"), run("arena"))
+        reference = build_ffnn(seed=0)
+        optimizer, rng = Adam(1e-3), np.random.default_rng(0)
+        _seed_loop(reference, optimizer, x, y, 1, 32, rng)
+        assert _identical(
+            _seed_loop(reference, optimizer, x, y, 1, 32, rng), model.state_dict()
+        )
 
     def test_load_state_dict_between_fits_rebinds_flat_view(self, mnist_small):
         """load_state_dict replaces the param arrays; the next fit must
@@ -692,15 +621,19 @@ class TestTrainerRuntimes:
         x = mnist_small.train.images[:64]
         y = mnist_small.train.labels[:64]
 
-        def run(runtime):
-            model = build_ffnn(seed=0)
-            trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-            trainer.fit(x, y, epochs=1, batch_size=32, runtime=runtime)
-            model.load_state_dict(model.state_dict())
-            trainer.fit(x, y, epochs=1, batch_size=32, runtime=runtime)
-            return model.state_dict()
+        model = build_ffnn(seed=0)
+        trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
+        trainer.fit(x, y, epochs=1, batch_size=32)
+        model.load_state_dict(model.state_dict())
+        trainer.fit(x, y, epochs=1, batch_size=32)
 
-        assert _identical(run("legacy"), run("arena"))
+        reference = build_ffnn(seed=0)
+        optimizer, rng = Adam(1e-3), np.random.default_rng(0)
+        _seed_loop(reference, optimizer, x, y, 1, 32, rng)
+        reference.load_state_dict(reference.state_dict())
+        assert _identical(
+            _seed_loop(reference, optimizer, x, y, 1, 32, rng), model.state_dict()
+        )
 
     def test_invalid_arguments(self, mnist_small):
         model = build_ffnn(seed=0)
@@ -708,11 +641,7 @@ class TestTrainerRuntimes:
         x = mnist_small.train.images[:8]
         y = mnist_small.train.labels[:8]
         with pytest.raises(ConfigurationError):
-            trainer.fit(x, y, epochs=1, runtime="turbo")
-        with pytest.raises(ConfigurationError):
             trainer.fit(x, y, epochs=1, micro_batch=0)
-        with pytest.raises(ConfigurationError):
-            trainer.fit(x, y, epochs=1, micro_batch=4, runtime="legacy")
         with pytest.raises(ConfigurationError):
             Trainer(model, loss=MeanSquaredError()).fit(x, y, epochs=1, micro_batch=4)
 
@@ -878,8 +807,8 @@ class TestGradientContract:
     def test_training_step_skips_first_conv_input_gradient(
         self, mnist_small, monkeypatch
     ):
-        """Arena weights stay bit-identical to the legacy loop (which runs
-        a full backward) while conv1 never scatters an input gradient."""
+        """fit's weights stay bit-identical to the seed loop (which runs a
+        full backward) while conv1 never scatters an input gradient."""
         calls = []
         real_col2im = conv_module.col2im
 
@@ -889,11 +818,11 @@ class TestGradientContract:
 
         monkeypatch.setattr(conv_module, "col2im", counting_col2im)
         first_conv_input = tuple(build_lenet5(seed=0).input_shape)
-        legacy = _train_lenet(mnist_small, runtime="legacy")
+        reference = _seed_loop_lenet(mnist_small)
         assert first_conv_input in calls  # the counter does see conv1
         calls.clear()
-        arena = _train_lenet(mnist_small, runtime="arena")
-        assert _identical(legacy, arena)
+        trained = _train_lenet(mnist_small)
+        assert _identical(reference, trained)
         assert calls  # conv2/conv3 still propagate to their inputs
         assert first_conv_input not in calls
 
@@ -909,3 +838,128 @@ class TestGradientContract:
         monkeypatch.setattr(Sequential, "backward", always_full)
         serial = _train_lenet(mnist_small, workers=1, micro_batch=16)
         assert _identical(parallel, serial)
+
+
+# --------------------------------------------------------------------------
+# pinned weights: fit and the seed loop train the recorded bytes
+# --------------------------------------------------------------------------
+
+
+def _dropout_mlp(seed=0):
+    return Sequential(
+        [Flatten(), Dense(32), ReLU(), Dropout(0.3, seed=3), Dense(10)],
+        input_shape=(28, 28, 1),
+        seed=seed,
+    )
+
+
+#: case -> (model builder, optimizer factory, dataset, epochs, batch size)
+PINNED_CASES = {
+    "lenet5-sgd-momentum": (build_lenet5, lambda: SGD(0.01, momentum=0.9), "mnist", 2, 48),
+    "lenet5-adam": (build_lenet5, lambda: Adam(2e-3), "mnist", 2, 48),
+    "dropout-mlp": (_dropout_mlp, lambda: Adam(1e-3), "mnist", 2, 48),
+    "alexnet-mini": (build_alexnet, lambda: Adam(2e-3), "cifar", 1, 32),
+}
+
+#: sha256 of the trained ``state_dict()`` (sorted keys, then array bytes).
+#: Recorded with NumPy 2.4 and its bundled OpenBLAS on x86-64, where the
+#: buffer-arena runtime, the seed loop and today's ``fit`` all train these
+#: bytes.  A BLAS that sums in another order moves every hash; re-record
+#: them only after checking that ``fit`` and the seed loop still agree.
+PINNED_WEIGHT_SHA256 = {
+    "lenet5-sgd-momentum": "fc11bdba2a73668aa246cbaf6d6d5962c990593da29e99ce4dc936c31845f209",
+    "lenet5-adam": "15c0c3364a37c6797162ddff7d5171fa5443e8c97f0aa3defba5d6b04f0fd41d",
+    "dropout-mlp": "cc3478ba0f5969681fce3ddd9172f8b5858d4ab7e1e3dc918b01f1419a041e44",
+    "alexnet-mini": "63cceb8dd23b6f70d307682a365995ca54fdc628b8c36e018cbae5fe9ffd166a",
+}
+
+
+def _state_sha256(state: dict) -> str:
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(state[key]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_datasets():
+    return {
+        "mnist": load_synthetic_mnist(n_train=160, n_test=16, seed=11),
+        "cifar": load_synthetic_cifar10(n_train=96, n_test=16, seed=11),
+    }
+
+
+class TestPinnedWeights:
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_fit_and_seed_loop_train_pinned_bytes(self, case, pinned_datasets):
+        build, make_optimizer, dataset, epochs, batch_size = PINNED_CASES[case]
+        x = pinned_datasets[dataset].train.images
+        y = pinned_datasets[dataset].train.labels
+        model = build(seed=0)
+        history = Trainer(model, optimizer=make_optimizer(), seed=0).fit(
+            x, y, epochs=epochs, batch_size=batch_size
+        )
+        assert _state_sha256(model.state_dict()) == PINNED_WEIGHT_SHA256[case]
+
+        reference = build(seed=0)
+        losses = train_seed_loop_reference(
+            reference,
+            CrossEntropyLoss(),
+            make_optimizer(),
+            np.random.default_rng(0),
+            x,
+            y,
+            epochs,
+            batch_size,
+        )
+        assert _state_sha256(reference.state_dict()) == PINNED_WEIGHT_SHA256[case]
+        assert history.train_loss == losses
+
+
+# --------------------------------------------------------------------------
+# both trainers reject bad training inputs
+# --------------------------------------------------------------------------
+
+#: case -> (samples in x, labels in y, fit keywords, expected message)
+BAD_FIT_INPUTS = {
+    "empty": (0, 0, {}, "x and y hold no samples"),
+    "length-mismatch": (8, 7, {}, "x and y must hold the same number"),
+    "epochs-zero": (8, 8, {"epochs": 0}, "epochs must be a positive integer"),
+    "epochs-fraction": (8, 8, {"epochs": 1.5}, "epochs must be a positive integer"),
+    "batch-size-zero": (8, 8, {"batch_size": 0}, "batch_size must be a positive"),
+    "micro-batch-zero": (8, 8, {"micro_batch": 0}, "micro_batch must be a positive"),
+}
+
+TRAINERS = {
+    "trainer": lambda model: Trainer(model, optimizer=Adam(1e-3), seed=0),
+    "adversarial": lambda model: AdversarialTrainer(
+        model, optimizer=Adam(1e-3), seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "trainer_kind, case",
+    [
+        (kind, case)
+        for kind in sorted(TRAINERS)
+        for case in sorted(BAD_FIT_INPUTS)
+        # AdversarialTrainer.fit has no micro_batch argument
+        if not (kind == "adversarial" and case == "micro-batch-zero")
+    ],
+)
+def test_bad_training_inputs_rejected(trainer_kind, case, mnist_small):
+    """One shared check: a ConfigurationError naming the argument, raised
+    before any work and without NumPy warnings."""
+    n_x, n_y, kwargs, message = BAD_FIT_INPUTS[case]
+    trainer = TRAINERS[trainer_kind](build_ffnn(seed=0))
+    fit_kwargs = {"epochs": 1, "batch_size": 4, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message):
+            trainer.fit(
+                mnist_small.train.images[:n_x],
+                mnist_small.train.labels[:n_y],
+                **fit_kwargs,
+            )
