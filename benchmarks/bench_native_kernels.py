@@ -21,7 +21,10 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
   sliding-window copy at LeNet conv1's shape.
 * **fused panel vs per-victim** — a :class:`repro.axnn.VictimPanel` over
   four multipliers against four separate ``predict`` calls on the same
-  batch (shared im2col + quantization, identical logits).
+  batch (shared quantization + code-patch gather, identical logits), and
+  at the ``/v1/query`` shape (``panel_lenet.b1`` / ``.b2``: M1-M9 on one
+  or two samples, the stacked panel against a per-victim ``forward``
+  loop, floor 1.3x).
 * **auto vs best (the routing calibration sweep)** — for every LeNet-5
   compute layer plus one AlexNet conv layer, × M2/M4/M5/M6/M8, × batch 1
   and 60, the kernel ``kernel="auto"`` builds against the other candidate
@@ -305,10 +308,11 @@ def test_native_training_epoch(benchmark, suite, backend_env):
 def test_fused_panel_vs_per_victim(benchmark, suite):
     """Fused multi-victim panel vs four separate predicts on the same batch.
 
-    The panel shares one im2col and one quantization per Ax conv layer per
-    batch across all victims; the LUT products (the dominant cost) stay
-    per-victim, so the fusion margin is the extract+quantize share of the
-    pipeline.  Logits are bit-identical by contract.
+    The panel shares one quantization and one code-patch gather per Ax
+    layer per batch, and one pass of each float layer, across all victims;
+    the LUT products (the dominant cost at this batch) stay per-victim, so
+    the fusion margin is the share of the shared stages.  Logits are
+    bit-identical by contract.
     """
     dataset = load_synthetic_mnist(n_train=256, n_test=96, seed=1)
     model = build_lenet5(seed=1)
@@ -337,6 +341,45 @@ def test_fused_panel_vs_per_victim(benchmark, suite):
     benchmark(fused)
     assert stats["ratio_median"] >= 0.95, (
         f"fused panel slower than per-victim ({stats['ratio_median']:.3f}x)"
+    )
+
+
+#: the stacked panel must beat the per-victim loop by this much at batch 1-2
+SMALL_BATCH_PANEL_FLOOR = 1.3
+
+
+@pytest.mark.benchmark(group="native-panel")
+@pytest.mark.parametrize("batch", [1, 2])
+def test_stacked_panel_small_batch(benchmark, suite, batch):
+    """The ``/v1/query`` shape: nine LeNet-5 victims (M1-M9) on one or two
+    samples, a per-victim ``forward`` loop against the stacked panel.
+
+    At this size the kernels are cheap and the per-victim passes around
+    them (quantize, patch gather, ReLU/AvgPool/Flatten) are what the panel
+    shares, so the floor is set on this row.
+    """
+    dataset = load_synthetic_mnist(n_train=256, n_test=96, seed=1)
+    model = build_lenet5(seed=1)
+    victims = {
+        label: build_axdnn(model, get_multiplier(label), dataset.train.images[:128])
+        for label in (f"M{index}" for index in range(1, 10))
+    }
+    panel = VictimPanel(victims)
+    x = dataset.test.images[:batch]
+
+    def per_victim():
+        return {label: victim.forward(x) for label, victim in victims.items()}
+
+    stats = suite.paired(f"panel_lenet.b{batch}", per_victim, lambda: panel.forward(x),
+                         rounds=40)
+    separate, stacked = per_victim(), panel.forward(x)
+    for label in victims:
+        assert np.array_equal(separate[label], stacked[label])
+    benchmark.extra_info.update(stats)
+    benchmark(panel.forward, x)
+    assert stats["ratio_median"] >= SMALL_BATCH_PANEL_FLOOR, (
+        f"stacked panel at batch {batch} only {stats['ratio_median']:.2f}x the "
+        f"per-victim loop (floor {SMALL_BATCH_PANEL_FLOOR}x)"
     )
 
 

@@ -7,15 +7,15 @@ service adds on top of the Session pipeline:
   ``Session.run``; the benchmark measures submissions/s at the HTTP layer
   and asserts the coalesce hit rate (N-1 of N).
 * **query micro-batching** — K concurrent single-sample queries fuse into
-  a handful of batched predict passes; the benchmark compares fused
-  against strictly serial queries on the same booted server and records
-  both rates.  Answers are bit-identical by contract (asserted in
+  a handful of batched predict passes (queries that arrive while a batch
+  runs form the next one); the benchmark compares fused against strictly
+  serial queries on the same booted server and records both rates.  Answers are bit-identical by contract (asserted in
   tests/test_service.py); here only the clock moves.
 
 The server under test is the real thing: a ``ServiceApp`` bound to a
 loopback port, driven through ``http.client``.  Scale stays CI-sized — a
 tiny LeNet target, tens of queries — because the mechanisms under test
-(lock contention, event-loop dispatch, batching windows) do not need a
+(lock contention, event-loop dispatch, batch formation) do not need a
 large model to show up.
 
 Results land in ``benchmarks/results/BENCH_service.json`` via the shared
@@ -65,7 +65,6 @@ def app(tmp_path):
         workers=2,
         queue_depth=32,
         max_batch=32,
-        max_delay_s=0.01,
     )
     thread = threading.Thread(
         target=server.run, kwargs={"host": "127.0.0.1", "port": 0}, daemon=True

@@ -4,8 +4,12 @@ Adversarial examples are crafted on each accurate architecture (AccL5,
 AccAlx) and evaluated on AxDNNs of *both* architectures, on both datasets —
 the paper's second attack scenario, where the adversary knows neither the
 inexactness nor the victim's model structure.  Each dataset is one
-declarative ``kind="transfer"`` experiment spec; trained sources and crafted
-suites are shared with the other figures through the artifact store.
+declarative ``kind="transfer"`` experiment spec.  Its sources are *not* the
+figures' models: ``n_test=300`` (against ``LENET_MODEL``'s 400 and
+``ALEXNET_MODEL``'s 200, which also trains on a different sample count and
+epoch count) gives different ``ModelSpec`` hashes, so this table trains and
+crafts its own sources.  The artifact store shares them only between
+re-runs of this bench.
 """
 
 import pytest

@@ -9,7 +9,8 @@ backed by :mod:`repro.axnn.native` — Numba or a tiny C extension, selected
 via ``REPRO_KERNEL_BACKEND``), and batched prediction shards across worker
 threads via the parallel runtime (:mod:`repro.nn.runtime`, re-exported
 here).  :class:`repro.axnn.panel.VictimPanel` evaluates many victims of one
-source model in a single fused pass, sharing im2col and quantization.
+source model in a single stacked pass, sharing quantization, the patch
+gather and the float layers.
 """
 
 from repro.axnn.approx_ops import (

@@ -7,6 +7,18 @@ inputs and weights to 8-bit fixed point and evaluate every product through
 the configured approximate multiplier; all other layers (activations,
 pooling, flatten, dropout, batch-norm) keep their float behaviour in
 evaluation mode via :class:`PassthroughLayer`.
+
+Every Ax layer runs the same three stages, and each is its own method so
+the fused multi-victim panel (:mod:`repro.axnn.panel`) can share the first
+two across victims:
+
+1. quantize the input activation to codes (``quantize_input`` /
+   ``quantize_cols``), once per input value;
+2. for a convolution, gather the code patches (``extract_cols``), padding
+   with the scheme's zero point — the code of ``0.0`` — so the patches are
+   exactly the quantized float patches;
+3. ``forward_from_codes``: the LUT product (``kernel.matmul``) and the
+   dequantize epilogue, written in place into the output buffer.
 """
 
 from __future__ import annotations
@@ -94,23 +106,20 @@ class AxDense(AxLayer):
             raise ShapeError(f"{self.name}: expected 2-D input, got {x.shape}")
         return self.activation_scheme.quantize_packed(x)
 
-    def forward_from_codes(self, codes: np.ndarray) -> np.ndarray:
+    def forward_from_codes(
+        self, codes: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Evaluate the layer from precomputed activation codes.
 
         ``forward`` is exactly ``forward_from_codes(quantize_input(x))``;
         the split lets :class:`repro.axnn.panel.VictimPanel` quantize once
-        and feed every victim's LUT product from the shared codes.
+        and feed every victim's LUT product from the shared codes.  The
+        result is written into ``out`` (shape ``(rows, units)``) when
+        given, else into a new array.
         """
-        accumulator = self.kernel.matmul(codes)
-        zero_point = self.activation_scheme.zero_point
-        if zero_point:
-            accumulator = accumulator - zero_point * self._zero_point_correction[None, :]
-        y = accumulator.astype(np.float64) * (
-            self.activation_scheme.scale * self.weight_scale
-        )
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        if out is None:
+            out = np.empty((codes.shape[0], self.units), dtype=np.float64)
+        return _dequantize_into(self, self.kernel.matmul(codes), out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_from_codes(self.quantize_input(x))
@@ -149,49 +158,81 @@ class AxConv2D(AxLayer):
     @property
     def geometry(self) -> tuple:
         """Patch-extraction geometry; victims with equal geometry can share
-        one im2col per batch (the expensive data movement of this layer)."""
+        one patch gather per batch (the data movement of this layer)."""
         return (self.kernel_size, self.stride, self.pad_amount)
 
-    def extract_cols(self, x: np.ndarray) -> np.ndarray:
-        """The im2col patch matrix for ``x`` — a pure function of the input
-        and :attr:`geometry`, hence shareable across panel victims."""
+    def quantize_cols(self, x: np.ndarray) -> np.ndarray:
+        """Activation codes of the NHWC input ``x`` (uint8 for 8-bit
+        schemes) — one code per input value, before patch extraction, so no
+        value is quantized once per patch it falls in.  Shareable across
+        victims whose layers use the same quantization scheme."""
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got {x.shape}")
-        return im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self.pad_amount
-        )
+        return self.activation_scheme.quantize_packed(x)
 
-    def quantize_cols(self, cols: np.ndarray) -> np.ndarray:
-        """Activation codes of a patch matrix (uint8 for 8-bit schemes) —
-        shareable across victims whose layers use the same quantization
-        scheme."""
-        patch = cols.shape[-1]
-        return self.activation_scheme.quantize_packed(cols.reshape(-1, patch))
+    def extract_cols(self, codes: np.ndarray) -> np.ndarray:
+        """The im2col patch matrix of the code image ``codes`` — a pure
+        function of the codes and :attr:`geometry`, hence shareable across
+        panel victims.  Padding takes the scheme's zero point, the code of
+        ``0.0``, so the patches equal the quantized zero-padded float
+        patches."""
+        return im2col(
+            codes,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.pad_amount,
+            pad_value=self.activation_scheme.zero_point,
+        )
 
     def forward_from_codes(
-        self, codes: np.ndarray, batch: int, out_h: int, out_w: int
+        self,
+        codes: np.ndarray,
+        batch: int,
+        out_h: int,
+        out_w: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Evaluate the layer from precomputed activation codes.
+        """Evaluate the layer from a 2-D matrix of code patches.
 
         ``forward`` is exactly this applied to
-        ``quantize_cols(extract_cols(x))``; the decomposition is what the
-        fused multi-victim panel exploits.
+        ``extract_cols(quantize_cols(x))`` flattened to one patch per row;
+        the decomposition is what the fused multi-victim panel exploits.
+        The result is written into ``out`` (shape ``(batch, out_h, out_w,
+        filters)``) when given, else into a new array.
         """
-        accumulator = self.kernel.matmul(codes)
-        zero_point = self.activation_scheme.zero_point
-        if zero_point:
-            accumulator = accumulator - zero_point * self._zero_point_correction[None, :]
-        y = accumulator.astype(np.float64) * (
-            self.activation_scheme.scale * self.weight_scale
-        )
-        y = y.reshape(batch, out_h, out_w, self.filters)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        if out is None:
+            out = np.empty((batch, out_h, out_w, self.filters), dtype=np.float64)
+        return _dequantize_into(self, self.kernel.matmul(codes), out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cols = self.extract_cols(x)
-        batch, out_h, out_w, _ = cols.shape
+        patches = self.extract_cols(self.quantize_cols(x))
+        batch, out_h, out_w, patch = patches.shape
         return self.forward_from_codes(
-            self.quantize_cols(cols), batch, out_h, out_w
+            patches.reshape(-1, patch), batch, out_h, out_w
         )
+
+
+def _dequantize_into(layer, accumulator: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The dequantize epilogue of an Ax layer, in place.
+
+    ``out = (accumulator - zero_point * correction) * (scale * weight_scale)
+    + bias``: the zero-point correction is subtracted inside the kernel's
+    fresh int64 accumulator, the product is written straight into ``out``
+    (int64 to float64 is the same conversion as ``astype``), and the bias
+    is added in place — the same float64 operations, in the same order, as
+    the allocating expression.
+    """
+    zero_point = layer.activation_scheme.zero_point
+    if zero_point:
+        np.subtract(
+            accumulator, zero_point * layer._zero_point_correction, out=accumulator
+        )
+    np.multiply(
+        accumulator.reshape(out.shape),
+        layer.activation_scheme.scale * layer.weight_scale,
+        out=out,
+    )
+    if layer.bias is not None:
+        np.add(out, layer.bias, out=out)
+    return out

@@ -1,92 +1,79 @@
-"""Fused multi-victim evaluation: one shared im2col feeding every victim.
+"""Fused multi-victim evaluation: every victim of a panel in one pass per layer.
 
-The paper's robustness figures (Fig. 4-8) evaluate ~9 victim AxDNNs on
-*identical* adversarial inputs.  Run naively, every victim pays the full
-patch extraction (im2col) and activation quantization of every layer, even
-though those stages are pure functions of the layer input and the layer
-geometry/scheme — which the victims share wherever their activations have
-not yet diverged.
+The paper's robustness figures (Fig. 4-8) and the ``/v1/query`` service
+evaluate ~9 victim AxDNNs on *identical* inputs.  The victims of one source
+model differ only in the multiplier behind their LUT products: the float
+passthrough layers are the same objects, the activation schemes are the
+same (:func:`repro.robustness.build_victims` calibrates once) and so is
+every conv geometry.
 
-:class:`VictimPanel` walks all victims through the network in lockstep and
-maintains a *partition* of the victims into groups whose current activation
-is provably identical:
+:class:`VictimPanel` therefore walks all victims through the network as
+*groups*, each carried as ONE tensor:
 
-* every victim starts in one group (they all see the same input batch);
-* a float passthrough layer wrapping the same underlying layer object
-  keeps its group intact and is evaluated once per group;
-* an Ax compute layer extracts patches **once per group** (conv), quantizes
-  **once per distinct activation scheme**, and evaluates the LUT product
-  once per distinct ``(multiplier, weights, scheme)`` — which is where the
-  victims finally diverge, each continuing in its own (sub)group.
+* every victim starts in one group that shares the input batch;
+* an Ax compute layer quantizes the group's input activation **once**,
+  gathers the uint8 code patches **once** (conv), and then runs only the
+  kernel product and the dequantize epilogue per victim — each on its row
+  slice, into one output buffer.  From here on the group is *stacked*:
+  ``(victims * batch, ...)``, victim-major;
+* a float passthrough layer runs once per group on the whole stack.  ReLU
+  rectifies the panel's own buffer in place; pooling, flatten and dropout
+  return a smaller array, a view or their input, so no layer of the
+  repo's models copies a full stack.
 
-Because the partition refines purely on static layer structure, the whole
-plan is computed once at construction; per batch only the fused compute
-runs.  Every shared stage computes exactly the value the per-victim path
-would (``extract_cols`` / ``quantize_cols`` / ``forward_from_codes`` are
-the same functions ``AxLayer.forward`` composes), so panel outputs are
-bit-identical to evaluating each victim independently — the property
-``tests/test_victim_panel.py`` asserts against every robustness grid.
+A group splits only where its members' layers differ in what the shared
+stages depend on — activation scheme, conv geometry or width, or the float
+layer object behind a passthrough.  Groups from ``build_victims`` never
+split.  The plan is static (it depends on layer structure only), so it is
+computed once at construction; per batch only the stacked compute runs.
+Each stage is the method ``AxLayer.forward`` composes, applied to the
+same values, so panel outputs are bit-identical to evaluating each victim
+independently — asserted by ``tests/test_victim_panel.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.axnn.engine import AxModel
 from repro.axnn.layers import AxConv2D, AxDense, PassthroughLayer
 from repro.errors import ConfigurationError
+from repro.nn.layers.activations import ReLU
 from repro.nn.runtime import WorkerSpec, run_sharded, validate_batch_size
 
-#: a group is a tuple of victim indices whose activations are identical
+#: a group is a tuple of victim indices carried as one tensor
 _Group = Tuple[int, ...]
 
-
-def _same_compute(a, b) -> bool:
-    """Whether two Ax layers produce identical outputs from identical codes.
-
-    Kernel strategy is deliberately ignored: all strategies are
-    bit-identical, so two layers differing only in kernel still share.
-    """
-    if a.multiplier is not b.multiplier:
-        return False
-    if a.activation_scheme != b.activation_scheme:
-        return False
-    if a.weight_scale != b.weight_scale:
-        return False
-    if not np.array_equal(a.weight_sign, b.weight_sign):
-        return False
-    if not np.array_equal(a.weight_magnitude, b.weight_magnitude):
-        return False
-    if (a.bias is None) != (b.bias is None):
-        return False
-    return a.bias is None or np.array_equal(a.bias, b.bias)
+_KINDS = ((PassthroughLayer, "pass"), (AxConv2D, "conv"), (AxDense, "dense"))
 
 
-def _refine(members: _Group, layers, same) -> List[_Group]:
-    """Partition ``members`` into runs equivalent under ``same`` (stable)."""
-    subgroups: List[List[int]] = []
-    reps: List = []
-    for member, layer in zip(members, layers):
-        for index, rep in enumerate(reps):
-            if same(rep, layer):
-                subgroups[index].append(member)
-                break
-        else:
-            reps.append(layer)
-            subgroups.append([member])
-    return [tuple(group) for group in subgroups]
+def _kind(layer) -> str:
+    """``"pass"``, ``"conv"`` or ``"dense"``; ``""`` for anything else."""
+    for layer_type, kind in _KINDS:
+        if isinstance(layer, layer_type):
+            return kind
+    return ""
+
+
+def _split_key(kind: str, layer):
+    """What a group's members must share to keep running as one tensor."""
+    if kind == "pass":
+        return id(layer.layer)
+    if kind == "conv":
+        return (layer.activation_scheme, layer.geometry, layer.filters)
+    return (layer.activation_scheme, layer.units)
 
 
 class VictimPanel:
     """A set of victim AxDNNs evaluated together on shared inputs.
 
     ``victims`` maps victim name to :class:`AxModel`; insertion order is
-    preserved everywhere.  All victims must be *lockstep-compatible*: same
-    layer count and same per-sample output shape (true for any set built
-    from one source model, which is how every figure builds its panel).
-    Check :meth:`compatible` first when the victim set is arbitrary.
+    preserved everywhere.  All victims must be *lockstep-compatible* (see
+    :meth:`compatible`) — true for any set built from one source model,
+    which is how every figure builds its panel.  Check :meth:`compatible`
+    first when the victim set is arbitrary.
     """
 
     def __init__(self, victims: Mapping[str, AxModel]) -> None:
@@ -97,136 +84,142 @@ class VictimPanel:
         self._models = list(self.victims.values())
         if not self.compatible(self._models):
             raise ConfigurationError(
-                "panel victims are not lockstep-compatible (layer counts or "
-                "output shapes differ); evaluate them individually instead"
+                "panel victims are not lockstep-compatible (layer counts, "
+                "layer kinds or output shapes differ); evaluate them "
+                "individually instead"
             )
         self.output_shape = self._models[0].output_shape
-        self._plan = self._build_plan()
+        self._plan, self._final_groups = self._build_plan()
 
     # ------------------------------------------------------------- planning
     @staticmethod
     def compatible(models: Sequence[AxModel]) -> bool:
-        """Whether ``models`` can be walked in lockstep."""
+        """Whether ``models`` can be walked layer by layer as stacked groups:
+        same layer count, same output shape, and at every depth the same
+        layer kind (passthrough, Ax conv or Ax dense) for every victim."""
         if not models:
             return False
         first = models[0]
-        return all(
-            len(m.layers) == len(first.layers)
-            and m.output_shape == first.output_shape
+        if not all(
+            len(m.layers) == len(first.layers) and m.output_shape == first.output_shape
             for m in models
-        )
+        ):
+            return False
+        for layers in zip(*(m.layers for m in models)):
+            kind = _kind(layers[0])
+            if not kind or any(_kind(layer) != kind for layer in layers):
+                return False
+        return True
 
     def _build_plan(self):
-        """Static per-layer fusion plan via partition refinement.
+        """The static plan and the groups leaving the last layer.
 
-        Each plan entry is a list of steps ``(mode, group, extra)``:
-
-        * ``("shared", group, None)`` — one float passthrough forward for
-          the whole group;
-        * ``("conv", group, scheme_splits)`` / ``("dense", group,
-          scheme_splits)`` — one patch extraction per group, one
-          quantization per scheme subgroup, one LUT product per compute
-          subgroup; ``scheme_splits`` is a list of ``(scheme_subgroup,
-          [compute_subgroups...])``;
-        * ``("solo", (v,), None)`` — plain per-victim forward.
+        Per layer the plan holds ``(kind, splits)``, each split ``(parent,
+        stacked, groups)``: the group ``parent`` enters the layer
+        (``stacked``: one block of rows per member; else one block all
+        members share) and leaves it as ``groups``, a stable partition by
+        :func:`_split_key` (usually just ``(parent,)``).  A final group is
+        ``(group, stacked)``.
         """
-        models = self._models
-        groups: List[_Group] = [tuple(range(len(models)))]
+        groups: List[Tuple[_Group, bool]] = [(tuple(range(len(self._models))), False)]
         plan = []
-        for layer_index in range(len(models[0].layers)):
-            steps = []
-            next_groups: List[_Group] = []
-            for group in groups:
-                layers = [models[v].layers[layer_index] for v in group]
-                first = layers[0]
-                if isinstance(first, PassthroughLayer) and all(
-                    isinstance(l, PassthroughLayer) and l.layer is first.layer
-                    for l in layers
-                ):
-                    steps.append(("shared", group, None))
-                    next_groups.append(group)
-                    continue
-                fused_type = None
-                if all(isinstance(l, AxConv2D) for l in layers) and all(
-                    l.geometry == first.geometry for l in layers
-                ):
-                    fused_type = "conv"
-                elif all(isinstance(l, AxDense) for l in layers):
-                    fused_type = "dense"
-                if fused_type is not None:
-                    scheme_splits = []
-                    for scheme_group in _refine(
-                        group,
-                        layers,
-                        lambda a, b: a.activation_scheme == b.activation_scheme,
-                    ):
-                        scheme_layers = [
-                            models[v].layers[layer_index] for v in scheme_group
-                        ]
-                        compute_groups = _refine(
-                            scheme_group, scheme_layers, _same_compute
-                        )
-                        scheme_splits.append((scheme_group, compute_groups))
-                        next_groups.extend(compute_groups)
-                    steps.append((fused_type, group, scheme_splits))
-                    continue
-                # heterogeneous group (mixed layer kinds / geometries):
-                # fall back to per-victim evaluation from here on
-                for victim in group:
-                    steps.append(("solo", (victim,), None))
-                    next_groups.append((victim,))
-            plan.append(steps)
+        for layer_index in range(len(self._models[0].layers)):
+            kind = _kind(self._models[0].layers[layer_index])
+            splits = []
+            next_groups: List[Tuple[_Group, bool]] = []
+            for parent, stacked in groups:
+                members: Dict[object, List[int]] = {}
+                for victim in parent:
+                    key = _split_key(kind, self._models[victim].layers[layer_index])
+                    members.setdefault(key, []).append(victim)
+                children = [tuple(group) for group in members.values()]
+                splits.append((parent, stacked, children))
+                next_groups.extend(
+                    (child, stacked or kind != "pass") for child in children
+                )
+            plan.append((kind, splits))
             groups = next_groups
-        return plan
+        return plan, groups
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         """Logits for one batch, keyed by victim name (bit-identical to
         running each victim's ``forward`` on ``x``)."""
         x = np.asarray(x, dtype=np.float64)
-        models = self._models
-        activations: Dict[_Group, np.ndarray] = {
-            tuple(range(len(models))): x
-        }
-        for layer_index, steps in enumerate(self._plan):
+        batch = x.shape[0]
+        activations: Dict[_Group, np.ndarray] = {tuple(range(len(self._models))): x}
+        for layer_index, (kind, splits) in enumerate(self._plan):
+            step = self._STEPS[kind]
             next_activations: Dict[_Group, np.ndarray] = {}
-            for mode, group, extra in steps:
-                # each group is consumed by exactly one step: dropping its
-                # input here frees it as soon as the step is done, so one
-                # layer's activations of all groups never coexist with the
-                # next layer's
-                value = activations.pop(group)
-                layer = models[group[0]].layers[layer_index]
-                if mode == "shared" or mode == "solo":
-                    next_activations[group] = layer.forward(value)
-                elif mode == "conv":
-                    cols = layer.extract_cols(value)
-                    batch, out_h, out_w, _ = cols.shape
-                    for scheme_group, compute_groups in extra:
-                        codes = models[scheme_group[0]].layers[
-                            layer_index
-                        ].quantize_cols(cols)
-                        for compute_group in compute_groups:
-                            rep = models[compute_group[0]].layers[layer_index]
-                            next_activations[compute_group] = (
-                                rep.forward_from_codes(codes, batch, out_h, out_w)
-                            )
-                else:  # dense
-                    for scheme_group, compute_groups in extra:
-                        codes = models[scheme_group[0]].layers[
-                            layer_index
-                        ].quantize_input(value)
-                        for compute_group in compute_groups:
-                            rep = models[compute_group[0]].layers[layer_index]
-                            next_activations[compute_group] = (
-                                rep.forward_from_codes(codes)
-                            )
+            for parent, stacked, groups in splits:
+                value = activations.pop(parent)
+                if stacked and len(groups) > 1:
+                    rows = {
+                        victim: value[slot * batch : (slot + 1) * batch]
+                        for slot, victim in enumerate(parent)
+                    }
+                    inputs = [
+                        np.concatenate([rows[victim] for victim in group])
+                        for group in groups
+                    ]
+                    del rows
+                else:
+                    inputs = [value] * len(groups)
+                # a step holds the only reference to a stacked input, so it
+                # can free the input before filling its output buffer
+                del value
+                for group in groups:
+                    next_activations[group] = step(
+                        self, layer_index, group, stacked, inputs.pop(0), batch
+                    )
             activations = next_activations
-        by_victim: Dict[str, np.ndarray] = {}
-        for group, value in activations.items():
-            for victim in group:
-                by_victim[self._names[victim]] = value
-        return {name: by_victim[name] for name in self._names}
+        outputs: Dict[str, np.ndarray] = {}
+        for group, stacked in self._final_groups:
+            value = activations[group]
+            for slot, victim in enumerate(group):
+                outputs[self._names[victim]] = (
+                    value[slot * batch : (slot + 1) * batch] if stacked else value
+                )
+        return {name: outputs[name] for name in self._names}
+
+    def _passthrough(self, layer_index, group, stacked, x, batch):
+        layer = self._models[group[0]].layers[layer_index]
+        if stacked and isinstance(layer.layer, ReLU):
+            # the stack is the panel's own buffer: np.maximum(x, 0.0) is
+            # exactly what ReLU.forward computes, here without the copy
+            return np.maximum(x, 0.0, out=x)
+        # the other float layers of the repo's models return a smaller
+        # array (pooling), a view (flatten) or their input (dropout)
+        return layer.forward(x)
+
+    def _conv(self, layer_index, group, stacked, x, batch):
+        layers = [self._models[victim].layers[layer_index] for victim in group]
+        codes = layers[0].quantize_cols(x)
+        del x
+        patches = layers[0].extract_cols(codes)
+        del codes
+        _, out_h, out_w, patch = patches.shape
+        patches = patches.reshape(-1, patch)
+        out = np.empty((len(group) * batch, out_h, out_w, layers[0].filters))
+        block = batch * out_h * out_w  # patch rows of one victim
+        for slot, layer in enumerate(layers):
+            rows = patches[slot * block : (slot + 1) * block] if stacked else patches
+            layer.forward_from_codes(
+                rows, batch, out_h, out_w, out=out[slot * batch : (slot + 1) * batch]
+            )
+        return out
+
+    def _dense(self, layer_index, group, stacked, x, batch):
+        layers = [self._models[victim].layers[layer_index] for victim in group]
+        codes = layers[0].quantize_input(x)
+        del x
+        out = np.empty((len(group) * batch, layers[0].units))
+        for slot, layer in enumerate(layers):
+            rows = codes[slot * batch : (slot + 1) * batch] if stacked else codes
+            layer.forward_from_codes(rows, out=out[slot * batch : (slot + 1) * batch])
+        return out
+
+    _STEPS = {"pass": _passthrough, "conv": _conv, "dense": _dense}
 
     def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
         """Panel logits stacked to ``(batch, n_victims, *output_shape)`` so
@@ -263,25 +256,26 @@ class VictimPanel:
 
     # ------------------------------------------------------------ reporting
     def fusion_report(self) -> List[str]:
-        """One line per layer describing how much work the panel shares."""
+        """One line per layer: the groups it runs and the work each shares."""
         lines = []
-        n = len(self._models)
-        for layer_index, steps in enumerate(self._plan):
+        for layer_index, (kind, splits) in enumerate(self._plan):
             parts = []
-            for mode, group, extra in steps:
-                if mode in ("shared", "solo"):
-                    parts.append(f"{mode}x{len(group)}")
-                else:
-                    quantizations = len(extra)
-                    products = sum(len(cg) for _, cg in extra)
-                    stages = "1 extract, " if mode == "conv" else ""
-                    parts.append(
-                        f"{mode}[{len(group)} victims, {stages}"
-                        f"{quantizations} quantize, {products} products]"
-                    )
+            for _, stacked, groups in splits:
+                form = "stacked" if stacked else "shared"
+                for group in groups:
+                    if kind == "pass":
+                        parts.append(f"{form}[{len(group)} victims]")
+                    else:
+                        once = "1 quantize"
+                        if kind == "conv":
+                            once = "1 extract, " + once
+                        parts.append(f"{kind}[{len(group)} victims {form}, {once}, "
+                                     f"{len(group)} products]")
             name = self._models[0].layers[layer_index].name
             lines.append(f"{name}: {' + '.join(parts)}")
-        lines.append(f"panel: {n} victims, {len(self._plan)} layers")
+        groups = len(self._final_groups)
+        lines.append(f"panel: {len(self._models)} victims, {len(self._plan)} layers, "
+                     f"{groups} group{'s' if groups != 1 else ''}")
         return lines
 
     def __len__(self) -> int:
@@ -289,3 +283,4 @@ class VictimPanel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VictimPanel(victims={self._names!r})"
+

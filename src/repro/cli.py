@@ -328,7 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         session_workers=args.workers,
         max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1000.0,
         drain_timeout_s=args.drain_timeout,
     )
     app.run(host=args.host, port=args.port)
@@ -475,12 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="micro-batch size cap for /v1/query",
-    )
-    serve.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch hold time in milliseconds",
     )
     serve.add_argument(
         "--drain-timeout",

@@ -53,6 +53,7 @@ def im2col(
     kernel_w: int,
     stride: int,
     padding: int,
+    pad_value=0.0,
 ) -> np.ndarray:
     """Extract convolution patches from an NHWC tensor.
 
@@ -65,8 +66,9 @@ def im2col(
     sliding-window view of the (padded) input.
 
     With ``padding > 0`` the input is first copied into a fresh padded
-    image whose four border bands are zero-filled — cheaper than ``np.pad``
-    and the same values.
+    image whose four border bands are filled with ``pad_value`` (zero for
+    float images; the Ax-layers gather activation codes and pad with the
+    scheme's zero point) — cheaper than ``np.pad`` and the same values.
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects an NHWC tensor, got shape {x.shape}")
@@ -83,10 +85,10 @@ def im2col(
         x_padded = np.empty(
             (batch, height + 2 * pad, width + 2 * pad, channels), dtype=x.dtype
         )
-        x_padded[:, :pad].fill(0.0)
-        x_padded[:, -pad:].fill(0.0)
-        x_padded[:, pad:-pad, :pad].fill(0.0)
-        x_padded[:, pad:-pad, -pad:].fill(0.0)
+        x_padded[:, :pad].fill(pad_value)
+        x_padded[:, -pad:].fill(pad_value)
+        x_padded[:, pad:-pad, :pad].fill(pad_value)
+        x_padded[:, pad:-pad, -pad:].fill(pad_value)
         np.copyto(x_padded[:, pad:-pad, pad:-pad, :], x)
     backend = _native_backend(x_padded, cols)
     if backend is not None:

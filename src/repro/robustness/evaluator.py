@@ -134,8 +134,8 @@ class AdversarialSuite:
         ``panel`` is a :class:`repro.axnn.panel.VictimPanel` (or anything
         whose ``predict_classes`` returns a dict of per-victim labels).
         One fused pass per budget replaces one full pass per victim — the
-        shared im2col/quantization work of each batch is paid once for the
-        whole panel — and the per-victim results are bit-identical to
+        shared quantization, patch gather and float-layer work of each
+        batch is paid once for the whole panel — and the per-victim results are bit-identical to
         calling :meth:`evaluate` on each victim separately.
         """
         results: Dict[str, List[RobustnessResult]] = {}

@@ -125,8 +125,8 @@ def grid_from_suite(
 
     ``fused`` controls the multi-victim fusion (see :func:`_panel_or_none`):
     by default panels of two or more compatible AxDNNs are evaluated in one
-    fused pass per budget, sharing each batch's im2col and quantization
-    across victims.  The fused grid is bit-identical to per-victim
+    fused pass per budget, sharing each batch's quantization, patch gather
+    and float layers across victims.  The fused grid is bit-identical to per-victim
     evaluation — fusion only removes recomputation of identical values.
     """
     if not victims:

@@ -87,7 +87,6 @@ class ServiceApp:
         queue_depth: int = 16,
         session_workers: WorkerSpec = None,
         max_batch: int = 32,
-        max_delay_s: float = 0.005,
         drain_timeout_s: float = 30.0,
         store_url: Optional[str] = None,
     ) -> None:
@@ -112,7 +111,6 @@ class ServiceApp:
         self.batcher = MicroBatcher(
             self.evaluator,
             max_batch=max_batch,
-            max_delay_s=max_delay_s,
             metrics=self.metrics,
         )
         self.drain_timeout_s = float(drain_timeout_s)

@@ -1,21 +1,22 @@
 """Micro-batching of single-sample robustness queries.
 
 ``POST /v1/query`` answers "what does this victim set predict for this one
-sample" — the interactive workload.  Individually those queries waste the
-batched kernels this repo spent seven PRs building; fused they are almost
-free.  The :class:`MicroBatcher` therefore holds each arriving query for
-at most ``max_delay_s`` (or until ``max_batch`` queries of the same
-*target* are waiting), stacks them into one batch, and runs **one**
-``predict_classes`` pass — through the fused
-:class:`~repro.axnn.panel.VictimPanel` when the victim set is
+sample" — the interactive workload.  The :class:`MicroBatcher` is
+*work-conserving*: a query that finds the evaluator idle is dispatched at
+once, alone, with no hold.  Queries that arrive while a batch is being
+evaluated wait in a per-*target* bucket, and when the batch finishes the
+oldest waiting bucket goes next, as one stacked batch — so the batch size
+follows the load instead of a timer.  A bucket that reaches ``max_batch``
+goes at once.  Each batch is **one** ``predict_classes`` pass through the
+fused :class:`~repro.axnn.panel.VictimPanel` when the victim set is
 lockstep-compatible, per victim otherwise.
 
 Bit-identity is the contract that makes this safe: every predict path in
 the repo slices batches row-independently (the sharded runtime's worker
 invariance is exactly batch invariance), so the fused answer for a query
-is bit-identical to evaluating that sample alone.  The service never
-trades correctness for throughput — only latency, bounded by
-``max_delay_s``.
+is bit-identical to evaluating that sample alone.  ``/metrics`` splits a
+query's time into ``query_wait_seconds`` (enqueue to dispatch) and
+``query_batch_latency_seconds`` (its batch's evaluation).
 
 Targets — a trained source model plus its built victim set — are resolved
 through the :class:`~repro.experiments.session.Session` (training is
@@ -231,9 +232,8 @@ class _Pending:
     item: QueryItem
     future: "asyncio.Future"
     deadline: Optional[Deadline]
-    model_spec: ModelSpec
-    victim_spec: VictimSpec
-    enqueued: float = 0.0
+    #: event-loop time of ``submit``; ``query_wait_seconds`` ends at dispatch
+    enqueued: float
 
 
 @dataclass
@@ -241,42 +241,37 @@ class _Bucket:
     model_spec: ModelSpec
     victim_spec: VictimSpec
     pending: List[_Pending] = field(default_factory=list)
-    timer: Optional["asyncio.TimerHandle"] = None
 
 
 class MicroBatcher:
     """Fuse concurrent single-sample queries into batched predict passes.
 
     Lives on the asyncio event loop: :meth:`submit` parks each query in a
-    per-target bucket; the bucket flushes after ``max_delay_s`` or as soon
-    as ``max_batch`` queries wait, whichever comes first.  Evaluation runs
-    on a private worker thread (never the event loop), so slow predictions
-    stall neither accepts nor unrelated targets.
+    per-target bucket.  The oldest bucket is dispatched whenever no batch
+    is in flight; a bucket holding ``max_batch`` queries is dispatched at
+    once.  Evaluation runs on one private worker thread (never the event
+    loop), so slow predictions stall neither accepts nor the queue.
     """
 
     def __init__(
         self,
         evaluator: QueryEvaluator,
         max_batch: int = 32,
-        max_delay_s: float = 0.005,
         max_pending: int = 256,
-        query_workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(max_batch, int) or max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be a positive int, got {max_batch!r}"
             )
-        if max_delay_s < 0:
-            raise ConfigurationError(f"max_delay_s must be >= 0, got {max_delay_s!r}")
         self.evaluator = evaluator
         self.max_batch = max_batch
-        self.max_delay_s = float(max_delay_s)
         self.max_pending = int(max_pending)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._executor = ThreadPoolExecutor(
-            max_workers=query_workers, thread_name_prefix="repro-service-query"
+            max_workers=1, thread_name_prefix="repro-service-query"
         )
+        #: waiting buckets by target key, in arrival order (oldest first)
         self._buckets: Dict[str, _Bucket] = {}
         self._pending_total = 0
         self._inflight: "set[asyncio.Task]" = set()
@@ -309,29 +304,29 @@ class MicroBatcher:
             item=item,
             future=loop.create_future(),
             deadline=deadline,
-            model_spec=model_spec,
-            victim_spec=victim_spec,
             enqueued=loop.time(),
         )
         bucket.pending.append(pending)
         self._pending_total += 1
         self.metrics.inc("queries_total")
-        if len(bucket.pending) >= self.max_batch:
-            self._flush(key)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(self.max_delay_s, self._flush, key)
+        # an idle evaluator has no older bucket waiting (_batch_done would
+        # have dispatched it), so this bucket is the one to run now
+        if len(bucket.pending) >= self.max_batch or not self._inflight:
+            self._dispatch(key)
         return await pending.future
 
-    # ---------------------------------------------------------------- flush
-    def _flush(self, key: str) -> None:
-        bucket = self._buckets.pop(key, None)
-        if bucket is None or not bucket.pending:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
+    # ------------------------------------------------------------- dispatch
+    def _dispatch(self, key: str) -> None:
+        """Hand the bucket ``key`` to the evaluator as one batch."""
+        bucket = self._buckets.pop(key)
         task = asyncio.get_running_loop().create_task(self._run_batch(bucket))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: "asyncio.Task") -> None:
+        self._inflight.discard(task)
+        if not self._inflight and self._buckets:
+            self._dispatch(next(iter(self._buckets)))
 
     async def _run_batch(self, bucket: _Bucket) -> None:
         loop = asyncio.get_running_loop()
@@ -352,11 +347,13 @@ class MicroBatcher:
                 ready.append(pending)
         if not ready:
             return
+        start = loop.time()
+        for pending in ready:
+            self.metrics.observe("query_wait_seconds", start - pending.enqueued)
         self.metrics.inc("query_batches_total")
         self.metrics.observe(
             "query_batch_size", float(len(ready)), buckets=BATCH_SIZE_BUCKETS
         )
-        start = loop.time()
         try:
             results = await loop.run_in_executor(
                 self._executor,
@@ -384,10 +381,10 @@ class MicroBatcher:
 
     # ---------------------------------------------------------------- drain
     async def drain(self) -> None:
-        """Flush every bucket and wait for in-flight batches to finish."""
-        for key in list(self._buckets):
-            self._flush(key)
-        while self._inflight:
+        """Dispatch every waiting bucket and wait for all batches to finish."""
+        while self._buckets or self._inflight:
+            for key in list(self._buckets):
+                self._dispatch(key)
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
         self._executor.shutdown(wait=True)
 

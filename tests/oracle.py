@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.axnn.approx_ops import approx_matmul, zero_point_correction_vector
+from repro.axnn.layers import AxConv2D, AxDense
 from repro.circuits.adders import ExactFullAdder
 from repro.circuits.bitops import from_bits, to_bits
 
@@ -41,6 +43,51 @@ def im2col_reference(x, kernel_h, kernel_w, stride, padding):
                 :, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :
             ]
     return cols
+
+
+def _ax_product_reference(layer, x):
+    """Quantize the float matrix ``x`` and multiply it through the LUT gather.
+
+    Returns ``(accumulator - zero_point * correction) * (scale *
+    weight_scale)``, before the bias.
+    """
+    scheme = layer.activation_scheme
+    codes = scheme.quantize(x)
+    accumulator = approx_matmul(
+        codes, layer.weight_sign, layer.weight_magnitude, layer.multiplier.lut()
+    )
+    correction = zero_point_correction_vector(layer.weight_sign, layer.weight_magnitude)
+    accumulator = accumulator - scheme.zero_point * correction[None, :]
+    return accumulator.astype(np.float64) * (scheme.scale * layer.weight_scale)
+
+
+def ax_model_reference(model, x):
+    """An AxDNN's logits with every Ax layer in the seed order.
+
+    A convolution extracts the zero-padded *float* patches first and
+    quantizes the patch matrix after; every product goes through the
+    reference LUT gather :func:`repro.axnn.approx_ops.approx_matmul`.
+    :meth:`repro.axnn.AxModel.forward` (quantize the input once, gather
+    code patches padded with the zero point) and the stacked
+    :class:`repro.axnn.VictimPanel` must return these bits.
+    """
+    out = np.asarray(x, dtype=np.float64)
+    for layer in model.layers:
+        if isinstance(layer, AxConv2D):
+            size = layer.kernel_size
+            cols = im2col_reference(out, size, size, layer.stride, layer.pad_amount)
+            batch, out_h, out_w, patch = cols.shape
+            out = _ax_product_reference(layer, cols.reshape(-1, patch)).reshape(
+                batch, out_h, out_w, layer.filters
+            )
+        elif isinstance(layer, AxDense):
+            out = _ax_product_reference(layer, out)
+        else:
+            out = layer.forward(out)
+            continue
+        if layer.bias is not None:
+            out = out + layer.bias
+    return out
 
 
 def col2im_reference(cols, input_shape, kernel_h, kernel_w, stride, padding):

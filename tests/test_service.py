@@ -13,6 +13,7 @@ The acceptance properties from the service's contract:
   machine-readable field path.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -33,6 +34,7 @@ from repro.experiments import (
     VictimSpec,
 )
 from repro.nn.trainer import Trainer
+from repro.resilience import Deadline
 from repro.service import (
     Coalescer,
     JobScheduler,
@@ -48,6 +50,7 @@ from repro.service.protocol import (
     parse_deadline_s,
     render_response,
 )
+from repro.service.microbatch import MicroBatcher, QueryItem
 from repro.service.scheduler import FAILED, SUCCEEDED
 import repro.service.scheduler as scheduler_module
 
@@ -123,6 +126,24 @@ def wait_terminal(app, job_id, timeout_s=300.0):
             return snap
         time.sleep(0.1)
     raise AssertionError(f"job {job_id} never reached a terminal state")
+
+
+def wait_until(predicate, timeout_s=30.0):
+    deadline = time.time() + timeout_s
+    while not predicate():
+        assert time.time() < deadline, "condition never became true"
+        time.sleep(0.005)
+
+
+def histogram_sum_count(registry, name):
+    """(sum, count) of one unlabelled histogram, read from ``render()``."""
+    values = {}
+    for line in registry.render().splitlines():
+        for suffix in ("sum", "count"):
+            prefix = f"repro_{name}_{suffix} "
+            if line.startswith(prefix):
+                values[suffix] = float(line[len(prefix):])
+    return values["sum"], values["count"]
 
 
 # --------------------------------------------------------------------- units
@@ -314,9 +335,7 @@ class TestHttpEndToEnd:
     def test_coalesced_submissions_one_computation_bit_identical(
         self, tmp_path, counters
     ):
-        app = ServiceApp(
-            store=str(tmp_path / "store"), workers=2, queue_depth=8, max_delay_s=0.005
-        )
+        app = ServiceApp(store=str(tmp_path / "store"), workers=2, queue_depth=8)
         serve_on_thread(app)
         try:
             document = tiny_spec().to_dict()
@@ -459,14 +478,168 @@ class TestHttpEndToEnd:
             app.request_shutdown()
 
 
+QUERY_VICTIMS = VictimSpec(multipliers=("M1", "M4"), calibration_samples=32)
+
+
+class _StubEvaluator:
+    """Answers each item with its sample index; the first batch blocks on
+    ``gate`` (when given) and ``fail_first`` makes it raise instead."""
+
+    def __init__(self, gate=None, fail_first=False):
+        self.gate = gate
+        self.fail_first = fail_first
+        self.batches = []
+        self.entered = threading.Event()
+
+    def evaluate(self, model_spec, victim_spec, items):
+        self.batches.append([item.sample_index for item in items])
+        first = len(self.batches) == 1
+        self.entered.set()
+        if first and self.gate is not None:
+            assert self.gate.wait(30)
+        if first and self.fail_first:
+            raise RuntimeError("evaluator exploded")
+        return [(200, {"sample_index": item.sample_index}) for item in items]
+
+
+async def _until(predicate, timeout_s=30.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < deadline, "condition never became true"
+        await asyncio.sleep(0.001)
+
+
+def _submit(batcher, index, deadline=None):
+    return asyncio.ensure_future(
+        batcher.submit(
+            TINY_MODEL, QUERY_VICTIMS, QueryItem(sample_index=index), deadline
+        )
+    )
+
+
+class TestMicroBatcher:
+    """The work-conserving dispatch rule, against a stub evaluator."""
+
+    def test_lone_query_on_idle_batcher_has_no_hold(self):
+        registry = MetricsRegistry()
+        evaluator = _StubEvaluator()
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator, metrics=registry)
+            answer = await _submit(batcher, 3)
+            await batcher.drain()
+            return answer
+
+        assert asyncio.run(scenario()) == (200, {"sample_index": 3})
+        wait_sum, waits = histogram_sum_count(registry, "query_wait_seconds")
+        assert waits == 1
+        assert wait_sum < 1e-3, f"idle dispatch held the query {wait_sum:.4f}s"
+        assert evaluator.batches == [[3]]
+
+    def test_arrivals_during_a_batch_form_one_next_batch(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            first = _submit(batcher, 0)
+            await _until(evaluator.entered.is_set)
+            waiting = [_submit(batcher, index) for index in range(1, 6)]
+            await _until(lambda: batcher.pending_count == 6)
+            assert evaluator.batches == [[0]]
+            gate.set()
+            answers = await asyncio.gather(first, *waiting)
+            await batcher.drain()
+            return answers
+
+        answers = asyncio.run(scenario())
+        assert [payload["sample_index"] for _, payload in answers] == list(range(6))
+        assert evaluator.batches == [[0], [1, 2, 3, 4, 5]]
+
+    def test_max_batch_still_splits(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator, max_batch=2)
+            futures = [_submit(batcher, 0)]
+            await _until(evaluator.entered.is_set)
+            futures += [_submit(batcher, index) for index in range(1, 6)]
+            await _until(lambda: batcher.pending_count == 6)
+            gate.set()
+            await asyncio.gather(*futures)
+            await batcher.drain()
+
+        asyncio.run(scenario())
+        assert evaluator.batches == [[0], [1, 2], [3, 4], [5]]
+
+    def test_drain_flushes_waiting_and_awaits_inflight(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            futures = [_submit(batcher, 0)]
+            await _until(evaluator.entered.is_set)
+            futures += [_submit(batcher, index) for index in (1, 2)]
+            await _until(lambda: batcher.pending_count == 3)
+            drain = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.05)
+            assert not drain.done(), "drain returned with a batch in flight"
+            gate.set()
+            await drain
+            assert all(future.done() for future in futures)
+            return [future.result()[0] for future in futures]
+
+        assert asyncio.run(scenario()) == [200, 200, 200]
+        assert evaluator.batches == [[0], [1, 2]]
+
+    def test_expired_deadline_gets_504(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            first = _submit(batcher, 0)
+            await _until(evaluator.entered.is_set)
+            late = _submit(batcher, 1, deadline=Deadline(0.01))
+            await asyncio.sleep(0.05)
+            gate.set()
+            answers = await asyncio.gather(first, late)
+            await batcher.drain()
+            return answers
+
+        (status, _), (late_status, late_body) = asyncio.run(scenario())
+        assert status == 200
+        assert late_status == 504
+        assert late_body["error"] == "deadline_exceeded"
+        assert evaluator.batches == [[0]]
+
+    def test_failed_batch_fails_alone(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate, fail_first=True)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            first = _submit(batcher, 0)
+            await _until(evaluator.entered.is_set)
+            second = _submit(batcher, 1)
+            await _until(lambda: batcher.pending_count == 2)
+            gate.set()
+            answers = await asyncio.gather(first, second)
+            await batcher.drain()
+            return answers
+
+        (status, body), (second_status, _) = asyncio.run(scenario())
+        assert status == 500 and body["error"] == "RuntimeError"
+        assert second_status == 200
+
+
 class TestQueryMicroBatching:
     def test_concurrent_queries_fuse_and_match_serial(self, tmp_path):
         app = ServiceApp(
-            store=str(tmp_path / "store"),
-            workers=1,
-            queue_depth=2,
-            max_batch=32,
-            max_delay_s=0.2,  # generous hold so concurrent queries land in one batch
+            store=str(tmp_path / "store"), workers=1, queue_depth=2, max_batch=32
         )
         serve_on_thread(app)
         try:
@@ -486,6 +659,20 @@ class TestQueryMicroBatching:
             assert set(first["predictions"]) == {"M1", "M4"}
             batches_before = app.metrics.counter_value("query_batches_total")
 
+            # hold the first batch in the evaluator until every other query
+            # is waiting, so the waiting ones must fuse into one next batch
+            gate, entered = threading.Event(), threading.Event()
+            batch_sizes = []
+            evaluate = app.evaluator.evaluate
+
+            def gated_evaluate(model_spec, victim_spec, items):
+                batch_sizes.append(len(items))
+                if len(batch_sizes) == 1:
+                    entered.set()
+                    assert gate.wait(60)
+                return evaluate(model_spec, victim_spec, items)
+
+            app.evaluator.evaluate = gated_evaluate
             indices = list(range(1, 7))
             answers = [None] * len(indices)
 
@@ -508,16 +695,20 @@ class TestQueryMicroBatching:
             ]
             for thread in threads:
                 thread.start()
+            assert entered.wait(60), "the first query was never dispatched"
+            wait_until(lambda: app.batcher.pending_count == len(indices))
+            gate.set()
             for thread in threads:
                 thread.join()
+            app.evaluator.evaluate = evaluate
 
             assert all(status == 200 for status, _, _ in answers)
             batches = (
                 app.metrics.counter_value("query_batches_total") - batches_before
             )
-            assert 1 <= batches < len(indices), (
-                f"{len(indices)} concurrent queries should fuse into fewer "
-                f"predict passes, got {batches} batches"
+            assert batches == 2 and batch_sizes == [1, len(indices) - 1], (
+                f"queries waiting behind a batch should fuse into one next "
+                f"batch, got batch sizes {batch_sizes}"
             )
 
             # bit-identity: each fused answer equals the serial answer

@@ -7,15 +7,40 @@ to per-victim evaluation, for every worker count and batch size.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import ax_model_reference
 from repro.attacks import FGMLinf
-from repro.axnn import build_axdnn
+from repro.axnn import build_axdnn, kernels
+from repro.axnn.layers import AxConv2D, AxDense
 from repro.axnn.panel import VictimPanel
 from repro.errors import ConfigurationError
+from repro.models import build_alexnet, build_lenet5
+from repro.quantization.schemes import AffineQuantization
 from repro.robustness import build_victims, grid_from_suite
 from repro.robustness.evaluator import AdversarialSuite
 
 VICTIM_LABELS = ["M4", "M6", "M8", "mul8u_1JFF"]
+LENET_LABELS = [f"M{index}" for index in range(1, 10)]
+ALEXNET_LABELS = [f"A{index}" for index in range(1, 9)]
+
+#: every call the perfbench tracer hooks by name on the Ax layers
+SPIED_LAYER_CALLS = (
+    (AxConv2D, "quantize_cols"),
+    (AxConv2D, "extract_cols"),
+    (AxConv2D, "forward_from_codes"),
+    (AxDense, "quantize_input"),
+    (AxDense, "forward_from_codes"),
+)
+KERNEL_CLASSES = (
+    kernels.ExactBLASKernel,
+    kernels.PerCodeBLASKernel,
+    kernels.ErrorCorrectionKernel,
+    kernels.NativeLUTKernel,
+    kernels.SparseOneHotKernel,
+    kernels.GatherKernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +155,165 @@ class TestFusedGrids:
             assert [r.epsilon for r in panel_results[label]] == [
                 r.epsilon for r in solo
             ]
+
+
+# ------------------------------------------------------- the stacked panel
+def _centred(images):
+    """Inputs in [-0.5, 0.5]: the first conv's scheme then has a zero point
+    near 128, so padding and the zero-point correction both matter."""
+    return np.asarray(images, dtype=np.float64) - 0.5
+
+
+@pytest.fixture(scope="module")
+def lenet_victims(mnist_small):
+    # untrained weights suffice: bit-identity does not depend on accuracy;
+    # approximate dense layers exercise the stacked dense step too
+    return build_victims(
+        build_lenet5(seed=5),
+        LENET_LABELS,
+        _centred(mnist_small.train.images[:64]),
+        convolution_only=False,
+    )
+
+
+@pytest.fixture(scope="module")
+def lenet_panel(lenet_victims):
+    return VictimPanel(lenet_victims)
+
+
+@pytest.fixture(scope="module")
+def alexnet_victims(cifar_small):
+    return build_victims(
+        build_alexnet(seed=5),
+        ALEXNET_LABELS,
+        _centred(cifar_small.train.images[:32]),
+        convolution_only=True,
+    )
+
+
+def _assert_panel_matches(panel, victims, x, oracle_labels=()):
+    fused = panel.forward(x)
+    assert list(fused) == list(victims)
+    for label, victim in victims.items():
+        expected = victim.forward(x)
+        assert np.array_equal(fused[label], expected), label
+        if label in oracle_labels:
+            assert np.array_equal(expected, ax_model_reference(victim, x)), label
+
+
+def _draw(images, batch, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, len(images), size=batch)
+    noise = rng.uniform(-0.1, 0.1, size=(batch,) + images.shape[1:])
+    return _centred(images[rows]) + noise
+
+
+class TestStackedPanel:
+    """Bit-identity of the one-pass stacked panel with per-victim
+    ``AxModel.forward`` and with the seed-order oracle."""
+
+    def test_plan_keeps_one_stacked_group(self, lenet_panel):
+        report = lenet_panel.fusion_report()
+        assert report[0] == (
+            "ax_conv2d_0: conv[9 victims shared, 1 extract, 1 quantize, 9 products]"
+        )
+        assert report[1] == "relu_1: stacked[9 victims]"
+        assert "conv[9 victims stacked, 1 extract, 1 quantize" in report[3]
+        assert report[-1] == "panel: 9 victims, 12 layers, 1 group"
+
+    @given(batch=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_lenet_small_batches(
+        self, lenet_panel, lenet_victims, mnist_small, batch, seed
+    ):
+        x = _draw(mnist_small.test.images, batch, seed)
+        _assert_panel_matches(lenet_panel, lenet_victims, x, oracle_labels=LENET_LABELS)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=1, deadline=None)
+    def test_lenet_batch_60(self, lenet_panel, lenet_victims, mnist_small, seed):
+        x = _draw(mnist_small.test.images, 60, seed)
+        _assert_panel_matches(lenet_panel, lenet_victims, x, oracle_labels=LENET_LABELS)
+
+    def test_batch_0(self, lenet_panel, lenet_victims, mnist_small):
+        x = mnist_small.test.images[:0]
+        fused = lenet_panel.predict(x)
+        for label, victim in lenet_victims.items():
+            assert fused[label].shape == (0, 10)
+            assert np.array_equal(fused[label], victim.predict(x))
+
+    @given(batch=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_alexnet_same_padding(self, alexnet_victims, cifar_small, batch, seed):
+        # the first conv pads with its zero point (near 128 here), not 0
+        first = alexnet_victims["A1"].layers[0]
+        assert first.pad_amount > 0
+        assert first.activation_scheme.zero_point > 0
+        assert first.activation_scheme.quantize(np.zeros(1))[0] == (
+            first.activation_scheme.zero_point
+        )
+        x = _draw(cifar_small.test.images, batch, seed)
+        _assert_panel_matches(
+            VictimPanel(alexnet_victims), alexnet_victims, x,
+            oracle_labels=("A1", "A3", "A8"),
+        )
+
+    def test_differing_schemes_split_and_match(self, mnist_small):
+        model = build_lenet5(seed=6)
+        calibration = _centred(mnist_small.train.images[:64])
+        victims = build_victims(model, ["M1", "M4", "M6"], calibration)
+        # M6's second conv quantizes differently: the stacked group of
+        # three splits there into {M1, M4} and {M6}
+        victims["M6"].layers[3].activation_scheme = AffineQuantization(
+            scale=0.05, zero_point=7
+        )
+        # two victims calibrated on other data differ from the first conv
+        others = build_victims(model, ["M4", "M8"], calibration[:16] * 1.5)
+        victims.update({f"{label}'": victim for label, victim in others.items()})
+        panel = VictimPanel(victims)
+        report = panel.fusion_report()
+        assert report[0].count("conv[") == 2
+        assert report[3].count("conv[") == 3
+        assert report[-1].endswith("3 groups")
+        x = _draw(mnist_small.test.images, 5, seed=11)
+        _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
+        sharded = panel.predict(x, batch_size=2, workers=2)
+        for label, victim in victims.items():
+            assert np.array_equal(sharded[label], victim.predict(x, batch_size=2))
+
+    def test_every_traced_call_runs(self, lenet_panel, lenet_victims, monkeypatch):
+        calls = {}
+
+        def spy(owner, attribute):
+            original = vars(owner)[attribute]  # the perfbench tracer's lookup
+
+            def wrapper(*args, **kwargs):
+                key = (owner.__name__, attribute)
+                calls.setdefault(key, []).append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, wrapper)
+
+        for owner, attribute in SPIED_LAYER_CALLS:
+            spy(owner, attribute)
+        for kernel_class in KERNEL_CLASSES:
+            spy(kernel_class, "matmul")
+        batch = 2
+        lenet_panel.forward(np.zeros((batch, 28, 28, 1)))
+        victims = len(lenet_victims)
+        assert len(calls[("AxConv2D", "quantize_cols")]) == 3
+        assert len(calls[("AxConv2D", "extract_cols")]) == 3
+        assert len(calls[("AxConv2D", "forward_from_codes")]) == 3 * victims
+        assert len(calls[("AxDense", "quantize_input")]) == 2
+        assert len(calls[("AxDense", "forward_from_codes")]) == 2 * victims
+        products = [
+            args for (owner, attribute), recorded in calls.items()
+            if attribute == "matmul" for args in recorded
+        ]
+        assert len(products) == 5 * victims
+        # each product sees one victim's rows: summed MACs equal per-victim
+        expected_rows = sorted(
+            [batch * 24 * 24, batch * 8 * 8, batch, batch, batch] * victims
+        )
+        assert sorted(args[1].shape[0] for args in products) == expected_rows
+        assert all(args[1].ndim == 2 for args in products)
