@@ -88,9 +88,7 @@ def test_attack_process_sharding(benchmark, suite, lenet_bundle):
     attack = get_attack("BIM_linf")
     cores = available_workers()
     serial_engine = AttackEngine(model, workers=1, shard_size=16)
-    sharded_engine = AttackEngine(
-        model, workers="auto", backend="process", shard_size=16
-    )
+    sharded_engine = AttackEngine(model, workers="auto", shard_size=16)
 
     serial_s = best_of(lambda: serial_engine.generate(attack, x, y, 0.2), repeats=2)
     sharded_s = best_of(lambda: sharded_engine.generate(attack, x, y, 0.2), repeats=2)

@@ -21,7 +21,6 @@ from repro.circuits.bitops import from_bits, to_bits
 from repro.multipliers import get_multiplier
 from repro.multipliers.base import clear_global_lut_cache
 from repro.nn.layers import AvgPool2D
-from repro.nn.runtime import available_workers
 
 RNG = np.random.default_rng(0)
 
@@ -238,43 +237,6 @@ def test_micro_avgpool_offsets_vs_windows(benchmark, suite):
     assert stats["ratio_median"] >= 2.0, (
         f"offset-loop AvgPool2D only {stats['ratio_median']:.2f}x the windows"
     )
-
-
-@pytest.mark.benchmark(group="micro-runtime")
-def test_micro_predict_batch_sharding(benchmark, suite, lenet_bundle):
-    """Sharded prediction on a Fig. 4-sized sweep batch: workers=4 vs workers=1.
-
-    The victim is M4 (percode BLAS kernel) — the BLAS paths release the GIL,
-    which is where thread sharding pays off.  Identical logits are asserted;
-    the wall-clock ratio and core count land in the suite report.  The
-    speedup assertion — and the recorded metric's ``min_cores=4`` gate —
-    only applies on hosts with >= 4 cores: thread sharding cannot beat
-    serial execution on a single core.
-    """
-    victim = lenet_bundle["victims"]["M4"]
-    x = lenet_bundle["x"]
-
-    serial_s = best_of(lambda: victim.predict(x, batch_size=8, workers=1))
-    sharded_s = best_of(lambda: victim.predict(x, batch_size=8, workers=4))
-    speedup = serial_s / sharded_s
-    cores = available_workers()
-    suite.record("predict_sharding.workers1_s", serial_s)
-    suite.record("predict_sharding.workers4_s", sharded_s)
-    suite.record(
-        "predict_sharding.speedup",
-        speedup,
-        unit="ratio",
-        higher_is_better=True,
-        min_cores=4,
-    )
-    benchmark.extra_info["workers1_ms"] = serial_s * 1e3
-    benchmark.extra_info["workers4_ms"] = sharded_s * 1e3
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["cores"] = cores
-    logits = benchmark(lambda: victim.predict(x, batch_size=8, workers=4))
-    assert np.array_equal(logits, victim.predict(x, batch_size=8, workers=1))
-    if cores >= 4:
-        assert speedup >= 1.2, f"workers=4 only {speedup:.2f}x on {cores} cores"
 
 
 @pytest.mark.benchmark(group="micro")

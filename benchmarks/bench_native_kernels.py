@@ -325,12 +325,12 @@ def test_fused_panel_vs_per_victim(benchmark, suite):
 
     def per_victim():
         return {
-            label: victim.predict(x, batch_size=32, workers=1)
+            label: victim.predict(x, batch_size=32)
             for label, victim in victims.items()
         }
 
     def fused():
-        return panel.predict(x, batch_size=32, workers=1)
+        return panel.predict(x, batch_size=32)
 
     stats = suite.paired("panel_lenet", per_victim, fused, rounds=8)
     separate, shared = per_victim(), fused()

@@ -14,7 +14,7 @@ re-runs of this bench.
 
 import pytest
 
-from benchmarks.conftest import BENCH_WORKERS, N_EPOCHS, N_TRAIN, save_payload
+from benchmarks.conftest import N_EPOCHS, N_TRAIN, save_payload
 from repro.analysis import TABLE2_TRANSFERABILITY, format_transfer_table
 from repro.config import env_float
 from repro.experiments import (
@@ -67,9 +67,7 @@ def test_table2_transferability(benchmark, suite, experiment_session):
     def run():
         cells = []
         for dataset_name, n_samples in (("mnist", 48), ("cifar10", 32)):
-            result = experiment_session.run(
-                _dataset_spec(dataset_name, n_samples), workers=BENCH_WORKERS
-            )
+            result = experiment_session.run(_dataset_spec(dataset_name, n_samples))
             cells.extend(result.table.cells)
         return cells
 

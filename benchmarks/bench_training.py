@@ -14,11 +14,6 @@ the paper:
   contract; only the clock moves.  Measured as paired per-round ratios with
   alternating order so machine drift cancels
   (:func:`repro.benchmarking.paired_ratios`).
-* **serial vs sharded** — deterministic data-parallel gradients
-  (``micro_batch=``) across worker threads.  On a single-core host the
-  sharded run shows parity (the speedup assertion activates on >= 4-core
-  hosts, as in the PR 2/3 benchmarks); weights are bit-identical for every
-  worker count by construction.
 
 The measured numbers land in ``benchmarks/results/BENCH_training.json`` as
 a schema-versioned report, recorded through the lease-locked
@@ -30,11 +25,9 @@ shards and silently discarded corrupt history.
 import numpy as np
 import pytest
 
-from repro.benchmarking import best_of
 from repro.datasets import load_synthetic_cifar10, load_synthetic_mnist
 from repro.models.architectures import build_alexnet, build_lenet5
 from repro.nn import Adam, CrossEntropyLoss, Trainer
-from repro.nn.runtime import available_workers
 
 #: benchmark shapes: small enough for CI, large enough to be BLAS-bound
 N_TRAIN_MNIST = 512
@@ -130,58 +123,3 @@ def test_training_fit_vs_seed_loop_alexnet(benchmark, suite):
     _assert_same_weights(seed_model, fit_model)
     benchmark.pedantic(run_fit, rounds=1, iterations=1)
     assert stats["ratio_median"] >= 0.95
-
-
-@pytest.mark.benchmark(group="training")
-def test_training_serial_vs_sharded(benchmark, suite):
-    """Deterministic data-parallel gradients: bit-identical, recorded timing.
-
-    The canonical micro-batch partition never depends on the worker count,
-    so serial and sharded runs train byte-identical weights; on this
-    container (1 core) the timing shows parity and the speedup assertion —
-    like the report's ``min_cores=4`` gate — activates on >= 4-core hosts.
-    """
-    dataset = load_synthetic_mnist(n_train=N_TRAIN_MNIST, n_test=64, seed=0)
-    images, labels = dataset.train.images, dataset.train.labels
-    cores = available_workers()
-
-    def train(workers):
-        model = build_lenet5(seed=0)
-        trainer = Trainer(model, optimizer=Adam(2e-3), seed=0)
-        trainer.fit(
-            images,
-            labels,
-            epochs=1,
-            batch_size=BATCH_SIZE,
-            micro_batch=16,
-            workers=workers,
-        )
-        return model.state_dict()
-
-    serial_s = best_of(lambda: train(1), repeats=3, warmup=1)
-    sharded_s = best_of(lambda: train("auto"), repeats=3, warmup=1)
-    suite.record("sharded.serial_epoch_s", serial_s, micro_batch=16)
-    suite.record("sharded.sharded_epoch_s", sharded_s, micro_batch=16)
-    suite.record(
-        "sharded.speedup",
-        serial_s / sharded_s,
-        unit="ratio",
-        higher_is_better=True,
-        min_cores=4,
-    )
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["serial_s"] = serial_s
-    benchmark.extra_info["sharded_s"] = sharded_s
-    benchmark.extra_info["speedup"] = serial_s / sharded_s
-    benchmark.pedantic(lambda: train("auto"), rounds=1, iterations=1)
-    serial_state = train(1)
-    sharded_state = train("auto")
-    assert all(
-        np.array_equal(serial_state[key], sharded_state[key])
-        for key in serial_state
-    )
-    if cores >= 4:
-        assert serial_s / sharded_s >= 1.3, (
-            f"micro-batch sharding only {serial_s / sharded_s:.2f}x on "
-            f"{cores} cores"
-        )

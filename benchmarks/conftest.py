@@ -21,12 +21,10 @@ Scale knobs (environment variables):
 ``REPRO_BENCH_EPOCHS``
     Training epochs for the accurate models (default 4).
 ``REPRO_BENCH_WORKERS``
-    Worker count for the figure sweeps (default ``auto`` = one per core;
-    results are invariant to this knob).  Victim evaluation shards
-    prediction batches across that many threads; adversarial-example
-    generation shards the crafting batch across that many *processes*
-    (see ``repro.attacks.engine``; override the backend with
-    ``REPRO_ATTACK_BACKEND=serial``).
+    Processes that craft the figure sweeps' adversarial examples (default
+    ``auto`` = one per core; ``1`` crafts in-process; results are
+    invariant to this knob — see ``repro.attacks.engine``).  Training and
+    victim evaluation are serial.
 ``REPRO_REQUIRE_CACHED``
     When set, any benchmark step that would train or craft fails instead —
     the hook CI uses to assert that a repeated run is served entirely from
@@ -68,7 +66,7 @@ N_CIFAR_SAMPLES = env_int("REPRO_BENCH_SAMPLES_CIFAR", 32, minimum=1)
 N_TRAIN = env_int("REPRO_BENCH_TRAIN", 1500, minimum=1)
 N_EPOCHS = env_int("REPRO_BENCH_EPOCHS", 4, minimum=1)
 
-#: worker threads used by every figure sweep (grids are invariant to this)
+#: crafting processes used by every figure sweep (grids are invariant to this)
 BENCH_WORKERS = env_str("REPRO_BENCH_WORKERS", "auto")
 
 #: the scale knobs stamped into every report's environment fingerprint, so

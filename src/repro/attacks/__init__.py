@@ -24,7 +24,6 @@ from repro.attacks.base import (
 from repro.attacks.engine import (
     DEFAULT_SHARD_SIZE,
     AttackEngine,
-    resolve_backend,
 )
 from repro.attacks.bim import BIML2, BIMLinf
 from repro.attacks.contrast import ContrastReductionL2
@@ -68,7 +67,6 @@ __all__ = [
     "AttackMetadata",
     "AttackState",
     "DEFAULT_SHARD_SIZE",
-    "resolve_backend",
     "GRADIENT",
     "DECISION",
     "PIXEL_MIN",

@@ -21,12 +21,14 @@ do, never more.
 
 **Process sharding.**  Crafting is gradient-bound and GIL-heavy — worker
 threads neither speed it up nor share one model's backward caches safely —
-so the engine shards the *batch* across worker processes
-(:class:`repro.nn.runtime.ProcessShardPool`, started with ``spawn``).
-Models travel as :func:`repro.nn.serialization.dumps_model` snapshots.
+so with ``workers > 1`` the engine shards the *batch* across worker
+processes (:class:`repro.nn.runtime.ProcessShardPool`, started with
+``spawn``).  This is the one parallel path in the repo: it crafts a
+ten-budget BIM sweep 1.6-1.7x faster on two cores (PERFORMANCE.md).  Models
+travel as :func:`repro.nn.serialization.dumps_model` snapshots.
 
 Reproducibility contract: results are bit-identical (a) for every worker
-count, (b) between the serial and process backends, and (c) between
+count, including the in-process loop of ``workers=1``, and (b) between
 per-budget :meth:`generate` calls and one :meth:`generate_sweep`.  This
 holds because the shard decomposition depends only on ``(n_samples,
 shard_size)`` — never on ``workers`` — and each shard's RNG is spawned from
@@ -37,7 +39,6 @@ it, and hooks consume the stream only in epsilon-independent positions.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -63,30 +64,6 @@ from repro.nn.serialization import dumps_model, loads_model
 #: samples per shard — fixed independently of the worker count, which is
 #: what keeps results bit-identical for every ``workers`` value
 DEFAULT_SHARD_SIZE = 32
-
-#: environment variable selecting the sharding backend (CI matrix hook)
-BACKEND_ENV_VAR = "REPRO_ATTACK_BACKEND"
-
-SERIAL = "serial"
-PROCESS = "process"
-_BACKENDS = (SERIAL, PROCESS)
-
-
-def resolve_backend(backend: str = None) -> str:
-    """Resolve a sharding backend name (``None`` reads :data:`BACKEND_ENV_VAR`).
-
-    ``"process"`` (the default) runs multi-shard crafting on a spawn-based
-    process pool when ``workers > 1``; ``"serial"`` forces the in-process
-    loop regardless of the worker count.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or PROCESS
-    if not isinstance(backend, str) or backend.strip().lower() not in _BACKENDS:
-        raise ConfigurationError(
-            f"attack backend must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend.strip().lower()
-
 
 def _sweep_shard(
     attack: Attack,
@@ -154,11 +131,6 @@ class AttackEngine:
         Worker processes for batch sharding: a positive int, ``"auto"``
         (one per core) or ``None`` (``REPRO_DEFAULT_WORKERS``, else 1).
         Results are bit-identical for every value.
-    backend:
-        ``"process"`` (default, or ``REPRO_ATTACK_BACKEND``) or
-        ``"serial"``.  Threads are deliberately not offered: crafting
-        mutates per-layer backward caches, which concurrent threads on one
-        model object would corrupt.
     shard_size:
         Samples per shard.  Part of the attack semantics for seeded attacks
         (each shard draws from its own spawned stream), so it is fixed by
@@ -169,12 +141,10 @@ class AttackEngine:
         self,
         model: Sequential,
         workers: WorkerSpec = None,
-        backend: str = None,
         shard_size: int = None,
     ) -> None:
         self.model = model
         self.workers = resolve_workers(workers)
-        self.backend = resolve_backend(backend)
         self.shard_size = validate_batch_size(
             DEFAULT_SHARD_SIZE if shard_size is None else shard_size
         )
@@ -242,8 +212,7 @@ class AttackEngine:
     # ------------------------------------------------------------ dispatch
     def _run_shards(self, attack, images, labels, epsilons, slices, seeds):
         use_processes = (
-            self.backend == PROCESS
-            and self.workers > 1
+            self.workers > 1
             and len(slices) > 1
             and isinstance(self.model, Sequential)
         )

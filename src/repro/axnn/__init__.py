@@ -6,11 +6,9 @@ look-up table.  The LUT matmul itself runs through a pluggable kernel engine
 (:mod:`repro.axnn.kernels`) with bit-identical gather / per-code BLAS /
 error-correction / sparse one-hot / native compiled strategies (the latter
 backed by :mod:`repro.axnn.native` — Numba or a tiny C extension, selected
-via ``REPRO_KERNEL_BACKEND``), and batched prediction shards across worker
-threads via the parallel runtime (:mod:`repro.nn.runtime`, re-exported
-here).  :class:`repro.axnn.panel.VictimPanel` evaluates many victims of one
-source model in a single stacked pass, sharing quantization, the patch
-gather and the float layers.
+via ``REPRO_KERNEL_BACKEND``).  :class:`repro.axnn.panel.VictimPanel`
+evaluates many victims of one source model in a single stacked pass,
+sharing quantization, the patch gather and the float layers.
 """
 
 from repro.axnn.approx_ops import (
@@ -50,13 +48,6 @@ from repro.axnn.native import (
     reset_backend,
 )
 from repro.axnn.panel import VictimPanel
-from repro.nn.runtime import (
-    available_workers,
-    batch_slices,
-    resolve_workers,
-    run_sharded,
-    validate_batch_size,
-)
 
 __all__ = [
     "approx_matmul",
@@ -91,9 +82,4 @@ __all__ = [
     "build_axdnn",
     "build_quantized_accurate",
     "build_victims",
-    "available_workers",
-    "batch_slices",
-    "resolve_workers",
-    "run_sharded",
-    "validate_batch_size",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.axnn.kernels import normalize_strategy
 from repro.axnn.layers import AxConv2D, AxDense, AxLayer, PassthroughLayer
-from repro.nn.runtime import WorkerSpec, run_sharded, validate_batch_size
+from repro.nn.runtime import run_batched, validate_batch_size
 from repro.errors import ConfigurationError
 from repro.multipliers.base import Multiplier
 from repro.multipliers.library import get_multiplier
@@ -74,54 +74,31 @@ class AxModel:
         """Per-sample output shape (inherited from the built source model)."""
         return tuple(self.source.output_shape)
 
-    def predict(
-        self, x: np.ndarray, batch_size: int = 64, workers: WorkerSpec = None
-    ) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Batched inference returning logits.
 
         AxDNN inference is gradient-free, so the wrapped float layers run
-        under ``no_grad_cache`` and keep no backward buffers.  ``workers``
-        shards the batches across threads (``"auto"`` = one per core; the
-        default reads ``REPRO_DEFAULT_WORKERS``, else 1); the batch slicing
-        never depends on the worker count, so logits are bit-identical for
-        every ``workers`` value.
+        under ``no_grad_cache`` and keep no backward buffers.
         """
         validate_batch_size(batch_size)
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] == 0:
             return np.zeros((0,) + self.output_shape, dtype=np.float64)
-        return run_sharded(self.forward, x, batch_size, workers=workers)
+        return run_batched(self.forward, x, batch_size)
 
-    def predict_classes(
-        self, x: np.ndarray, batch_size: int = 64, workers: WorkerSpec = None
-    ) -> np.ndarray:
+    def predict_classes(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Predicted class labels."""
-        return np.argmax(
-            self.predict(x, batch_size=batch_size, workers=workers), axis=-1
-        )
+        return np.argmax(self.predict(x, batch_size=batch_size), axis=-1)
 
-    def accuracy(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        batch_size: int = 64,
-        workers: WorkerSpec = None,
-    ) -> float:
+    def accuracy(self, x: np.ndarray, y: np.ndarray, batch_size: int = 64) -> float:
         """Classification accuracy in [0, 1]."""
-        return accuracy(
-            self.predict_classes(x, batch_size=batch_size, workers=workers),
-            np.asarray(y),
-        )
+        return accuracy(self.predict_classes(x, batch_size=batch_size), np.asarray(y))
 
     def accuracy_percent(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        batch_size: int = 64,
-        workers: WorkerSpec = None,
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = 64
     ) -> float:
         """Classification accuracy in percent (the unit used by the paper)."""
-        return self.accuracy(x, y, batch_size=batch_size, workers=workers) * 100.0
+        return self.accuracy(x, y, batch_size=batch_size) * 100.0
 
     def compute_layers(self) -> List[AxLayer]:
         """The quantized compute layers (AxConv2D / AxDense)."""

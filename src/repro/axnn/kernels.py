@@ -260,7 +260,7 @@ class MultiplierKernelProfile:
 _PROFILE_CACHE: Dict[tuple, MultiplierKernelProfile] = {}
 
 #: serialises first-touch profile analysis so concurrent kernel builds (the
-#: parallel runtime shards batches across threads) share one cached profile
+#: service's job and query threads) share one cached profile
 _PROFILE_LOCK = threading.Lock()
 
 
@@ -471,7 +471,7 @@ class _TableOperand:
             self._row_tables: Dict[int, np.ndarray] = {}
             self._row_table_bytes = 0
             # memoisation is shared when the bound kernel serves concurrent
-            # batch shards; the lock keeps the byte accounting consistent
+            # service threads; the lock keeps the byte accounting consistent
             self._row_table_lock = threading.Lock()
 
     @property
@@ -732,7 +732,7 @@ class NativeLUTKernel(MatmulKernel):
     per victim, runs there.  Activation codes arrive as uint8 from the
     Ax-layers' quantizers and are used as they are; other integer codes are
     range-checked and packed.  ctypes/Numba release the GIL for the whole
-    call, so the threaded batch-sharding runtime scales.
+    call.
 
     Construction fails with :class:`ConfigurationError` when no native
     backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or neither Numba nor

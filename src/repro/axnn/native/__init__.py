@@ -171,7 +171,7 @@ def get_backend() -> Optional[NativeBackend]:
     """The resolved native backend, or ``None`` for pure NumPy.
 
     First call resolves (possibly compiling) under a lock; later calls
-    return the cached result.  Safe to call from shard worker threads.
+    return the cached result.  Safe to call from any thread.
     """
     global _RESOLVED, _BACKEND
     if _RESOLVED:

@@ -10,9 +10,8 @@ name and ``os.replace``s it into place, so a crashed compile can never leave
 a torn library behind.
 
 The loaded functions are plain ``ctypes`` foreign calls: ctypes drops the
-GIL for the duration of each call, which is what lets the threaded inference
-runtime (:mod:`repro.nn.runtime`) shard batches over these kernels with real
-parallelism — the property the scipy.sparse path never had.
+GIL for the duration of each call, so other threads (the service's job and
+query threads) keep running while a kernel does.
 
 Everything degrades cleanly: no compiler, a failing compile, or an
 unloadable artifact raise :class:`NativeBuildError`, which the backend

@@ -4,9 +4,8 @@ Importing this module raises :class:`ImportError` when Numba is absent; the
 backend resolver (:mod:`repro.axnn.native`) catches that and falls through
 to the ctypes/C backend or the NumPy reference.  The kernels are compiled
 lazily on first call (``cache=True`` persists the machine code in Numba's
-on-disk cache) and run with ``nogil=True`` so the threaded inference runtime
-shards batches over them with real parallelism, exactly like the ctypes
-path.
+on-disk cache) and run with ``nogil=True``, releasing the GIL like the
+ctypes path.
 
 The loop structure intentionally mirrors ``kernels.c`` line for line —
 int64 accumulation for the LUT matmul (order-independent, hence exact; the

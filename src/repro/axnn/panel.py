@@ -41,7 +41,7 @@ from repro.axnn.engine import AxModel
 from repro.axnn.layers import AxConv2D, AxDense, PassthroughLayer
 from repro.errors import ConfigurationError
 from repro.nn.layers.activations import ReLU
-from repro.nn.runtime import WorkerSpec, run_sharded, validate_batch_size
+from repro.nn.runtime import check_serial_workers, run_batched, validate_batch_size
 
 #: a group is a tuple of victim indices carried as one tensor
 _Group = Tuple[int, ...]
@@ -223,35 +223,37 @@ class VictimPanel:
 
     def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
         """Panel logits stacked to ``(batch, n_victims, *output_shape)`` so
-        the sharded runtime can concatenate shard results along axis 0."""
+        the batched loop can concatenate batch results along axis 0."""
         outputs = self.forward(x)
         return np.stack([outputs[name] for name in self._names], axis=1)
 
-    def predict(
-        self, x: np.ndarray, batch_size: int = 64, workers: WorkerSpec = None
-    ) -> Dict[str, np.ndarray]:
+    def predict(self, x: np.ndarray, batch_size: int = 64) -> Dict[str, np.ndarray]:
         """Batched panel inference returning logits per victim.
 
-        Same sharding contract as :meth:`AxModel.predict`: gradient-free,
-        batch slicing independent of the worker count, results
-        bit-identical for every ``workers`` value.
+        Gradient-free like :meth:`AxModel.predict`; each victim's logits
+        are bit-identical to that victim's own ``predict``.
         """
         validate_batch_size(batch_size)
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] == 0:
             empty = np.zeros((0,) + self.output_shape, dtype=np.float64)
             return {name: empty.copy() for name in self._names}
-        stacked = run_sharded(self._forward_stacked, x, batch_size, workers=workers)
+        stacked = run_batched(self._forward_stacked, x, batch_size)
         return {
             name: stacked[:, index]
             for index, name in enumerate(self._names)
         }
 
     def predict_classes(
-        self, x: np.ndarray, batch_size: int = 64, workers: WorkerSpec = None
+        self, x: np.ndarray, batch_size: int = 64, workers=None
     ) -> Dict[str, np.ndarray]:
-        """Predicted class labels per victim."""
-        logits = self.predict(x, batch_size=batch_size, workers=workers)
+        """Predicted class labels per victim.
+
+        ``workers`` accepts only ``None`` or ``1`` (see
+        :func:`repro.nn.runtime.check_serial_workers`).
+        """
+        check_serial_workers(workers)
+        logits = self.predict(x, batch_size=batch_size)
         return {name: np.argmax(value, axis=-1) for name, value in logits.items()}
 
     # ------------------------------------------------------------ reporting

@@ -35,8 +35,9 @@ Examples::
     python -m repro.cli sweep --attack BIM_linf --multipliers M1,M4,M8 --samples 40
     python -m repro.cli report --results benchmarks/results --output EXPERIMENTS.md
 
-Every subcommand that performs inference or crafting takes ``--workers``
-(a positive int or ``auto``); results are invariant to it.
+``run``, ``sweep`` and ``serve`` take ``--workers``: the number of
+processes that craft adversarial suites (a positive int or ``auto``).
+Training and evaluation are serial, and results are invariant to it.
 """
 
 from __future__ import annotations
@@ -72,14 +73,14 @@ def add_workers_argument(parser: argparse.ArgumentParser, default: str = None) -
 
     The raw value (``"auto"`` or an int spelling) is resolved by
     ``repro.nn.runtime.resolve_workers`` downstream — every subcommand that
-    runs inference or crafting routes through this one helper so the flag
+    crafts adversarial suites routes through this one helper so the flag
     behaves identically everywhere.
     """
     parser.add_argument(
         "--workers",
         default=default,
-        help="worker count for attack generation (processes) and victim "
-        "evaluation (threads): a positive int or 'auto' (one per core); "
+        help="processes crafting adversarial examples: a positive int or "
+        "'auto' (one per core); training and evaluation are serial, and "
         "results are invariant to it",
     )
 
@@ -215,7 +216,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     from repro.experiments import ModelSpec, Session
     from repro.multipliers.selection import select_resilient_multipliers
 
-    session = Session(workers=args.workers)
+    session = Session()
     trained = session.resolve_model(
         ModelSpec(
             architecture="lenet5",
@@ -233,7 +234,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         dataset.test.images[: args.samples],
         dataset.test.labels[: args.samples],
         accuracy_threshold_percent=args.threshold,
-        workers=args.workers,
     )
     print(f"accuracy threshold: {report.threshold_percent:.1f}%")
     for result in report.results:
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--samples", type=int, default=60)
     screen.add_argument("--train", type=int, default=1500)
     screen.add_argument("--epochs", type=int, default=4)
-    add_workers_argument(screen, default="auto")
     screen.set_defaults(func=_cmd_screen)
 
     mult = subparsers.add_parser("multipliers", help="list the multiplier library")

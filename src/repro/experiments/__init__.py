@@ -10,7 +10,7 @@ This package is the public entry point for running anything in the repo::
         victims=VictimSpec(multipliers=tuple(f"M{i}" for i in range(1, 10))),
         attacks=(AttackSpec(attack="BIM_linf"),),
     )
-    result = Session().run(spec, workers="auto")
+    result = Session(workers="auto").run(spec)
     print(result.grids[0].values)
 
 Specs are frozen, hashable-by-content dataclasses

@@ -54,7 +54,7 @@ from repro.models.architectures import build_architecture
 from repro.models.zoo import TrainedModel
 from repro.nn import Adam, Trainer
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec, call_with_workers
+from repro.nn.runtime import WorkerSpec
 from repro.resilience import Deadline
 from repro.robustness.evaluator import AdversarialSuite
 from repro.robustness.quantization_analysis import (
@@ -266,9 +266,10 @@ class Session:
         An :class:`ArtifactStore`, a root directory path, or ``None`` for
         the default root (``$REPRO_ARTIFACT_DIR`` or ``~/.cache/repro``).
     workers:
-        Default worker spec for attack generation (processes) and victim
-        evaluation (threads); overridable per :meth:`run` call.  Results
-        are invariant to it.
+        Processes that craft adversarial suites (a positive int, ``"auto"``
+        or ``None`` for ``REPRO_DEFAULT_WORKERS``, else 1); overridable per
+        :meth:`resolve_suite` call.  Training and evaluation are serial.
+        Results are invariant to it.
     progress:
         Optional callback receiving :class:`ProgressEvent` notifications.
     require_cached:
@@ -495,15 +496,12 @@ class Session:
         self,
         model_spec: ModelSpec,
         use_cache: bool = True,
-        workers: WorkerSpec = None,
     ) -> TrainedModel:
         """Load the trained model from the store, or train and store it.
 
         The spec seed drives dataset synthesis, parameter initialisation and
         the trainer's shuffling, so one spec hash always maps to one set of
-        weights.  ``workers`` shards the training-time validation and test
-        evaluation passes; trained weights (and hence the stored artifact)
-        are bit-identical for every value.
+        weights.
         """
         dataset = self.resolve_dataset(model_spec)
         model = build_architecture(
@@ -535,7 +533,6 @@ class Session:
                 return trained
         try:
             self._emit("model", "compute", f"training {model_spec.architecture}")
-            workers = workers if workers is not None else self.workers
 
             def on_epoch(epoch: int, metrics: Dict[str, float]) -> None:
                 if lease is not None:
@@ -573,7 +570,6 @@ class Session:
                 epochs=model_spec.epochs,
                 batch_size=model_spec.batch_size,
                 shuffle=True,
-                workers=workers,
                 on_epoch=(
                     on_epoch
                     if (self.progress is not None or lease is not None)
@@ -581,9 +577,7 @@ class Session:
                 ),
                 checkpoint=checkpointer,
             )
-            accuracy = trainer.evaluate(
-                dataset.test.images, dataset.test.labels, workers=workers
-            )
+            accuracy = trainer.evaluate(dataset.test.images, dataset.test.labels)
             if use_cache:
                 arrays = {
                     _escape(key): value for key, value in model.state_dict().items()
@@ -724,9 +718,7 @@ class Session:
             digest=digest,
         )
         if trained is None:
-            trained = self.resolve_model(
-                model_spec, use_cache=use_cache, workers=workers
-            )
+            trained = self.resolve_model(model_spec, use_cache=use_cache)
         test = trained.dataset.test
         if sweep.n_samples > len(test):
             raise ConfigurationError(
@@ -782,12 +774,7 @@ class Session:
         )
 
     # ------------------------------------------------------------------- run
-    def run(
-        self,
-        spec: ExperimentSpec,
-        workers: WorkerSpec = None,
-        use_cache: bool = True,
-    ) -> ExperimentResult:
+    def run(self, spec: ExperimentSpec, use_cache: bool = True) -> ExperimentResult:
         """Run an experiment spec, reusing cached artifacts at every level.
 
         ``use_cache=False`` bypasses the store entirely (nothing is read or
@@ -798,7 +785,6 @@ class Session:
                 f"Session.run expects an ExperimentSpec, got {type(spec).__name__}"
             )
         start = time.perf_counter()
-        workers = workers if workers is not None else self.workers
         digest = spec.content_hash()
         if use_cache:
             payload = self._cached(self.store.get_json, "result", digest)
@@ -815,11 +801,11 @@ class Session:
                     result.elapsed_s = time.perf_counter() - start
                     return result
         if spec.kind == "panel":
-            result = self._run_panel(spec, workers, use_cache)
+            result = self._run_panel(spec, use_cache)
         elif spec.kind == "quantization":
-            result = self._run_quantization(spec, workers, use_cache)
+            result = self._run_quantization(spec, use_cache)
         else:
-            result = self._run_transfer(spec, workers, use_cache)
+            result = self._run_transfer(spec, use_cache)
         if use_cache:
             self.store.put_json("result", digest, result.to_dict(), meta=spec.to_dict())
             self._emit("result", "store", f"{spec.name} {digest[:12]}")
@@ -839,15 +825,13 @@ class Session:
             for attack_spec in spec.attacks
         ]
 
-    def _run_panel(
-        self, spec: ExperimentSpec, workers: WorkerSpec, use_cache: bool
-    ) -> ExperimentResult:
+    def _run_panel(self, spec: ExperimentSpec, use_cache: bool) -> ExperimentResult:
         if use_cache:
             self._prefetch(
                 [("model", spec.model.content_hash())]
                 + self._suite_keys(spec, spec.model)
             )
-        trained = self.resolve_model(spec.model, use_cache=use_cache, workers=workers)
+        trained = self.resolve_model(spec.model, use_cache=use_cache)
         victims = self.build_victims(trained, spec.victims)
         grids: List[RobustnessGrid] = []
         for attack_spec in spec.attacks:
@@ -857,7 +841,6 @@ class Session:
                 spec.sweep,
                 seed=spec.seed,
                 trained=trained,
-                workers=workers,
                 use_cache=use_cache,
             )
             self._emit(
@@ -874,7 +857,6 @@ class Session:
                     victims,
                     dataset_name=trained.dataset.name,
                     source_name=trained.model.name,
-                    workers=workers,
                     fused=None,
                 )
             )
@@ -885,14 +867,14 @@ class Session:
         )
 
     def _run_quantization(
-        self, spec: ExperimentSpec, workers: WorkerSpec, use_cache: bool
+        self, spec: ExperimentSpec, use_cache: bool
     ) -> ExperimentResult:
         if use_cache:
             self._prefetch(
                 [("model", spec.model.content_hash())]
                 + self._suite_keys(spec, spec.model)
             )
-        trained = self.resolve_model(spec.model, use_cache=use_cache, workers=workers)
+        trained = self.resolve_model(spec.model, use_cache=use_cache)
         calibration = trained.dataset.train.images[
             : spec.victims.calibration_samples
         ]
@@ -907,12 +889,11 @@ class Session:
                 spec.sweep,
                 seed=spec.seed,
                 trained=trained,
-                workers=workers,
                 use_cache=use_cache,
             )
             self._emit("evaluate", "compute", attack_spec.attack)
-            float_results = suite.evaluate(trained.model, "float", workers=workers)
-            quant_results = suite.evaluate(quantized, "quantized", workers=workers)
+            float_results = suite.evaluate(trained.model, "float")
+            quant_results = suite.evaluate(quantized, "quantized")
             study.add(
                 QuantizationComparison(
                     attack_key=suite.attack_key,
@@ -927,9 +908,7 @@ class Session:
             source_accuracies={_source_name(spec.model): trained.test_accuracy},
         )
 
-    def _run_transfer(
-        self, spec: ExperimentSpec, workers: WorkerSpec, use_cache: bool
-    ) -> ExperimentResult:
+    def _run_transfer(self, spec: ExperimentSpec, use_cache: bool) -> ExperimentResult:
         epsilon = float(spec.sweep.epsilons[0])
         attack_spec = spec.attacks[0]
         multiplier = spec.victims.multipliers[0]
@@ -949,9 +928,7 @@ class Session:
                 (
                     name,
                     model_spec,
-                    self.resolve_model(
-                        model_spec, use_cache=use_cache, workers=workers
-                    ),
+                    self.resolve_model(model_spec, use_cache=use_cache),
                 )
             )
         primary = sources[0][2]
@@ -986,22 +963,16 @@ class Session:
                 spec.sweep,
                 seed=spec.seed,
                 trained=trained,
-                workers=workers,
                 use_cache=use_cache,
             )
             adversarial = suite.adversarial[epsilon]
             self._emit("evaluate", "compute", f"{attack_spec.attack} from {name}")
             for victim_name, victim in victims.items():
                 if victim_name not in clean_before:
-                    clean_before[victim_name] = call_with_workers(
-                        victim.accuracy_percent,
-                        suite.images,
-                        suite.labels,
-                        workers=workers,
+                    clean_before[victim_name] = victim.accuracy_percent(
+                        suite.images, suite.labels
                     )
-                after = call_with_workers(
-                    victim.accuracy_percent, adversarial, suite.labels, workers=workers
-                )
+                after = victim.accuracy_percent(adversarial, suite.labels)
                 cells.append(
                     TransferabilityCell(
                         source=name,

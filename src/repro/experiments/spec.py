@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -87,25 +88,80 @@ def content_hash(payload: Any, kind: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _require_positive_int(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+#: the largest int a spec holds: counts and seeds become int64 downstream,
+#: and Python cannot even print a 4300-digit int
+_MAX_SPEC_INT = 2**63 - 1
+
+#: the deepest nesting a spec value may have (attack params are scalars in
+#: practice); bounds every recursive walk over a payload
+_MAX_SPEC_DEPTH = 32
+
+
+def _require_int(name: str, value: Any, minimum: int) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not minimum <= value <= _MAX_SPEC_INT
+    ):
+        kind = "a positive int" if minimum == 1 else "a non-negative int"
         raise SpecValidationError(
-            f"{name} must be a positive int, got {value!r}", path=name
+            f"{name} must be {kind} below 2**63, got {value!r}", path=name
         )
 
 
-def _require_int(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecValidationError(f"{name} must be an int, got {value!r}", path=name)
+def _require_positive_int(name: str, value: Any) -> None:
+    _require_int(name, value, 1)
 
 
-def _reject_unknown_keys(cls, payload: Mapping[str, Any]) -> None:
+def _check_values(value: Any, path: str, depth: int = 0) -> None:
+    """Reject the JSON values no spec holds, anywhere inside ``value``.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``, which the content
+    hash refuses, and integers of any size, which overflow every consumer.
+    """
+    if depth > _MAX_SPEC_DEPTH:
+        raise SpecValidationError(
+            f"value nests deeper than {_MAX_SPEC_DEPTH} levels", path=path
+        )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecValidationError(f"non-finite number {value!r}", path=path)
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > _MAX_SPEC_INT:
+            raise SpecValidationError("integer out of the 64-bit range", path=path)
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            _check_values(item, f"{path}.{key}" if path else str(key), depth + 1)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _check_values(item, f"{path}[{index}]", depth + 1)
+
+
+def _check_payload(cls, payload: Any) -> dict:
+    """The checks every ``from_dict`` runs first; returns a copy of ``payload``.
+
+    ``payload`` must be a JSON object with only ``cls``'s fields, holding
+    no non-finite float and no integer beyond 64 bits.
+    """
+    if not isinstance(payload, Mapping):
+        raise SpecValidationError(
+            f"{cls.__name__} must be a JSON object, got {type(payload).__name__}"
+        )
     known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(str(key) for key in set(payload) - known)
     if unknown:
         raise SpecValidationError(
             f"unknown {cls.__name__} field(s) {unknown}; known fields: {sorted(known)}",
             path=unknown[0],
+        )
+    _check_values(payload, "")
+    return dict(payload)
+
+
+def _require_list(payload: dict, name: str) -> None:
+    """A list-valued field, when present, must hold a JSON array."""
+    if name in payload and not isinstance(payload[name], (list, tuple)):
+        raise SpecValidationError(
+            f"{name} must be a list, got {type(payload[name]).__name__}", path=name
         )
 
 
@@ -177,10 +233,15 @@ class ModelSpec(_SpecNode):
         _require_positive_int("n_test", self.n_test)
         _require_positive_int("epochs", self.epochs)
         _require_positive_int("batch_size", self.batch_size)
-        _require_int("seed", self.seed)
-        if not isinstance(self.learning_rate, (int, float)) or self.learning_rate <= 0:
+        _require_int("seed", self.seed, 0)
+        rate = self.learning_rate
+        if (
+            isinstance(rate, bool)
+            or not isinstance(rate, (int, float))
+            or not 0 < rate < math.inf
+        ):
             raise SpecValidationError(
-                f"learning_rate must be positive, got {self.learning_rate!r}",
+                f"learning_rate must be a positive finite number, got {rate!r}",
                 path="learning_rate",
             )
         object.__setattr__(self, "learning_rate", float(self.learning_rate))
@@ -199,8 +260,7 @@ class ModelSpec(_SpecNode):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ModelSpec":
-        _reject_unknown_keys(cls, payload)
-        return cls(**payload)
+        return cls(**_check_payload(cls, payload))
 
 
 @dataclass(frozen=True)
@@ -257,8 +317,8 @@ class VictimSpec(_SpecNode):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "VictimSpec":
-        _reject_unknown_keys(cls, payload)
-        payload = dict(payload)
+        payload = _check_payload(cls, payload)
+        _require_list(payload, "multipliers")
         if "multipliers" in payload:
             payload["multipliers"] = tuple(payload["multipliers"])
         return cls(**payload)
@@ -283,14 +343,17 @@ class AttackSpec(_SpecNode):
                 path="attack",
             )
         try:
-            params = tuple(sorted((str(k), v) for k, v in dict(self.params).items()))
+            params = dict(self.params)
         except (TypeError, ValueError):
             raise SpecValidationError(
                 f"attack params must be a mapping or key/value pairs, got "
                 f"{self.params!r}",
                 path="params",
             ) from None
-        object.__setattr__(self, "params", params)
+        _check_values(params, "params")
+        object.__setattr__(
+            self, "params", tuple(sorted((str(k), v) for k, v in params.items()))
+        )
 
     @classmethod
     def create(cls, attack: str, **params: Any) -> "AttackSpec":
@@ -308,8 +371,16 @@ class AttackSpec(_SpecNode):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "AttackSpec":
-        _reject_unknown_keys(cls, payload)
-        return cls.create(payload.get("attack", "FGM_linf"), **payload.get("params", {}))
+        payload = _check_payload(cls, payload)
+        params = payload.get("params", {})
+        if not isinstance(params, Mapping):
+            raise SpecValidationError(
+                f"params must be a JSON object, got {type(params).__name__}",
+                path="params",
+            )
+        return cls(
+            attack=payload.get("attack", "FGM_linf"), params=tuple(params.items())
+        )
 
 
 @dataclass(frozen=True)
@@ -324,7 +395,7 @@ class SweepSpec(_SpecNode):
     def __post_init__(self) -> None:
         try:
             epsilons = tuple(float(eps) for eps in self.epsilons)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SpecValidationError(
                 f"epsilons must be a sequence of numbers, got {self.epsilons!r}",
                 path="epsilons",
@@ -333,9 +404,10 @@ class SweepSpec(_SpecNode):
             raise SpecValidationError(
                 "sweep requires at least one epsilon", path="epsilons"
             )
-        if any(eps < 0 for eps in epsilons):
+        if not all(0 <= eps < math.inf for eps in epsilons):
             raise SpecValidationError(
-                f"epsilons must be >= 0, got {list(epsilons)}", path="epsilons"
+                f"epsilons must be finite and >= 0, got {list(epsilons)}",
+                path="epsilons",
             )
         if len(set(epsilons)) != len(epsilons):
             raise SpecValidationError(
@@ -349,8 +421,8 @@ class SweepSpec(_SpecNode):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepSpec":
-        _reject_unknown_keys(cls, payload)
-        payload = dict(payload)
+        payload = _check_payload(cls, payload)
+        _require_list(payload, "epsilons")
         if "epsilons" in payload:
             payload["epsilons"] = tuple(payload["epsilons"])
         return cls(**payload)
@@ -409,7 +481,7 @@ class ExperimentSpec(_SpecNode):
         object.__setattr__(self, "attacks", attacks)
         sources = tuple(self.transfer_sources)
         object.__setattr__(self, "transfer_sources", sources)
-        _require_int("seed", self.seed)
+        _require_int("seed", self.seed, 0)
         if self.kind == "transfer":
             if len(attacks) != 1:
                 raise SpecValidationError(
@@ -484,8 +556,9 @@ class ExperimentSpec(_SpecNode):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        _reject_unknown_keys(cls, payload)
-        payload = dict(payload)
+        payload = _check_payload(cls, payload)
+        _require_list(payload, "attacks")
+        _require_list(payload, "transfer_sources")
         kwargs: Dict[str, Any] = {
             key: payload[key] for key in ("name", "kind", "seed") if key in payload
         }

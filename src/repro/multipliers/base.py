@@ -28,9 +28,9 @@ from repro.errors import ConfigurationError
 #: surviving per-instance ``clear_cache`` calls.
 _GLOBAL_LUT_CACHE: Dict[Tuple, np.ndarray] = {}
 
-#: serialises first-touch LUT construction: the parallel inference runtime
-#: shards batches across threads, and concurrent first touches of the same
-#: multiplier must yield one shared table, not racing duplicate builds
+#: serialises first-touch LUT construction: the service's job and query
+#: threads build victims concurrently, and concurrent first touches of the
+#: same multiplier must yield one shared table, not racing duplicate builds
 _GLOBAL_LUT_LOCK = threading.Lock()
 
 

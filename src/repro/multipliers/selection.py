@@ -77,7 +77,6 @@ def select_resilient_multipliers(
     accuracy_threshold_percent: float = 90.0,
     bits: int = 8,
     always_keep: Optional[Sequence[str]] = None,
-    workers=None,
 ) -> MultiplierScreeningReport:
     """Screen candidate multipliers by the clean accuracy of their AxDNNs.
 
@@ -98,10 +97,6 @@ def select_resilient_multipliers(
         Names kept regardless of the threshold (the accurate multiplier by
         default would pass anyway, but the option mirrors the paper keeping
         the exact design as the reference).
-    workers:
-        Worker threads for each candidate's clean-accuracy inference
-        (``repro.nn.runtime.WorkerSpec``: a positive int, ``"auto"`` or
-        ``None``); the report is invariant to it.
     """
     if not candidates:
         raise ConfigurationError("at least one candidate multiplier is required")
@@ -113,7 +108,6 @@ def select_resilient_multipliers(
     # imported lazily: repro.axnn depends on repro.multipliers, so a module-
     # level import here would create an import cycle
     from repro.axnn.engine import build_axdnn
-    from repro.nn.runtime import call_with_workers
 
     keep = {resolve_name(name) for name in (always_keep or [])}
     results: List[MultiplierScreeningResult] = []
@@ -121,9 +115,7 @@ def select_resilient_multipliers(
         resolved = resolve_name(candidate)
         multiplier = get_multiplier(resolved)
         axdnn = build_axdnn(model, multiplier, calibration_data, bits=bits)
-        accuracy = call_with_workers(
-            axdnn.accuracy_percent, images, labels, workers=workers
-        )
+        accuracy = axdnn.accuracy_percent(images, labels)
         accepted = accuracy >= accuracy_threshold_percent or resolved in keep
         results.append(
             MultiplierScreeningResult(

@@ -8,7 +8,6 @@ batched inference, and input gradients for gradient-based attacks.
 from repro.nn.engine import (
     FlatParameterView,
     micro_batch_slices,
-    training_replicas,
     validate_data_parallel,
 )
 from repro.nn.functional import (
@@ -44,7 +43,7 @@ from repro.nn.runtime import (
     available_workers,
     batch_slices,
     resolve_workers,
-    run_sharded,
+    run_batched,
     validate_batch_size,
 )
 from repro.nn.serialization import dumps_model, load_weights, loads_model, save_weights
@@ -60,7 +59,6 @@ __all__ = [
     "softmax_cross_entropy",
     "FlatParameterView",
     "micro_batch_slices",
-    "training_replicas",
     "validate_data_parallel",
     "Layer",
     "Conv2D",
@@ -96,6 +94,6 @@ __all__ = [
     "available_workers",
     "batch_slices",
     "resolve_workers",
-    "run_sharded",
+    "run_batched",
     "validate_batch_size",
 ]

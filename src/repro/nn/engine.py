@@ -1,7 +1,7 @@
 """The deterministic training runtime: flat views, fused steps, micro-batching.
 
 This module makes training, the stage that dominates a cold figure run,
-cheaper and data-parallel without ever changing a trained bit:
+cheaper without ever changing a trained bit:
 
 :class:`FlatParameterView`
     Rebinds every trainable parameter of a model as a view into one
@@ -18,27 +18,20 @@ cheaper and data-parallel without ever changing a trained bit:
     operations in the same order as the seed loop (kept as the reference in
     the tests), so trained weights are bit-identical to it.
 
-micro-batching (:func:`micro_batch_slices`, :func:`training_replicas`)
+micro-batching (:func:`micro_batch_slices`)
     The canonical micro-batch partition of a mini-batch is fixed by
-    ``(batch size, micro_batch)`` alone — never by the worker count — and
-    per-micro-batch gradients are reduced in canonical index order, so
-    trained weights are bit-identical for every ``workers`` value.  Worker
-    threads run on shallow model replicas that share the parameter storage
-    (reads during the step, updated in place by the optimizer afterwards)
-    but own private cache slots and grads — the same snapshot-isolation
-    idea as the attack runtime, without any serialization because threads
-    share memory.
+    ``(batch size, micro_batch)`` alone, and per-micro-batch gradients are
+    reduced in canonical index order, so a micro-batched run always trains
+    the same bytes.
 """
 
 from __future__ import annotations
 
-from copy import copy as _shallow_copy
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.layers.base import Layer
 
 
 class FlatParameterView:
@@ -47,8 +40,7 @@ class FlatParameterView:
     Construction copies the current parameter values into ``params`` and
     rebinds each ``layer.params[name]`` to a reshaped view of it, so
     in-place updates on the flat vector are immediately visible to every
-    forward pass (including thread replicas, which share the same parameter
-    dict objects).  ``grads`` is the companion flat gradient vector filled
+    forward pass.  ``grads`` is the companion flat gradient vector filled
     by :meth:`pack_grads`.
     """
 
@@ -96,16 +88,15 @@ class FlatParameterView:
                 return False
         return True
 
-    def pack_grads(self, model=None, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def pack_grads(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Gather ``layer.grads`` into a flat vector in canonical order.
 
-        ``model`` defaults to the view's own model; a thread replica with
-        the same layer structure may be passed instead.  ``out`` defaults
-        to :attr:`grads`.  Every entry must have a gradient — the training
-        step always runs a backward pass over the parameter layers first.
+        ``out`` defaults to :attr:`grads`.  Every entry must have a
+        gradient — the training step always runs a backward pass over the
+        parameter layers first.
         """
-        model = model if model is not None else self._model
         out = out if out is not None else self.grads
+        model = self._model
         for index, name, start, size, shape in self._entries:
             grad = model.layers[index].grads.get(name)
             if grad is None:
@@ -194,11 +185,10 @@ def fused_training_step(
 def micro_batch_slices(n_samples: int, micro_batch: int) -> List[slice]:
     """The canonical micro-batch partition of a mini-batch.
 
-    Depends only on ``(n_samples, micro_batch)`` — never on the worker
-    count — which is what makes data-parallel gradients bit-identical for
-    every ``workers`` value.  Delegates to the parallel runtime's
-    :func:`repro.nn.runtime.batch_slices` (the same canonical slicing the
-    sharded predict path uses, including its strict size validation).
+    Depends only on ``(n_samples, micro_batch)``.  Delegates to
+    :func:`repro.nn.runtime.batch_slices` (the same canonical slicing
+    batched inference and crafting use, including its strict size
+    validation).
     """
     from repro.nn.runtime import batch_slices
 
@@ -209,9 +199,9 @@ def validate_data_parallel(model) -> None:
     """Refuse micro-batching for models whose training step couples samples.
 
     BatchNorm computes batch statistics (per-micro-batch statistics would
-    change the trained function) and active Dropout draws from mutable
-    per-layer RNG state (draw order would depend on scheduling); both are
-    rejected with a clear error instead of silently training differently.
+    change the trained function) and active Dropout draws its masks from
+    per-layer RNG state in mini-batch order; both are rejected with a clear
+    error instead of silently training differently.
     """
     offenders = [
         f"{layer.name} ({type(layer).__name__})"
@@ -225,30 +215,3 @@ def validate_data_parallel(model) -> None:
             "with micro_batch=None (the default), or use dropout rate 0 / "
             "no BatchNorm."
         )
-
-
-def _replicate_layer(layer: Layer) -> Layer:
-    """A shallow training replica of one layer.
-
-    The replica shares the *parameter dict object* (so flat-view rebinding
-    and in-place optimizer updates are visible without copies) but owns its
-    grads dict and transient cache slots, making concurrent forward/backward
-    passes on different replicas independent.
-    """
-    clone = _shallow_copy(layer)
-    clone.params = layer.params
-    clone.grads = {}
-    for attr in layer._transient_attrs:
-        if hasattr(clone, attr):
-            setattr(clone, attr, None)
-    return clone
-
-
-def training_replicas(model, count: int) -> List:
-    """Thread replicas of a built model for data-parallel gradient shards."""
-    replicas = []
-    for _ in range(count):
-        replica = _shallow_copy(model)
-        replica.layers = [_replicate_layer(layer) for layer in model.layers]
-        replicas.append(replica)
-    return replicas

@@ -21,9 +21,9 @@ from repro.errors import ShapeError
 #: thread-local so concurrent no_grad_cache contexts in different threads
 #: cannot corrupt each other via interleaved save/restore of a shared flag.
 #: Note the flag is the only per-thread piece: the caches themselves are
-#: shared layer attributes, so gradient work and a sharded predict must not
-#: run concurrently on the same model instance (shards clear the backward
-#: caches as they traverse the layers).
+#: shared layer attributes, so gradient work and a predict must not run
+#: concurrently on the same model instance (a predict clears the backward
+#: caches as it traverses the layers).
 _GRAD_CACHE_STATE = threading.local()
 
 def grad_cache_enabled() -> bool:
@@ -45,10 +45,10 @@ def no_grad_cache() -> Iterator[None]:
 
     Inside the context, layers neither store nor keep forward-pass caches
     (a following ``backward`` call will fail); previously pinned buffers are
-    released as layers are traversed.  The context is thread-local: worker
-    threads must enter it themselves (the parallel runtime does so per
-    shard) and concurrent contexts in different threads cannot corrupt one
-    another's state.
+    released as layers are traversed.  The context is thread-local: each
+    thread enters it itself (the service's job and query threads share
+    models), and concurrent contexts in different threads cannot corrupt
+    one another's state.
     """
     previous = grad_cache_enabled()
     _GRAD_CACHE_STATE.enabled = False

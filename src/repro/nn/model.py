@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.nn.layers.base import Layer
 from repro.nn.losses import CrossEntropyLoss, Loss
-from repro.nn.runtime import WorkerSpec, run_sharded, validate_batch_size
+from repro.nn.runtime import check_serial_workers, run_batched, validate_batch_size
 
 #: shared stateless default loss — the gradient-based attacks differentiate
 #: through input_gradient thousands of times per sweep; instantiating a
@@ -121,41 +121,33 @@ class Sequential:
                 grad = layer.backward(grad)
         return grad
 
-    def predict(
-        self, x: np.ndarray, batch_size: int = 128, workers: WorkerSpec = None
-    ) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Batched inference returning the final layer output (e.g. logits).
 
         Runs under :func:`repro.nn.layers.base.no_grad_cache`: backward
         caches (im2col buffers, layer inputs) are neither stored nor kept,
         so memory stays flat regardless of model depth and batch count.  Use
         ``forward``/``input_gradient`` when gradients are needed.
-
-        ``workers`` shards the batches across threads via
-        :func:`repro.nn.runtime.run_sharded` (``"auto"`` = one per core;
-        the default reads ``REPRO_DEFAULT_WORKERS``, else 1).  The batch
-        slicing never depends on the worker count, so outputs are
-        bit-identical for every ``workers`` value.
         """
         self._require_built()
         validate_batch_size(batch_size)
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] == 0:
             return np.zeros((0,) + tuple(self.output_shape), dtype=np.float64)
-        return run_sharded(
-            lambda batch: self.forward(batch, training=False),
-            x,
-            batch_size,
-            workers=workers,
+        return run_batched(
+            lambda batch: self.forward(batch, training=False), x, batch_size
         )
 
     def predict_classes(
-        self, x: np.ndarray, batch_size: int = 128, workers: WorkerSpec = None
+        self, x: np.ndarray, batch_size: int = 128, workers=None
     ) -> np.ndarray:
-        """Predicted class labels."""
-        return np.argmax(
-            self.predict(x, batch_size=batch_size, workers=workers), axis=-1
-        )
+        """Predicted class labels.
+
+        ``workers`` accepts only ``None`` or ``1`` (see
+        :func:`repro.nn.runtime.check_serial_workers`).
+        """
+        check_serial_workers(workers)
+        return np.argmax(self.predict(x, batch_size=batch_size), axis=-1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, training=False)

@@ -1,42 +1,31 @@
-"""Parallel inference runtime: multi-core batch sharding for prediction.
+"""Batching helpers and the process pool that shards adversarial crafting.
 
-PR 1 made single-batch AxDNN latency BLAS-bound; the remaining lever for the
-figure sweeps (which evaluate every victim on every adversarial batch) is
-running *batches* concurrently.  This module provides the shared machinery:
+Inference and training run serially in the calling thread.  ``workers``
+means one thing in this repo: how many spawn processes craft an
+adversarial suite (:class:`ProcessShardPool`, driven by
+:class:`repro.attacks.engine.AttackEngine`).  Thread sharding of predict,
+evaluate and fit was measured and removed: it sped up no workload the repo
+runs, while the process pool crafts a ten-budget BIM sweep 1.6-1.7x faster
+on two cores (PERFORMANCE.md, "Parallelism").
 
-:func:`run_sharded`
-    Split an input array into fixed-size batches, evaluate a forward
-    callable over them — serially or across a thread pool — and concatenate
-    the per-batch outputs in input order.  The slicing is identical for
-    every worker count, and each batch is an independent deterministic
-    computation, so results are bit-identical regardless of ``workers``.
+:func:`run_batched`
+    Evaluate a forward callable over fixed-size batches of an input array
+    under :func:`repro.nn.layers.base.no_grad_cache` and concatenate the
+    outputs in input order.
 
 :func:`resolve_workers`
-    Normalise a ``workers`` argument: a positive int, ``"auto"`` (one worker
-    per available core), or ``None`` (the ``REPRO_DEFAULT_WORKERS``
-    environment variable when set, else 1 — the hook the CI matrix uses to
-    run the whole suite through the sharded path).
+    Normalise a crafting ``workers`` argument: a positive int, ``"auto"``
+    (one process per available core), or ``None`` (the
+    ``REPRO_DEFAULT_WORKERS`` environment variable when set, else 1 — the
+    hook the CI matrix uses to run the whole suite through the pool).
+
+:func:`check_serial_workers`
+    The check behind the ``workers=`` keyword that three inference entry
+    points keep for existing callers: ``None`` or ``1`` only.
 
 :class:`ProcessShardPool`
-    Persistent spawn-context process pool for work the GIL serialises —
-    attack generation (see :mod:`repro.attacks.engine`) rather than
-    inference.  Executors are cached per worker count and reused across
-    calls.
-
-Threads (not processes) are the right vehicle here: the dominant kernels
-release the GIL inside BLAS (the percode / error-correction / exact paths)
-and inside most NumPy ufuncs, and worker threads share the process-wide
-read-only LUT cache (:mod:`repro.multipliers.base`) and the per-layer bound
-kernels for free, with no pickling of models or tables.  scipy.sparse
-products (the sparse kernel) hold the GIL, so sharded speedups are largest
-for BLAS-kernel models.  Forward passes run under
-:func:`repro.nn.layers.base.no_grad_cache`, where layers neither store nor
-keep activation-sized caches, so concurrent shards of one ``predict`` call
-do not contend on layer state.  Layer cache *slots* are shared instance
-attributes, however: do not run gradient work (attacks, training) on the
-same model object concurrently with a sharded ``predict`` — shards clear
-the backward caches the gradient thread relies on.  The sequential drivers
-in this repo never do.
+    Persistent spawn-context process pool for crafting shards.  Executors
+    are cached per worker count and reused across calls.
 """
 
 from __future__ import annotations
@@ -47,10 +36,8 @@ import multiprocessing
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
-from inspect import signature
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -103,6 +90,27 @@ def resolve_workers(workers: WorkerSpec = None) -> int:
     return int(workers)
 
 
+def check_serial_workers(workers) -> None:
+    """Accept only ``None`` or ``1`` for an inference ``workers=`` keyword.
+
+    ``Sequential.predict_classes``, ``VictimPanel.predict_classes`` and
+    ``grid_from_suite`` keep the keyword so that callers written against
+    the removed thread sharding with ``workers=1`` still run.  Inference is
+    serial, so any other value raises :class:`ConfigurationError`.
+    """
+    if workers is None:
+        return
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, (int, np.integer))
+        or workers != 1
+    ):
+        raise ConfigurationError(
+            f"workers must be None or 1 (inference runs serially; workers "
+            f"counts crafting processes only), got {workers!r}"
+        )
+
+
 def validate_batch_size(batch_size) -> int:
     """Check that ``batch_size`` is a positive integer and return it."""
     if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
@@ -119,8 +127,8 @@ def batch_slices(n_samples: int, batch_size: int) -> List[slice]:
 
     The final slice carries the remainder when ``n_samples`` is not a
     multiple of ``batch_size``.  The slicing depends only on
-    ``(n_samples, batch_size)`` — never on the worker count — which is what
-    makes sharded prediction bit-identical to the serial loop.
+    ``(n_samples, batch_size)``, which is what makes sharded crafting and
+    micro-batched training independent of the worker count.
     """
     batch_size = validate_batch_size(batch_size)
     return [
@@ -129,41 +137,21 @@ def batch_slices(n_samples: int, batch_size: int) -> List[slice]:
     ]
 
 
-def run_sharded(
-    forward: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    batch_size: int,
-    workers: WorkerSpec = None,
-    grad_free: bool = True,
+def run_batched(
+    forward: Callable[[np.ndarray], np.ndarray], x: np.ndarray, batch_size: int
 ) -> np.ndarray:
     """Evaluate ``forward`` over batches of ``x`` and concatenate the outputs.
 
-    With ``workers > 1`` the batches are distributed over a thread pool;
-    outputs are always concatenated in input order.  ``grad_free`` wraps the
-    evaluation of *each shard* in :func:`no_grad_cache` — the context is
-    thread-local, so every worker enters it itself and concurrent gradient
-    work in other threads is unaffected.  ``x`` must be non-empty — callers
-    handle the empty-input case, whose output shape they know and this
-    function does not.
+    The loop runs under :func:`no_grad_cache`, so layers neither store nor
+    keep activation-sized backward caches.  ``x`` must be non-empty:
+    callers handle the empty-input case, whose output shape they know and
+    this function does not.
     """
     x = np.asarray(x)
     if x.shape[0] == 0:
-        raise ConfigurationError("run_sharded requires a non-empty input batch")
-    slices = batch_slices(x.shape[0], batch_size)
-    workers = resolve_workers(workers)
-
-    def run_shard(shard: slice) -> np.ndarray:
-        with no_grad_cache() if grad_free else nullcontext():
-            return forward(x[shard])
-
-    if workers == 1 or len(slices) == 1:
-        outputs = [run_shard(s) for s in slices]
-    else:
-        pool_size = min(workers, len(slices))
-        with ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="repro-shard"
-        ) as pool:
-            outputs = list(pool.map(run_shard, slices))
+        raise ConfigurationError("run_batched requires a non-empty input batch")
+    with no_grad_cache():
+        outputs = [forward(x[shard]) for shard in batch_slices(x.shape[0], batch_size)]
     return np.concatenate(outputs, axis=0)
 
 
@@ -187,16 +175,15 @@ def _shard_fault_shim(payload):
 
 
 class ProcessShardPool:
-    """Self-healing spawn-context process pool for GIL-heavy shard work.
+    """Self-healing spawn-context process pool for crafting shards.
 
-    Thread sharding (:func:`run_sharded`) covers BLAS-bound inference, but
-    adversarial-example crafting is gradient-bound: its forward/backward
+    Adversarial-example crafting is gradient-bound: its forward/backward
     passes hold the GIL in pure-NumPy layer code and mutate per-layer
-    backward caches, so worker *threads* neither speed it up nor share one
-    model object safely.  This pool runs shard tasks in separate processes
-    instead.  Tasks must be module-level callables with picklable arguments
-    that are *self-contained* — pure functions of their payload, sharing no
-    mutable state with the parent (models travel as
+    backward caches, so threads neither speed it up nor share one model
+    object safely.  This pool runs shard tasks in separate processes.
+    Tasks must be module-level callables with picklable arguments that are
+    *self-contained* — pure functions of their payload, sharing no mutable
+    state with the parent (models travel as
     :func:`repro.nn.serialization.dumps_model` payloads and are rebuilt per
     call).  That property is also what makes every recovery path below
     bit-identical: re-running a shard anywhere recomputes the same bytes.
@@ -205,9 +192,9 @@ class ProcessShardPool:
     poisons its executor with :class:`BrokenProcessPool`; ``map`` evicts the
     executor, respawns a fresh pool and retries the whole map under a
     :class:`repro.resilience.RetryPolicy`.  When process pools keep failing
-    — spawn errors, a hostile sandbox, repeated worker deaths — ``map``
-    degrades process → thread → serial with a logged warning at each step
-    rather than failing the run; results are identical on every rung
+    — spawn errors, a hostile sandbox, a script without a ``__main__``
+    guard — ``map`` logs a warning and runs the shards serially in the
+    calling process rather than failing the run; the results are identical
     because tasks are self-contained and ordering is preserved.
 
     Worker processes are started with the ``spawn`` method (fork-safety with
@@ -312,23 +299,11 @@ class ProcessShardPool:
                     )
                     self.retry.sleep(self.retry.delay_s(attempt))
         logger.warning(
-            "process shard pool kept failing (%s: %s); degrading to threads",
+            "process shard pool kept failing (%s: %s); running the shards serially",
             type(failure).__name__,
             failure,
         )
-        try:
-            FaultInjector.consult("pool.thread")
-            with ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard-fallback"
-            ) as pool:
-                return list(pool.map(task, items))
-        except Exception as exc:
-            logger.warning(
-                "thread fallback failed (%s: %s); degrading to serial",
-                type(exc).__name__,
-                exc,
-            )
-            return [task(item) for item in items]
+        return [task(item) for item in items]
 
     def _map_processes(self, task: Callable, items: List) -> List:
         worker_rules = FaultInjector.rules_for("pool.worker")
@@ -344,26 +319,3 @@ class ProcessShardPool:
 
 
 atexit.register(ProcessShardPool.shutdown_all)
-
-
-def call_with_workers(method: Callable, *args, workers: WorkerSpec = None, **kwargs):
-    """Invoke a prediction method, forwarding ``workers`` when it accepts it.
-
-    The robustness drivers evaluate "any object exposing
-    ``predict_classes``" — float models, AxDNNs, defense wrappers.  Only the
-    first two understand ``workers``; this helper forwards the argument to
-    methods that declare it and silently drops it otherwise, so wrapped
-    victims keep working unchanged.  An explicit ``workers`` value is always
-    forwarded — ``workers=1`` must force serial execution even when
-    ``REPRO_DEFAULT_WORKERS`` would resolve ``None`` to something larger.
-    """
-    if workers is not None and _accepts_workers(method):
-        return method(*args, workers=workers, **kwargs)
-    return method(*args, **kwargs)
-
-
-def _accepts_workers(method: Callable) -> bool:
-    try:
-        return "workers" in signature(method).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/C callables
-        return False

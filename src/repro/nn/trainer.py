@@ -7,23 +7,17 @@ fused elementwise update to a flat parameter view.  All of it performs the
 same float64 operations in the same order as the seed loop (kept in the
 tests as the reference), so the trained weights are bit-identical to it.
 
-``micro_batch=m`` additionally turns on deterministic data-parallel
-gradients: each mini-batch is split into the *canonical* micro-batch
-partition (fixed by the batch size alone — never by the worker count),
-per-micro-batch gradients are computed on thread replicas that share
-parameter storage, and reduced in canonical index order.  The result is
-bit-identical for every ``workers`` value; it differs from the full-batch
-gradient only by float summation order.  With ``micro_batch=None`` (the
-default) the gradient math is exactly the full-batch computation, so
-``workers`` never changes trained weights — it only shards validation and
-evaluation passes.
+``micro_batch=m`` splits each mini-batch into the *canonical* micro-batch
+partition (fixed by the batch size alone), computes the per-micro-batch
+gradients one after another, and reduces them in canonical index order.  It
+differs from the full-batch gradient only by float summation order.  With
+``micro_batch=None`` (the default) the gradient math is exactly the
+full-batch computation.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -36,7 +30,6 @@ from repro.nn.engine import (
     ensure_training_engine,
     fused_training_step,
     micro_batch_slices,
-    training_replicas,
     validate_data_parallel,
     validate_fit_arguments,
 )
@@ -44,7 +37,6 @@ from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer, SGD
-from repro.nn.runtime import WorkerSpec, resolve_workers
 
 #: called after every epoch with (1-based epoch index, metrics of the epoch)
 EpochCallback = Callable[[int, Dict[str, float]], None]
@@ -114,7 +106,6 @@ class Trainer:
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         shuffle: bool = True,
         verbose: bool = False,
-        workers: WorkerSpec = None,
         micro_batch: Optional[int] = None,
         on_epoch: Optional[EpochCallback] = None,
         checkpoint=None,
@@ -124,16 +115,10 @@ class Trainer:
 
         Parameters beyond the seed loop's:
 
-        workers:
-            Shards validation/evaluation predicts and, when ``micro_batch``
-            is set, the per-micro-batch gradient computation across threads.
-            Never changes trained weights: the gradient partition is
-            canonical (worker-count independent) and reduced in canonical
-            order, so weights are bit-identical for every value.
         micro_batch:
-            Canonical micro-batch size for deterministic data-parallel
-            gradients.  ``None`` (default) keeps the exact full-batch
-            gradient math of the seed trainer.
+            Canonical micro-batch size for micro-batched gradients.
+            ``None`` (default) keeps the exact full-batch gradient math of
+            the seed trainer.
         on_epoch:
             Callback invoked after each epoch with ``(epoch, metrics)`` —
             the hook :class:`repro.experiments.session.Session` uses for
@@ -192,63 +177,55 @@ class Trainer:
         start_epoch = 0
         if checkpoint is not None:
             start_epoch = self._restore_checkpoint(checkpoint, epochs, flat, history)
-        shard_pool = None
-        try:
-            if micro_batch is not None:
-                shard_pool = _MicroBatchPool(self.model, flat, resolve_workers(workers))
-            for epoch in range(start_epoch, epochs):
-                order = np.arange(n_samples)
-                if shuffle:
-                    self._rng.shuffle(order)
-                epoch_losses = []
-                epoch_correct = 0
-                for start in range(0, n_samples, batch_size):
-                    batch_idx = order[start : start + batch_size]
-                    xb, yb = x[batch_idx], y[batch_idx]
-                    if shard_pool is not None:
-                        batch_loss, correct = self._micro_batch_step(
-                            xb, yb, micro_batch, flat, shard_pool
-                        )
-                    else:
-                        batch_loss, correct = fused_training_step(
-                            self.model, self.loss, self.optimizer, flat, xb, yb
-                        )
-                    epoch_losses.append(batch_loss)
-                    epoch_correct += correct
-                history.train_loss.append(float(np.mean(epoch_losses)))
-                history.train_accuracy.append(epoch_correct / n_samples)
+        for epoch in range(start_epoch, epochs):
+            order = np.arange(n_samples)
+            if shuffle:
+                self._rng.shuffle(order)
+            epoch_losses = []
+            epoch_correct = 0
+            for start in range(0, n_samples, batch_size):
+                batch_idx = order[start : start + batch_size]
+                xb, yb = x[batch_idx], y[batch_idx]
+                if micro_batch is not None:
+                    batch_loss, correct = self._micro_batch_step(
+                        xb, yb, micro_batch, flat
+                    )
+                else:
+                    batch_loss, correct = fused_training_step(
+                        self.model, self.loss, self.optimizer, flat, xb, yb
+                    )
+                epoch_losses.append(batch_loss)
+                epoch_correct += correct
+            history.train_loss.append(float(np.mean(epoch_losses)))
+            history.train_accuracy.append(epoch_correct / n_samples)
+            if validation_data is not None:
+                val_x, val_y = validation_data
+                history.validation_accuracy.append(
+                    self.evaluate(val_x, val_y, batch_size=batch_size)
+                )
+            if on_epoch is not None:
+                metrics = {
+                    "train_loss": history.train_loss[-1],
+                    "train_accuracy": history.train_accuracy[-1],
+                }
                 if validation_data is not None:
-                    val_x, val_y = validation_data
-                    val_acc = self.evaluate(
-                        val_x, val_y, batch_size=batch_size, workers=workers
-                    )
-                    history.validation_accuracy.append(val_acc)
-                if on_epoch is not None:
-                    metrics = {
-                        "train_loss": history.train_loss[-1],
-                        "train_accuracy": history.train_accuracy[-1],
-                    }
-                    if validation_data is not None:
-                        metrics["validation_accuracy"] = history.validation_accuracy[-1]
-                    on_epoch(epoch + 1, metrics)
-                if checkpoint is not None and (
-                    (epoch + 1) % checkpoint_cadence == 0 or epoch + 1 == epochs
-                ):
-                    checkpoint.save(epoch + 1, self.capture_state(epoch + 1, history))
-                # chaos seam: a scripted plan interrupts training here — after
-                # the epoch's checkpoint, exactly where a real crash would land
-                FaultInjector.consult("trainer.epoch")
-                if verbose:  # pragma: no cover - console output
-                    message = (
-                        f"epoch {epoch + 1}/{epochs}: loss={history.train_loss[-1]:.4f} "
-                        f"train_acc={history.train_accuracy[-1]:.4f}"
-                    )
-                    if validation_data is not None:
-                        message += f" val_acc={history.validation_accuracy[-1]:.4f}"
-                    print(message)
-        finally:
-            if shard_pool is not None:
-                shard_pool.shutdown()
+                    metrics["validation_accuracy"] = history.validation_accuracy[-1]
+                on_epoch(epoch + 1, metrics)
+            if checkpoint is not None and (
+                (epoch + 1) % checkpoint_cadence == 0 or epoch + 1 == epochs
+            ):
+                checkpoint.save(epoch + 1, self.capture_state(epoch + 1, history))
+            # chaos seam: a scripted plan interrupts training here — after
+            # the epoch's checkpoint, exactly where a real crash would land
+            FaultInjector.consult("trainer.epoch")
+            if verbose:  # pragma: no cover - console output
+                message = (
+                    f"epoch {epoch + 1}/{epochs}: loss={history.train_loss[-1]:.4f} "
+                    f"train_acc={history.train_accuracy[-1]:.4f}"
+                )
+                if validation_data is not None:
+                    message += f" val_acc={history.validation_accuracy[-1]:.4f}"
+                print(message)
         return history
 
     # ------------------------------------------------------------ the steps
@@ -258,23 +235,29 @@ class Trainer:
         yb: np.ndarray,
         micro_batch: int,
         flat: FlatParameterView,
-        shard_pool: "_MicroBatchPool",
     ) -> Tuple[float, int]:
-        """One data-parallel step over the canonical micro-batch partition.
+        """One step over the canonical micro-batch partition.
 
-        Gradients are normalised by the full mini-batch size and reduced in
-        canonical index order, so the step is invariant to the worker count
-        (and equals the full-batch gradient up to float summation order).
+        Each micro-batch's gradient, normalised by the full mini-batch size,
+        is packed into its own row of a stack; the rows are then summed in
+        index order (equal to the full-batch gradient up to float summation
+        order).
         """
-        slices = micro_batch_slices(xb.shape[0], micro_batch)
-        parts = shard_pool.run(xb, yb, slices, self.loss)
+        total = int(xb.shape[0])
+        slices = micro_batch_slices(total, micro_batch)
+        grad_stack = np.empty((len(slices), flat.size), dtype=np.float64)
         batch_loss = 0.0
         correct = 0
-        for value, n_correct in parts:
+        for row, micro in enumerate(slices):
+            logits = self.model.forward(xb[micro], training=True)
+            value, grad = self.loss.value_and_gradient(
+                logits, yb[micro], normalizer=total
+            )
+            self.model.backward(grad, input_grad=False)
+            flat.pack_grads(out=grad_stack[row])
             batch_loss += value
-            correct += n_correct
-        grad_stack = shard_pool.grad_stack(len(slices), flat.size)
-        np.sum(grad_stack[: len(slices)], axis=0, out=flat.grads)
+            correct += int(np.sum(np.argmax(logits, axis=-1) == yb[micro]))
+        np.sum(grad_stack, axis=0, out=flat.grads)
         self.optimizer.step_flat(flat)
         return batch_loss, correct
 
@@ -355,87 +338,7 @@ class Trainer:
         return int(epoch)
 
     # ------------------------------------------------------------- evaluate
-    def evaluate(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        batch_size: int = 128,
-        workers: WorkerSpec = None,
-    ) -> float:
-        """Accuracy of the model on ``(x, y)``.
-
-        ``workers`` shards the prediction batches across threads (see
-        :func:`repro.nn.runtime.run_sharded`); results are bit-identical
-        for every worker count.
-        """
-        predictions = self.model.predict_classes(
-            x, batch_size=batch_size, workers=workers
-        )
+    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 128) -> float:
+        """Accuracy of the model on ``(x, y)``."""
+        predictions = self.model.predict_classes(x, batch_size=batch_size)
         return accuracy(predictions, np.asarray(y, dtype=np.int64))
-
-
-class _MicroBatchPool:
-    """Thread replicas + executor for one data-parallel ``fit`` call.
-
-    Each worker thread checks a replica out of a queue, runs the
-    forward/loss/backward of one micro-batch, packs the replica's gradients
-    into the micro-batch's row of a shared stack, and returns the replica.
-    Which thread computes which micro-batch never matters: replicas share
-    the parameter storage and the packing row is fixed by the micro-batch
-    index, so the reduction input is identical for every worker count.
-    """
-
-    def __init__(self, model, flat: FlatParameterView, workers: int) -> None:
-        self._flat = flat
-        self._workers = max(1, workers)
-        self._stack: Optional[np.ndarray] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._replicas: "queue.SimpleQueue" = queue.SimpleQueue()
-        if self._workers == 1:
-            # serial: compute on the model itself
-            self._model = model
-        else:
-            self._model = None
-            for replica in training_replicas(model, self._workers):
-                self._replicas.put(replica)
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-train"
-            )
-
-    def grad_stack(self, rows: int, size: int) -> np.ndarray:
-        if self._stack is None or self._stack.shape[0] < rows:
-            self._stack = np.empty((rows, size), dtype=np.float64)
-        return self._stack
-
-    def run(
-        self, xb: np.ndarray, yb: np.ndarray, slices, loss: Loss
-    ) -> List[Tuple[float, int]]:
-        """Per-micro-batch (loss contribution, correct count), in order."""
-        total = int(xb.shape[0])
-        stack = self.grad_stack(len(slices), self._flat.size)
-
-        def run_micro(index: int) -> Tuple[float, int]:
-            micro = slices[index]
-            replica = self._model if self._model is not None else self._replicas.get()
-            try:
-                logits = replica.forward(xb[micro], training=True)
-                value, grad = loss.value_and_gradient(
-                    logits, yb[micro], normalizer=total
-                )
-                replica.backward(grad, input_grad=False)
-                self._flat.pack_grads(model=replica, out=stack[index])
-                correct = int(np.sum(np.argmax(logits, axis=-1) == yb[micro]))
-                return value, correct
-            finally:
-                if self._model is None:
-                    self._replicas.put(replica)
-
-        indices = range(len(slices))
-        if self._executor is None or len(slices) == 1:
-            return [run_micro(i) for i in indices]
-        return list(self._executor.map(run_micro, indices))
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None

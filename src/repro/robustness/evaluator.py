@@ -31,7 +31,7 @@ from repro.attacks.engine import AttackEngine
 from repro.errors import ConfigurationError
 from repro.nn.metrics import accuracy_percent
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec, call_with_workers
+from repro.nn.runtime import WorkerSpec
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class AdversarialSuite:
         bit-identical to one ``generate`` call per budget, but shared work
         (single-step gradients, noise draws) is paid once, and the batch is
         sharded over worker processes when ``workers > 1``.  Pass a
-        pre-configured ``engine`` to override backend or shard size.
+        pre-configured ``engine`` to override the shard size.
         ``seed`` overrides the attack's own seed for this crafting pass —
         the declarative experiment API threads its experiment seed through
         here so identical specs always produce identical cached artifacts.
@@ -95,24 +95,16 @@ class AdversarialSuite:
         )
         return suite
 
-    def evaluate(
-        self, victim, victim_name: str, workers: WorkerSpec = None
-    ) -> List[RobustnessResult]:
+    def evaluate(self, victim, victim_name: str) -> List[RobustnessResult]:
         """Percentage robustness of a victim model for every budget.
 
         ``victim`` is any object exposing ``predict_classes(images)`` — both
         :class:`repro.nn.Sequential` (float models) and
-        :class:`repro.axnn.AxModel` qualify.  ``workers`` shards the victim's
-        prediction batches across threads when the victim supports it
-        (results are invariant to the worker count); victims without a
-        ``workers`` parameter are called unchanged.
+        :class:`repro.axnn.AxModel` qualify.
         """
         results = []
         for epsilon in self.epsilons:
-            adversarial = self.adversarial[epsilon]
-            predictions = call_with_workers(
-                victim.predict_classes, adversarial, workers=workers
-            )
+            predictions = victim.predict_classes(self.adversarial[epsilon])
             robustness = accuracy_percent(predictions, self.labels)
             results.append(
                 RobustnessResult(
@@ -126,9 +118,7 @@ class AdversarialSuite:
         return results
 
 
-    def evaluate_panel(
-        self, panel, workers: WorkerSpec = None
-    ) -> Dict[str, List[RobustnessResult]]:
+    def evaluate_panel(self, panel) -> Dict[str, List[RobustnessResult]]:
         """Percentage robustness of a fused victim panel for every budget.
 
         ``panel`` is a :class:`repro.axnn.panel.VictimPanel` (or anything
@@ -140,10 +130,7 @@ class AdversarialSuite:
         """
         results: Dict[str, List[RobustnessResult]] = {}
         for epsilon in self.epsilons:
-            adversarial = self.adversarial[epsilon]
-            predictions = call_with_workers(
-                panel.predict_classes, adversarial, workers=workers
-            )
+            predictions = panel.predict_classes(self.adversarial[epsilon])
             for name, predicted in predictions.items():
                 results.setdefault(name, []).append(
                     RobustnessResult(
@@ -165,13 +152,10 @@ def evaluate_robustness(
     labels: np.ndarray,
     epsilons: Sequence[float],
     victim_name: str = "victim",
-    workers: WorkerSpec = None,
 ) -> List[RobustnessResult]:
     """One-shot convenience wrapper: generate the suite and evaluate one victim."""
-    suite = AdversarialSuite.generate(
-        source_model, attack, images, labels, epsilons, workers=workers
-    )
-    return suite.evaluate(victim, victim_name, workers=workers)
+    suite = AdversarialSuite.generate(source_model, attack, images, labels, epsilons)
+    return suite.evaluate(victim, victim_name)
 
 
 def accuracy_loss(results: Sequence[RobustnessResult]) -> Dict[float, float]:

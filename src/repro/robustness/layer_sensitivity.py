@@ -22,7 +22,6 @@ from repro.multipliers.library import ACCURATE_MULTIPLIER
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ def layer_sensitivity_analysis(
     epsilon: float = 0.1,
     layers: Optional[Sequence[str]] = None,
     bits: int = 8,
-    workers: WorkerSpec = "auto",
 ) -> List[LayerSensitivity]:
     """Approximate one compute layer at a time and measure the impact.
 
@@ -82,10 +80,6 @@ def layer_sensitivity_analysis(
         accuracy is reported.
     layers:
         Subset of compute-layer names to analyse (default: all of them).
-    workers:
-        Worker count for the per-victim accuracy evaluations (threads) and
-        for adversarial-example generation (processes); ``"auto"`` = one
-        per core.  Results are invariant to it.
     """
     all_layers = compute_layer_names(model)
     if not all_layers:
@@ -99,7 +93,7 @@ def layer_sensitivity_analysis(
 
     adversarial = None
     if attack is not None:
-        adversarial = attack.generate(model, images, labels, epsilon, workers=workers)
+        adversarial = attack.generate(model, images, labels, epsilon)
 
     kind_by_name = {
         layer.name: type(layer).__name__
@@ -116,9 +110,9 @@ def layer_sensitivity_analysis(
             per_layer_multipliers={layer_name: multiplier},
             name=f"ax_{model.name}_only_{layer_name}",
         )
-        clean = victim.accuracy_percent(images, labels, workers=workers)
+        clean = victim.accuracy_percent(images, labels)
         attacked = (
-            victim.accuracy_percent(adversarial, labels, workers=workers)
+            victim.accuracy_percent(adversarial, labels)
             if adversarial is not None
             else None
         )

@@ -16,7 +16,6 @@ import numpy as np
 from repro.attacks.base import Attack
 from repro.axnn.engine import AxModel, build_quantized_accurate
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec
 from repro.robustness.evaluator import AdversarialSuite
 
 
@@ -74,16 +73,13 @@ def compare_float_and_quantized(
     epsilons: Sequence[float],
     calibration_data: np.ndarray,
     quantized: AxModel = None,
-    workers: WorkerSpec = "auto",
 ) -> QuantizationComparison:
     """Robustness of the float model vs its 8-bit quantized version for one attack."""
-    suite = AdversarialSuite.generate(
-        model, attack, images, labels, epsilons, workers=workers
-    )
+    suite = AdversarialSuite.generate(model, attack, images, labels, epsilons)
     if quantized is None:
         quantized = build_quantized_accurate(model, calibration_data)
-    float_results = suite.evaluate(model, "float", workers=workers)
-    quant_results = suite.evaluate(quantized, "quantized", workers=workers)
+    float_results = suite.evaluate(model, "float")
+    quant_results = suite.evaluate(quantized, "quantized")
     return QuantizationComparison(
         attack_key=attack.key(),
         epsilons=list(suite.epsilons),
@@ -99,7 +95,6 @@ def quantization_study(
     labels: np.ndarray,
     epsilons: Sequence[float],
     calibration_data: np.ndarray,
-    workers: WorkerSpec = "auto",
 ) -> QuantizationStudy:
     """Run the full Fig. 8 comparison over a list of attacks."""
     study = QuantizationStudy()
@@ -114,7 +109,6 @@ def quantization_study(
                 epsilons,
                 calibration_data,
                 quantized,
-                workers=workers,
             )
         )
     return study

@@ -17,7 +17,7 @@ from repro.attacks.base import Attack
 from repro.axnn.engine import AxModel
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec
+from repro.nn.runtime import WorkerSpec, check_serial_workers
 from repro.robustness.evaluator import AdversarialSuite
 
 
@@ -112,16 +112,16 @@ def grid_from_suite(
     victims: Dict[str, "AxModel"],
     dataset_name: str = "dataset",
     source_name: str = "source",
-    workers: WorkerSpec = "auto",
+    workers=None,
     fused: Optional[bool] = None,
 ) -> RobustnessGrid:
     """Robustness grid of every victim on a pre-generated adversarial suite.
 
     This is the evaluation half of :func:`multiplier_sweep`: the expensive
     crafting step is already done (or was served from the artifact store —
-    see :mod:`repro.experiments`), so only victim inference is paid here.
-    Victim evaluation shards prediction batches across worker *threads*; the
-    grid is bit-identical for every worker count.
+    see :mod:`repro.experiments`), so only victim inference is paid here,
+    serially.  ``workers`` accepts only ``None`` or ``1`` (see
+    :func:`repro.nn.runtime.check_serial_workers`).
 
     ``fused`` controls the multi-victim fusion (see :func:`_panel_or_none`):
     by default panels of two or more compatible AxDNNs are evaluated in one
@@ -129,19 +129,20 @@ def grid_from_suite(
     and float layers across victims.  The fused grid is bit-identical to per-victim
     evaluation — fusion only removes recomputation of identical values.
     """
+    check_serial_workers(workers)
     if not victims:
         raise ConfigurationError("at least one victim AxDNN is required")
     victim_labels = list(victims)
     values = np.zeros((len(suite.epsilons), len(victim_labels)), dtype=np.float64)
     panel = _panel_or_none(victims, fused)
     if panel is not None:
-        panel_results = suite.evaluate_panel(panel, workers=workers)
+        panel_results = suite.evaluate_panel(panel)
         for column, label in enumerate(victim_labels):
             for row, result in enumerate(panel_results[label]):
                 values[row, column] = result.robustness_percent
     else:
         for column, label in enumerate(victim_labels):
-            results = suite.evaluate(victims[label], label, workers=workers)
+            results = suite.evaluate(victims[label], label)
             for row, result in enumerate(results):
                 values[row, column] = result.robustness_percent
     return RobustnessGrid(
@@ -174,11 +175,11 @@ def multiplier_sweep(
     Adversarial examples are generated once on the source model and shared by
     all victims, exactly as in Algorithm 1 (the adversary never sees the
     approximate inference engine).  Generation runs the whole budget sweep
-    in one amortised engine pass, sharded over worker *processes*; victim
-    evaluation shards prediction batches across worker *threads*.  Both use
-    ``workers`` (default one per core) and the grid is bit-identical for
-    every worker count.  ``seed`` overrides the attack's own crafting seed
-    (the hook the declarative experiment API uses for artifact determinism).
+    in one amortised engine pass, sharded over ``workers`` processes
+    (default one per core); victim evaluation is serial.  The grid is
+    bit-identical for every worker count.  ``seed`` overrides the attack's
+    own crafting seed (the hook the declarative experiment API uses for
+    artifact determinism).
     """
     if not victims:
         raise ConfigurationError("at least one victim AxDNN is required")
@@ -190,7 +191,6 @@ def multiplier_sweep(
         victims,
         dataset_name=dataset_name,
         source_name=source_model.name,
-        workers=workers,
         fused=fused,
     )
 
@@ -203,19 +203,11 @@ def attack_panel(
     labels: np.ndarray,
     epsilons: Sequence[float],
     dataset_name: str = "dataset",
-    workers: WorkerSpec = "auto",
 ) -> List[RobustnessGrid]:
     """One grid per attack — a full figure panel (e.g. Fig. 4a-d)."""
     return [
         multiplier_sweep(
-            source_model,
-            victims,
-            attack,
-            images,
-            labels,
-            epsilons,
-            dataset_name,
-            workers=workers,
+            source_model, victims, attack, images, labels, epsilons, dataset_name
         )
         for attack in attacks
     ]

@@ -19,7 +19,6 @@ from repro.attacks.engine import AttackEngine
 from repro.axnn.engine import AxModel
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec, call_with_workers
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,12 @@ def transferability_analysis(
     labels: np.ndarray,
     epsilon: float,
     dataset_name: str,
-    workers: WorkerSpec = None,
 ) -> List[TransferabilityCell]:
     """Evaluate every (source, victim) pair on one dataset.
 
     ``sources`` maps source names (e.g. ``"AccL5"``) to accurate float models
     used for crafting the adversarial examples; ``victims`` maps victim names
     (e.g. ``"AxL5"``, ``"AxAlx"``) to AxDNNs evaluated on those examples.
-    ``workers`` shards attack generation over processes and victim
-    evaluation over threads; cells are invariant to it.
     """
     if epsilon < 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
@@ -106,15 +102,12 @@ def transferability_analysis(
     labels = np.asarray(labels, dtype=np.int64)
     cells: List[TransferabilityCell] = []
     for source_name, source_model in sources.items():
-        engine = AttackEngine(source_model, workers=workers)
-        adversarial = engine.generate(attack, images, labels, epsilon)
+        adversarial = AttackEngine(source_model).generate(
+            attack, images, labels, epsilon
+        )
         for victim_name, victim in victims.items():
-            before = call_with_workers(
-                victim.accuracy_percent, images, labels, workers=workers
-            )
-            after = call_with_workers(
-                victim.accuracy_percent, adversarial, labels, workers=workers
-            )
+            before = victim.accuracy_percent(images, labels)
+            after = victim.accuracy_percent(adversarial, labels)
             cells.append(
                 TransferabilityCell(
                     source=source_name,

@@ -103,11 +103,7 @@ class ServiceApp:
             session_workers=session_workers,
             metrics=self.metrics,
         )
-        self.evaluator = QueryEvaluator(
-            store=self.store,
-            session_workers=session_workers,
-            metrics=self.metrics,
-        )
+        self.evaluator = QueryEvaluator(store=self.store, metrics=self.metrics)
         self.batcher = MicroBatcher(
             self.evaluator,
             max_batch=max_batch,

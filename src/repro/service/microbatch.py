@@ -12,9 +12,8 @@ fused :class:`~repro.axnn.panel.VictimPanel` when the victim set is
 lockstep-compatible, per victim otherwise.
 
 Bit-identity is the contract that makes this safe: every predict path in
-the repo slices batches row-independently (the sharded runtime's worker
-invariance is exactly batch invariance), so the fused answer for a query
-is bit-identical to evaluating that sample alone.  ``/metrics`` splits a
+the repo is row-independent, so the fused answer for a query is
+bit-identical to evaluating that sample alone.  ``/metrics`` splits a
 query's time into ``query_wait_seconds`` (enqueue to dispatch) and
 ``query_batch_latency_seconds`` (its batch's evaluation).
 
@@ -39,7 +38,6 @@ from repro.axnn.panel import VictimPanel
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.spec import ModelSpec, VictimSpec, content_hash
 from repro.experiments.store import ArtifactStore
-from repro.nn.runtime import WorkerSpec
 from repro.resilience import Deadline
 from repro.service.metrics import MetricsRegistry
 
@@ -95,7 +93,6 @@ class QueryEvaluator:
     def __init__(
         self,
         store: Optional[ArtifactStore] = None,
-        session_workers: WorkerSpec = None,
         max_targets: int = 8,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -104,7 +101,6 @@ class QueryEvaluator:
                 f"max_targets must be a positive int, got {max_targets!r}"
             )
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
-        self.session_workers = session_workers
         self.max_targets = max_targets
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
@@ -126,7 +122,7 @@ class QueryEvaluator:
             from repro.experiments.session import Session
 
             self.metrics.inc("query_target_builds_total")
-            session = Session(store=self.store, workers=self.session_workers)
+            session = Session(store=self.store)
             trained = session.resolve_model(model_spec)
             victims = session.build_victims(trained, victim_spec)
             panel = None
@@ -150,7 +146,12 @@ class QueryEvaluator:
     # ------------------------------------------------------------- evaluate
     def _item_image(self, target: QueryTarget, item: QueryItem) -> np.ndarray:
         if item.image is not None:
-            image = np.asarray(item.image, dtype=np.float64)
+            try:
+                image = np.asarray(item.image, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged lists, strings, objects
+                raise ConfigurationError(
+                    "query image must be a nested list of numbers"
+                ) from None
             if image.shape != target.image_shape:
                 raise ConfigurationError(
                     f"query image has shape {tuple(image.shape)}, the target "
@@ -177,9 +178,8 @@ class QueryEvaluator:
         Returns one ``(http_status, payload)`` per item, in order.  A
         malformed item (bad shape, out-of-range index) fails alone with
         400; the rest of the batch still evaluates.  The predictions are
-        bit-identical to evaluating each sample in its own batch — batched
-        prediction is row-independent (the same invariance the sharded
-        runtime proves per worker count).
+        bit-identical to evaluating each sample in its own batch, because
+        batched prediction is row-independent.
         """
         target = self.resolve(model_spec, victim_spec)
         images: List[np.ndarray] = []

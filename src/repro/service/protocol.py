@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -86,14 +87,22 @@ class Request:
     path_params: Dict[str, str] = field(default_factory=dict)
 
     def json(self):
-        """The body parsed as JSON; raises :class:`HttpError` 400 on garbage."""
+        """The body parsed as JSON; raises :class:`HttpError` 400 on garbage.
+
+        Nesting deep enough to exhaust the parser's recursion (a body of
+        200 000 ``[``) is garbage too.
+        """
         if not self.body:
             raise HttpError(400, "empty_body", "request body must be a JSON object")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or a 4300+ digit int
             raise HttpError(
                 400, "invalid_json", f"request body is not valid JSON: {exc}"
+            ) from None
+        except RecursionError:
+            raise HttpError(
+                400, "invalid_json", "request body nests too deeply to parse"
             ) from None
 
     def header(self, name: str, default: str = "") -> str:
@@ -144,12 +153,16 @@ async def read_request(
     body = b""
     length_text = headers.get("content-length")
     if length_text is not None:
+        bad_length = HttpError(
+            400, "bad_content_length", f"Content-Length {length_text[:64]!r}"
+        )
+        # ASCII digits only: int() would also take "1_0", "+10" and "-1"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise bad_length
         try:
             length = int(length_text)
-        except ValueError:
-            raise HttpError(400, "bad_content_length", f"Content-Length {length_text!r}")
-        if length < 0:
-            raise HttpError(400, "bad_content_length", f"Content-Length {length_text!r}")
+        except ValueError:  # more digits than int() converts
+            raise bad_length from None
         if length > max_body_bytes:
             raise HttpError(
                 413, "body_too_large", f"request body of {length} bytes exceeds the limit"
@@ -159,8 +172,13 @@ async def read_request(
         except asyncio.IncompleteReadError:
             raise HttpError(400, "truncated_body", "connection closed mid-body")
 
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
+    try:
+        split = urlsplit(target)
+        query = dict(parse_qsl(split.query, keep_blank_values=True))
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket in the host
+        raise HttpError(
+            400, "bad_request_line", f"malformed request target {target!r}: {exc}"
+        ) from None
     return Request(
         method=method.upper(),
         target=target,
@@ -253,9 +271,11 @@ def parse_deadline_s(request: Request, payload=None) -> Optional[float]:
         raise HttpError(
             400, "bad_deadline", f"deadline_s must be a number of seconds, got {raw!r}"
         ) from None
-    if deadline_s <= 0:
+    if not math.isfinite(deadline_s) or deadline_s <= 0:
         raise HttpError(
-            400, "bad_deadline", f"deadline_s must be positive, got {deadline_s!r}"
+            400,
+            "bad_deadline",
+            f"deadline_s must be a positive finite number, got {deadline_s!r}",
         )
     return deadline_s
 

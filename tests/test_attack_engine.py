@@ -1,9 +1,9 @@
 """Tests for the unified attack runtime (repro.attacks.engine).
 
 The engine's contract is bit-for-bit reproducibility along three axes:
-per-budget ``generate`` vs one amortised ``generate_sweep``, every worker
-count (1 / N / 'auto'), and the serial vs process sharding backends — plus
-the amortization guarantee that an FGM-family epsilon sweep costs exactly
+per-budget ``generate`` vs one amortised ``generate_sweep``, and every
+worker count (1 / N / 'auto'; 1 runs in-process, more on the spawn pool) —
+plus the amortization guarantee that an FGM-family epsilon sweep costs exactly
 one gradient evaluation.
 """
 
@@ -22,11 +22,7 @@ from repro.attacks import (
     available_attacks,
     get_attack,
 )
-from repro.attacks.engine import (
-    BACKEND_ENV_VAR,
-    DEFAULT_SHARD_SIZE,
-    resolve_backend,
-)
+from repro.attacks.engine import DEFAULT_SHARD_SIZE
 from repro.attacks.extended import EXTENDED_ATTACKS, get_extended_attack
 from repro.errors import ConfigurationError
 from repro.nn import ProcessShardPool, Sequential, dumps_model, loads_model
@@ -98,9 +94,9 @@ class TestWorkerInvariance:
         serial = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate(
             attack, x, y, 0.25
         )
-        sharded = AttackEngine(
-            tiny_cnn, workers=2, backend="process", shard_size=5
-        ).generate(attack, x, y, 0.25)
+        sharded = AttackEngine(tiny_cnn, workers=2, shard_size=5).generate(
+            attack, x, y, 0.25
+        )
         auto = AttackEngine(tiny_cnn, workers="auto", shard_size=5).generate(
             attack, x, y, 0.25
         )
@@ -112,21 +108,11 @@ class TestWorkerInvariance:
         serial = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate_sweep(
             PGDLinf(), x, y, SWEEP_EPSILONS
         )
-        sharded = AttackEngine(
-            tiny_cnn, workers=2, backend="process", shard_size=5
-        ).generate_sweep(PGDLinf(), x, y, SWEEP_EPSILONS)
+        sharded = AttackEngine(tiny_cnn, workers=2, shard_size=5).generate_sweep(
+            PGDLinf(), x, y, SWEEP_EPSILONS
+        )
         for epsilon in SWEEP_EPSILONS:
             assert np.array_equal(serial[epsilon], sharded[epsilon]), epsilon
-
-    def test_serial_backend_forces_in_process_run(self, tiny_cnn, engine_data):
-        x, y = engine_data
-        reference = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate(
-            BIMLinf(), x, y, 0.2
-        )
-        forced = AttackEngine(
-            tiny_cnn, workers=4, backend="serial", shard_size=5
-        ).generate(BIMLinf(), x, y, 0.2)
-        assert np.array_equal(reference, forced)
 
     def test_decision_attack_on_non_sequential_source(
         self, quantized_tiny, engine_data
@@ -138,9 +124,9 @@ class TestWorkerInvariance:
         serial = AttackEngine(quantized_tiny, workers=1, shard_size=5).generate(
             attack, x, y, 0.4
         )
-        fallback = AttackEngine(
-            quantized_tiny, workers=2, backend="process", shard_size=5
-        ).generate(attack, x, y, 0.4)
+        fallback = AttackEngine(quantized_tiny, workers=2, shard_size=5).generate(
+            attack, x, y, 0.4
+        )
         assert np.array_equal(serial, fallback)
 
 
@@ -306,18 +292,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AttackEngine(tiny_cnn).generate(FGMLinf(), x, y[:-1], 0.1)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "threads", "fork"])
-    def test_invalid_backend_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            resolve_backend(bad)
-
-    def test_backend_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert resolve_backend(None) == "serial"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert resolve_backend(None) == "process"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend(None) == "process"
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, "threads"])
+    def test_invalid_workers_rejected(self, bad, tiny_cnn):
+        with pytest.raises(ConfigurationError, match="workers"):
+            AttackEngine(tiny_cnn, workers=bad)
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_invalid_shard_size_rejected(self, bad, tiny_cnn):

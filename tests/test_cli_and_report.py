@@ -115,9 +115,9 @@ class TestCLI:
         assert os.path.exists(output_path)
         assert "wrote" in capsys.readouterr().out
 
-    def test_workers_flag_shared_by_inference_subcommands(self):
+    def test_workers_flag_shared_by_crafting_subcommands(self):
         parser = build_parser()
-        for command in ("run", "sweep", "screen"):
+        for command in ("run", "sweep", "serve"):
             base = ["--spec", "x.json"] if command == "run" else []
             args = parser.parse_args([command, *base, "--workers", "2"])
             assert args.workers == "2"

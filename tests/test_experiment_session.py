@@ -293,8 +293,8 @@ class TestResultPlumbing:
 
     def test_workers_do_not_change_results(self, store):
         spec = tiny_spec()
-        serial = Session(store=store).run(spec, use_cache=False)
-        sharded = Session(store=store).run(spec, workers=2, use_cache=False)
+        serial = Session(store=store, workers=1).run(spec, use_cache=False)
+        sharded = Session(store=store, workers=2).run(spec, use_cache=False)
         assert np.array_equal(serial.grids[0].values, sharded.grids[0].values)
 
 

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecValidationError
 from repro.experiments import (
     SPEC_SCHEMA_VERSION,
     AttackSpec,
@@ -316,3 +318,111 @@ class TestStructuredValidationErrors:
         from repro.errors import SpecValidationError
 
         assert issubclass(SpecValidationError, ConfigurationError)
+
+
+# --------------------------------------------------------------------------
+# hostile payloads: every from_dict fails with a SpecValidationError
+# --------------------------------------------------------------------------
+
+#: JSON-shaped values, including what Python's json parses beyond the
+#: standard: NaN, Infinity and integers of any size
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**64), 10**30])
+    | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(["M1", "M4", "lenet5", "mnist", "BIM_linf", "panel"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+NODES = (ModelSpec, VictimSpec, AttackSpec, SweepSpec)
+
+
+def _node_payloads(cls):
+    """Objects over ``cls``'s own field names (past the unknown-key check)."""
+    names = st.sampled_from([field for field in cls.__dataclass_fields__])
+    return st.dictionaries(names, JSON_VALUES, max_size=4)
+
+
+def _experiment_payloads():
+    node = {
+        "model": _node_payloads(ModelSpec),
+        "victims": _node_payloads(VictimSpec),
+        "attacks": st.lists(_node_payloads(AttackSpec), max_size=2),
+        "sweep": _node_payloads(SweepSpec),
+        "transfer_sources": st.lists(_node_payloads(ModelSpec), max_size=2),
+    }
+    value = st.sampled_from(sorted(node)).flatmap(
+        lambda key: st.tuples(st.just(key), node[key] | JSON_VALUES)
+    ) | st.tuples(st.sampled_from(["name", "kind", "seed"]), JSON_VALUES)
+    return st.lists(value, max_size=5).map(dict)
+
+
+def _valid_or_clean_failure(cls, payload):
+    """from_dict either builds a hashable, round-tripping spec or raises
+    SpecValidationError — never a TypeError, ValueError or OverflowError."""
+    try:
+        spec = cls.from_dict(payload)
+    except SpecValidationError:
+        return
+    assert len(spec.content_hash()) == 64
+    assert cls.from_dict(json.loads(spec.canonical_json())) == spec
+
+
+class TestHostilePayloads:
+    @pytest.mark.parametrize(
+        "cls, payload, path",
+        [
+            (VictimSpec, {"multipliers": 5}, "multipliers"),
+            (VictimSpec, {"multipliers": "M1"}, "multipliers"),
+            (SweepSpec, {"epsilons": 3}, "epsilons"),
+            (SweepSpec, {"epsilons": [0.1, float("nan")]}, "epsilons[1]"),
+            (AttackSpec, {"params": 3}, "params"),
+            (AttackSpec, {"params": {"steps": float("inf")}}, "params.steps"),
+            (ModelSpec, json.loads('{"learning_rate": NaN}'), "learning_rate"),
+            (ModelSpec, {"seed": 2**64}, "seed"),
+            (ModelSpec, {"seed": -1}, "seed"),
+            (ModelSpec, [], ""),
+        ],
+    )
+    def test_node_failures_name_the_field(self, cls, payload, path):
+        with pytest.raises(SpecValidationError) as excinfo:
+            cls.from_dict(payload)
+        assert excinfo.value.path == path
+
+    def test_nested_failure_paths(self):
+        cases = {
+            "victims.multipliers": {"victims": {"multipliers": 5}},
+            "model.learning_rate": json.loads('{"model": {"learning_rate": NaN}}'),
+            "attacks": {"attacks": 3},
+            "attacks[0].params": {"attacks": [{"params": []}]},
+            "transfer_sources[0]": {"transfer_sources": [7]},
+        }
+        for path, payload in cases.items():
+            with pytest.raises(SpecValidationError) as excinfo:
+                ExperimentSpec.from_dict(payload)
+            assert excinfo.value.path == path, payload
+
+    def test_constructors_reject_non_finite_floats(self):
+        with pytest.raises(SpecValidationError, match="learning_rate"):
+            ModelSpec(learning_rate=float("inf"))
+        with pytest.raises(SpecValidationError, match="epsilons"):
+            SweepSpec(epsilons=(float("nan"),))
+        with pytest.raises(SpecValidationError, match="params"):
+            AttackSpec.create("FGM_linf", epsilon=float("nan"))
+
+    @pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_node_from_dict_property(self, cls, data):
+        payload = data.draw(_node_payloads(cls) | JSON_VALUES)
+        _valid_or_clean_failure(cls, payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_experiment_payloads() | JSON_VALUES)
+    def test_experiment_from_dict_property(self, payload):
+        _valid_or_clean_failure(ExperimentSpec, payload)

@@ -1,9 +1,12 @@
-"""Tests for the parallel inference runtime (repro.nn.runtime).
+"""Tests for the batching helpers and worker resolution (repro.nn.runtime).
 
-Sharded prediction must be a pure throughput feature: logits, robustness
-grids and accuracy numbers are bit-identical for every worker count, the
-remainder batch is handled, inputs are validated, and the process-wide LUT
-cache survives concurrent first-touch builds.
+Batched inference is serial: outputs are concatenated in input order, the
+remainder batch is handled and inputs are validated.  ``workers`` counts
+crafting processes only; the three inference entry points that keep a
+``workers=`` keyword accept ``None`` or ``1`` and refuse anything else.
+The process-wide LUT cache and the thread-local grad-cache flag survive
+concurrent use from several threads (the service's job and query threads
+share models).
 """
 
 import threading
@@ -12,19 +15,19 @@ import numpy as np
 import pytest
 
 from repro.attacks import get_attack
-from repro.axnn import build_axdnn
+from repro.axnn import VictimPanel, build_axdnn
 from repro.errors import ConfigurationError
 from repro.multipliers.base import clear_global_lut_cache, global_lut_cache_size
 from repro.multipliers.behavioral import NoisyLSBMultiplier, OperandTruncationMultiplier
 from repro.nn.runtime import (
     available_workers,
     batch_slices,
-    call_with_workers,
+    check_serial_workers,
     resolve_workers,
-    run_sharded,
+    run_batched,
     validate_batch_size,
 )
-from repro.robustness import AdversarialSuite, multiplier_sweep
+from repro.robustness import AdversarialSuite, grid_from_suite, multiplier_sweep
 
 
 class TestResolveWorkers:
@@ -69,89 +72,84 @@ class TestBatchSlices:
         assert validate_batch_size(np.int64(7)) == 7
 
 
-class TestRunSharded:
+class TestRunBatched:
     def test_preserves_input_order(self):
         x = np.arange(23, dtype=np.float64)[:, None]
-        serial = run_sharded(lambda b: b * 2.0, x, batch_size=4, workers=1)
-        sharded = run_sharded(lambda b: b * 2.0, x, batch_size=4, workers=4)
-        assert np.array_equal(serial, x * 2.0)
-        assert np.array_equal(sharded, serial)
+        assert np.array_equal(run_batched(lambda b: b * 2.0, x, batch_size=4), x * 2.0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sharded(lambda b: b, np.zeros((0, 3)), batch_size=4)
+            run_batched(lambda b: b, np.zeros((0, 3)), batch_size=4)
 
-    def test_worker_exception_propagates(self):
+    def test_forward_exception_propagates(self):
         def boom(batch):
-            raise RuntimeError("shard failed")
+            raise RuntimeError("batch failed")
 
-        with pytest.raises(RuntimeError, match="shard failed"):
-            run_sharded(boom, np.ones((8, 2)), batch_size=2, workers=3)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            run_batched(boom, np.ones((8, 2)), batch_size=2)
 
-    def test_call_with_workers_drops_kwarg_for_plain_callables(self):
-        def no_workers_method(images):
-            return images.sum()
+    def test_runs_without_grad_caches(self):
+        from repro.nn.layers.base import grad_cache_enabled
 
-        assert call_with_workers(no_workers_method, np.ones(3), workers=4) == 3.0
+        seen = []
 
-    def test_call_with_workers_forwards_when_supported(self):
-        seen = {}
+        def record(batch):
+            seen.append(grad_cache_enabled())
+            return batch
 
-        def method(images, workers=None):
-            seen["workers"] = workers
-            return images
-
-        call_with_workers(method, np.ones(3), workers=4)
-        assert seen["workers"] == 4
-
-    def test_call_with_workers_forwards_explicit_serial(self, monkeypatch):
-        """An explicit workers=1 must override REPRO_DEFAULT_WORKERS."""
-        monkeypatch.setenv("REPRO_DEFAULT_WORKERS", "2")
-        seen = {}
-
-        def method(images, workers=None):
-            seen["workers"] = workers
-            return images
-
-        call_with_workers(method, np.ones(3), workers=1)
-        assert seen["workers"] == 1
+        run_batched(record, np.ones((5, 1)), batch_size=2)
+        assert seen == [False, False, False]
+        assert grad_cache_enabled()
 
 
-class TestPredictWorkers:
-    def test_axmodel_logits_invariant_to_workers(self, approx_tiny_m8, mnist_small):
-        x = mnist_small.test.images[:13]  # 13 % 5 != 0: remainder batch
-        serial = approx_tiny_m8.predict(x, batch_size=5, workers=1)
-        for workers in [2, 4, "auto"]:
-            sharded = approx_tiny_m8.predict(x, batch_size=5, workers=workers)
-            assert np.array_equal(sharded, serial), workers
+class TestSerialWorkersKeyword:
+    """``workers`` on the three compatibility entry points: None or 1 only."""
 
-    def test_sequential_logits_invariant_to_workers(self, tiny_cnn, mnist_small):
-        x = mnist_small.test.images[:11]
-        serial = tiny_cnn.predict(x, batch_size=4, workers=1)
-        sharded = tiny_cnn.predict(x, batch_size=4, workers=4)
-        assert np.array_equal(sharded, serial)
+    @pytest.mark.parametrize("ok", [None, 1, np.int64(1)])
+    def test_serial_spellings_accepted(self, ok):
+        check_serial_workers(ok)
 
-    def test_sparse_kernel_model_parallel_predict(self, tiny_cnn, calibration_batch, mnist_small):
-        """The sparse kernel (full-rank M6) is thread-safe under sharding."""
-        ax = build_axdnn(tiny_cnn, "M6", calibration_batch, kernel="sparse")
-        x = mnist_small.test.images[:10]
-        assert np.array_equal(
-            ax.predict(x, batch_size=3, workers=4),
-            ax.predict(x, batch_size=3, workers=1),
-        )
+    @pytest.mark.parametrize("bad", [2, 0, "auto", "1", True, 1.0])
+    def test_other_values_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="workers"):
+            check_serial_workers(bad)
 
-    def test_predict_classes_and_accuracy_accept_workers(
-        self, approx_tiny_m8, mnist_small
+    def test_entry_points_reject_workers_2(
+        self, tiny_cnn, approx_tiny_m8, quantized_tiny, mnist_small
     ):
+        x = mnist_small.test.images[:6]
+        y = mnist_small.test.labels[:6]
+        victims = {"M1": quantized_tiny, "M8": approx_tiny_m8}
+        panel = VictimPanel(victims)
+        suite = AdversarialSuite.generate(tiny_cnn, get_attack("FGM_linf"), x, y, [0.1])
+        calls = (
+            lambda w: tiny_cnn.predict_classes(x, workers=w),
+            lambda w: panel.predict_classes(x, workers=w),
+            lambda w: grid_from_suite(suite, victims, workers=w),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="workers"):
+                call(2)
+            call(1)  # the spelling perfbench and older callers use still runs
+
+    def test_workers_1_matches_default(self, tiny_cnn, mnist_small):
         x = mnist_small.test.images[:9]
-        y = mnist_small.test.labels[:9]
         assert np.array_equal(
-            approx_tiny_m8.predict_classes(x, workers=2),
-            approx_tiny_m8.predict_classes(x, workers=1),
+            tiny_cnn.predict_classes(x, workers=1), tiny_cnn.predict_classes(x)
         )
-        assert approx_tiny_m8.accuracy_percent(x, y, workers=2) == pytest.approx(
-            approx_tiny_m8.accuracy_percent(x, y, workers=1)
-        )
+
+
+class TestBatchedPredict:
+    def test_logits_are_the_per_batch_forwards_in_order(
+        self, approx_tiny_m8, tiny_cnn, mnist_small
+    ):
+        x = mnist_small.test.images[:13]  # 13 % 5 != 0: remainder batch
+        for model, forward in (
+            (approx_tiny_m8, approx_tiny_m8.forward),
+            (tiny_cnn, lambda batch: tiny_cnn.forward(batch, training=False)),
+        ):
+            expected = np.concatenate([forward(x[s]) for s in batch_slices(13, 5)])
+            assert np.array_equal(model.predict(x, batch_size=5), expected)
 
     def test_empty_input_returns_wellformed_logits(self, approx_tiny_m8, tiny_cnn):
         empty = np.zeros((0, 28, 28, 1))
@@ -169,29 +167,12 @@ class TestPredictWorkers:
         with pytest.raises(ConfigurationError):
             tiny_cnn.predict(x, batch_size=bad)
 
-    def test_invalid_workers_rejected_by_predict(self, approx_tiny_m8, mnist_small):
-        with pytest.raises(ConfigurationError):
-            approx_tiny_m8.predict(mnist_small.test.images[:4], workers=0)
-
 
 class TestSweepWorkerInvariance:
-    def test_suite_evaluation_invariant_to_workers(
-        self, tiny_cnn, approx_tiny_m8, mnist_small
-    ):
-        x = mnist_small.test.images[:12]
-        y = mnist_small.test.labels[:12]
-        suite = AdversarialSuite.generate(
-            tiny_cnn, get_attack("FGM_linf"), x, y, [0.0, 0.1]
-        )
-        serial = suite.evaluate(approx_tiny_m8, "M8", workers=1)
-        sharded = suite.evaluate(approx_tiny_m8, "M8", workers=3)
-        assert [r.robustness_percent for r in serial] == [
-            r.robustness_percent for r in sharded
-        ]
-
     def test_multiplier_sweep_invariant_to_workers(
         self, tiny_cnn, approx_tiny_m8, quantized_tiny, mnist_small
     ):
+        """Crafting processes never change the grid."""
         x = mnist_small.test.images[:10]
         y = mnist_small.test.labels[:10]
         victims = {"M1": quantized_tiny, "M8": approx_tiny_m8}
@@ -209,16 +190,6 @@ class TestSweepWorkerInvariance:
             for workers in [1, 4]
         ]
         assert np.array_equal(grids[0].values, grids[1].values)
-
-    def test_float_victims_accept_workers(self, tiny_cnn, mnist_small):
-        x = mnist_small.test.images[:8]
-        y = mnist_small.test.labels[:8]
-        suite = AdversarialSuite.generate(
-            tiny_cnn, get_attack("FGM_linf"), x, y, [0.1]
-        )
-        serial = suite.evaluate(tiny_cnn, "float", workers=1)
-        sharded = suite.evaluate(tiny_cnn, "float", workers=2)
-        assert serial[0].robustness_percent == sharded[0].robustness_percent
 
 
 class TestConcurrentCacheSafety:
@@ -256,7 +227,7 @@ class TestConcurrentCacheSafety:
         y = mnist_small.test.labels[:8]
         threads = [
             threading.Thread(
-                target=lambda: tiny_cnn.predict(x, batch_size=2, workers=2)
+                target=lambda: tiny_cnn.predict(x, batch_size=2)
             )
             for _ in range(4)
         ]

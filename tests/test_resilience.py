@@ -500,22 +500,29 @@ class TestProcessShardPoolResilience:
         with fault_plan([FaultRule(point="pool.process", count=99)]):
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
 
-    def test_degrades_to_threads_when_processes_keep_failing(self):
+    def test_degrades_straight_to_serial_without_a_thread_pool(self, monkeypatch):
+        """Process failures past the retry budget run the shards in-process:
+        bit-identical results, and no thread pool is ever created."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        created = []
+        original_init = ThreadPoolExecutor.__init__
+
+        def recording_init(executor, *args, **kwargs):
+            created.append(kwargs.get("thread_name_prefix"))
+            original_init(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", recording_init)
         pool = ProcessShardPool(2, retry=_fast_policy(max_attempts=2))
         serial = [_square(v) for v in range(6)]
         with fault_plan([FaultRule(point="pool.process", count=99)]):
             assert pool.map(_square, list(range(6))) == serial
-
-    def test_degrades_to_serial_when_threads_fail_too(self):
-        pool = ProcessShardPool(2, retry=_fast_policy(max_attempts=2))
-        serial = [_square(v) for v in range(6)]
-        with fault_plan(
-            [
-                FaultRule(point="pool.process", count=99),
-                FaultRule(point="pool.thread", count=99, error="RuntimeError"),
+            # every attempt of the retry budget failed before the fallback
+            assert [point for point, _, _ in FaultInjector.fired()] == [
+                "pool.process",
+                "pool.process",
             ]
-        ):
-            assert pool.map(_square, list(range(6))) == serial
+        assert created == []
 
     def test_killed_worker_is_respawned_and_results_are_identical(self):
         items = list(range(8))

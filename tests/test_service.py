@@ -16,11 +16,14 @@ The acceptance properties from the service's contract:
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.engine import AttackEngine
 from repro.errors import ConfigurationError
@@ -48,6 +51,7 @@ from repro.service.protocol import (
     format_sse_event,
     match_path,
     parse_deadline_s,
+    read_request,
     render_response,
 )
 from repro.service.microbatch import MicroBatcher, QueryItem
@@ -117,6 +121,20 @@ def http_json(app, method, path, payload=None, headers=None):
     return response.status, parsed, dict(response.getheaders())
 
 
+def http_raw(app, raw: bytes):
+    """Send ``raw`` bytes as one request; returns (status, parsed JSON body)."""
+    with socket.create_connection((app.host, app.port), timeout=60) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 def wait_terminal(app, job_id, timeout_s=300.0):
     deadline = time.time() + timeout_s
     while time.time() < deadline:
@@ -144,6 +162,61 @@ def histogram_sum_count(registry, name):
             if line.startswith(prefix):
                 values[suffix] = float(line[len(prefix):])
     return values["sum"], values["count"]
+
+
+def parse_raw(raw: bytes):
+    """``read_request`` over a stream holding exactly ``raw``."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    return asyncio.run(run())
+
+
+#: request lines that once escaped the parser as a ValueError or a
+#: RecursionError instead of a 400
+HOSTILE_REQUESTS = {
+    "ipv6-target": (b"GET http://[::1/x HTTP/1.1\r\n\r\n", "bad_request_line"),
+    "underscore-length": (
+        b"POST /v1/query HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+        "bad_content_length",
+    ),
+    "signed-length": (
+        b"POST /v1/query HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+        "bad_content_length",
+    ),
+    "huge-length": (
+        b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+        "bad_content_length",
+    ),
+}
+
+DEEP_BODY = b"[" * 200_000
+
+_TOKEN = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=24
+)
+
+
+@st.composite
+def request_bytes(draw):
+    """Request-shaped bytes: a request line, header lines and a body."""
+    method = draw(st.sampled_from(["GET", "POST"]) | _TOKEN)
+    target = draw(
+        st.sampled_from(["/", "/v1/query?a=1&b", "http://[::1/x", "//[v1/x"]) | _TOKEN
+    )
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]) | _TOKEN)
+    body = draw(st.binary(max_size=64) | st.sampled_from([b"[" * 5000, b"1" * 5000]))
+    names = st.sampled_from(["Content-Length", "Transfer-Encoding", "Host"]) | _TOKEN
+    values = st.sampled_from([str(len(body)), "1_0", "-1", "chunked"]) | _TOKEN
+    headers = draw(st.lists(st.tuples(names, values), max_size=4))
+    head = f"{method} {target} {version}\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in headers
+    )
+    return head.encode("latin-1") + b"\r\n" + body
 
 
 # --------------------------------------------------------------------- units
@@ -202,6 +275,54 @@ class TestProtocol:
         with pytest.raises(HttpError) as excinfo:
             parse_deadline_s(request, {"deadline_s": -1})
         assert excinfo.value.status == 400
+        for hostile in (float("nan"), float("inf")):
+            with pytest.raises(HttpError, match="finite"):
+                parse_deadline_s(request, {"deadline_s": hostile})
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_REQUESTS))
+    def test_hostile_request_is_a_400(self, case):
+        raw, code = HOSTILE_REQUESTS[case]
+        with pytest.raises(HttpError) as excinfo:
+            parse_raw(raw)
+        assert (excinfo.value.status, excinfo.value.code) == (400, code)
+
+    def test_plain_content_length_still_reads_the_body(self):
+        request = parse_raw(
+            b"POST /v1/query?x=1 HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        assert request.path == "/v1/query"
+        assert (request.query, request.json()) == ({"x": "1"}, {})
+
+    @pytest.mark.parametrize(
+        "body", [DEEP_BODY, b"1" * 5000, b"\xff"], ids=["deep", "huge-int", "not-utf8"]
+    )
+    def test_unparseable_json_body_is_invalid_json(self, body):
+        request = Request("POST", "/", "/", {}, {}, body=body)
+        with pytest.raises(HttpError) as excinfo:
+            request.json()
+        assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=256) | request_bytes())
+    @example(raw=HOSTILE_REQUESTS["ipv6-target"][0])
+    @example(
+        raw=b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(DEEP_BODY)
+        + DEEP_BODY
+    )
+    def test_arbitrary_bytes_parse_or_fail_cleanly(self, raw):
+        """Any byte string yields a Request, a clean EOF (None) or an
+        HttpError; a parsed body's JSON is a value or an HttpError too."""
+        try:
+            request = parse_raw(raw)
+        except HttpError as exc:
+            assert 400 <= exc.status < 500
+            return
+        assert request is None or isinstance(request, Request)
+        if request is not None and request.body:
+            try:
+                request.json()
+            except HttpError as exc:
+                assert exc.status == 400
 
 
 class TestCoalescer:
@@ -429,6 +550,24 @@ class TestHttpEndToEnd:
             assert body["error"] == "invalid_spec"
             assert body["path"] == "model.n_train"
             assert "n_train" in body["message"]
+
+            # hostile input is a structured 400, never a 500 or no answer
+            status, body, _ = http_json(
+                app, "POST", "/v1/query", {"victims": {"multipliers": 5}}
+            )
+            assert (status, body["error"], body["path"]) == (
+                400,
+                "invalid_query",
+                "multipliers",
+            )
+            status, body = http_raw(app, HOSTILE_REQUESTS["ipv6-target"][0])
+            assert (status, body["error"]) == (400, "bad_request_line")
+            deep = b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+                len(DEEP_BODY),
+                DEEP_BODY,
+            )
+            status, body = http_raw(app, deep)
+            assert (status, body["error"]) == (400, "invalid_json")
 
             status, body, _ = http_json(app, "GET", "/v1/jobs/nope")
             assert (status, body["error"]) == (404, "unknown_job")
@@ -744,6 +883,13 @@ class TestQueryMicroBatching:
             )
             assert status == 400
             assert "shape" in body["message"]
+            status, body, _ = http_json(
+                app,
+                "POST",
+                "/v1/query",
+                {"model": model, "victims": victims, "image": [[1.0], [2.0, 3.0]]},
+            )
+            assert (status, body["error"]) == (400, "invalid_query")
             status, body, _ = http_json(
                 app, "POST", "/v1/query", {"model": model, "victims": victims}
             )

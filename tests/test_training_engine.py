@@ -4,8 +4,8 @@ The load-bearing properties, in rough order of importance:
 
 * ``Trainer.fit`` (fused loss + skipped input gradient + flat optimizer)
   trains the bytes of the seed loop in ``tests/oracle.py``, for every
-  optimizer and every worker count, and four pinned weight hashes hold —
-  the artifact store keeps serving earlier model weights;
+  optimizer, and four pinned weight hashes hold — the artifact store keeps
+  serving earlier model weights;
 * the fused softmax cross-entropy is bit-identical to the unfused
   value/gradient pair;
 * ``col2im`` is the exact adjoint of ``im2col`` for arbitrary shapes,
@@ -13,8 +13,8 @@ The load-bearing properties, in rough order of importance:
   products are exact);
 * ``AvgPool2D`` and ``im2col`` (NumPy and compiled) reproduce their slow
   oracles' bits on edge-case floats;
-* micro-batched data-parallel training is bit-identical across
-  ``workers in {1, 2, "auto"}``;
+* micro-batched training keeps its canonical reduction: a pinned weight
+  hash holds;
 * ``Sequential.backward`` computes only the gradients its caller consumes,
   and each one it computes is bit-identical to a full backward's;
 * both trainers refuse bad training inputs with a ``ConfigurationError``
@@ -51,7 +51,6 @@ from repro.nn import (
     im2col,
     micro_batch_slices,
     softmax_cross_entropy,
-    training_replicas,
     validate_data_parallel,
 )
 from repro.datasets import load_synthetic_cifar10, load_synthetic_mnist
@@ -476,12 +475,11 @@ class TestFlatParameterView:
 
 
 # --------------------------------------------------------------------------
-# trainer: seed-loop identity, worker invariance, micro-batching
+# trainer: seed-loop identity, micro-batching
 # --------------------------------------------------------------------------
 
 
-def _train_lenet(mnist_small, workers=None, micro_batch=None,
-                 make_optimizer=lambda: Adam(2e-3)):
+def _train_lenet(mnist_small, micro_batch=None, make_optimizer=lambda: Adam(2e-3)):
     model = build_lenet5(seed=0)
     trainer = Trainer(model, optimizer=make_optimizer(), seed=0)
     trainer.fit(
@@ -489,7 +487,6 @@ def _train_lenet(mnist_small, workers=None, micro_batch=None,
         mnist_small.train.labels[:128],
         epochs=2,
         batch_size=48,  # deliberately ragged: 128 = 48 + 48 + 32
-        workers=workers,
         micro_batch=micro_batch,
     )
     return model.state_dict()
@@ -518,21 +515,6 @@ class TestTrainerRuntimes:
         trained = _train_lenet(mnist_small, make_optimizer=make_optimizer)
         assert _identical(reference, trained)
 
-    def test_worker_invariance_of_trained_weights(self, mnist_small):
-        """workers in {1, 2, 'auto'} -> identical bytes (and == seed loop)."""
-        reference = _seed_loop_lenet(mnist_small)
-        for workers in (1, 2, "auto"):
-            assert _identical(reference, _train_lenet(mnist_small, workers=workers))
-
-    def test_micro_batch_worker_invariance(self, mnist_small):
-        """The canonical micro-batch partition is worker-count independent."""
-        states = [
-            _train_lenet(mnist_small, workers=workers, micro_batch=16)
-            for workers in (1, 2, "auto")
-        ]
-        assert _identical(states[0], states[1])
-        assert _identical(states[0], states[2])
-
     def test_micro_batch_matches_full_batch_numerically(self, mnist_small):
         full = _train_lenet(mnist_small)
         micro = _train_lenet(mnist_small, micro_batch=16)
@@ -548,41 +530,9 @@ class TestTrainerRuntimes:
             epochs=1,
             batch_size=32,
             micro_batch=8,
-            workers=2,
         )
         assert len(history.train_loss) == 1
         assert 0.0 <= history.train_accuracy[0] <= 1.0
-
-    def test_validation_sharded_matches_serial(self, mnist_small):
-        def run(workers):
-            model = build_ffnn(seed=0)
-            trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-            history = trainer.fit(
-                mnist_small.train.images[:64],
-                mnist_small.train.labels[:64],
-                epochs=2,
-                batch_size=32,
-                validation_data=(mnist_small.test.images, mnist_small.test.labels),
-                workers=workers,
-            )
-            return history.validation_accuracy
-
-        assert run(1) == run(2)
-
-    def test_evaluate_accepts_workers(self, mnist_small):
-        model = build_ffnn(seed=0)
-        trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-        trainer.fit(
-            mnist_small.train.images[:64],
-            mnist_small.train.labels[:64],
-            epochs=1,
-            batch_size=32,
-        )
-        serial = trainer.evaluate(mnist_small.test.images, mnist_small.test.labels)
-        sharded = trainer.evaluate(
-            mnist_small.test.images, mnist_small.test.labels, workers=2
-        )
-        assert serial == sharded
 
     def test_on_epoch_callback(self, mnist_small):
         events = []
@@ -647,7 +597,7 @@ class TestTrainerRuntimes:
 
 
 # --------------------------------------------------------------------------
-# data-parallel safety guards and replicas
+# data-parallel safety guards
 # --------------------------------------------------------------------------
 
 
@@ -673,21 +623,6 @@ class TestDataParallelGuards:
         assert slices == [slice(0, 4), slice(4, 8), slice(8, 10)]
         with pytest.raises(ConfigurationError):
             micro_batch_slices(10, 0)
-
-    def test_replicas_share_parameters_but_not_caches(self):
-        model = Sequential([Dense(4), ReLU(), Dense(2)], input_shape=(3,), seed=0)
-        view = FlatParameterView(model)
-        (replica,) = training_replicas(model, 1)
-        assert replica.layers[0].params is model.layers[0].params
-        assert replica.layers[0].grads is not model.layers[0].grads
-        x = RNG.normal(size=(4, 3))
-        replica.forward(x, training=True)
-        assert model.layers[0]._input_cache is None
-        # flat updates are visible to the replica without copies
-        view.params += 0.5
-        assert np.array_equal(
-            replica.layers[0].params["weight"], model.layers[0].params["weight"]
-        )
 
 
 # --------------------------------------------------------------------------
@@ -827,17 +762,17 @@ class TestGradientContract:
         assert first_conv_input not in calls
 
     def test_micro_batch_matches_serial_full_backward(self, mnist_small, monkeypatch):
-        """Data-parallel shards that skip the input gradient train the same
-        bytes as serial shards running a full backward."""
-        parallel = _train_lenet(mnist_small, workers=2, micro_batch=16)
+        """Micro-batches that skip the input gradient train the same bytes
+        as micro-batches running a full backward."""
+        skipped = _train_lenet(mnist_small, micro_batch=16)
         full_backward = Sequential.backward
 
         def always_full(self, grad_output, input_grad=True, param_grads=True):
             return full_backward(self, grad_output)
 
         monkeypatch.setattr(Sequential, "backward", always_full)
-        serial = _train_lenet(mnist_small, workers=1, micro_batch=16)
-        assert _identical(parallel, serial)
+        full = _train_lenet(mnist_small, micro_batch=16)
+        assert _identical(skipped, full)
 
 
 # --------------------------------------------------------------------------
@@ -872,6 +807,13 @@ PINNED_WEIGHT_SHA256 = {
     "dropout-mlp": "cc3478ba0f5969681fce3ddd9172f8b5858d4ab7e1e3dc918b01f1419a041e44",
     "alexnet-mini": "63cceb8dd23b6f70d307682a365995ca54fdc628b8c36e018cbae5fe9ffd166a",
 }
+
+#: sha256 of ``lenet5-adam`` trained with ``micro_batch=16``: the canonical
+#: micro-batch partition reduced in index order.  Recorded on the same
+#: NumPy/OpenBLAS as the hashes above.
+PINNED_MICRO_BATCH_SHA256 = (
+    "14372e39c9178c431489dddaa61bd69aad0ab6d4b0c1251cda296959a9b37987"
+)
 
 
 def _state_sha256(state: dict) -> str:
@@ -915,6 +857,18 @@ class TestPinnedWeights:
         )
         assert _state_sha256(reference.state_dict()) == PINNED_WEIGHT_SHA256[case]
         assert history.train_loss == losses
+
+    def test_micro_batch_trains_pinned_bytes(self, pinned_datasets):
+        build, make_optimizer, _, epochs, batch_size = PINNED_CASES["lenet5-adam"]
+        model = build(seed=0)
+        Trainer(model, optimizer=make_optimizer(), seed=0).fit(
+            pinned_datasets["mnist"].train.images,
+            pinned_datasets["mnist"].train.labels,
+            epochs=epochs,
+            batch_size=batch_size,
+            micro_batch=16,
+        )
+        assert _state_sha256(model.state_dict()) == PINNED_MICRO_BATCH_SHA256
 
 
 # --------------------------------------------------------------------------

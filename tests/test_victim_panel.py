@@ -62,13 +62,6 @@ class TestPanelForward:
         for label, victim in victims.items():
             assert np.array_equal(fused[label], victim.predict(x, batch_size=16))
 
-    def test_worker_count_invariance(self, panel, mnist_small):
-        x = mnist_small.test.images[:40]
-        serial = panel.predict(x, batch_size=8, workers=1)
-        sharded = panel.predict(x, batch_size=8, workers=4)
-        for label in serial:
-            assert np.array_equal(serial[label], sharded[label])
-
     def test_empty_batch(self, panel, mnist_small):
         empty = panel.predict(mnist_small.test.images[:0])
         for value in empty.values():
@@ -118,37 +111,37 @@ class TestFusedGrids:
         )
 
     def test_grid_identical_fused_vs_per_victim(self, suite, victims):
-        fused = grid_from_suite(suite, victims, fused=True, workers=1)
-        separate = grid_from_suite(suite, victims, fused=False, workers=1)
+        fused = grid_from_suite(suite, victims, fused=True)
+        separate = grid_from_suite(suite, victims, fused=False)
         assert fused.victim_labels == separate.victim_labels
         assert fused.epsilons == separate.epsilons
         assert np.array_equal(fused.values, separate.values)
 
     def test_auto_fusion_default_matches(self, suite, victims):
-        auto = grid_from_suite(suite, victims, workers=1)
-        separate = grid_from_suite(suite, victims, fused=False, workers=1)
+        auto = grid_from_suite(suite, victims)
+        separate = grid_from_suite(suite, victims, fused=False)
         assert np.array_equal(auto.values, separate.values)
 
     def test_single_victim_skips_fusion(self, suite, victims):
         only = {"M6": victims["M6"]}
-        grid = grid_from_suite(suite, only, workers=1)
-        reference = grid_from_suite(suite, only, fused=False, workers=1)
+        grid = grid_from_suite(suite, only)
+        reference = grid_from_suite(suite, only, fused=False)
         assert np.array_equal(grid.values, reference.values)
 
     def test_fused_true_rejects_incompatible_victims(self, suite, victims, tiny_cnn):
         mixed = dict(victims)
         mixed["float"] = tiny_cnn  # a Sequential, not an AxModel
         with pytest.raises(ConfigurationError):
-            grid_from_suite(suite, mixed, fused=True, workers=1)
+            grid_from_suite(suite, mixed, fused=True)
         # but auto mode degrades to per-victim evaluation (floats expose
         # predict_classes too) instead of failing
-        grid = grid_from_suite(suite, mixed, workers=1)
+        grid = grid_from_suite(suite, mixed)
         assert grid.victim_labels == list(mixed)
 
     def test_evaluate_panel_matches_evaluate(self, suite, victims, panel):
-        panel_results = suite.evaluate_panel(panel, workers=1)
+        panel_results = suite.evaluate_panel(panel)
         for label, victim in victims.items():
-            solo = suite.evaluate(victim, label, workers=1)
+            solo = suite.evaluate(victim, label)
             assert [r.robustness_percent for r in panel_results[label]] == [
                 r.robustness_percent for r in solo
             ]
@@ -277,9 +270,9 @@ class TestStackedPanel:
         assert report[-1].endswith("3 groups")
         x = _draw(mnist_small.test.images, 5, seed=11)
         _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
-        sharded = panel.predict(x, batch_size=2, workers=2)
+        batched = panel.predict(x, batch_size=2)
         for label, victim in victims.items():
-            assert np.array_equal(sharded[label], victim.predict(x, batch_size=2))
+            assert np.array_equal(batched[label], victim.predict(x, batch_size=2))
 
     def test_every_traced_call_runs(self, lenet_panel, lenet_victims, monkeypatch):
         calls = {}
