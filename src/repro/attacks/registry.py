@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import inspect
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.attacks.base import Attack, AttackMetadata
 from repro.attacks.bim import BIML2, BIMLinf
@@ -48,6 +49,24 @@ def get_attack(key: str, **kwargs) -> Attack:
             f"unknown attack {key!r}; known attacks: {available_attacks()}"
         ) from exc
     return factory(**kwargs)
+
+
+def attack_parameters(key: str) -> Optional[Tuple[str, ...]]:
+    """Keyword parameters the attack ``key`` accepts; ``None`` when its
+    constructor takes arbitrary keywords."""
+    try:
+        factory = _ATTACK_FACTORIES[key]
+    except KeyError as exc:
+        raise UnknownComponentError(
+            f"unknown attack {key!r}; known attacks: {available_attacks()}"
+        ) from exc
+    names = []
+    for parameter in inspect.signature(factory).parameters.values():
+        if parameter.kind is parameter.VAR_KEYWORD:
+            return None
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY):
+            names.append(parameter.name)
+    return tuple(names)
 
 
 def attack_table() -> List[AttackMetadata]:

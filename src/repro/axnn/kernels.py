@@ -797,7 +797,13 @@ class NativeLUTKernel(MatmulKernel):
         bits = 8 * self._lut_packed.dtype.itemsize
         return f"native[{self._backend.name}, int{bits} lut]"
 
-    def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
+    def packed_codes(self, activation_codes: np.ndarray) -> np.ndarray:
+        """The C-contiguous uint8 code matrix the compiled loops read.
+
+        uint8 codes of an 8-bit multiplier are used as they are; any other
+        integer codes are range-checked against the operand range
+        (:class:`ConfigurationError` outside it) and packed.
+        """
         codes = self._check_codes(activation_codes)
         if codes.dtype != np.uint8 or self.codes_total != 256:
             if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
@@ -805,10 +811,22 @@ class NativeLUTKernel(MatmulKernel):
                     f"activation codes outside the {self.multiplier.bit_width}-bit "
                     "operand range"
                 )
-        out = np.zeros((codes.shape[0], self.outputs), dtype=np.int64)
-        if codes.shape[0] == 0 or self.inner == 0 or self.outputs == 0:
+        return np.ascontiguousarray(codes, dtype=np.uint8)
+
+    def fused_operands(self) -> Dict[str, np.ndarray]:
+        """This kernel's product operands as :class:`FusedMember` fields:
+        the signed table, or the LUT loop's sign, magnitude and LUT."""
+        if self._table is not None:
+            return {"table": self._table}
+        return {"sign": self._sign8, "mag": self._mag8, "lut": self._lut_packed}
+
+    def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
+        """The int64 accumulator, the same loops as the fused layer call
+        (:class:`repro.axnn.layers.NativeLayerCall`) with the epilogue off."""
+        codes_u8 = self.packed_codes(activation_codes)
+        out = np.zeros((codes_u8.shape[0], self.outputs), dtype=np.int64)
+        if codes_u8.shape[0] == 0 or self.inner == 0 or self.outputs == 0:
             return out
-        codes_u8 = np.ascontiguousarray(codes, dtype=np.uint8)
         if self._table is not None:
             self._backend.table_matmul(codes_u8, self._table, out)
         else:

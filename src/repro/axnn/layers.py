@@ -17,13 +17,17 @@ two across victims:
 2. for a convolution, gather the code patches (``extract_cols``), padding
    with the scheme's zero point — the code of ``0.0`` — so the patches are
    exactly the quantized float patches;
-3. ``forward_from_codes``: the LUT product (``kernel.matmul``) and the
-   dequantize epilogue, written in place into the output buffer.
+3. ``forward_from_codes``: the LUT product and the dequantize epilogue,
+   written in place into the output buffer.  A layer whose kernel is
+   ``native`` runs both in one compiled call (:class:`NativeLayerCall`,
+   the panel's fused entry with this layer as its only member); every
+   other kernel returns its int64 accumulator from ``kernel.matmul`` and
+   the epilogue runs as NumPy ufuncs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +35,8 @@ from repro.axnn.approx_ops import (
     quantize_weights_sign_magnitude,
     zero_point_correction_vector,
 )
-from repro.axnn.kernels import KernelSpec, make_kernel
+from repro.axnn.kernels import KernelSpec, NativeLUTKernel, make_kernel
+from repro.axnn.native import FusedMember
 from repro.errors import ShapeError
 from repro.multipliers.base import Multiplier
 from repro.nn.functional import im2col
@@ -68,7 +73,26 @@ class PassthroughLayer(AxLayer):
         return self.layer.forward(x, training=False)
 
 
-class AxDense(AxLayer):
+class _ProductLayer(AxLayer):
+    """An Ax layer with a bound kernel and a dequantize epilogue.
+
+    A native kernel's fused call snapshots the epilogue constants, so
+    assigning any attribute it reads rebinds it; the call is first bound
+    when the kernel is assigned, last in construction.
+    """
+
+    _BOUND_ATTRIBUTES = frozenset(
+        {"activation_scheme", "weight_scale", "bias", "_zero_point_correction", "kernel"}
+    )
+    _native_call: Optional["NativeLayerCall"] = None
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in self._BOUND_ATTRIBUTES and "kernel" in self.__dict__:
+            super().__setattr__("_native_call", NativeLayerCall.for_layer(self))
+
+
+class AxDense(_ProductLayer):
     """Quantized dense layer evaluated through an approximate multiplier."""
 
     def __init__(
@@ -91,12 +115,13 @@ class AxDense(AxLayer):
         # Bound kernel and zero-point correction are built once per layer:
         # the weights are constant during inference, so every per-weight
         # table (per-code factors, signed-weight BLAS operand, correction
-        # vector) is paid for here instead of on every forward call.
-        self.kernel = make_kernel(
-            multiplier, self.weight_sign, self.weight_magnitude, kernel
-        )
+        # vector, a native kernel's fused call) is paid for here instead of
+        # on every forward call.
         self._zero_point_correction = zero_point_correction_vector(
             self.weight_sign, self.weight_magnitude
+        )
+        self.kernel = make_kernel(
+            multiplier, self.weight_sign, self.weight_magnitude, kernel
         )
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
@@ -114,18 +139,20 @@ class AxDense(AxLayer):
         ``forward`` is exactly ``forward_from_codes(quantize_input(x))``;
         the split lets :class:`repro.axnn.panel.VictimPanel` quantize once
         and feed every victim's LUT product from the shared codes.  The
-        result is written into ``out`` (shape ``(rows, units)``) when
-        given, else into a new array.
+        result is written into ``out`` (shape ``(rows, units)``; C-contiguous
+        float64 for a native kernel) when given, else into a new array.
         """
         if out is None:
             out = np.empty((codes.shape[0], self.units), dtype=np.float64)
+        if self._native_call is not None:
+            return self._native_call(codes, out)
         return _dequantize_into(self, self.kernel.matmul(codes), out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_from_codes(self.quantize_input(x))
 
 
-class AxConv2D(AxLayer):
+class AxConv2D(_ProductLayer):
     """Quantized 2-D convolution evaluated through an approximate multiplier."""
 
     def __init__(
@@ -148,11 +175,11 @@ class AxConv2D(AxLayer):
             quantize_weights_sign_magnitude(flattened, bits=weight_bits)
         )
         self.bias = source.params.get("bias")
-        self.kernel = make_kernel(
-            multiplier, self.weight_sign, self.weight_magnitude, kernel
-        )
         self._zero_point_correction = zero_point_correction_vector(
             self.weight_sign, self.weight_magnitude
+        )
+        self.kernel = make_kernel(
+            multiplier, self.weight_sign, self.weight_magnitude, kernel
         )
 
     @property
@@ -199,10 +226,13 @@ class AxConv2D(AxLayer):
         ``extract_cols(quantize_cols(x))`` flattened to one patch per row;
         the decomposition is what the fused multi-victim panel exploits.
         The result is written into ``out`` (shape ``(batch, out_h, out_w,
-        filters)``) when given, else into a new array.
+        filters)``; C-contiguous float64 for a native kernel) when given,
+        else into a new array.
         """
         if out is None:
             out = np.empty((batch, out_h, out_w, self.filters), dtype=np.float64)
+        if self._native_call is not None:
+            return self._native_call(codes, out)
         return _dequantize_into(self, self.kernel.matmul(codes), out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -211,6 +241,79 @@ class AxConv2D(AxLayer):
         return self.forward_from_codes(
             patches.reshape(-1, patch), batch, out_h, out_w
         )
+
+
+class NativeLayerCall:
+    """One compiled call for the native members of a group of Ax layers.
+
+    ``layers`` are the same layer of several victims (same kind, width and
+    activation scheme, every kernel :class:`NativeLUTKernel`); ``slots``
+    their row blocks in the group's stacked output of ``n_slots`` blocks,
+    which the group's other members fill through their own
+    ``forward_from_codes``.  The code matrix is shared by every member, or
+    stacked one block per slot when ``stacked``.  Construction binds every
+    member's product operands and epilogue constants
+    (:meth:`repro.axnn.native.NativeBackend.bind_layer`, where every layout
+    check runs); a call then writes each member's product and dequantize
+    epilogue, ``(acc - zero_point * correction) * (scale * weight_scale) +
+    bias``, straight into ``out`` in one GIL-free pass — the float64
+    operations of :func:`_dequantize_into`, in the same order, so the bits
+    are those of the per-victim NumPy epilogue.
+
+    uint8 codes of 8-bit multipliers go to the compiled call as they are;
+    other codes take :meth:`NativeLUTKernel.packed_codes` first, so they
+    are range-checked and packed (or rejected) exactly as
+    ``NativeLUTKernel.matmul`` does.
+    """
+
+    def __init__(
+        self,
+        layers: Sequence["AxLayer"],
+        slots: Sequence[int],
+        n_slots: int,
+        stacked: bool,
+    ) -> None:
+        first = layers[0]
+        kernels = [layer.kernel for layer in layers]
+        self._pack = min(kernels, key=lambda kernel: kernel.codes_total).packed_codes
+        self._uint8_ready = all(kernel.codes_total == 256 for kernel in kernels)
+        members = [
+            FusedMember(
+                slot=slot,
+                zero_point=int(layer.activation_scheme.zero_point),
+                correction=np.ascontiguousarray(
+                    layer._zero_point_correction, dtype=np.int64
+                ),
+                alpha=float(layer.activation_scheme.scale * layer.weight_scale),
+                bias=(
+                    None if layer.bias is None
+                    else np.ascontiguousarray(layer.bias, dtype=np.float64)
+                ),
+                **layer.kernel.fused_operands(),
+            )
+            for slot, layer in zip(slots, layers)
+        ]
+        self._run = first.kernel._backend.bind_layer(
+            members, first.kernel.inner, first.kernel.outputs, n_slots, stacked
+        )
+
+    @classmethod
+    def for_layer(cls, layer: "AxLayer") -> Optional["NativeLayerCall"]:
+        """The one-member call of a lone layer; ``None`` unless its kernel
+        is native."""
+        if not isinstance(layer.kernel, NativeLUTKernel):
+            return None
+        return cls([layer], [0], 1, False)
+
+    def __call__(self, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if (
+            codes.dtype != np.uint8
+            or not self._uint8_ready
+            or not codes.flags.c_contiguous
+        ):
+            codes = self._pack(codes)
+        self._run(codes, out)
+        return out
 
 
 def _dequantize_into(layer, accumulator: np.ndarray, out: np.ndarray) -> np.ndarray:

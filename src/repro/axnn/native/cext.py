@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from repro.axnn.native import check_layer_call, check_layer_members
 from repro.errors import ShapeError
 
 #: environment variable overriding where compiled kernels are cached
@@ -42,8 +43,10 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 #: optimisation flags — deliberately *without* -ffast-math: C forbids
 #: reassociating float additions at -O3, which is load-bearing for the
-#: col2im kernel's bit-identity with the NumPy reference loop
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99")
+#: col2im kernel's bit-identity with the NumPy reference loop; and with
+#: -ffp-contract=off, so the fused layer epilogue's multiply and bias add
+#: stay two roundings (as in NumPy) on targets with a fused multiply-add
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off")
 
 _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 
@@ -69,8 +72,12 @@ def cache_dir() -> str:
 
 
 def _source_digest() -> str:
+    """Hash of the C source and the compile flags: a change to either
+    rebuilds the library."""
     with open(_SOURCE_PATH, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()[:16]
+        digest = hashlib.sha256(handle.read())
+    digest.update(" ".join(_CFLAGS).encode())
+    return digest.hexdigest()[:16]
 
 
 def find_compiler() -> Optional[str]:
@@ -163,14 +170,26 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
         i64, i64,  # padded_h, padded_w
         ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
     ]
-    gather = lib.repro_im2col_f64
-    gather.restype = None
-    gather.argtypes = [
-        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS"),  # padded image
-        i64, i64, i64, i64,  # batch, padded_h, padded_w, channels
-        i64, i64, i64,  # kh, kw, stride
-        i64, i64,  # out_h, out_w
-        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,WRITEABLE"),  # cols
+    for suffix, image_dtype in (("f64", np.float64), ("u8", np.uint8)):
+        gather = getattr(lib, f"repro_im2col_{suffix}")
+        gather.restype = None
+        gather.argtypes = [
+            ndpointer(dtype=image_dtype, flags="C_CONTIGUOUS"),  # padded image
+            i64, i64, i64, i64,  # batch, padded_h, padded_w, channels
+            i64, i64, i64,  # kh, kw, stride
+            i64, i64,  # out_h, out_w
+            ndpointer(dtype=image_dtype, flags="C_CONTIGUOUS,WRITEABLE"),  # cols
+        ]
+    layer = lib.repro_layer_f64
+    layer.restype = None
+    # raw addresses: bind_layer checks the member operands once, and each
+    # call checks its code matrix and output (see check_layer_call)
+    layer.argtypes = [
+        ctypes.c_void_p,  # codes (rows or n_slots * rows, K) uint8
+        i64, i64, i64,  # rows, k, n
+        i64, i64,  # codes_stacked, n_members
+        ctypes.c_void_p,  # LayerMember array
+        ctypes.c_void_p,  # out (n_slots * rows, N) float64
     ]
     return lib
 
@@ -224,7 +243,69 @@ def im2col(lib: ctypes.CDLL, x_padded, cols, kernel_h, kernel_w, stride) -> None
             f"im2col: cols {cols.shape} does not match image {x_padded.shape} "
             f"with a {kernel_h}x{kernel_w} kernel at stride {stride}"
         )
-    lib.repro_im2col_f64(
+    gather = lib.repro_im2col_u8 if x_padded.dtype == np.uint8 else lib.repro_im2col_f64
+    gather(
         x_padded, batch, padded_h, padded_w, channels, kernel_h, kernel_w,
         stride, out_h, out_w, cols,
     )
+
+
+class LayerMember(ctypes.Structure):
+    """``repro_layer_member`` of ``kernels.c``, field for field."""
+
+    _fields_ = [
+        ("slot", ctypes.c_int64),
+        ("table", ctypes.c_void_p),
+        ("codes_total", ctypes.c_int64),
+        ("n_pad", ctypes.c_int64),
+        ("sign", ctypes.c_void_p),
+        ("mag", ctypes.c_void_p),
+        ("lut", ctypes.c_void_p),
+        ("lut_cols", ctypes.c_int64),
+        ("lut_bytes", ctypes.c_int64),
+        ("zero_point", ctypes.c_int64),
+        ("corr", ctypes.c_void_p),
+        ("alpha", ctypes.c_double),
+        ("bias", ctypes.c_void_p),
+    ]
+
+
+def bind_layer(lib: ctypes.CDLL, members, k_dim, n_dim, n_slots, stacked):
+    """The fused layer call of ``members`` (see ``NativeBackend.bind_layer``).
+
+    Checks every member's operands once (:func:`check_layer_members`) and
+    packs their addresses into one ``LayerMember`` array; the returned
+    ``run(codes, out)`` checks only its two arguments before the single
+    foreign call.  ``run`` keeps the member operands alive, so the
+    addresses stay valid as long as it does.
+    """
+    check_layer_members(members, k_dim, n_dim, n_slots)
+    stacked = int(bool(stacked))
+    packed = (LayerMember * len(members))()
+    for entry, member in zip(packed, members):
+        entry.slot = member.slot
+        entry.zero_point = member.zero_point
+        entry.corr = member.correction.ctypes.data
+        entry.alpha = member.alpha
+        entry.bias = None if member.bias is None else member.bias.ctypes.data
+        if member.table is not None:
+            entry.table = member.table.ctypes.data
+            _, entry.codes_total, entry.n_pad = member.table.shape
+        else:
+            entry.sign = member.sign.ctypes.data
+            entry.mag = member.mag.ctypes.data
+            entry.lut = member.lut.ctypes.data
+            entry.lut_cols = member.lut.shape[1]
+            entry.lut_bytes = member.lut.dtype.itemsize
+    fn = lib.repro_layer_f64
+    address = ctypes.addressof(packed)
+    count = len(members)
+    keep = (packed, tuple(members))
+
+    def run(codes, out):
+        rows = check_layer_call(codes, out, k_dim, n_dim, n_slots, stacked)
+        fn(codes.ctypes.data, rows, k_dim, n_dim, stacked, count, address,
+           out.ctypes.data)
+
+    run.operands = keep
+    return run

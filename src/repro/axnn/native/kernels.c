@@ -6,19 +6,58 @@
  * reference — see the bit-identity notes on each kernel; the property tests
  * in tests/test_native_kernels.py enforce them.
  *
- * Layout contract: every array argument is C-contiguous; the Python wrapper
+ * Layout contract: every array argument is C-contiguous.  The Python wrapper
  * (cext.py) declares ndpointer argtypes with the C_CONTIGUOUS flag, so a
- * strided array can never reach these loops.
+ * strided array can never reach these loops; the fused layer entry takes
+ * raw pointers, and cext.bind_layer checks every member operand once when
+ * it builds the member array and the code matrix and output on each call.
  */
 
 #include <stdint.h>
 
-/* Column-block width of the LUT matmul: the sign/magnitude blocks
+/* Column-block width of the LUT loop: the sign/magnitude blocks
  * (K * NB bytes each) and the int64 accumulator row stay cache-resident
  * while the code row streams once per output row. */
 #define LUT_MATMUL_NB 128
 
-/* result[m, n] = sum_k sign[k, n] * lut[codes[m, k] * lut_cols + mag[k, n]]
+/* Lanes of one table row add: the table's output axis is padded to a
+ * multiple of eight int32 columns, which -O3 keeps in two SSE2 registers at
+ * the baseline x86-64 ISA (no -march needed). */
+#define TABLE_MATMUL_LANES 8
+
+/* The dequantize epilogue of an Ax layer, applied where a product loop
+ * stores its integer result:
+ *     out[m, n] = (acc[m, n] - zero_point * corr[n]) * alpha + bias[n]
+ * with alpha = activation scale * weight scale and no bias term when bias
+ * is NULL.  The subtraction is exact int64 arithmetic; the int64 -> double
+ * conversion, the multiply and the add are each rounded once, in this
+ * order, as NumPy's casting subtract / multiply / add ufuncs do
+ * (cext.py compiles with -ffp-contract=off, so no multiply-add is fused),
+ * which makes the float output bit-identical to the NumPy epilogue.
+ * A NULL epilogue makes a loop store the raw int64 accumulator instead. */
+typedef struct {
+    int64_t zero_point;
+    const int64_t *corr;   /* (n_dim,) zero-point correction */
+    double alpha;
+    const double *bias;    /* (n_dim,) or NULL */
+    double *out;           /* (m_dim, n_dim) */
+} repro_epilogue;
+
+static inline void store_result(
+    const repro_epilogue *ep, int64_t *acc_out, int64_t m, int64_t n,
+    int64_t n_dim, int64_t acc)
+{
+    if (ep == 0) {
+        acc_out[m * n_dim + n] = acc;
+        return;
+    }
+    double value = (double)(acc - ep->zero_point * ep->corr[n]) * ep->alpha;
+    if (ep->bias) value += ep->bias[n];
+    ep->out[m * n_dim + n] = value;
+}
+
+/* The LUT loop:
+ *     acc[m, n] = sum_k sign[k, n] * lut[codes[m, k] * lut_cols + mag[k, n]]
  *
  * All arithmetic is int64 accumulation of exact integer products, so the
  * result is bit-identical to the gather reference regardless of summation
@@ -27,11 +66,11 @@
  * accumulation" tier: half to a quarter of the reference path's memory
  * traffic, cache-blocked over output columns.
  */
-#define DEFINE_LUT_MATMUL(SUFFIX, LUT_T)                                      \
-void repro_lut_matmul_##SUFFIX(                                               \
+#define DEFINE_LUT_ROWS(SUFFIX, LUT_T)                                        \
+static void lut_rows_##SUFFIX(                                                \
     const uint8_t *codes, const int8_t *sign, const uint8_t *mag,             \
     const LUT_T *lut, int64_t m_dim, int64_t k_dim, int64_t n_dim,            \
-    int64_t lut_cols, int64_t *out)                                           \
+    int64_t lut_cols, int64_t *acc_out, const repro_epilogue *ep)             \
 {                                                                             \
     for (int64_t n0 = 0; n0 < n_dim; n0 += LUT_MATMUL_NB) {                   \
         int64_t nb = n_dim - n0;                                              \
@@ -48,21 +87,16 @@ void repro_lut_matmul_##SUFFIX(                                               \
                     acc[j] += (int64_t)sign_row[j]                            \
                             * (int64_t)lut_row[mag_row[j]];                   \
             }                                                                 \
-            int64_t *out_row = out + m * n_dim + n0;                          \
-            for (int64_t j = 0; j < nb; j++) out_row[j] = acc[j];             \
+            for (int64_t j = 0; j < nb; j++)                                  \
+                store_result(ep, acc_out, m, n0 + j, n_dim, acc[j]);          \
         }                                                                     \
     }                                                                         \
 }
 
-DEFINE_LUT_MATMUL(i16, int16_t)
-DEFINE_LUT_MATMUL(i32, int32_t)
+DEFINE_LUT_ROWS(i16, int16_t)
+DEFINE_LUT_ROWS(i32, int32_t)
 
-/* Lanes of one table row add: the table's output axis is padded to a
- * multiple of eight int32 columns, which -O3 keeps in two SSE2 registers at
- * the baseline x86-64 ISA (no -march needed). */
-#define TABLE_MATMUL_LANES 8
-
-/* result[m, n] = sum_k table[k, codes[m, k], n]
+/* The table loop:  acc[m, n] = sum_k table[k, codes[m, k], n]
  *
  * The weight-stationary form of the LUT product: the caller folds the
  * constant weights into the signed table
@@ -74,14 +108,14 @@ DEFINE_LUT_MATMUL(i32, int32_t)
  * partial sum can overflow and the integer result is exact in any order —
  * bit-identical to the gather reference.
  */
-void repro_table_matmul_i32(
+static void table_rows(
     const uint8_t *codes, const int32_t *table, int64_t m_dim, int64_t k_dim,
-    int64_t n_dim, int64_t codes_total, int64_t n_pad, int64_t *out)
+    int64_t n_dim, int64_t codes_total, int64_t n_pad, int64_t *acc_out,
+    const repro_epilogue *ep)
 {
     const int64_t k_stride = codes_total * n_pad;
     for (int64_t m = 0; m < m_dim; m++) {
         const uint8_t *code_row = codes + m * k_dim;
-        int64_t *out_row = out + m * n_dim;
         for (int64_t n0 = 0; n0 < n_pad; n0 += TABLE_MATMUL_LANES) {
             int32_t acc[TABLE_MATMUL_LANES] = {0};
             const int32_t *block = table + n0;
@@ -92,8 +126,84 @@ void repro_table_matmul_i32(
             }
             int64_t nb = n_dim - n0;
             if (nb > TABLE_MATMUL_LANES) nb = TABLE_MATMUL_LANES;
-            for (int64_t j = 0; j < nb; j++) out_row[n0 + j] = acc[j];
+            for (int64_t j = 0; j < nb; j++)
+                store_result(ep, acc_out, m, n0 + j, n_dim, acc[j]);
         }
+    }
+}
+
+/* The int64-accumulator entry points: one kernel's product, no epilogue. */
+void repro_lut_matmul_i16(
+    const uint8_t *codes, const int8_t *sign, const uint8_t *mag,
+    const int16_t *lut, int64_t m_dim, int64_t k_dim, int64_t n_dim,
+    int64_t lut_cols, int64_t *out)
+{
+    lut_rows_i16(codes, sign, mag, lut, m_dim, k_dim, n_dim, lut_cols, out, 0);
+}
+
+void repro_lut_matmul_i32(
+    const uint8_t *codes, const int8_t *sign, const uint8_t *mag,
+    const int32_t *lut, int64_t m_dim, int64_t k_dim, int64_t n_dim,
+    int64_t lut_cols, int64_t *out)
+{
+    lut_rows_i32(codes, sign, mag, lut, m_dim, k_dim, n_dim, lut_cols, out, 0);
+}
+
+void repro_table_matmul_i32(
+    const uint8_t *codes, const int32_t *table, int64_t m_dim, int64_t k_dim,
+    int64_t n_dim, int64_t codes_total, int64_t n_pad, int64_t *out)
+{
+    table_rows(codes, table, m_dim, k_dim, n_dim, codes_total, n_pad, out, 0);
+}
+
+/* One victim of a fused layer call: its bound product operands (the signed
+ * table, or the LUT loop's packed operands when table is NULL) and its
+ * dequantize epilogue constants.  Mirrored field for field by
+ * cext.LayerMember; every pointer is checked and kept alive on the Python
+ * side when the member array is built. */
+typedef struct {
+    int64_t slot;            /* row block of the codes (when stacked) and out */
+    const int32_t *table;    /* (k_dim, codes_total, n_pad), or NULL */
+    int64_t codes_total;
+    int64_t n_pad;
+    const int8_t *sign;      /* (k_dim, n_dim), LUT loop only */
+    const uint8_t *mag;      /* (k_dim, n_dim), LUT loop only */
+    const void *lut;         /* (lut_cols, lut_cols) int16 or int32 */
+    int64_t lut_cols;
+    int64_t lut_bytes;       /* 2 or 4: the LUT's element width */
+    int64_t zero_point;
+    const int64_t *corr;     /* (n_dim,) */
+    double alpha;
+    const double *bias;      /* (n_dim,) or NULL */
+} repro_layer_member;
+
+/* One Ax layer for every native member of a victim group, in one call:
+ * member i reads the code rows [slot * rows, (slot + 1) * rows) when
+ * codes_stacked, else all `rows` code rows, and writes its dequantized
+ * output to rows [slot * rows, (slot + 1) * rows) of the group's stacked
+ * float64 output (rows x n_dim per block). */
+void repro_layer_f64(
+    const uint8_t *codes, int64_t rows, int64_t k_dim, int64_t n_dim,
+    int64_t codes_stacked, int64_t n_members,
+    const repro_layer_member *members, double *out)
+{
+    for (int64_t i = 0; i < n_members; i++) {
+        const repro_layer_member *mb = members + i;
+        const uint8_t *member_codes =
+            codes + (codes_stacked ? mb->slot * rows * k_dim : 0);
+        repro_epilogue ep = {mb->zero_point, mb->corr, mb->alpha, mb->bias,
+                             out + mb->slot * rows * n_dim};
+        if (mb->table)
+            table_rows(member_codes, mb->table, rows, k_dim, n_dim,
+                       mb->codes_total, mb->n_pad, 0, &ep);
+        else if (mb->lut_bytes == 2)
+            lut_rows_i16(member_codes, mb->sign, mb->mag,
+                         (const int16_t *)mb->lut, rows, k_dim, n_dim,
+                         mb->lut_cols, 0, &ep);
+        else
+            lut_rows_i32(member_codes, mb->sign, mb->mag,
+                         (const int32_t *)mb->lut, rows, k_dim, n_dim,
+                         mb->lut_cols, 0, &ep);
     }
 }
 
@@ -155,29 +265,34 @@ void repro_col2im_f64(
  * kernel column, channel.
  *
  * In NHWC one kernel row of a patch is a contiguous run of kw*channels
- * doubles in the image, and it lands contiguously in the patch row, so the
+ * values in the image, and it lands contiguously in the patch row, so the
  * gather is one run copy per (b, oh, ow, i).  A pure copy — bit-identical to
- * the NumPy strided copy by construction.
+ * the NumPy strided copy by construction.  Float images (the float layers)
+ * and uint8 code images (the Ax layers' activation codes) share the loop.
  */
-void repro_im2col_f64(
-    const double *x, int64_t batch, int64_t padded_h, int64_t padded_w,
-    int64_t channels, int64_t kh, int64_t kw, int64_t stride,
-    int64_t out_h, int64_t out_w, double *cols)
-{
-    const int64_t run = kw * channels;
-    const int64_t image_row = padded_w * channels;
-    for (int64_t b = 0; b < batch; b++) {
-        const double *x_b = x + b * padded_h * image_row;
-        for (int64_t oh = 0; oh < out_h; oh++) {
-            const double *x_rows = x_b + oh * stride * image_row;
-            for (int64_t ow = 0; ow < out_w; ow++) {
-                const double *src = x_rows + ow * stride * channels;
-                for (int64_t i = 0; i < kh; i++) {
-                    const double *row = src + i * image_row;
-                    for (int64_t t = 0; t < run; t++) cols[t] = row[t];
-                    cols += run;
-                }
-            }
-        }
-    }
+#define DEFINE_IM2COL(SUFFIX, T)                                              \
+void repro_im2col_##SUFFIX(                                                   \
+    const T *x, int64_t batch, int64_t padded_h, int64_t padded_w,            \
+    int64_t channels, int64_t kh, int64_t kw, int64_t stride,                 \
+    int64_t out_h, int64_t out_w, T *cols)                                    \
+{                                                                             \
+    const int64_t run = kw * channels;                                        \
+    const int64_t image_row = padded_w * channels;                            \
+    for (int64_t b = 0; b < batch; b++) {                                     \
+        const T *x_b = x + b * padded_h * image_row;                          \
+        for (int64_t oh = 0; oh < out_h; oh++) {                              \
+            const T *x_rows = x_b + oh * stride * image_row;                  \
+            for (int64_t ow = 0; ow < out_w; ow++) {                          \
+                const T *src = x_rows + ow * stride * channels;               \
+                for (int64_t i = 0; i < kh; i++) {                            \
+                    const T *row = src + i * image_row;                       \
+                    for (int64_t t = 0; t < run; t++) cols[t] = row[t];       \
+                    cols += run;                                              \
+                }                                                             \
+            }                                                                 \
+        }                                                                     \
+    }                                                                         \
 }
+
+DEFINE_IM2COL(f64, double)
+DEFINE_IM2COL(u8, uint8_t)

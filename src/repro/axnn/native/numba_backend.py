@@ -8,6 +8,8 @@ on-disk cache) and run with ``nogil=True``, releasing the GIL like the
 ctypes path.
 
 The loop structure intentionally mirrors ``kernels.c`` line for line —
+one LUT loop and one table loop, each storing either the int64
+accumulator or the dequantize epilogue of the fused layer call;
 int64 accumulation for the LUT matmul (order-independent, hence exact; the
 ``sign * lut`` product itself cannot overflow the LUT dtype because sign is
 in {-1, 0, 1} and the packer rejects tables with |value| >= 2**31), int32
@@ -24,6 +26,8 @@ import numba  # noqa: F401 - presence check; ImportError gates this backend
 import numpy as np
 from numba import njit
 
+from repro.axnn.native import check_layer_call, check_layer_members
+
 #: column-block width, matching LUT_MATMUL_NB in kernels.c
 _BLOCK = 128
 
@@ -31,26 +35,52 @@ _BLOCK = 128
 _LANES = 8
 
 
+#: stand-ins for the output a loop does not write: the float output when it
+#: stores int64 accumulators, the accumulator output under the epilogue
+_NO_ACC = np.zeros((0, 0), dtype=np.int64)
+_NO_OUT = np.zeros((0, 0), dtype=np.float64)
+_NO_BIAS = np.zeros(0, dtype=np.float64)
+_NO_CORRECTION = np.zeros(0, dtype=np.int64)
+
+
 @njit(cache=True, nogil=True)
-def lut_matmul(codes, sign, mag, lut, out):  # pragma: no cover - jitted
+def _store(acc_out, out, m, n, acc, epilogue, zero_point, corr, alpha, bias,
+           has_bias):  # pragma: no cover - jitted
+    # store_result in kernels.c: the raw accumulator, or the dequantize
+    # epilogue (one int64 -> float64 conversion, multiply, add)
+    if epilogue:
+        value = np.float64(acc - zero_point * corr[n]) * alpha
+        if has_bias:
+            value += bias[n]
+        out[m, n] = value
+    else:
+        acc_out[m, n] = acc
+
+
+@njit(cache=True, nogil=True)
+def _lut_rows(codes, sign, mag, lut, acc_out, out, epilogue, zero_point, corr,
+              alpha, bias, has_bias):  # pragma: no cover - jitted
     m_dim, k_dim = codes.shape
-    n_dim = out.shape[1]
+    n_dim = sign.shape[1]
+    acc = np.empty(_BLOCK, dtype=np.int64)
     for n0 in range(0, n_dim, _BLOCK):
         n1 = min(n0 + _BLOCK, n_dim)
         for m in range(m_dim):
-            for j in range(n0, n1):
-                out[m, j] = 0
+            for j in range(n1 - n0):
+                acc[j] = 0
             for k in range(k_dim):
                 code = codes[m, k]
                 for j in range(n0, n1):
-                    out[m, j] += sign[k, j] * lut[code, mag[k, j]]
-    return out
+                    acc[j - n0] += sign[k, j] * lut[code, mag[k, j]]
+            for j in range(n0, n1):
+                _store(acc_out, out, m, j, acc[j - n0], epilogue, zero_point,
+                       corr, alpha, bias, has_bias)
 
 
 @njit(cache=True, nogil=True)
-def table_matmul(codes, table, out):  # pragma: no cover - jitted
+def _table_rows(codes, table, n_dim, acc_out, out, epilogue, zero_point, corr,
+                alpha, bias, has_bias):  # pragma: no cover - jitted
     m_dim, k_dim = codes.shape
-    n_dim = out.shape[1]
     n_pad = table.shape[2]
     acc = np.empty(_LANES, dtype=np.int32)
     for m in range(m_dim):
@@ -63,8 +93,57 @@ def table_matmul(codes, table, out):  # pragma: no cover - jitted
                     acc[j] += table[k, code, n0 + j]
             nb = min(n_dim - n0, _LANES)
             for j in range(nb):
-                out[m, n0 + j] = acc[j]
+                _store(acc_out, out, m, n0 + j, np.int64(acc[j]), epilogue,
+                       zero_point, corr, alpha, bias, has_bias)
+
+
+def lut_matmul(codes, sign, mag, lut, out):
+    _lut_rows(codes, sign, mag, lut, out, _NO_OUT, False, 0, _NO_CORRECTION,
+              1.0, _NO_BIAS, False)
     return out
+
+
+def table_matmul(codes, table, out):
+    _table_rows(codes, table, out.shape[1], out, _NO_OUT, False, 0,
+                _NO_CORRECTION, 1.0, _NO_BIAS, False)
+    return out
+
+
+def bind_layer(members, k_dim, n_dim, n_slots, stacked):
+    """The fused layer call of ``members``: a Python loop over the members
+    around one jitted product-and-epilogue call each (``repro_layer_f64`` in
+    ``kernels.c`` is the same loop in C)."""
+    check_layer_members(members, k_dim, n_dim, n_slots)
+    bound = [
+        (
+            member.slot,
+            member.table,
+            (member.sign, member.mag, member.lut),
+            (
+                int(member.zero_point),
+                member.correction,
+                float(member.alpha),
+                _NO_BIAS if member.bias is None else member.bias,
+                member.bias is not None,
+            ),
+        )
+        for member in members
+    ]
+
+    def run(codes, out):
+        rows = check_layer_call(codes, out, k_dim, n_dim, n_slots, stacked)
+        blocks = out.reshape(n_slots * rows, n_dim)
+        for slot, table, lut_operands, epilogue in bound:
+            member_codes = codes[slot * rows : (slot + 1) * rows] if stacked else codes
+            block = blocks[slot * rows : (slot + 1) * rows]
+            if table is not None:
+                _table_rows(member_codes, table, n_dim, _NO_ACC, block, True,
+                            *epilogue)
+            else:
+                _lut_rows(member_codes, *lut_operands, _NO_ACC, block, True,
+                          *epilogue)
+
+    return run
 
 
 @njit(cache=True, nogil=True)

@@ -12,10 +12,13 @@ every conv geometry.
 
 * every victim starts in one group that shares the input batch;
 * an Ax compute layer quantizes the group's input activation **once**,
-  gathers the uint8 code patches **once** (conv), and then runs only the
-  kernel product and the dequantize epilogue per victim — each on its row
-  slice, into one output buffer.  From here on the group is *stacked*:
-  ``(victims * batch, ...)``, victim-major;
+  gathers the uint8 code patches **once** (conv), and then runs the
+  kernel product and the dequantize epilogue of every victim — each on
+  its row slice, into one output buffer.  The members whose kernel is
+  ``native`` do so in ONE compiled call per layer
+  (:class:`repro.axnn.layers.NativeLayerCall`, bound at construction);
+  the others each run their ``forward_from_codes``.  From here on the
+  group is *stacked*: ``(victims * batch, ...)``, victim-major;
 * a float passthrough layer runs once per group on the whole stack.  ReLU
   rectifies the panel's own buffer in place; pooling, flatten and dropout
   return a smaller array, a view or their input, so no layer of the
@@ -38,7 +41,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.axnn.engine import AxModel
-from repro.axnn.layers import AxConv2D, AxDense, PassthroughLayer
+from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall, PassthroughLayer
 from repro.errors import ConfigurationError
 from repro.nn.layers.activations import ReLU
 from repro.nn.runtime import check_serial_workers, run_batched, validate_batch_size
@@ -90,6 +93,13 @@ class VictimPanel:
             )
         self.output_shape = self._models[0].output_shape
         self._plan, self._final_groups = self._build_plan()
+        self._products = {
+            (layer_index, group): self._bind_products(layer_index, group, stacked)
+            for layer_index, (kind, splits) in enumerate(self._plan)
+            if kind != "pass"
+            for _, stacked, groups in splits
+            for group in groups
+        }
 
     # ------------------------------------------------------------- planning
     @staticmethod
@@ -140,6 +150,23 @@ class VictimPanel:
             plan.append((kind, splits))
             groups = next_groups
         return plan, groups
+
+    def _bind_products(self, layer_index: int, group: _Group, stacked: bool):
+        """How a compute layer's group runs its products: the fused call of
+        its native members (``None`` when it has none) and the ``(slot,
+        layer)`` pairs of the other members."""
+        native, others = [], []
+        for slot, victim in enumerate(group):
+            layer = self._models[victim].layers[layer_index]
+            if layer._native_call is not None:
+                native.append((slot, layer))
+            else:
+                others.append((slot, layer))
+        call = None
+        if native:
+            slots, layers = zip(*native)
+            call = NativeLayerCall(layers, slots, len(group), stacked)
+        return call, others
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
@@ -193,16 +220,19 @@ class VictimPanel:
         return layer.forward(x)
 
     def _conv(self, layer_index, group, stacked, x, batch):
-        layers = [self._models[victim].layers[layer_index] for victim in group]
-        codes = layers[0].quantize_cols(x)
+        first = self._models[group[0]].layers[layer_index]
+        codes = first.quantize_cols(x)
         del x
-        patches = layers[0].extract_cols(codes)
+        patches = first.extract_cols(codes)
         del codes
         _, out_h, out_w, patch = patches.shape
         patches = patches.reshape(-1, patch)
-        out = np.empty((len(group) * batch, out_h, out_w, layers[0].filters))
+        out = np.empty((len(group) * batch, out_h, out_w, first.filters))
+        fused, others = self._products[layer_index, group]
+        if fused is not None:
+            fused(patches, out)
         block = batch * out_h * out_w  # patch rows of one victim
-        for slot, layer in enumerate(layers):
+        for slot, layer in others:
             rows = patches[slot * block : (slot + 1) * block] if stacked else patches
             layer.forward_from_codes(
                 rows, batch, out_h, out_w, out=out[slot * batch : (slot + 1) * batch]
@@ -210,11 +240,14 @@ class VictimPanel:
         return out
 
     def _dense(self, layer_index, group, stacked, x, batch):
-        layers = [self._models[victim].layers[layer_index] for victim in group]
-        codes = layers[0].quantize_input(x)
+        first = self._models[group[0]].layers[layer_index]
+        codes = first.quantize_input(x)
         del x
-        out = np.empty((len(group) * batch, layers[0].units))
-        for slot, layer in enumerate(layers):
+        out = np.empty((len(group) * batch, first.units))
+        fused, others = self._products[layer_index, group]
+        if fused is not None:
+            fused(codes, out)
+        for slot, layer in others:
             rows = codes[slot * batch : (slot + 1) * batch] if stacked else codes
             layer.forward_from_codes(rows, out=out[slot * batch : (slot + 1) * batch])
         return out
@@ -271,8 +304,13 @@ class VictimPanel:
                         once = "1 quantize"
                         if kind == "conv":
                             once = "1 extract, " + once
+                        fused, others = self._products[layer_index, group]
+                        products = f"{len(group)} products"
+                        if fused is not None:
+                            products += (f" ({len(group) - len(others)} native "
+                                         "in 1 call)")
                         parts.append(f"{kind}[{len(group)} victims {form}, {once}, "
-                                     f"{len(group)} products]")
+                                     f"{products}]")
             name = self._models[0].layers[layer_index].name
             lines.append(f"{name}: {' + '.join(parts)}")
         groups = len(self._final_groups)

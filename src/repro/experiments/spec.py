@@ -301,9 +301,14 @@ class VictimSpec(_SpecNode):
                 f"convolution_only must be a bool, got {self.convolution_only!r}",
                 path="convolution_only",
             )
-        if not isinstance(self.kernel, str) or not self.kernel:
+        # deferred like the library import above
+        from repro.axnn.kernels import KERNEL_STRATEGIES
+
+        known = ("auto",) + KERNEL_STRATEGIES
+        if not isinstance(self.kernel, str) or self.kernel not in known:
             raise SpecValidationError(
-                f"kernel must be a non-empty str, got {self.kernel!r}", path="kernel"
+                f"kernel must be one of {list(known)}, got {self.kernel!r}",
+                path="kernel",
             )
 
     def to_dict(self) -> dict:
@@ -336,6 +341,7 @@ class AttackSpec(_SpecNode):
     def __post_init__(self) -> None:
         # the registry import is deferred to avoid a module-import cycle
         from repro.attacks import available_attacks
+        from repro.attacks.registry import attack_parameters
 
         if self.attack not in available_attacks():
             raise SpecValidationError(
@@ -351,6 +357,15 @@ class AttackSpec(_SpecNode):
                 path="params",
             ) from None
         _check_values(params, "params")
+        accepted = attack_parameters(self.attack)
+        if accepted is not None:
+            for name in sorted(str(key) for key in params):
+                if name not in accepted:
+                    raise SpecValidationError(
+                        f"attack {self.attack!r} takes no parameter {name!r}; "
+                        f"accepted: {list(accepted)}",
+                        path=f"params.{name}",
+                    )
         object.__setattr__(
             self, "params", tuple(sorted((str(k), v) for k, v in params.items()))
         )

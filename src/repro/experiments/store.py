@@ -248,6 +248,24 @@ def _read_npz(path: str) -> Dict[str, np.ndarray]:
 _READERS = {".npz": _read_npz, ".json": _read_json}
 
 
+def _parse_meta(data: bytes) -> dict:
+    """A meta sidecar's JSON object.
+
+    Raises :class:`ValueError` for anything else: undecodable or invalid
+    JSON, a document that is not an object, nesting too deep for the
+    parser, or a ``payload_sha256`` that is neither a string nor null.
+    """
+    try:
+        meta = json.loads(data)
+    except RecursionError:
+        raise ValueError("meta sidecar nests too deeply") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta sidecar is a JSON {type(meta).__name__}, not an object")
+    if not isinstance(meta.get("payload_sha256"), (str, type(None))):
+        raise ValueError("meta sidecar payload_sha256 is not a string")
+    return meta
+
+
 def _lease_skew_s(doc: dict) -> float:
     """The expiry grace margin for one lease document.
 
@@ -644,9 +662,11 @@ class ArtifactStore:
 
     def _read_meta_raw(self, kind: str, digest: str) -> Tuple[Optional[dict], bool]:
         """``(meta, malformed)`` — malformed means the sidecar exists but
-        does not parse (truncated or torn), as opposed to simply absent."""
+        is not a meta object (truncated, torn or garbage, see
+        :func:`_parse_meta`), as opposed to simply absent."""
         try:
-            return _read_json(self._path(kind, digest, ".meta.json")), False
+            with open(self._path(kind, digest, ".meta.json"), "rb") as handle:
+                return _parse_meta(handle.read()), False
         except ValueError:
             return None, True
         except OSError:
@@ -750,7 +770,7 @@ class ArtifactStore:
         expected = None
         if meta_blob is not None:
             try:
-                expected = json.loads(meta_blob.data).get("payload_sha256")
+                expected = _parse_meta(meta_blob.data).get("payload_sha256")
             except ValueError:
                 expected = None
         data = blob.data

@@ -3,8 +3,9 @@
 All image tensors use the NHWC layout ``(batch, height, width, channels)``.
 ``im2col`` and ``col2im``, its scatter-add adjoint, each run as one compiled
 pass when a native backend resolved (see :mod:`repro.axnn.native`) and the
-arrays are C-contiguous float64.  Otherwise ``im2col`` gathers every patch in
-one strided copy from a sliding-window view, and ``col2im`` loops over the
+arrays are C-contiguous float64 (``im2col`` also takes the Ax layers' uint8
+code images).  Otherwise ``im2col`` gathers every patch in one strided copy
+from a sliding-window view, and ``col2im`` loops over the
 ``kh * kw`` kernel offsets.  Both copy or sum the same elements in a fixed
 order, so every path is bit-identical to the slice-loop references kept in
 the tests.
@@ -19,14 +20,16 @@ import numpy as np
 from repro.errors import ShapeError
 
 
-def _native_backend(*arrays: np.ndarray):
-    """The resolved compiled backend when every array is C-contiguous float64.
+def _native_backend(*arrays: np.ndarray, dtypes=(np.float64,)):
+    """The resolved compiled backend when every array is C-contiguous and
+    all share one dtype from ``dtypes``.
 
     ``None`` when any array does not fit the kernels' layout contract or
     no backend resolved; callers then take their NumPy spelling.
     """
-    if not all(
-        a.dtype == np.float64 and a.flags["C_CONTIGUOUS"] for a in arrays
+    dtype = arrays[0].dtype
+    if dtype not in dtypes or not all(
+        a.dtype == dtype and a.flags["C_CONTIGUOUS"] for a in arrays
     ):
         return None
     # imported lazily: repro.axnn.native depends only on numpy and
@@ -61,9 +64,10 @@ def im2col(
     last axis is ordered kernel-row-major then channel (matching the weight
     flattening used by :class:`repro.nn.layers.conv.Conv2D`).  The compiled
     backend copies one contiguous run of ``kernel_w * C`` values per patch
-    row; without it (or for strided or non-float64 arrays) the patch matrix
-    is materialised in one multi-dimensional strided copy from a
-    sliding-window view of the (padded) input.
+    row of a float64 or uint8 image; without it (or for strided arrays or
+    other dtypes) the patch matrix is materialised in one
+    multi-dimensional strided copy from a sliding-window view of the
+    (padded) input.
 
     With ``padding > 0`` the input is first copied into a fresh padded
     image whose four border bands are filled with ``pad_value`` (zero for
@@ -90,7 +94,7 @@ def im2col(
         x_padded[:, pad:-pad, :pad].fill(pad_value)
         x_padded[:, pad:-pad, -pad:].fill(pad_value)
         np.copyto(x_padded[:, pad:-pad, pad:-pad, :], x)
-    backend = _native_backend(x_padded, cols)
+    backend = _native_backend(x_padded, cols, dtypes=(np.float64, np.uint8))
     if backend is not None:
         backend.im2col(x_padded, cols, kernel_h, kernel_w, stride)
     else:

@@ -45,20 +45,34 @@ def im2col_reference(x, kernel_h, kernel_w, stride, padding):
     return cols
 
 
-def _ax_product_reference(layer, x):
-    """Quantize the float matrix ``x`` and multiply it through the LUT gather.
+def dequantize_reference(layer, accumulator):
+    """An Ax layer's dequantize epilogue as allocating NumPy expressions.
 
-    Returns ``(accumulator - zero_point * correction) * (scale *
-    weight_scale)``, before the bias.
+    ``(accumulator - zero_point * correction) * (scale * weight_scale) +
+    bias`` over the int64 ``(rows, N)`` accumulator, the bias only when the
+    layer has one.  The fused native layer call
+    (:class:`repro.axnn.layers.NativeLayerCall`) and the in-place NumPy
+    epilogue of the other kernels must return these bits.
     """
     scheme = layer.activation_scheme
-    codes = scheme.quantize(x)
+    correction = zero_point_correction_vector(layer.weight_sign, layer.weight_magnitude)
+    accumulator = np.asarray(accumulator, dtype=np.int64) - (
+        scheme.zero_point * correction[None, :]
+    )
+    out = accumulator.astype(np.float64) * (scheme.scale * layer.weight_scale)
+    if layer.bias is not None:
+        out = out + layer.bias
+    return out
+
+
+def _ax_product_reference(layer, x):
+    """Quantize the float matrix ``x``, multiply it through the LUT gather
+    and dequantize: one Ax layer's ``(rows, N)`` output."""
+    codes = layer.activation_scheme.quantize(x)
     accumulator = approx_matmul(
         codes, layer.weight_sign, layer.weight_magnitude, layer.multiplier.lut()
     )
-    correction = zero_point_correction_vector(layer.weight_sign, layer.weight_magnitude)
-    accumulator = accumulator - scheme.zero_point * correction[None, :]
-    return accumulator.astype(np.float64) * (scheme.scale * layer.weight_scale)
+    return dequantize_reference(layer, accumulator)
 
 
 def ax_model_reference(model, x):
@@ -84,9 +98,6 @@ def ax_model_reference(model, x):
             out = _ax_product_reference(layer, out)
         else:
             out = layer.forward(out)
-            continue
-        if layer.bias is not None:
-            out = out + layer.bias
     return out
 
 

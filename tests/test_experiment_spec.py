@@ -150,6 +150,47 @@ class TestContentHash:
         assert a.content_hash() == b.content_hash()
 
 
+#: content hashes of valid victim and attack specs, recorded before their
+#: kernel names and attack params were checked: validation must not move
+#: the hash of any spec it accepts
+PINNED_VICTIM_HASHES = {
+    "auto": "3f5584bcff1ba0b3be3505bd321c55e93e1dacdf25712d3fdd7f486b92cfd2f8",
+    "gather": "b82aa1fd0ae6fcb8a7722208e3815d1c883ebf07eef72dc02adb5e3f599f57c5",
+    "percode": "3e6e36c72d8565728cddb250ef150f1f748ab4e324c6c613222d814e7550cbc4",
+    "errorcorrection": (
+        "a4431872fd4ac50de7647ec72471cba44f0d39450ca0df2e46c7c3a65eaa8b7e"
+    ),
+    "sparse": "02694ebdb0d0037d4c6116a9661710656aaafd40b90c7ad62a68029f944e367a",
+    "exact": "8bc66b0042a43bf16a9cacabc98d4282f78cbba141db879cc74ae103f2c325a6",
+    "native": "1f529909be26f95d384dddd16f89cdf22832a36d8751b0ec16a6f874a61054ba",
+}
+PINNED_ATTACK_HASHES = [
+    ("FGM_linf", {},
+     "551abff76a9eca76f21638c8b9e6395c8c9aecc754c705d4a64f206fab705e98"),
+    ("BIM_linf", {"steps": 5, "step_size_factor": 0.1},
+     "32163c3b665f0afd63b0e40bbcaa5151b16d0887c37c543e6bae941eb0da4f69"),
+    ("PGD_l2", {"seed": 3},
+     "42725e7eebe3b2adf3e6cd78a42e244079f3777644d9369fa0080f188d572e4f"),
+    ("CR_l2", {"target": 0.25},
+     "1b92b06d321afe8d10652062513aa64c99677362ebf9cee1884cba2af676c396"),
+    ("RAU_linf", {"repeats": 4, "seed": 1},
+     "1c997ce0598e483d8f66904e74234ef5d9a9fd3397975e69bf6af04dc17916e6"),
+]
+
+
+class TestPinnedHashes:
+    def test_victim_hashes_unchanged(self):
+        for kernel, digest in PINNED_VICTIM_HASHES.items():
+            spec = VictimSpec(multipliers=("M1", "M4"), kernel=kernel)
+            assert spec.content_hash() == digest, kernel
+
+    @pytest.mark.parametrize("attack, params, digest", PINNED_ATTACK_HASHES)
+    def test_attack_hashes_unchanged(self, attack, params, digest):
+        assert AttackSpec.from_dict({"attack": attack, "params": params}).content_hash() == (
+            digest
+        )
+
+
 class TestValidation:
     def test_unknown_architecture(self):
         with pytest.raises(ConfigurationError, match="architecture"):
@@ -313,6 +354,33 @@ class TestStructuredValidationErrors:
         with pytest.raises(SpecValidationError) as excinfo:
             ExperimentSpec.from_json("not json at all")
         assert excinfo.value.path == ""
+
+    def test_unknown_attack_param_path(self):
+        with pytest.raises(SpecValidationError) as excinfo:
+            AttackSpec.from_dict({"attack": "FGM_linf", "params": {"bogus": 1}})
+        assert excinfo.value.path == "params.bogus"
+        document = self._tiny_document()
+        document["attacks"].append({"attack": "BIM_linf", "params": {"seed": 1}})
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec.from_dict(document)
+        assert excinfo.value.path == "attacks[1].params.seed"
+
+    @pytest.mark.parametrize("kernel", ["warp", "AUTO", "per-code BLAS", ""])
+    def test_unknown_kernel_path(self, kernel):
+        with pytest.raises(SpecValidationError) as excinfo:
+            VictimSpec.from_dict({"kernel": kernel})
+        assert excinfo.value.path == "kernel"
+        document = self._tiny_document()
+        document["victims"]["kernel"] = kernel
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec.from_dict(document)
+        assert excinfo.value.path == "victims.kernel"
+
+    def test_every_kernel_strategy_is_accepted(self):
+        from repro.axnn.kernels import _KERNEL_CLASSES
+
+        for kernel in ["auto", *_KERNEL_CLASSES]:
+            assert VictimSpec.from_dict({"kernel": kernel}).kernel == kernel
 
     def test_validation_error_is_still_a_configuration_error(self):
         from repro.errors import SpecValidationError

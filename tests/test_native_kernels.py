@@ -35,7 +35,7 @@ from repro.axnn.native import (
 )
 from repro.errors import ConfigurationError, ShapeError
 from repro.multipliers import LUTMultiplier, get_multiplier
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import _native_backend, col2im, im2col, im2col_windows
 from repro.quantization.schemes import AffineQuantization
 
 from oracle import col2im_reference
@@ -325,6 +325,46 @@ class TestNativeIm2Col:
         cols = np.empty((2, 4, 4, 3 * 3 * 3))
         backend.im2col(x, cols, 3, 3, 1)
         assert np.array_equal(cols, im2col(x, 3, 3, 1, 0))
+
+    @given(
+        batch=st.integers(0, 3),
+        size=st.integers(4, 12),
+        channels=st.integers(1, 4),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        pad_value=st.integers(0, 255),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_uint8_gather_matches_windows(
+        self, batch, size, channels, kernel, stride, padding, pad_value, seed
+    ):
+        # the Ax layers' code images: the compiled uint8 gather must copy
+        # exactly what the sliding-window spelling copies
+        if size + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 256, (batch, size, size, channels), dtype=np.uint8)
+        cols = im2col(x, kernel, kernel, stride, padding, pad_value=pad_value)
+        padded = np.pad(
+            x, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
+            constant_values=pad_value,
+        )
+        expected = np.empty_like(cols)
+        im2col_windows(padded, expected, kernel, kernel, stride)
+        assert cols.dtype == np.uint8
+        assert np.array_equal(cols, expected)
+        direct = np.empty_like(cols)
+        get_backend().im2col(padded, direct, kernel, kernel, stride)
+        assert np.array_equal(direct, expected)
+
+    def test_uint8_images_take_the_compiled_gather(self):
+        images = np.zeros((1, 6, 6, 1), dtype=np.uint8), np.zeros(4, dtype=np.uint8)
+        assert _native_backend(*images, dtypes=(np.float64, np.uint8)) is get_backend()
+        # col2im and mixed dtypes keep the float64-only contract
+        assert _native_backend(*images) is None
+        assert _native_backend(images[0], np.zeros(4), dtypes=(np.float64, np.uint8)) is None
 
 
 class TestBackendResolution:

@@ -539,6 +539,30 @@ class TestHttpEndToEnd:
         finally:
             app.request_shutdown()
 
+    @pytest.mark.parametrize(
+        "section, field, value, path",
+        [
+            ("attacks", "params", {"bogus": 1}, "attacks[0].params.bogus"),
+            ("victims", "kernel", "warp", "victims.kernel"),
+        ],
+    )
+    def test_unknown_attack_param_or_kernel_is_400(
+        self, tmp_path, section, field, value, path
+    ):
+        # rejected when the spec is parsed, before any training starts
+        app = ServiceApp(store=str(tmp_path / "store"), workers=1, queue_depth=2)
+        serve_on_thread(app)
+        try:
+            document = tiny_spec().to_dict()
+            target = document[section]
+            (target[0] if isinstance(target, list) else target)[field] = value
+            status, body, _ = http_json(app, "POST", "/v1/experiments", document)
+            assert (status, body["error"], body["path"]) == (400, "invalid_spec", path)
+            status, metrics_text, _ = http_json(app, "GET", "/metrics")
+            assert "repro_jobs_submitted_total" not in metrics_text.decode("utf-8")
+        finally:
+            app.request_shutdown()
+
     def test_validation_errors_and_routing(self, tmp_path):
         app = ServiceApp(store=str(tmp_path / "store"), workers=1, queue_depth=2)
         serve_on_thread(app)

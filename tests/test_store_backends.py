@@ -11,10 +11,13 @@ breaker opens and re-closes and journaled writes flush.
 
 import json
 import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -46,6 +49,22 @@ from repro.resilience import FaultInjector, FaultRule, RetryPolicy, fault_plan
 
 DIGEST = "a" * 64
 OTHER = "b" * 64
+
+#: JSON-shaped sidecar bytes: any JSON value, meta-like objects with odd
+#: field types, and nesting deeper than the parser's recursion limit
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+_SIDECAR_DOCUMENTS = (
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode())
+    | st.fixed_dictionaries(
+        {"kind": _JSON_VALUES, "digest": _JSON_VALUES, "payload_sha256": _JSON_VALUES}
+    ).map(lambda value: json.dumps(value).encode())
+    | st.sampled_from([b"[" * 100_000, b'{"a":' * 100_000, b"\xff\xfe{}"])
+)
 
 _FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0, sleep=lambda _s: None)
 
@@ -624,6 +643,36 @@ class TestMalformedMeta:
         assert store.stats.quarantined == 1
         assert store.get_meta("result", OTHER) is None  # absent is not corrupt
         assert store.stats.quarantined == 1
+
+    @given(data=st.binary(max_size=256) | _SIDECAR_DOCUMENTS)
+    @example(data=b'{"payload_sha256": null, "meta": NaN}')
+    @example(data=b'{"payload_sha256": {"a": 1}}')
+    @example(data=b"[1, 2]")
+    @settings(max_examples=120, deadline=5000)
+    def test_any_sidecar_reads_as_meta_or_quarantine(self, data):
+        # whatever bytes sit in the sidecar, a read returns the meta object
+        # or None with the entry quarantined — never a traceback or a hang
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root, retry=_FAST_RETRY, store_url="")
+            store.put_json("result", DIGEST, {"v": 1})
+            with open(store._path("result", DIGEST, ".meta.json"), "wb") as handle:
+                handle.write(data)
+            meta, malformed = store._read_meta_raw("result", DIGEST)
+            assert (meta is None) == malformed
+            assert meta is None or isinstance(meta, dict)
+            findings = store.verify(repair=False)  # reads every sidecar field
+            assert len(findings) <= 1
+            got = store.get_meta("result", DIGEST)
+            if malformed:
+                assert got is None
+                assert store.stats.quarantined == 1
+                assert not store.has("result", DIGEST)
+            else:
+                # compared as canonical JSON: NaN values are != themselves
+                canonical = json.dumps(json.loads(data), sort_keys=True)
+                assert json.dumps(got, sort_keys=True) == canonical
+                assert json.dumps(meta, sort_keys=True) == canonical
+                assert store.has("result", DIGEST)
 
     def test_verify_reports_malformed_meta(self, tmp_path):
         store = local_store(tmp_path)
