@@ -39,8 +39,7 @@ cancels, and recorded into ``benchmarks/results/BENCH_native_kernels.json``
 for the regression gate.  All native kernels here are single-threaded, so
 the ratios carry no ``min_cores`` gate — they travel to any host.  The
 whole module skips when no compiled backend resolves (`REPRO_KERNEL_BACKEND
-=numpy`, or neither Numba nor a C compiler present): there is nothing to
-compare against.
+=numpy`, or no C compiler present): there is nothing to compare against.
 """
 
 import os
@@ -64,7 +63,7 @@ from repro.nn.functional import col2im, im2col, im2col_windows
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
-    reason="no native backend resolved (Numba absent and no C compiler, "
+    reason="no native backend resolved (no C compiler, "
     "or REPRO_KERNEL_BACKEND=numpy)",
 )
 

@@ -5,7 +5,7 @@ activation x weight product is evaluated through an approximate-multiplier
 look-up table.  The LUT matmul itself runs through a pluggable kernel engine
 (:mod:`repro.axnn.kernels`) with bit-identical gather / per-code BLAS /
 error-correction / sparse one-hot / native compiled strategies (the latter
-backed by :mod:`repro.axnn.native` — Numba or a tiny C extension, selected
+backed by :mod:`repro.axnn.native` — a tiny C extension, enabled or disabled
 via ``REPRO_KERNEL_BACKEND``).  :class:`repro.axnn.panel.VictimPanel`
 evaluates many victims of one source model in a single stacked pass,
 sharing quantization, the patch gather and the float layers.

@@ -54,9 +54,9 @@ float64 BLAS instead:
     multipliers (the quantized accurate DNN).
 
 ``native``
-    The compiled hot loop from :mod:`repro.axnn.native` (Numba njit or the
-    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``), GIL released
-    for the whole call.  Where the layer's weight-stationary signed table
+    The compiled hot loop from :mod:`repro.axnn.native` (the ctypes C
+    extension, enabled or disabled by ``REPRO_KERNEL_BACKEND``), GIL
+    released for the whole call.  Where the layer's weight-stationary signed table
     ``T[k, c, n] = sign[k, n] * LUT[c, mag[k, n]]`` (int32, N padded to 8)
     is exact in int32 and fits a per-layer byte budget, the loop adds one
     table row per ``(m, k)`` and 8 output lanes; otherwise it gathers from
@@ -731,12 +731,11 @@ class NativeLUTKernel(MatmulKernel):
     with int64 accumulators.  LeNet conv3, whose table would take 30 MiB
     per victim, runs there.  Activation codes arrive as uint8 from the
     Ax-layers' quantizers and are used as they are; other integer codes are
-    range-checked and packed.  ctypes/Numba release the GIL for the whole
-    call.
+    range-checked and packed.  ctypes releases the GIL for the whole call.
 
     Construction fails with :class:`ConfigurationError` when no native
-    backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or neither Numba nor
-    a C compiler is available) or when the multiplier does not fit the
+    backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or no C compiler is
+    available) or when the multiplier does not fit the
     packed layout; ``"auto"`` only selects this strategy when it is
     constructible.
     """
@@ -751,7 +750,7 @@ class NativeLUTKernel(MatmulKernel):
         if backend is None:
             raise ConfigurationError(
                 "the 'native' kernel requires a compiled backend; set "
-                f"{_native.BACKEND_ENV_VAR} and install Numba or a C compiler"
+                f"{_native.BACKEND_ENV_VAR}=auto or cext and install a C compiler"
             )
         if multiplier.operand_max > 255:
             raise ConfigurationError(

@@ -2,16 +2,13 @@
 
 The approximate-DNN reproduction keeps pure NumPy as its always-available
 reference implementation; this package layers a *native* tier on top:
-
-* ``numba_backend`` — njit kernels, used when Numba is importable;
-* ``cext`` — a tiny C extension compiled on first use with the host's C
-  compiler and called through ctypes (GIL released for the whole call).
+``cext``, a tiny C extension compiled on first use with the host's C
+compiler and called through ctypes (GIL released for the whole call).
 
 Backend choice is governed by ``REPRO_KERNEL_BACKEND``:
 
-* ``auto`` (default) — Numba if importable, else the C extension if a
-  compiler is available, else pure NumPy;
-* ``numba`` — require Numba; warn and fall back to NumPy when absent;
+* ``auto`` (default) — the C extension if a compiler is available, else
+  pure NumPy;
 * ``cext`` — require the C extension; warn and fall back when unbuildable;
 * ``numpy`` — force the reference implementations (native tier disabled).
 
@@ -43,12 +40,11 @@ from repro.errors import ConfigurationError, ShapeError
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: recognised values for the env var (aliases normalised first)
-BACKEND_CHOICES = ("auto", "numba", "cext", "numpy")
+BACKEND_CHOICES = ("auto", "cext", "numpy")
 
 _ALIASES = {
     "": "auto",
     "default": "auto",
-    "jit": "numba",
     "c": "cext",
     "ctypes": "cext",
     "native": "auto",
@@ -222,19 +218,6 @@ def requested_backend() -> str:
     return choice
 
 
-def _load_numba() -> NativeBackend:
-    from repro.axnn.native import numba_backend
-
-    return NativeBackend(
-        name="numba",
-        lut_matmul=numba_backend.lut_matmul,
-        table_matmul=numba_backend.table_matmul,
-        col2im_add=numba_backend.col2im_add,
-        im2col=numba_backend.im2col,
-        bind_layer=numba_backend.bind_layer,
-    )
-
-
 def _load_cext() -> NativeBackend:
     from repro.axnn.native import cext
 
@@ -263,19 +246,6 @@ def _resolve() -> Optional[NativeBackend]:
     choice = requested_backend()
     if choice == "numpy":
         return None
-    if choice in ("auto", "numba"):
-        try:
-            return _load_numba()
-        except ImportError:
-            if choice == "numba":
-                warnings.warn(
-                    f"{BACKEND_ENV_VAR}=numba but Numba is not importable; "
-                    "falling back to the pure-NumPy reference kernels",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-    # choice is "cext", or "auto" with Numba unavailable
     from repro.axnn.native.cext import NativeBuildError
 
     try:
@@ -317,7 +287,7 @@ def reset_backend() -> None:
 
 
 def backend_name() -> str:
-    """Resolved backend name: ``numba``, ``cext`` or ``numpy``."""
+    """Resolved backend name: ``cext`` or ``numpy``."""
     backend = get_backend()
     return backend.name if backend is not None else "numpy"
 
@@ -325,24 +295,16 @@ def backend_name() -> str:
 def native_fingerprint() -> dict:
     """Backend facts for :func:`repro.benchmarking.report.env_fingerprint`.
 
-    Records both the request (env var) and the resolution, plus the Numba
-    version when present, so recorded baselines can never silently mix
-    kernel backends.
+    Records both the request (env var) and the resolution, so recorded
+    baselines can never silently mix kernel backends.
     """
     try:
         resolved = backend_name()
     except ConfigurationError:
         resolved = "invalid"
-    try:
-        import numba  # type: ignore
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = "absent"
     return {
         "kernel_backend": resolved,
         "kernel_backend_env": os.environ.get(BACKEND_ENV_VAR, "auto"),
-        "numba": numba_version,
     }
 
 

@@ -13,10 +13,10 @@ The loaded functions are plain ``ctypes`` foreign calls: ctypes drops the
 GIL for the duration of each call, so other threads (the service's job and
 query threads) keep running while a kernel does.
 
-Everything degrades cleanly: no compiler, a failing compile, or an
-unloadable artifact raise :class:`NativeBuildError`, which the backend
-resolver (:mod:`repro.axnn.native`) turns into a fall-back to the NumPy
-reference implementations.
+Everything degrades cleanly: no compiler, an unusable cache directory, a
+failing compile, or an unloadable artifact raise :class:`NativeBuildError`,
+which the backend resolver (:mod:`repro.axnn.native`) turns into a
+fall-back to the NumPy reference implementations.
 """
 
 from __future__ import annotations
@@ -92,10 +92,11 @@ def find_compiler() -> Optional[str]:
 def build_library() -> str:
     """Compile (or reuse) the kernel shared object; returns its path.
 
-    Raises :class:`NativeBuildError` when no compiler exists or the compile
-    fails.  The build is atomic (temp file + ``os.replace``), so concurrent
-    first-touch builds in separate processes race benignly: both produce the
-    same bytes for the same source hash and the last rename wins.
+    Raises :class:`NativeBuildError` when no compiler exists, the cache
+    directory is unusable or the compile fails.  The build is atomic (temp
+    file + ``os.replace``), so concurrent first-touch builds in separate
+    processes race benignly: both produce the same bytes for the same
+    source hash and the last rename wins.
     """
     directory = cache_dir()
     library = os.path.join(directory, f"repro_kernels_{_source_digest()}.so")
@@ -106,10 +107,11 @@ def build_library() -> str:
         raise NativeBuildError(
             f"no C compiler found (tried {', '.join(_COMPILERS)})"
         )
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(suffix=".so", dir=directory)
-    os.close(fd)
+    temp_path = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, temp_path = tempfile.mkstemp(suffix=".so", dir=directory)
+        os.close(fd)
         proc = subprocess.run(
             [compiler, *_CFLAGS, "-o", temp_path, _SOURCE_PATH],
             capture_output=True,
@@ -125,7 +127,7 @@ def build_library() -> str:
     except (OSError, subprocess.SubprocessError) as exc:
         raise NativeBuildError(f"compiling native kernels failed: {exc}") from exc
     finally:
-        if os.path.exists(temp_path):
+        if temp_path is not None and os.path.exists(temp_path):
             try:
                 os.unlink(temp_path)
             except OSError:  # pragma: no cover - best-effort cleanup

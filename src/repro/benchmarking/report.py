@@ -71,9 +71,9 @@ def env_fingerprint(extra: Optional[dict] = None) -> dict:
     ``cores`` is the load-bearing field: the compare engine refuses to gate
     wall-clock metrics across differing core counts and applies the
     ``min_cores`` convention with it.  The kernel-backend fields
-    (``kernel_backend`` / ``kernel_backend_env`` / ``numba``) record which
-    compiled tier produced the numbers, so baseline comparisons never
-    silently mix a Numba run against a pure-NumPy one.  ``extra`` merges in
+    (``kernel_backend`` / ``kernel_backend_env``) record which kernel tier
+    produced the numbers, so baseline comparisons never silently mix a
+    compiled run against a pure-NumPy one.  ``extra`` merges in
     run-specific knobs (e.g. the ``REPRO_BENCH_*`` scale settings).
     """
     import numpy as np

@@ -14,9 +14,9 @@ performs zero training and zero adversarial crafting; changing one attack
 re-crafts only that attack's suite while the model weights and the other
 suites stay cached.
 
-Everything that does not change results — worker counts, the attack
-backend, progress callbacks — lives on the session, not the spec, so it
-never perturbs a cache key.  Setting ``REPRO_REQUIRE_CACHED=1`` (or
+Everything that does not change results — worker counts, prefetching,
+progress callbacks — lives on the session, not the spec, so it never
+perturbs a cache key.  Setting ``REPRO_REQUIRE_CACHED=1`` (or
 ``require_cached=True``) turns any would-be training or crafting step into
 a :class:`~repro.errors.MissingArtifactError`, which is how CI asserts that
 a second run is served entirely from the store.
@@ -25,7 +25,6 @@ a second run is served entirely from the store.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from repro.axnn.engine import (
     build_quantized_accurate,
     build_victims,
 )
+from repro.config import env_bool, env_int
 from repro.datasets import Dataset, load_synthetic_cifar10, load_synthetic_mnist
 from repro.errors import ConfigurationError, MissingArtifactError
 from repro.experiments.spec import (
@@ -320,32 +320,16 @@ class Session:
         else:
             self.store = ArtifactStore(store, store_url=store_url)
         if prefetch is None:
-            raw = os.environ.get(PREFETCH_ENV_VAR, "").strip().lower()
-            if raw in ("0", "false", "no"):
-                prefetch = False
-            elif raw:
-                prefetch = True
-            else:
-                prefetch = self.store.remote is not None
+            prefetch = env_bool(PREFETCH_ENV_VAR, self.store.remote is not None)
         self.prefetch = bool(prefetch)
         self._prefetch_threads: List[threading.Thread] = []
         self.workers = workers
         self.progress = progress
         if require_cached is None:
-            require_cached = os.environ.get(
-                REQUIRE_CACHED_ENV_VAR, ""
-            ).strip().lower() not in ("", "0", "false", "no")
+            require_cached = env_bool(REQUIRE_CACHED_ENV_VAR, False)
         self.require_cached = bool(require_cached)
         if checkpoint_every is None:
-            raw = os.environ.get(CHECKPOINT_EVERY_ENV_VAR, "").strip()
-            if raw:
-                try:
-                    checkpoint_every = int(raw)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{CHECKPOINT_EVERY_ENV_VAR} must be an integer epoch "
-                        f"cadence, got {raw!r}"
-                    ) from None
+            checkpoint_every = env_int(CHECKPOINT_EVERY_ENV_VAR, None, minimum=1)
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError(
                 f"checkpoint_every must be a positive int, got {checkpoint_every!r}"

@@ -25,8 +25,9 @@ the key of the content-addressed artifact store
 (:mod:`repro.experiments.store`) — two specs that hash equal are guaranteed
 to describe the same computation, so their artifacts (trained weights,
 adversarial suites, finished grids) are interchangeable.  Anything that does
-*not* change results — worker counts, attack backends, progress callbacks —
-is deliberately kept out of the spec and therefore out of the hash.
+*not* change results — worker counts, the kernel backend, progress
+callbacks — is deliberately kept out of the spec and therefore out of the
+hash.
 """
 
 from __future__ import annotations

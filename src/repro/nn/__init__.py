@@ -5,11 +5,7 @@ exactly what the methodology requires — training the accurate float models,
 batched inference, and input gradients for gradient-based attacks.
 """
 
-from repro.nn.engine import (
-    FlatParameterView,
-    micro_batch_slices,
-    validate_data_parallel,
-)
+from repro.nn.engine import FlatParameterView
 from repro.nn.functional import (
     col2im,
     conv_output_size,
@@ -58,8 +54,6 @@ __all__ = [
     "one_hot",
     "softmax_cross_entropy",
     "FlatParameterView",
-    "micro_batch_slices",
-    "validate_data_parallel",
     "Layer",
     "Conv2D",
     "Dense",

@@ -1,4 +1,4 @@
-"""The deterministic training runtime: flat views, fused steps, micro-batching.
+"""The deterministic training runtime: flat views and the fused step.
 
 This module makes training, the stage that dominates a cold figure run,
 cheaper without ever changing a trained bit:
@@ -17,12 +17,6 @@ cheaper without ever changing a trained bit:
     the flat optimizer step.  Every piece performs the same float64
     operations in the same order as the seed loop (kept as the reference in
     the tests), so trained weights are bit-identical to it.
-
-micro-batching (:func:`micro_batch_slices`)
-    The canonical micro-batch partition of a mini-batch is fixed by
-    ``(batch size, micro_batch)`` alone, and per-micro-batch gradients are
-    reduced in canonical index order, so a micro-batched run always trains
-    the same bytes.
 """
 
 from __future__ import annotations
@@ -88,14 +82,12 @@ class FlatParameterView:
                 return False
         return True
 
-    def pack_grads(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gather ``layer.grads`` into a flat vector in canonical order.
+    def pack_grads(self) -> np.ndarray:
+        """Gather ``layer.grads`` into :attr:`grads` in canonical order.
 
-        ``out`` defaults to :attr:`grads`.  Every entry must have a
-        gradient — the training step always runs a backward pass over the
-        parameter layers first.
+        Every entry must have a gradient — the training step always runs a
+        backward pass over the parameter layers first.
         """
-        out = out if out is not None else self.grads
         model = self._model
         for index, name, start, size, shape in self._entries:
             grad = model.layers[index].grads.get(name)
@@ -104,8 +96,8 @@ class FlatParameterView:
                     f"layer {model.layers[index].name!r} has no gradient for "
                     f"{name!r}; backward must run before packing"
                 )
-            np.copyto(out[start : start + size].reshape(shape), grad)
-        return out
+            np.copyto(self.grads[start : start + size].reshape(shape), grad)
+        return self.grads
 
 
 def _check_positive_int(name: str, value) -> None:
@@ -114,22 +106,16 @@ def _check_positive_int(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 
-def validate_fit_arguments(
-    x, y, epochs, batch_size, **optional_sizes
-) -> Tuple[np.ndarray, np.ndarray]:
+def validate_fit_arguments(x, y, epochs, batch_size) -> Tuple[np.ndarray, np.ndarray]:
     """The argument check both trainers' ``fit`` run first.
 
-    ``epochs``, ``batch_size`` and every ``optional_sizes`` entry that is
-    not None (``micro_batch=``, ``checkpoint_every=``) must be positive
-    integers, and ``x`` and ``y`` must hold the same, non-zero number of
-    samples.  Raises :class:`ConfigurationError` naming the offending
-    argument; returns ``(x, y)`` as float64 samples and int64 labels.
+    ``epochs`` and ``batch_size`` must be positive integers, and ``x`` and
+    ``y`` must hold the same, non-zero number of samples.  Raises
+    :class:`ConfigurationError` naming the offending argument; returns
+    ``(x, y)`` as float64 samples and int64 labels.
     """
     _check_positive_int("epochs", epochs)
     _check_positive_int("batch_size", batch_size)
-    for name, value in optional_sizes.items():
-        if value is not None:
-            _check_positive_int(name, value)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim == 0 or y.ndim == 0 or x.shape[0] != y.shape[0]:
@@ -180,38 +166,3 @@ def fused_training_step(
         optimizer.step(model.trainable_layers())
     correct = int(np.sum(np.argmax(logits, axis=-1) == yb))
     return value, correct
-
-
-def micro_batch_slices(n_samples: int, micro_batch: int) -> List[slice]:
-    """The canonical micro-batch partition of a mini-batch.
-
-    Depends only on ``(n_samples, micro_batch)``.  Delegates to
-    :func:`repro.nn.runtime.batch_slices` (the same canonical slicing
-    batched inference and crafting use, including its strict size
-    validation).
-    """
-    from repro.nn.runtime import batch_slices
-
-    return batch_slices(n_samples, micro_batch)
-
-
-def validate_data_parallel(model) -> None:
-    """Refuse micro-batching for models whose training step couples samples.
-
-    BatchNorm computes batch statistics (per-micro-batch statistics would
-    change the trained function) and active Dropout draws its masks from
-    per-layer RNG state in mini-batch order; both are rejected with a clear
-    error instead of silently training differently.
-    """
-    offenders = [
-        f"{layer.name} ({type(layer).__name__})"
-        for layer in model.layers
-        if not layer.data_parallel_safe()
-    ]
-    if offenders:
-        raise ConfigurationError(
-            "micro-batched data-parallel training requires per-sample layer "
-            f"semantics; offending layers: {', '.join(offenders)}. Train "
-            "with micro_batch=None (the default), or use dropout rate 0 / "
-            "no BatchNorm."
-        )

@@ -13,7 +13,7 @@ the tests.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -186,9 +186,7 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    normalizer: Optional[int] = None,
+    logits: np.ndarray, targets: np.ndarray
 ) -> Tuple[float, np.ndarray]:
     """Fused softmax cross-entropy: loss value and logits gradient together.
 
@@ -199,12 +197,7 @@ def softmax_cross_entropy(
     in the same order per element — ``x - 0.0`` is exact, so subtracting the
     one-hot target is realised as a fancy-indexed decrement, and dividing
     after the subtraction preserves the unfused ``(probs - one_hot) / n``
-    rounding.
-
-    ``normalizer`` overrides the averaging denominator (the data-parallel
-    trainer normalises each micro-batch by the full mini-batch size, so the
-    canonical-order sum over micro-batches reproduces the batch loss and
-    gradient).  The returned value is ``-sum(log p_target) / normalizer``.
+    rounding.  The returned value is ``-sum(log p_target) / n``.
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D (N, classes), got {logits.shape}")
@@ -216,17 +209,15 @@ def softmax_cross_entropy(
     n, num_classes = logits.shape
     if np.any(targets < 0) or np.any(targets >= num_classes):
         raise ShapeError(f"labels must lie in [0, {num_classes - 1}]")
-    if normalizer is None:
-        normalizer = n
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
     sum_exp = np.sum(exp, axis=-1, keepdims=True)
     rows = np.arange(n)
     picked = shifted[rows, targets] - np.log(sum_exp)[rows, 0]
-    value = float(-(picked.sum() / normalizer))
+    value = float(-(picked.sum() / n))
     grad = np.divide(exp, sum_exp, out=exp)
     grad[rows, targets] -= 1.0
-    np.divide(grad, normalizer, out=grad)
+    np.divide(grad, n, out=grad)
     return value, grad
 
 

@@ -133,16 +133,6 @@ class Layer:
             )
         return cache
 
-    def data_parallel_safe(self) -> bool:
-        """Whether per-micro-batch gradients equal this layer's batch semantics.
-
-        Layers whose training-mode forward couples samples across the batch
-        (BatchNorm statistics) or draws from mutable per-layer RNG state
-        (active Dropout) return False; the data-parallel trainer refuses to
-        micro-batch models containing them.
-        """
-        return True
-
     # ----------------------------------------------------------- utilities
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without transient forward-pass caches.

@@ -29,11 +29,6 @@ class Dropout(Layer):
         self._rng = np.random.default_rng(seed)
         self._mask: Optional[np.ndarray] = None
 
-    def data_parallel_safe(self) -> bool:
-        # active dropout draws from mutable per-layer RNG state: the draw
-        # order would depend on micro-batch scheduling
-        return self.rate == 0.0
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None

@@ -42,11 +42,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(features, dtype=np.float64)
         self.built = True
 
-    def data_parallel_safe(self) -> bool:
-        # batch statistics couple samples: per-micro-batch statistics would
-        # train a different function
-        return False
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         axes = tuple(range(x.ndim - 1))
         if training:

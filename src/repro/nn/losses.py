@@ -7,21 +7,16 @@ Targets are integer class labels for classification losses.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ShapeError
 from repro.nn.functional import log_softmax, one_hot, softmax, softmax_cross_entropy
 
 
 class Loss:
     """Base class for losses."""
-
-    #: True when value_and_gradient honours the ``normalizer`` override,
-    #: which is what the data-parallel trainer needs to sum per-micro-batch
-    #: gradients into the exact mini-batch gradient.
-    supports_normalizer = False
 
     def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         raise NotImplementedError
@@ -30,24 +25,14 @@ class Loss:
         raise NotImplementedError
 
     def value_and_gradient(
-        self,
-        predictions: np.ndarray,
-        targets: np.ndarray,
-        normalizer: Optional[int] = None,
+        self, predictions: np.ndarray, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         """Loss value and gradient of one batch in a single call.
 
         The base implementation simply chains :meth:`value` and
         :meth:`gradient`; fused losses override it to share the expensive
-        intermediate (see :class:`CrossEntropyLoss`).  ``normalizer`` is
-        only meaningful for losses that declare ``supports_normalizer``.
+        intermediate (see :class:`CrossEntropyLoss`).
         """
-        if normalizer is not None and normalizer != predictions.shape[0]:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not support micro-batch "
-                f"normalization (normalizer={normalizer} for a batch of "
-                f"{predictions.shape[0]})"
-            )
         return self.value(predictions, targets), self.gradient(predictions, targets)
 
     def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -62,8 +47,6 @@ class CrossEntropyLoss(Loss):
     fused single-pass path the training runtime uses, bit-identical to the
     pair (see :func:`repro.nn.functional.softmax_cross_entropy`).
     """
-
-    supports_normalizer = True
 
     def _check(self, logits: np.ndarray, targets: np.ndarray) -> None:
         if logits.ndim != 2:
@@ -86,13 +69,10 @@ class CrossEntropyLoss(Loss):
         return grad
 
     def value_and_gradient(
-        self,
-        logits: np.ndarray,
-        targets: np.ndarray,
-        normalizer: Optional[int] = None,
+        self, logits: np.ndarray, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         self._check(logits, np.asarray(targets))
-        return softmax_cross_entropy(logits, targets, normalizer=normalizer)
+        return softmax_cross_entropy(logits, targets)
 
 
 class MeanSquaredError(Loss):

@@ -127,8 +127,8 @@ def batch_slices(n_samples: int, batch_size: int) -> List[slice]:
 
     The final slice carries the remainder when ``n_samples`` is not a
     multiple of ``batch_size``.  The slicing depends only on
-    ``(n_samples, batch_size)``, which is what makes sharded crafting and
-    micro-batched training independent of the worker count.
+    ``(n_samples, batch_size)``, which is what makes sharded crafting
+    independent of the worker count.
     """
     batch_size = validate_batch_size(batch_size)
     return [

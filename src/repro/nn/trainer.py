@@ -6,13 +6,6 @@ pass skips the input gradient nobody reads, and the optimizer applies one
 fused elementwise update to a flat parameter view.  All of it performs the
 same float64 operations in the same order as the seed loop (kept in the
 tests as the reference), so the trained weights are bit-identical to it.
-
-``micro_batch=m`` splits each mini-batch into the *canonical* micro-batch
-partition (fixed by the batch size alone), computes the per-micro-batch
-gradients one after another, and reduces them in canonical index order.  It
-differs from the full-batch gradient only by float summation order.  With
-``micro_batch=None`` (the default) the gradient math is exactly the
-full-batch computation.
 """
 
 from __future__ import annotations
@@ -29,8 +22,6 @@ from repro.nn.engine import (
     FlatParameterView,
     ensure_training_engine,
     fused_training_step,
-    micro_batch_slices,
-    validate_data_parallel,
     validate_fit_arguments,
 )
 from repro.nn.losses import CrossEntropyLoss, Loss
@@ -106,19 +97,13 @@ class Trainer:
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         shuffle: bool = True,
         verbose: bool = False,
-        micro_batch: Optional[int] = None,
         on_epoch: Optional[EpochCallback] = None,
         checkpoint=None,
-        checkpoint_every: Optional[int] = None,
     ) -> TrainingHistory:
         """Train for ``epochs`` passes over ``(x, y)``; returns the history.
 
         Parameters beyond the seed loop's:
 
-        micro_batch:
-            Canonical micro-batch size for micro-batched gradients.
-            ``None`` (default) keeps the exact full-batch gradient math of
-            the seed trainer.
         on_epoch:
             Callback invoked after each epoch with ``(epoch, metrics)`` —
             the hook :class:`repro.experiments.session.Session` uses for
@@ -128,49 +113,19 @@ class Trainer:
             ``save(epoch, arrays)`` and ``load_latest(max_epoch)`` — see
             :class:`repro.experiments.store.TrainingCheckpointer`).  Epoch
             state — the flat parameter vector, optimizer slots and every
-            RNG state — is serialized at the cadence, and an interrupted
-            ``fit`` resumes from the latest valid checkpoint with final
-            weights byte-identical to an uninterrupted run.
-        checkpoint_every:
-            Overrides the checkpointer's cadence (epochs between saves).
+            RNG state — is serialized every ``checkpoint.every`` epochs,
+            and an interrupted ``fit`` resumes from the latest valid
+            checkpoint with final weights byte-identical to an
+            uninterrupted run.
         """
-        x, y = validate_fit_arguments(
-            x,
-            y,
-            epochs,
-            batch_size,
-            micro_batch=micro_batch,
-            checkpoint_every=checkpoint_every,
-        )
-        if checkpoint_every is not None and checkpoint is None:
-            raise ConfigurationError(
-                "checkpoint_every requires a checkpointer to write to; "
-                "pass checkpoint= (see TrainingCheckpointer)"
-            )
+        x, y = validate_fit_arguments(x, y, epochs, batch_size)
         if checkpoint is not None and not self.optimizer.supports_flat_step():
             raise ConfigurationError(
                 f"{type(self.optimizer).__name__} does not implement the "
                 f"flat update; its state cannot be checkpointed — train "
                 f"with checkpoint=None"
             )
-        checkpoint_cadence = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else getattr(checkpoint, "every", 1)
-        )
-        if micro_batch is not None:
-            validate_data_parallel(self.model)
-            if not getattr(self.loss, "supports_normalizer", False):
-                raise ConfigurationError(
-                    f"{type(self.loss).__name__} does not support micro-batch "
-                    f"normalization; train with micro_batch=None"
-                )
-            if not self.optimizer.supports_flat_step():
-                raise ConfigurationError(
-                    f"{type(self.optimizer).__name__} implements only the "
-                    f"per-layer update; micro-batch gradients reduce into a "
-                    f"flat vector — train with micro_batch=None"
-                )
+        checkpoint_cadence = getattr(checkpoint, "every", 1)
         history = TrainingHistory()
         n_samples = x.shape[0]
         flat = self._ensure_engine()
@@ -185,15 +140,10 @@ class Trainer:
             epoch_correct = 0
             for start in range(0, n_samples, batch_size):
                 batch_idx = order[start : start + batch_size]
-                xb, yb = x[batch_idx], y[batch_idx]
-                if micro_batch is not None:
-                    batch_loss, correct = self._micro_batch_step(
-                        xb, yb, micro_batch, flat
-                    )
-                else:
-                    batch_loss, correct = fused_training_step(
-                        self.model, self.loss, self.optimizer, flat, xb, yb
-                    )
+                batch_loss, correct = fused_training_step(
+                    self.model, self.loss, self.optimizer, flat,
+                    x[batch_idx], y[batch_idx],
+                )
                 epoch_losses.append(batch_loss)
                 epoch_correct += correct
             history.train_loss.append(float(np.mean(epoch_losses)))
@@ -227,39 +177,6 @@ class Trainer:
                     message += f" val_acc={history.validation_accuracy[-1]:.4f}"
                 print(message)
         return history
-
-    # ------------------------------------------------------------ the steps
-    def _micro_batch_step(
-        self,
-        xb: np.ndarray,
-        yb: np.ndarray,
-        micro_batch: int,
-        flat: FlatParameterView,
-    ) -> Tuple[float, int]:
-        """One step over the canonical micro-batch partition.
-
-        Each micro-batch's gradient, normalised by the full mini-batch size,
-        is packed into its own row of a stack; the rows are then summed in
-        index order (equal to the full-batch gradient up to float summation
-        order).
-        """
-        total = int(xb.shape[0])
-        slices = micro_batch_slices(total, micro_batch)
-        grad_stack = np.empty((len(slices), flat.size), dtype=np.float64)
-        batch_loss = 0.0
-        correct = 0
-        for row, micro in enumerate(slices):
-            logits = self.model.forward(xb[micro], training=True)
-            value, grad = self.loss.value_and_gradient(
-                logits, yb[micro], normalizer=total
-            )
-            self.model.backward(grad, input_grad=False)
-            flat.pack_grads(out=grad_stack[row])
-            batch_loss += value
-            correct += int(np.sum(np.argmax(logits, axis=-1) == yb[micro]))
-        np.sum(grad_stack, axis=0, out=flat.grads)
-        self.optimizer.step_flat(flat)
-        return batch_loss, correct
 
     # ----------------------------------------------------------- checkpoints
     def capture_state(self, epoch: int, history: TrainingHistory) -> Dict[str, np.ndarray]:

@@ -38,7 +38,7 @@ from repro.benchmarking import (
     record_report,
     report_path,
 )
-from repro.config import env_float, env_int, env_str
+from repro.config import env_bool, env_float, env_int, env_str
 from repro.errors import ConfigurationError
 from repro.experiments.store import (
     Lease,
@@ -605,6 +605,8 @@ class TestEnvKnobHelpers:
         assert env_int("REPRO_TEST_KNOB", 7) == 42
         monkeypatch.setenv("REPRO_TEST_KNOB", "")
         assert env_int("REPRO_TEST_KNOB", 7) == 7
+        monkeypatch.setenv("REPRO_TEST_KNOB", "  ")
+        assert env_int("REPRO_TEST_KNOB", 7) == 7
 
     def test_env_int_error_names_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "lots")
@@ -628,3 +630,22 @@ class TestEnvKnobHelpers:
         assert env_str("REPRO_TEST_KNOB", "auto") == "thread"
         with pytest.raises(ConfigurationError, match="REPRO_TEST_KNOB"):
             env_str("REPRO_TEST_KNOB", "auto", choices=("auto", "process"))
+
+    def test_env_bool_spellings(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+        assert env_bool("REPRO_TEST_KNOB", True) is True
+        for raw, expected in (
+            ("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+            ("0", False), ("false", False), ("No", False), (" off\n", False),
+            ("", None), ("   ", None),
+        ):
+            monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+            for default in (True, False):
+                want = default if expected is None else expected
+                assert env_bool("REPRO_TEST_KNOB", default) is want, raw
+
+    @pytest.mark.parametrize("raw", ["flase", "2", "enabled", "o n"])
+    def test_env_bool_rejects_other_values(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_TEST_KNOB"):
+            env_bool("REPRO_TEST_KNOB", False)

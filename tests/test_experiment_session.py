@@ -229,9 +229,15 @@ class TestRequireCached:
         assert Session(store=store).run(tiny_spec()).grids
 
     def test_env_var_falsey_spellings_disable_it(self, store, monkeypatch):
-        for value in ("false", "False", "FALSE", "no", "0", ""):
+        for value in ("false", "False", "FALSE", "no", "0", "", "off", " OFF "):
             monkeypatch.setenv(REQUIRE_CACHED_ENV_VAR, value)
             assert not Session(store=store).require_cached
+
+    def test_env_var_typo_fails_loudly(self, store, monkeypatch):
+        # a misspelt switch must not silently turn cache-only mode on
+        monkeypatch.setenv(REQUIRE_CACHED_ENV_VAR, "flase")
+        with pytest.raises(ConfigurationError, match=REQUIRE_CACHED_ENV_VAR):
+            Session(store=store)
 
 
 class TestResultPlumbing:

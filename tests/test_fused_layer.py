@@ -30,7 +30,7 @@ from repro.robustness import build_victims
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
-    reason="no native backend available on this host (no Numba, no C compiler)",
+    reason="no native backend available on this host (no C compiler)",
 )
 
 LENET_LABELS = [f"M{index}" for index in range(1, 10)]

@@ -3,12 +3,12 @@
 The native backend must be a drop-in for the pure-NumPy reference: the LUT
 matmul and the col2im scatter-add must be *bit-identical* across dtypes,
 shapes, strides and empty batches, ``kernel="auto"`` must degrade cleanly
-when neither Numba nor a C compiler is available, and backend resolution
-must be thread-safe and resettable.
+when the C extension cannot be built, and backend resolution must be
+thread-safe and resettable.
 """
 
 import os
-import sys
+import subprocess
 import threading
 
 import numpy as np
@@ -38,11 +38,11 @@ from repro.multipliers import LUTMultiplier, get_multiplier
 from repro.nn.functional import _native_backend, col2im, im2col, im2col_windows
 from repro.quantization.schemes import AffineQuantization
 
-from oracle import col2im_reference
+from oracle import col2im_reference, im2col_reference
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
-    reason="no native backend available on this host (no Numba, no C compiler)",
+    reason="no native backend available on this host (no C compiler)",
 )
 
 RNG = np.random.default_rng(11)
@@ -373,8 +373,7 @@ class TestBackendResolution:
         for raw, expected in (
             ("auto", "auto"),
             ("", "auto"),
-            ("NUMBA", "numba"),
-            ("jit", "numba"),
+            ("CEXT", "cext"),
             ("ctypes", "cext"),
             ("c", "cext"),
             ("off", "numpy"),
@@ -385,10 +384,11 @@ class TestBackendResolution:
 
     def test_invalid_backend_fails_loudly(self, clean_backend_state):
         monkeypatch = clean_backend_state
-        monkeypatch.setenv(BACKEND_ENV_VAR, "warp-drive")
-        reset_backend()
-        with pytest.raises(ConfigurationError):
-            get_backend()
+        for raw in ("warp-drive", "numba", "jit"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, raw)
+            reset_backend()
+            with pytest.raises(ConfigurationError, match="one of auto, cext, numpy$"):
+                get_backend()
 
     def test_numpy_backend_disables_native(self, clean_backend_state):
         monkeypatch = clean_backend_state
@@ -405,27 +405,13 @@ class TestBackendResolution:
                 "native",
             )
 
-    def test_numba_absent_degrades_with_warning(self, clean_backend_state):
-        # simulate `import numba` failing even on hosts that have it
-        monkeypatch = clean_backend_state
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(sys.modules, "repro.axnn.native.numba_backend", raising=False)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        reset_backend()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = get_backend()
-        assert backend is None
-
     def test_auto_degrades_to_numpy_when_everything_is_absent(
         self, clean_backend_state
     ):
-        # Numba import fails and the C extension refuses to build: "auto"
-        # must resolve to the reference path and kernels must still work
+        # the C extension refuses to build: "auto" must resolve to the
+        # reference path and kernels must still work
         monkeypatch = clean_backend_state
         from repro.axnn.native import cext
-
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(sys.modules, "repro.axnn.native.numba_backend", raising=False)
 
         def refuse(path=None):
             raise cext.NativeBuildError("simulated: no compiler")
@@ -441,6 +427,35 @@ class TestBackendResolution:
         auto_kernel = make_kernel(get_multiplier("M6"), sign, mag, "auto")
         gather = make_kernel(get_multiplier("M6"), sign, mag, "gather")
         assert np.array_equal(auto_kernel.matmul(codes), gather.matmul(codes))
+
+    def test_unusable_cache_dir_degrades_to_numpy(self, clean_backend_state, tmp_path):
+        # the library cache sits under a regular file, so the build can make
+        # neither its directory nor its temp file: "auto" resolves to NumPy,
+        # "cext" warns, and im2col still returns the reference patches
+        monkeypatch = clean_backend_state
+        from repro.axnn.native import cext
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_bytes(b"")
+        monkeypatch.setenv(cext.CACHE_ENV_VAR, str(blocker / "native"))
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+        reset_backend()
+        assert backend_name() == "numpy"
+        x = RNG.normal(size=(2, 7, 7, 3))
+        assert np.array_equal(im2col(x, 3, 3, 2, 1), im2col_reference(x, 3, 3, 2, 1))
+        monkeypatch.setenv(BACKEND_ENV_VAR, "cext")
+        reset_backend()
+        with pytest.warns(RuntimeWarning, match="C extension is unavailable"):
+            assert get_backend() is None
+
+    def test_auto_resolves_to_cext_when_it_builds(self, clean_backend_state):
+        # with Numba gone, "auto" has exactly one native candidate
+        monkeypatch = clean_backend_state
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+        reset_backend()
+        backend = get_backend()
+        assert backend is not None and backend.name == "cext"
+        assert backend_name() == "cext"
 
     def test_first_touch_resolution_is_thread_safe(self, clean_backend_state):
         monkeypatch = clean_backend_state
@@ -481,16 +496,85 @@ class TestBackendResolution:
 
     def test_native_fingerprint_keys(self):
         fingerprint = native_fingerprint()
-        assert fingerprint["kernel_backend"] in ("numba", "cext", "numpy")
+        assert fingerprint["kernel_backend"] in ("cext", "numpy")
         assert "kernel_backend_env" in fingerprint
-        assert "numba" in fingerprint
+        assert "numba" not in fingerprint
 
     def test_env_fingerprint_includes_backend(self):
         from repro.benchmarking.report import env_fingerprint
 
         fingerprint = env_fingerprint()
         assert fingerprint["kernel_backend"] == backend_name()
-        assert "numba" in fingerprint
+        assert fingerprint["kernel_backend"] in ("cext", "numpy")
+        assert "numba" not in fingerprint
+
+
+class TestBuildLibrary:
+    """``cext.build_library`` turns every failure into ``NativeBuildError``
+    (which backend resolution degrades on) and leaves no temp file behind."""
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch, tmp_path):
+        from repro.axnn.native import cext
+
+        cache = tmp_path / "native"
+        monkeypatch.setenv(cext.CACHE_ENV_VAR, str(cache))
+        return cache
+
+    def test_cached_library_is_reused_without_a_compiler(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.axnn.native import cext
+
+        name = os.path.basename(cext.build_library())
+        cache = tmp_path / "native"
+        cache.mkdir()
+        (cache / name).write_bytes(b"")
+        monkeypatch.setenv(cext.CACHE_ENV_VAR, str(cache))
+        monkeypatch.setattr(cext, "find_compiler", lambda: None)
+        assert cext.build_library() == str(cache / name)
+
+    def test_missing_compiler_raises_build_error(self, monkeypatch, empty_cache):
+        from repro.axnn.native import cext
+
+        monkeypatch.setattr(cext, "find_compiler", lambda: None)
+        with pytest.raises(cext.NativeBuildError, match="no C compiler found"):
+            cext.build_library()
+
+    def test_temp_file_failure_raises_build_error(self, monkeypatch, empty_cache):
+        from repro.axnn.native import cext
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("simulated: read-only cache")
+
+        monkeypatch.setattr(cext.tempfile, "mkstemp", refuse)
+        with pytest.raises(cext.NativeBuildError, match="read-only cache"):
+            cext.build_library()
+        assert os.listdir(empty_cache) == []
+
+    def test_failed_compile_leaves_no_temp_file(self, monkeypatch, empty_cache):
+        from repro.axnn.native import cext
+
+        def failing_compile(args, **kwargs):
+            return subprocess.CompletedProcess(args, 1, "", "error: simulated")
+
+        monkeypatch.setattr(cext, "find_compiler", lambda: "cc")
+        monkeypatch.setattr(cext.subprocess, "run", failing_compile)
+        with pytest.raises(cext.NativeBuildError, match="exit 1.*simulated"):
+            cext.build_library()
+        assert os.listdir(empty_cache) == []
+
+    def test_compile_timeout_raises_build_error(self, monkeypatch, empty_cache):
+        from repro.axnn.native import cext
+
+        def hung_compile(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+        monkeypatch.setattr(cext, "find_compiler", lambda: "cc")
+        monkeypatch.setattr(cext.subprocess, "run", hung_compile)
+        with pytest.raises(cext.NativeBuildError, match="timed out"):
+            cext.build_library()
+        assert os.listdir(empty_cache) == []
 
 
 class TestNativeEndToEnd:

@@ -631,9 +631,10 @@ class TestTrainerCheckpointResume:
 
     def test_checkpoint_cadence_validation(self):
         x, y = self._data()
-        trainer = Trainer(_dropout_model(), optimizer=Adam(0.01), seed=5)
-        with pytest.raises(ConfigurationError):
-            trainer.fit(x, y, epochs=1, checkpoint_every=1)  # no checkpointer
+        # the cadence lives on the checkpointer, which checks it
+        for bad in (0, -1, True, 1.5):
+            with pytest.raises(ConfigurationError, match="cadence"):
+                TrainingCheckpointer(None, "digest", every=bad)
         # a per-layer-only optimizer has no flat state to serialize
         per_layer = Trainer(_dropout_model(), optimizer=_PerLayerSGD(), seed=5)
         with pytest.raises(ConfigurationError, match="cannot be checkpointed"):

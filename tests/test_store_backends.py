@@ -796,8 +796,13 @@ class TestSessionPrefetch:
         store, _ = remote_store(tmp_path, shared)
         monkeypatch.setenv(PREFETCH_ENV_VAR, "0")
         assert not Session(store=store).prefetch
+        monkeypatch.setenv(PREFETCH_ENV_VAR, "off")
+        assert not Session(store=store).prefetch
         monkeypatch.setenv(PREFETCH_ENV_VAR, "1")
         assert Session(store=store).prefetch
+        monkeypatch.setenv(PREFETCH_ENV_VAR, "flase")
+        with pytest.raises(ConfigurationError, match=PREFETCH_ENV_VAR):
+            Session(store=store)
         monkeypatch.delenv(PREFETCH_ENV_VAR)
         assert Session(store=store).prefetch  # default: on with a remote
         assert not Session(store=local_store(tmp_path)).prefetch  # ...off without one

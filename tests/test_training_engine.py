@@ -13,8 +13,6 @@ The load-bearing properties, in rough order of importance:
   products are exact);
 * ``AvgPool2D`` and ``im2col`` (NumPy and compiled) reproduce their slow
   oracles' bits on edge-case floats;
-* micro-batched training keeps its canonical reduction: a pinned weight
-  hash holds;
 * ``Sequential.backward`` computes only the gradients its caller consumes,
   and each one it computes is bit-identical to a full backward's;
 * both trainers refuse bad training inputs with a ``ConfigurationError``
@@ -43,15 +41,12 @@ from repro.nn import (
     Dense,
     Flatten,
     FlatParameterView,
-    MeanSquaredError,
     ReLU,
     Sequential,
     Trainer,
     col2im,
     im2col,
-    micro_batch_slices,
     softmax_cross_entropy,
-    validate_data_parallel,
 )
 from repro.datasets import load_synthetic_cifar10, load_synthetic_mnist
 from repro.defenses.adversarial_training import AdversarialTrainer
@@ -271,23 +266,6 @@ class TestFusedLoss:
         assert value2 == value
         assert np.array_equal(grad2, grad)
 
-    def test_micro_batch_normalizer_sums_to_full_gradient(self):
-        logits = RNG.normal(size=(12, 5))
-        targets = RNG.integers(0, 5, size=12)
-        full_value, full_grad = softmax_cross_entropy(logits, targets)
-        parts = [slice(0, 5), slice(5, 10), slice(10, 12)]
-        value = 0.0
-        grad = np.zeros_like(full_grad)
-        for part in parts:
-            v, g = softmax_cross_entropy(
-                logits[part], targets[part], normalizer=logits.shape[0]
-            )
-            value += v
-            grad[part] = g
-        assert value == pytest.approx(full_value, rel=1e-15)
-        # per-row gradients only depend on the row and the normalizer
-        assert np.array_equal(grad, full_grad)
-
     def test_validation(self):
         from repro.errors import ShapeError
 
@@ -298,10 +276,19 @@ class TestFusedLoss:
         with pytest.raises(ShapeError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
-    def test_unfused_loss_rejects_normalizer_override(self):
-        loss = MeanSquaredError()
-        with pytest.raises(ConfigurationError):
-            loss.value_and_gradient(np.zeros((4, 2)), np.zeros((4, 2)), normalizer=8)
+    def test_mean_over_the_batch(self):
+        """The value is the batch-mean negative log-likelihood and each
+        gradient row is ``(softmax - onehot) / batch``."""
+        logits = RNG.normal(size=(7, 4))
+        targets = RNG.integers(0, 4, size=7)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = shifted / shifted.sum(axis=1, keepdims=True)
+        onehot = np.eye(4)[targets]
+        value, grad = softmax_cross_entropy(logits, targets)
+        assert value == pytest.approx(
+            -np.log(probs[np.arange(7), targets]).mean(), rel=1e-12
+        )
+        np.testing.assert_allclose(grad, (probs - onehot) / 7, rtol=1e-12, atol=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -360,12 +347,6 @@ class TestFlatParameterView:
         )
         reference = _seed_loop(build_ffnn(seed=0), PlainSGD(), x, y, 2, 32)
         assert _identical(reference, model.state_dict())
-        # micro-batching genuinely needs the flat reduction: clear refusal
-        model = build_ffnn(seed=0)
-        with pytest.raises(ConfigurationError):
-            Trainer(model, optimizer=PlainSGD(), seed=0).fit(
-                x, y, epochs=1, batch_size=32, micro_batch=8
-            )
 
     def test_update_only_sgd_subclass_not_treated_as_flat_capable(self, mnist_small):
         """A subclass of SGD customising only _update (e.g. clipping) must
@@ -386,17 +367,6 @@ class TestFlatParameterView:
         )
         reference = _seed_loop(build_ffnn(seed=0), ClippedSGD(0.05), x, y, 1, 32)
         assert _identical(reference, model.state_dict())
-
-    def test_micro_batch_size_strictly_validated(self, mnist_small):
-        model = build_ffnn(seed=0)
-        trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-        x = mnist_small.train.images[:8]
-        y = mnist_small.train.labels[:8]
-        for bad in (True, 2.5, -1):
-            with pytest.raises(ConfigurationError):
-                trainer.fit(x, y, epochs=1, micro_batch=bad)
-        with pytest.raises(ConfigurationError):
-            micro_batch_slices(10, True)
 
     def test_adam_flat_state_resets_step_count_with_moments(self):
         """Re-using one Adam across models of different sizes restarts the
@@ -475,11 +445,11 @@ class TestFlatParameterView:
 
 
 # --------------------------------------------------------------------------
-# trainer: seed-loop identity, micro-batching
+# trainer: seed-loop identity
 # --------------------------------------------------------------------------
 
 
-def _train_lenet(mnist_small, micro_batch=None, make_optimizer=lambda: Adam(2e-3)):
+def _train_lenet(mnist_small, make_optimizer=lambda: Adam(2e-3)):
     model = build_lenet5(seed=0)
     trainer = Trainer(model, optimizer=make_optimizer(), seed=0)
     trainer.fit(
@@ -487,7 +457,6 @@ def _train_lenet(mnist_small, micro_batch=None, make_optimizer=lambda: Adam(2e-3
         mnist_small.train.labels[:128],
         epochs=2,
         batch_size=48,  # deliberately ragged: 128 = 48 + 48 + 32
-        micro_batch=micro_batch,
     )
     return model.state_dict()
 
@@ -514,25 +483,6 @@ class TestTrainerRuntimes:
         reference = _seed_loop_lenet(mnist_small, make_optimizer=make_optimizer)
         trained = _train_lenet(mnist_small, make_optimizer=make_optimizer)
         assert _identical(reference, trained)
-
-    def test_micro_batch_matches_full_batch_numerically(self, mnist_small):
-        full = _train_lenet(mnist_small)
-        micro = _train_lenet(mnist_small, micro_batch=16)
-        for key in full:
-            np.testing.assert_allclose(micro[key], full[key], rtol=1e-9, atol=1e-11)
-
-    def test_micro_batch_history_consistent(self, mnist_small):
-        model = build_lenet5(seed=0)
-        trainer = Trainer(model, optimizer=Adam(2e-3), seed=0)
-        history = trainer.fit(
-            mnist_small.train.images[:64],
-            mnist_small.train.labels[:64],
-            epochs=1,
-            batch_size=32,
-            micro_batch=8,
-        )
-        assert len(history.train_loss) == 1
-        assert 0.0 <= history.train_accuracy[0] <= 1.0
 
     def test_on_epoch_callback(self, mnist_small):
         events = []
@@ -584,46 +534,6 @@ class TestTrainerRuntimes:
         assert _identical(
             _seed_loop(reference, optimizer, x, y, 1, 32, rng), model.state_dict()
         )
-
-    def test_invalid_arguments(self, mnist_small):
-        model = build_ffnn(seed=0)
-        trainer = Trainer(model, optimizer=Adam(1e-3), seed=0)
-        x = mnist_small.train.images[:8]
-        y = mnist_small.train.labels[:8]
-        with pytest.raises(ConfigurationError):
-            trainer.fit(x, y, epochs=1, micro_batch=0)
-        with pytest.raises(ConfigurationError):
-            Trainer(model, loss=MeanSquaredError()).fit(x, y, epochs=1, micro_batch=4)
-
-
-# --------------------------------------------------------------------------
-# data-parallel safety guards
-# --------------------------------------------------------------------------
-
-
-class TestDataParallelGuards:
-    def test_dropout_and_batchnorm_rejected(self):
-        dropout_model = Sequential(
-            [Dense(4), Dropout(0.5), Dense(2)], input_shape=(3,), seed=0
-        )
-        with pytest.raises(ConfigurationError):
-            validate_data_parallel(dropout_model)
-        bn_model = Sequential(
-            [Dense(4), BatchNorm(), Dense(2)], input_shape=(3,), seed=0
-        )
-        with pytest.raises(ConfigurationError):
-            validate_data_parallel(bn_model)
-        # inactive dropout is per-sample and therefore fine
-        validate_data_parallel(
-            Sequential([Dense(4), Dropout(0.0), Dense(2)], input_shape=(3,), seed=0)
-        )
-
-    def test_micro_batch_slices_canonical(self):
-        slices = micro_batch_slices(10, 4)
-        assert slices == [slice(0, 4), slice(4, 8), slice(8, 10)]
-        with pytest.raises(ConfigurationError):
-            micro_batch_slices(10, 0)
-
 
 # --------------------------------------------------------------------------
 # gradient contract: compute only what the caller consumes
@@ -761,20 +671,6 @@ class TestGradientContract:
         assert calls  # conv2/conv3 still propagate to their inputs
         assert first_conv_input not in calls
 
-    def test_micro_batch_matches_serial_full_backward(self, mnist_small, monkeypatch):
-        """Micro-batches that skip the input gradient train the same bytes
-        as micro-batches running a full backward."""
-        skipped = _train_lenet(mnist_small, micro_batch=16)
-        full_backward = Sequential.backward
-
-        def always_full(self, grad_output, input_grad=True, param_grads=True):
-            return full_backward(self, grad_output)
-
-        monkeypatch.setattr(Sequential, "backward", always_full)
-        full = _train_lenet(mnist_small, micro_batch=16)
-        assert _identical(skipped, full)
-
-
 # --------------------------------------------------------------------------
 # pinned weights: fit and the seed loop train the recorded bytes
 # --------------------------------------------------------------------------
@@ -807,14 +703,6 @@ PINNED_WEIGHT_SHA256 = {
     "dropout-mlp": "cc3478ba0f5969681fce3ddd9172f8b5858d4ab7e1e3dc918b01f1419a041e44",
     "alexnet-mini": "63cceb8dd23b6f70d307682a365995ca54fdc628b8c36e018cbae5fe9ffd166a",
 }
-
-#: sha256 of ``lenet5-adam`` trained with ``micro_batch=16``: the canonical
-#: micro-batch partition reduced in index order.  Recorded on the same
-#: NumPy/OpenBLAS as the hashes above.
-PINNED_MICRO_BATCH_SHA256 = (
-    "14372e39c9178c431489dddaa61bd69aad0ab6d4b0c1251cda296959a9b37987"
-)
-
 
 def _state_sha256(state: dict) -> str:
     digest = hashlib.sha256()
@@ -858,19 +746,6 @@ class TestPinnedWeights:
         assert _state_sha256(reference.state_dict()) == PINNED_WEIGHT_SHA256[case]
         assert history.train_loss == losses
 
-    def test_micro_batch_trains_pinned_bytes(self, pinned_datasets):
-        build, make_optimizer, _, epochs, batch_size = PINNED_CASES["lenet5-adam"]
-        model = build(seed=0)
-        Trainer(model, optimizer=make_optimizer(), seed=0).fit(
-            pinned_datasets["mnist"].train.images,
-            pinned_datasets["mnist"].train.labels,
-            epochs=epochs,
-            batch_size=batch_size,
-            micro_batch=16,
-        )
-        assert _state_sha256(model.state_dict()) == PINNED_MICRO_BATCH_SHA256
-
-
 # --------------------------------------------------------------------------
 # both trainers reject bad training inputs
 # --------------------------------------------------------------------------
@@ -882,7 +757,6 @@ BAD_FIT_INPUTS = {
     "epochs-zero": (8, 8, {"epochs": 0}, "epochs must be a positive integer"),
     "epochs-fraction": (8, 8, {"epochs": 1.5}, "epochs must be a positive integer"),
     "batch-size-zero": (8, 8, {"batch_size": 0}, "batch_size must be a positive"),
-    "micro-batch-zero": (8, 8, {"micro_batch": 0}, "micro_batch must be a positive"),
 }
 
 TRAINERS = {
@@ -895,13 +769,7 @@ TRAINERS = {
 
 @pytest.mark.parametrize(
     "trainer_kind, case",
-    [
-        (kind, case)
-        for kind in sorted(TRAINERS)
-        for case in sorted(BAD_FIT_INPUTS)
-        # AdversarialTrainer.fit has no micro_batch argument
-        if not (kind == "adversarial" and case == "micro-batch-zero")
-    ],
+    [(kind, case) for kind in sorted(TRAINERS) for case in sorted(BAD_FIT_INPUTS)],
 )
 def test_bad_training_inputs_rejected(trainer_kind, case, mnist_small):
     """One shared check: a ConfigurationError naming the argument, raised
