@@ -25,6 +25,13 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
   at the ``/v1/query`` shape (``panel_lenet.b1`` / ``.b2``: M1-M9 on one
   or two samples, the stacked panel against a per-victim ``forward``
   loop, floor 1.3x).
+* **panel routing by batch size** — the same nine victims through
+  ``VictimPanel.predict_classes`` at batch 1-60
+  (``panel_routing.b<batch>``): every ``percode`` member on its own
+  product against the ``percode`` members of layers with at most
+  ``batch`` rows per victim in the fused call's native LUT loop.  The
+  crossover constant ``repro.axnn.panel.LUT_LOOP_MAX_ROWS`` is read off
+  these rows: the last batch whose speedup median is above 1.
 * **auto vs best (the routing calibration sweep)** — for every LeNet-5
   compute layer plus one AlexNet conv layer, × M2/M4/M5/M6/M8, × batch 1
   and 60, the kernel ``kernel="auto"`` builds against the other candidate
@@ -54,6 +61,7 @@ from repro.axnn import (
     make_kernel,
     multiplier_kernel_profile,
 )
+from repro.axnn import panel as panel_module
 from repro.axnn.native import BACKEND_ENV_VAR, backend_name, get_backend, reset_backend
 from repro.datasets import load_synthetic_mnist
 from repro.models.architectures import build_lenet5
@@ -380,6 +388,59 @@ def test_stacked_panel_small_batch(benchmark, suite, batch):
         f"stacked panel at batch {batch} only {stats['ratio_median']:.2f}x the "
         f"per-victim loop (floor {SMALL_BATCH_PANEL_FLOOR}x)"
     )
+
+
+#: batches of the routing cells: the ``/v1/query`` sizes up to Fig. 4a's 60
+PANEL_ROUTING_BATCHES = (1, 2, 4, 6, 8, 16, 32, 60)
+
+
+@pytest.mark.benchmark(group="native-panel")
+@pytest.mark.parametrize("batch", PANEL_ROUTING_BATCHES)
+def test_panel_routing_by_batch(suite, monkeypatch, batch):
+    """Where ``LUT_LOOP_MAX_ROWS`` comes from: LeNet-5 M1-M9 through
+    ``VictimPanel.predict_classes``, paired and interleaved in one process.
+
+    The baseline keeps every ``percode`` member on its own product (the
+    constant at 0); the candidate sets the constant to ``batch``, so the
+    ``percode`` members of conv3 and fc1 (one code row per sample) run in
+    the fused call's LUT loop and conv2's (64 rows per sample) stay.  In a
+    panel pass each ``percode`` call streams its whole weight-factor
+    operand from memory, which a warm single-kernel timing
+    (``auto_vs_best``) never sees.  The logits are byte-identical.
+    """
+    dataset = load_synthetic_mnist(n_train=256, n_test=96, seed=1)
+    model = build_lenet5(seed=1)
+    victims = {
+        label: build_axdnn(model, get_multiplier(label), dataset.train.images[:128])
+        for label in (f"M{index}" for index in range(1, 10))
+    }
+    panel = VictimPanel(victims)
+    x = dataset.test.images[:batch]
+
+    def routed(limit):
+        def run():
+            monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", limit)
+            return panel.predict_classes(x)
+
+        return run
+
+    stats = suite.paired(
+        f"panel_routing.b{batch}", routed(0), routed(batch),
+        rounds=40 if batch <= 8 else 10,
+    )
+    monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", 0)
+    percode = panel.forward(x)
+    monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", batch)
+    lut_loop = panel.forward(x)
+    for label in victims:
+        assert np.ascontiguousarray(percode[label]).tobytes() == (
+            np.ascontiguousarray(lut_loop[label]).tobytes()
+        ), label
+    if batch == 1:
+        assert stats["ratio_median"] > 1.0, (
+            f"the LUT loop lost the batch-1 panel pass "
+            f"({stats['ratio_median']:.3f}x); LUT_LOOP_MAX_ROWS routes it there"
+        )
 
 
 #: calibration shapes of the "auto" crossover: (rows per image, K, N) of

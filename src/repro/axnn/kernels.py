@@ -353,6 +353,7 @@ class MatmulKernel:
         self.weight_sign = weight_sign
         self.weight_magnitude = weight_magnitude
         self.inner, self.outputs = weight_sign.shape
+        self.codes_total = multiplier.operand_max + 1
 
     # ------------------------------------------------------------------ API
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
@@ -362,6 +363,22 @@ class MatmulKernel:
     def describe(self) -> str:
         """Human-readable strategy summary (used by AxModel.kernel_report)."""
         return self.strategy
+
+    def packed_codes(self, activation_codes: np.ndarray) -> np.ndarray:
+        """The C-contiguous uint8 code matrix the compiled loops read.
+
+        uint8 codes of an 8-bit multiplier are used as they are; any other
+        integer codes are range-checked against the operand range
+        (:class:`ConfigurationError` outside it) and packed.
+        """
+        codes = self._check_codes(activation_codes)
+        if codes.dtype != np.uint8 or self.codes_total != 256:
+            if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
+                raise ConfigurationError(
+                    f"activation codes outside the {self.multiplier.bit_width}-bit "
+                    "operand range"
+                )
+        return np.ascontiguousarray(codes, dtype=np.uint8)
 
     # ------------------------------------------------------------ internals
     def _check_codes(self, activation_codes: np.ndarray) -> np.ndarray:
@@ -628,7 +645,6 @@ class SparseOneHotKernel(MatmulKernel):
                 "another strategy"
             )
         self._lut = multiplier.lut()
-        self.codes_total = multiplier.operand_max + 1
         lut_peak = max(1, int(np.abs(self._lut).max(initial=1)))
         self._dtype = (
             np.int32 if max(self.inner, 1) * lut_peak < (1 << 31) else np.int64
@@ -725,10 +741,10 @@ class NativeLUTKernel(MatmulKernel):
     ``_NATIVE_TABLE_BUDGET_BYTES``; a LeNet-5 victim's conv1, conv2 and fc2
     tables take ~3.9 MiB together.
 
-    Layers over either bound keep the LUT loop: operands packed once per
-    layer (weight magnitudes to uint8, signs to int8, the LUT to int16 when
-    every entry fits, int32 otherwise), cache-blocked over output columns
-    with int64 accumulators.  LeNet conv3, whose table would take 30 MiB
+    Layers over either bound keep the LUT loop (:func:`lut_loop_operands`:
+    weight magnitudes packed to uint8 and signs to int8 once per layer, the
+    LUT once per multiplier), cache-blocked over output columns with int64
+    accumulators.  LeNet conv3, whose table would take 30 MiB
     per victim, runs there.  Activation codes arrive as uint8 from the
     Ax-layers' quantizers and are used as they are; other integer codes are
     range-checked and packed.  ctypes releases the GIL for the whole call.
@@ -769,16 +785,12 @@ class NativeLUTKernel(MatmulKernel):
                 f"{multiplier.name!r} has |entry| up to {peak}"
             )
         self._backend = backend
-        self.codes_total = multiplier.operand_max + 1
         self._table: Optional[np.ndarray] = None
+        self._lut_operands: Optional[Dict[str, np.ndarray]] = None
         if _native_table_fits(peak, self.codes_total, self.inner, self.outputs):
             self._table = self._signed_table(lut)
         else:
-            self._lut_packed = np.ascontiguousarray(
-                lut, dtype=np.int16 if peak < (1 << 15) else np.int32
-            )
-            self._sign8 = np.ascontiguousarray(weight_sign, dtype=np.int8)
-            self._mag8 = np.ascontiguousarray(weight_magnitude, dtype=np.uint8)
+            self._lut_operands = lut_loop_operands(self)
 
     def _signed_table(self, lut: np.ndarray) -> np.ndarray:
         """``T[k, c, n] = sign[k, n] * LUT[c, mag[k, n]]``, N padded to 8."""
@@ -793,31 +805,15 @@ class NativeLUTKernel(MatmulKernel):
     def describe(self) -> str:
         if self._table is not None:
             return f"native[{self._backend.name}, int32 table]"
-        bits = 8 * self._lut_packed.dtype.itemsize
+        bits = 8 * self._lut_operands["lut"].dtype.itemsize
         return f"native[{self._backend.name}, int{bits} lut]"
-
-    def packed_codes(self, activation_codes: np.ndarray) -> np.ndarray:
-        """The C-contiguous uint8 code matrix the compiled loops read.
-
-        uint8 codes of an 8-bit multiplier are used as they are; any other
-        integer codes are range-checked against the operand range
-        (:class:`ConfigurationError` outside it) and packed.
-        """
-        codes = self._check_codes(activation_codes)
-        if codes.dtype != np.uint8 or self.codes_total != 256:
-            if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
-                raise ConfigurationError(
-                    f"activation codes outside the {self.multiplier.bit_width}-bit "
-                    "operand range"
-                )
-        return np.ascontiguousarray(codes, dtype=np.uint8)
 
     def fused_operands(self) -> Dict[str, np.ndarray]:
         """This kernel's product operands as :class:`FusedMember` fields:
         the signed table, or the LUT loop's sign, magnitude and LUT."""
         if self._table is not None:
             return {"table": self._table}
-        return {"sign": self._sign8, "mag": self._mag8, "lut": self._lut_packed}
+        return self._lut_operands
 
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         """The int64 accumulator, the same loops as the fused layer call
@@ -829,9 +825,30 @@ class NativeLUTKernel(MatmulKernel):
         if self._table is not None:
             self._backend.table_matmul(codes_u8, self._table, out)
         else:
-            self._backend.lut_matmul(codes_u8, self._sign8, self._mag8,
-                                     self._lut_packed, out)
+            operands = self._lut_operands
+            self._backend.lut_matmul(codes_u8, operands["sign"], operands["mag"],
+                                     operands["lut"], out)
         return out
+
+
+def lut_loop_operands(kernel: MatmulKernel) -> Optional[Dict[str, np.ndarray]]:
+    """The compiled LUT loop's operands for ``kernel``'s multiplier and
+    weights, as :class:`FusedMember` fields; ``None`` when the loop cannot
+    run them (operands wider than 8 bits, or signs outside {-1, 0, 1}).
+
+    Signs pack to int8 and magnitudes to uint8 (``K * N`` bytes each); the
+    LUT is the multiplier's process-wide :meth:`Multiplier.packed_lut`, so
+    every kernel and fused member of one multiplier reads one copy.
+    """
+    if kernel.codes_total > 256:
+        return None
+    if kernel.weight_sign.size and int(np.abs(kernel.weight_sign).max()) > 1:
+        return None
+    return {
+        "sign": np.ascontiguousarray(kernel.weight_sign, dtype=np.int8),
+        "mag": np.ascontiguousarray(kernel.weight_magnitude, dtype=np.uint8),
+        "lut": kernel.multiplier.packed_lut(),
+    }
 
 
 def _padded_outputs(outputs: int) -> int:
@@ -901,10 +918,15 @@ def select_strategy(
       if scipy is ever absent).
 
     ``errorcorrection`` and ``gather`` are never chosen; both stay
-    constructible by name.  Both candidate kernels cost linearly in the
-    batch rows M, so the choice ignores the batch; only at batch 1 on the
-    dense layers do their fixed per-call costs (tens of microseconds)
-    decide.
+    constructible by name.  The choice is made once per layer and ignores
+    the batch, which holds while the rows M carry the cost.  They do not at
+    small M: every ``percode`` call streams its whole ``(K*r, N)`` float64
+    weight-factor operand whatever M is, 0.1-0.3 ms per call in a LeNet
+    M1-M9 panel pass at batch 1, where the factors of 14 layers no longer
+    fit in cache.  :class:`repro.axnn.panel.VictimPanel` therefore runs a
+    group's ``percode`` members through the native LUT loop at small row
+    counts (``repro.axnn.panel.LUT_LOOP_MAX_ROWS``); a lone layer keeps the
+    kernel chosen here.
     """
     if multiplier.is_exact():
         return "exact"

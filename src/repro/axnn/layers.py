@@ -35,9 +35,15 @@ from repro.axnn.approx_ops import (
     quantize_weights_sign_magnitude,
     zero_point_correction_vector,
 )
-from repro.axnn.kernels import KernelSpec, NativeLUTKernel, make_kernel
+from repro.axnn import native as _native
+from repro.axnn.kernels import (
+    KernelSpec,
+    NativeLUTKernel,
+    lut_loop_operands,
+    make_kernel,
+)
 from repro.axnn.native import FusedMember
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.multipliers.base import Multiplier
 from repro.nn.functional import im2col
 from repro.nn.layers.base import Layer
@@ -247,11 +253,14 @@ class NativeLayerCall:
     """One compiled call for the native members of a group of Ax layers.
 
     ``layers`` are the same layer of several victims (same kind, width and
-    activation scheme, every kernel :class:`NativeLUTKernel`); ``slots``
-    their row blocks in the group's stacked output of ``n_slots`` blocks,
-    which the group's other members fill through their own
-    ``forward_from_codes``.  The code matrix is shared by every member, or
-    stacked one block per slot when ``stacked``.  Construction binds every
+    activation scheme); ``slots`` their row blocks in the group's stacked
+    output of ``n_slots`` blocks, which the group's other members fill
+    through their own ``forward_from_codes``.  A :class:`NativeLUTKernel`
+    member brings its signed table or LUT-loop operands; a member with any
+    other kernel runs in the LUT loop
+    (:func:`repro.axnn.kernels.lut_loop_operands`), as the panel's
+    ``percode`` members do at small batches.  The code matrix is shared by
+    every member, or stacked one block per slot when ``stacked``.  Construction binds every
     member's product operands and epilogue constants
     (:meth:`repro.axnn.native.NativeBackend.bind_layer`, where every layout
     check runs); a call then writes each member's product and dequantize
@@ -261,7 +270,7 @@ class NativeLayerCall:
     are those of the per-victim NumPy epilogue.
 
     uint8 codes of 8-bit multipliers go to the compiled call as they are;
-    other codes take :meth:`NativeLUTKernel.packed_codes` first, so they
+    other codes take :meth:`MatmulKernel.packed_codes` first, so they
     are range-checked and packed (or rejected) exactly as
     ``NativeLUTKernel.matmul`` does.
     """
@@ -277,6 +286,12 @@ class NativeLayerCall:
         kernels = [layer.kernel for layer in layers]
         self._pack = min(kernels, key=lambda kernel: kernel.codes_total).packed_codes
         self._uint8_ready = all(kernel.codes_total == 256 for kernel in kernels)
+        backend = next(
+            (kernel._backend for kernel in kernels if isinstance(kernel, NativeLUTKernel)),
+            None,
+        ) or _native.get_backend()
+        if backend is None:
+            raise ConfigurationError("a fused layer call needs a native backend")
         members = [
             FusedMember(
                 slot=slot,
@@ -289,11 +304,11 @@ class NativeLayerCall:
                     None if layer.bias is None
                     else np.ascontiguousarray(layer.bias, dtype=np.float64)
                 ),
-                **layer.kernel.fused_operands(),
+                **_product_operands(layer.kernel),
             )
             for slot, layer in zip(slots, layers)
         ]
-        self._run = first.kernel._backend.bind_layer(
+        self._run = backend.bind_layer(
             members, first.kernel.inner, first.kernel.outputs, n_slots, stacked
         )
 
@@ -314,6 +329,20 @@ class NativeLayerCall:
             codes = self._pack(codes)
         self._run(codes, out)
         return out
+
+
+def _product_operands(kernel) -> dict:
+    """A fused member's product operands: a native kernel's own, else the
+    LUT loop's (:class:`ConfigurationError` when the loop cannot run it)."""
+    if isinstance(kernel, NativeLUTKernel):
+        return kernel.fused_operands()
+    operands = lut_loop_operands(kernel)
+    if operands is None:
+        raise ConfigurationError(
+            f"{kernel.describe()} on {kernel.multiplier.name!r} cannot run in "
+            "the native LUT loop"
+        )
+    return operands
 
 
 def _dequantize_into(layer, accumulator: np.ndarray, out: np.ndarray) -> np.ndarray:

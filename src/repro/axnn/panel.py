@@ -17,8 +17,10 @@ every conv geometry.
   its row slice, into one output buffer.  The members whose kernel is
   ``native`` do so in ONE compiled call per layer
   (:class:`repro.axnn.layers.NativeLayerCall`, bound at construction);
-  the others each run their ``forward_from_codes``.  From here on the
-  group is *stacked*: ``(victims * batch, ...)``, victim-major;
+  the others each run their ``forward_from_codes``.  At most
+  :data:`LUT_LOOP_MAX_ROWS` code rows per victim the ``percode`` members
+  join that call too, in the native LUT loop (see below).  From here on
+  the group is *stacked*: ``(victims * batch, ...)``, victim-major;
 * a float passthrough layer runs once per group on the whole stack.  ReLU
   rectifies the panel's own buffer in place; pooling, flatten and dropout
   return a smaller array, a view or their input, so no layer of the
@@ -32,6 +34,18 @@ computed once at construction; per batch only the stacked compute runs.
 Each stage is the method ``AxLayer.forward`` composes, applied to the
 same values, so panel outputs are bit-identical to evaluating each victim
 independently — asserted by ``tests/test_victim_panel.py``.
+
+Products are routed by batch size.  A ``percode`` product streams its
+whole ``(K*r, N)`` float64 weight-factor operand on every call, however
+few rows it multiplies; in a LeNet M1-M9 pass at batch 1 that is ~7.9 MiB
+over 14 calls, which evicts the next layer's operands from cache.  So each
+compute layer's group binds a second fused call at construction, holding
+its native members plus its ``percode`` members in the LUT loop (K*N sign
+and magnitude bytes each and the multiplier's shared packed LUT), and a
+pass whose code rows per victim are at most :data:`LUT_LOOP_MAX_ROWS`
+runs that call instead.  The LUT loop accumulates in int64 and shares the
+epilogue, so the output bits do not change.  Without a native backend
+nothing switches.
 """
 
 from __future__ import annotations
@@ -40,7 +54,9 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.axnn import native as _native
 from repro.axnn.engine import AxModel
+from repro.axnn.kernels import lut_loop_operands
 from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall, PassthroughLayer
 from repro.errors import ConfigurationError
 from repro.nn.layers.activations import ReLU
@@ -50,6 +66,15 @@ from repro.nn.runtime import check_serial_workers, run_batched, validate_batch_s
 _Group = Tuple[int, ...]
 
 _KINDS = ((PassthroughLayer, "pass"), (AxConv2D, "conv"), (AxDense, "dense"))
+
+#: at most this many code rows per victim (batch * out_h * out_w for a
+#: conv, the batch for a dense layer) a group runs its ``percode`` members
+#: in its fused native call.  The crossover of the ``panel_routing`` cells
+#: of ``benchmarks/bench_native_kernels.py`` (LeNet M1-M9, 2-core x86_64,
+#: one BLAS thread, two runs): the LUT loop's paired speedup median read
+#: 1.23-1.34 at batch 1, 1.11-1.20 at 2 and 1.03-1.10 at 4, then 0.98-1.04
+#: at 6, 0.96-0.97 at 8 and 0.83-0.88 at 60
+LUT_LOOP_MAX_ROWS = 4
 
 
 def _kind(layer) -> str:
@@ -152,21 +177,41 @@ class VictimPanel:
         return plan, groups
 
     def _bind_products(self, layer_index: int, group: _Group, stacked: bool):
-        """How a compute layer's group runs its products: the fused call of
-        its native members (``None`` when it has none) and the ``(slot,
-        layer)`` pairs of the other members."""
-        native, others = [], []
+        """How a compute layer's group runs its products: ``(wide,
+        narrow)``, for passes above and at most :data:`LUT_LOOP_MAX_ROWS`
+        code rows per victim.  Each is the fused call (``None`` when it has
+        no member) and the ``(slot, layer)`` pairs of the members left to
+        their own ``forward_from_codes``; ``narrow`` moves the ``percode``
+        members into the call when a native backend resolved."""
+        lut_loop = _native.get_backend() is not None
+        members, native, percode = [], set(), set()
         for slot, victim in enumerate(group):
             layer = self._models[victim].layers[layer_index]
+            members.append((slot, layer))
             if layer._native_call is not None:
-                native.append((slot, layer))
-            else:
-                others.append((slot, layer))
-        call = None
-        if native:
-            slots, layers = zip(*native)
-            call = NativeLayerCall(layers, slots, len(group), stacked)
-        return call, others
+                native.add(slot)
+            elif (
+                lut_loop
+                and layer.kernel.strategy == "percode"
+                and lut_loop_operands(layer.kernel) is not None
+            ):
+                percode.add(slot)
+
+        def split(fused_slots):
+            inside = [(slot, layer) for slot, layer in members if slot in fused_slots]
+            call = None
+            if inside:
+                slots, layers = zip(*inside)
+                call = NativeLayerCall(layers, slots, len(group), stacked)
+            return call, [pair for pair in members if pair[0] not in fused_slots]
+
+        wide = split(native)
+        return wide, (split(native | percode) if percode else wide)
+
+    def _routed(self, layer_index: int, group: _Group, rows: int):
+        """The fused call and other members for ``rows`` code rows per victim."""
+        wide, narrow = self._products[layer_index, group]
+        return narrow if rows <= LUT_LOOP_MAX_ROWS else wide
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
@@ -228,10 +273,10 @@ class VictimPanel:
         _, out_h, out_w, patch = patches.shape
         patches = patches.reshape(-1, patch)
         out = np.empty((len(group) * batch, out_h, out_w, first.filters))
-        fused, others = self._products[layer_index, group]
+        block = batch * out_h * out_w  # patch rows of one victim
+        fused, others = self._routed(layer_index, group, block)
         if fused is not None:
             fused(patches, out)
-        block = batch * out_h * out_w  # patch rows of one victim
         for slot, layer in others:
             rows = patches[slot * block : (slot + 1) * block] if stacked else patches
             layer.forward_from_codes(
@@ -244,7 +289,7 @@ class VictimPanel:
         codes = first.quantize_input(x)
         del x
         out = np.empty((len(group) * batch, first.units))
-        fused, others = self._products[layer_index, group]
+        fused, others = self._routed(layer_index, group, batch)
         if fused is not None:
             fused(codes, out)
         for slot, layer in others:
@@ -304,11 +349,7 @@ class VictimPanel:
                         once = "1 quantize"
                         if kind == "conv":
                             once = "1 extract, " + once
-                        fused, others = self._products[layer_index, group]
-                        products = f"{len(group)} products"
-                        if fused is not None:
-                            products += (f" ({len(group) - len(others)} native "
-                                         "in 1 call)")
+                        products = self._products_report(layer_index, group)
                         parts.append(f"{kind}[{len(group)} victims {form}, {once}, "
                                      f"{products}]")
             name = self._models[0].layers[layer_index].name
@@ -317,6 +358,24 @@ class VictimPanel:
         lines.append(f"panel: {len(self._models)} victims, {len(self._plan)} layers, "
                      f"{groups} group{'s' if groups != 1 else ''}")
         return lines
+
+    def _products_report(self, layer_index: int, group: _Group) -> str:
+        """``N products``, the fused call's size, and the members that join
+        it at most :data:`LUT_LOOP_MAX_ROWS` rows per victim."""
+        (fused, others), (_, narrow_others) = self._products[layer_index, group]
+        text = f"{len(group)} products"
+        notes = []
+        if fused is not None:
+            notes.append(f"{len(group) - len(others)} native in 1 call")
+        if len(narrow_others) < len(others):
+            stay = {slot for slot, _ in narrow_others}
+            names = [
+                self._names[group[slot]] for slot, _ in others if slot not in stay
+            ]
+            notes.append(f"<= {LUT_LOOP_MAX_ROWS} rows: "
+                         f"{len(group) - len(narrow_others)} in 1 call, "
+                         f"LUT loop for {', '.join(names)}")
+        return text + (f" ({'; '.join(notes)})" if notes else "")
 
     def __len__(self) -> int:
         return len(self._models)

@@ -33,10 +33,15 @@ _GLOBAL_LUT_CACHE: Dict[Tuple, np.ndarray] = {}
 #: same multiplier must yield one shared table, not racing duplicate builds
 _GLOBAL_LUT_LOCK = threading.Lock()
 
+#: the same tables packed for the compiled LUT loop (see
+#: :meth:`Multiplier.packed_lut`), under the same keys and lock
+_GLOBAL_PACKED_LUT_CACHE: Dict[Tuple, np.ndarray] = {}
+
 
 def clear_global_lut_cache() -> None:
     """Drop every process-wide cached LUT (forces true rebuilds)."""
     _GLOBAL_LUT_CACHE.clear()
+    _GLOBAL_PACKED_LUT_CACHE.clear()
 
 
 def global_lut_cache_size() -> int:
@@ -55,6 +60,7 @@ class Multiplier(ABC):
         self.name = name
         self.bit_width = bit_width
         self._lut: Optional[np.ndarray] = None
+        self._packed_lut: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ API
     @property
@@ -130,14 +136,40 @@ class Multiplier(ABC):
             self._lut = table
         return self._lut
 
-    def clear_cache(self) -> None:
-        """Drop this instance's LUT reference.
+    def packed_lut(self) -> np.ndarray:
+        """The LUT as the compiled LUT loop reads it: int16 when every entry
+        fits, else the int32 :meth:`lut` table itself.
 
-        The process-wide cache entry (if any) is kept, so a later
+        Packed once per process per multiplier and shared read-only like
+        :meth:`lut`, so every native kernel and fused layer member of one
+        multiplier reads the same copy.
+        """
+        if self._packed_lut is None:
+            lut = self.lut()
+            key = self._lut_cache_key()
+            with _GLOBAL_LUT_LOCK:
+                packed = (
+                    _GLOBAL_PACKED_LUT_CACHE.get(key) if key is not None else None
+                )
+                if packed is None:
+                    packed = lut
+                    if int(np.abs(lut).max(initial=0)) < (1 << 15):
+                        packed = lut.astype(np.int16)
+                        packed.setflags(write=False)
+                    if key is not None:
+                        _GLOBAL_PACKED_LUT_CACHE[key] = packed
+            self._packed_lut = packed
+        return self._packed_lut
+
+    def clear_cache(self) -> None:
+        """Drop this instance's LUT references.
+
+        The process-wide cache entries (if any) are kept, so a later
         :meth:`lut` call re-attaches the shared table instead of rebuilding
         it; :func:`clear_global_lut_cache` drops the shared entries too.
         """
         self._lut = None
+        self._packed_lut = None
 
     # ------------------------------------------------------------ utilities
     def exact_lut(self) -> np.ndarray:

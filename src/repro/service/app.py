@@ -394,6 +394,7 @@ class ServiceApp:
             self._server.close()
             await self._server.wait_closed()
         await self.batcher.drain()
+        logger.info("query evaluator stopped")
         clean = await asyncio.get_running_loop().run_in_executor(
             None, self.scheduler.drain, self.drain_timeout_s
         )

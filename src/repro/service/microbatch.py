@@ -1,21 +1,21 @@
 """Micro-batching of single-sample robustness queries.
 
 ``POST /v1/query`` answers "what does this victim set predict for this one
-sample" — the interactive workload.  The :class:`MicroBatcher` is
-*work-conserving*: a query that finds the evaluator idle is dispatched at
-once, alone, with no hold.  Queries that arrive while a batch is being
-evaluated wait in a per-*target* bucket, and when the batch finishes the
-oldest waiting bucket goes next, as one stacked batch — so the batch size
-follows the load instead of a timer.  A bucket that reaches ``max_batch``
-goes at once.  Each batch is **one** ``predict_classes`` pass through the
-fused :class:`~repro.axnn.panel.VictimPanel` when the victim set is
+sample" — the interactive workload.  The :class:`MicroBatcher` parks each
+query in a per-*target* bucket, and ONE evaluator thread runs the buckets
+as batches: when a batch ends the thread takes the next waiting bucket
+itself — a full one (``max_batch`` queries) first, else the oldest — so it
+never waits for the event loop between batches, and a query that finds it
+idle starts at once, alone, with no hold.  The batch size follows the load
+instead of a timer.  Each batch is **one** ``predict_classes`` pass through
+the fused :class:`~repro.axnn.panel.VictimPanel` when the victim set is
 lockstep-compatible, per victim otherwise.
 
 Bit-identity is the contract that makes this safe: every predict path in
 the repo is row-independent, so the fused answer for a query is
 bit-identical to evaluating that sample alone.  ``/metrics`` splits a
-query's time into ``query_wait_seconds`` (enqueue to dispatch) and
-``query_batch_latency_seconds`` (its batch's evaluation).
+query's time into ``query_wait_seconds`` (enqueue until the evaluator takes
+its batch) and ``query_batch_latency_seconds`` (its batch's evaluation).
 
 Targets — a trained source model plus its built victim set — are resolved
 through the :class:`~repro.experiments.session.Session` (training is
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -107,9 +107,18 @@ class QueryEvaluator:
         self._targets: "OrderedDict[str, QueryTarget]" = OrderedDict()
 
     # -------------------------------------------------------------- targets
-    def resolve(self, model_spec: ModelSpec, victim_spec: VictimSpec) -> QueryTarget:
-        """The built target for (model, victims), LRU-cached by content hash."""
-        key = target_key(model_spec, victim_spec)
+    def resolve(
+        self,
+        model_spec: ModelSpec,
+        victim_spec: VictimSpec,
+        key: Optional[str] = None,
+    ) -> QueryTarget:
+        """The built target for (model, victims), LRU-cached by content hash.
+
+        ``key`` is their :func:`target_key` when the caller already holds it.
+        """
+        if key is None:
+            key = target_key(model_spec, victim_spec)
         with self._lock:
             cached = self._targets.get(key)
             if cached is not None:
@@ -171,7 +180,11 @@ class QueryEvaluator:
         return np.asarray(test.images[item.sample_index], dtype=np.float64)
 
     def evaluate(
-        self, model_spec: ModelSpec, victim_spec: VictimSpec, items: List[QueryItem]
+        self,
+        model_spec: ModelSpec,
+        victim_spec: VictimSpec,
+        items: List[QueryItem],
+        key: Optional[str] = None,
     ) -> List[Tuple[int, dict]]:
         """Answer a stacked batch of queries with ONE predict pass per victim.
 
@@ -179,9 +192,10 @@ class QueryEvaluator:
         malformed item (bad shape, out-of-range index) fails alone with
         400; the rest of the batch still evaluates.  The predictions are
         bit-identical to evaluating each sample in its own batch, because
-        batched prediction is row-independent.
+        batched prediction is row-independent.  ``key`` is the target's
+        :func:`target_key` when the caller already holds it.
         """
-        target = self.resolve(model_spec, victim_spec)
+        target = self.resolve(model_spec, victim_spec, key)
         images: List[np.ndarray] = []
         slots: List[Optional[int]] = []  # per item: row in the batch, or None
         results: List[Optional[Tuple[int, dict]]] = [None] * len(items)
@@ -232,12 +246,15 @@ class _Pending:
     item: QueryItem
     future: "asyncio.Future"
     deadline: Optional[Deadline]
-    #: event-loop time of ``submit``; ``query_wait_seconds`` ends at dispatch
+    #: ``time.monotonic()`` at ``submit``; ``query_wait_seconds`` ends when
+    #: the evaluator takes the batch
     enqueued: float
 
 
 @dataclass
 class _Bucket:
+    #: the :func:`target_key` that ``submit`` computed
+    key: str
     model_spec: ModelSpec
     victim_spec: VictimSpec
     pending: List[_Pending] = field(default_factory=list)
@@ -246,11 +263,19 @@ class _Bucket:
 class MicroBatcher:
     """Fuse concurrent single-sample queries into batched predict passes.
 
-    Lives on the asyncio event loop: :meth:`submit` parks each query in a
-    per-target bucket.  The oldest bucket is dispatched whenever no batch
-    is in flight; a bucket holding ``max_batch`` queries is dispatched at
-    once.  Evaluation runs on one private worker thread (never the event
-    loop), so slow predictions stall neither accepts nor the queue.
+    :meth:`submit` runs on the asyncio event loop: under a lock it appends
+    the query to its target's open bucket, wakes the evaluator and awaits
+    the answer.  A bucket closes when it holds ``max_batch`` queries, or
+    at once when its query found the evaluator idle (so that query runs
+    alone, with no hold); the next query of that target opens a new one.
+
+    The evaluator is one thread, started by the first query.  It takes the
+    oldest full bucket, else the oldest bucket; answers each query whose
+    deadline passed with 504; evaluates the rest as one batch; hands the
+    answers to the loop with ``call_soon_threadsafe``; and takes the next
+    bucket without waiting for the loop.  A batch whose evaluation raises
+    answers 500 to its own queries only.  Slow predictions therefore stall
+    neither accepts nor the queue, and a busy loop does not stall batches.
     """
 
     def __init__(
@@ -268,13 +293,19 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_pending = int(max_pending)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-query"
-        )
-        #: waiting buckets by target key, in arrival order (oldest first)
-        self._buckets: Dict[str, _Bucket] = {}
+        #: guards the queue, the open buckets and the thread's lifecycle
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
+        #: waiting buckets, oldest first
+        self._queue: List[_Bucket] = []
+        #: each target's bucket that still takes queries
+        self._open: Dict[str, _Bucket] = {}
+        self._thread: Optional[threading.Thread] = None
+        #: the evaluator has a batch to run or running; idle otherwise
+        self._busy = False
+        self._stopping = False
+        #: queries not yet answered; read and written on the event loop only
         self._pending_total = 0
-        self._inflight: "set[asyncio.Task]" = set()
         self.metrics.set_gauge(
             "query_pending", lambda: float(self._pending_total)
         )
@@ -293,61 +324,80 @@ class MicroBatcher:
             raise QueryOverloadError(
                 f"{self._pending_total} queries pending (limit {self.max_pending})"
             )
-        loop = asyncio.get_running_loop()
         key = target_key(model_spec, victim_spec)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = _Bucket(
-                model_spec=model_spec, victim_spec=victim_spec
-            )
         pending = _Pending(
             item=item,
-            future=loop.create_future(),
+            future=asyncio.get_running_loop().create_future(),
             deadline=deadline,
-            enqueued=loop.time(),
+            enqueued=time.monotonic(),
         )
-        bucket.pending.append(pending)
         self._pending_total += 1
         self.metrics.inc("queries_total")
-        # an idle evaluator has no older bucket waiting (_batch_done would
-        # have dispatched it), so this bucket is the one to run now
-        if len(bucket.pending) >= self.max_batch or not self._inflight:
-            self._dispatch(key)
+        with self._lock:
+            bucket = self._open.get(key)
+            if bucket is None:
+                bucket = self._open[key] = _Bucket(key, model_spec, victim_spec)
+                self._queue.append(bucket)
+            bucket.pending.append(pending)
+            # an idle evaluator has no older bucket waiting, so a query that
+            # finds it idle closes its bucket and runs alone, at once
+            if len(bucket.pending) >= self.max_batch or not self._busy:
+                del self._open[key]
+            self._busy = True
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, name="repro-service-query", daemon=True
+                )
+                self._thread.start()
+            self._wake.notify()
         return await pending.future
 
-    # ------------------------------------------------------------- dispatch
-    def _dispatch(self, key: str) -> None:
-        """Hand the bucket ``key`` to the evaluator as one batch."""
-        bucket = self._buckets.pop(key)
-        task = asyncio.get_running_loop().create_task(self._run_batch(bucket))
-        self._inflight.add(task)
-        task.add_done_callback(self._batch_done)
+    # ------------------------------------------------------------ evaluator
+    def _serve(self) -> None:
+        """The evaluator thread: run waiting buckets until :meth:`drain`."""
+        while True:
+            with self._lock:
+                while not self._queue:
+                    self._busy = False
+                    if self._stopping:
+                        self._thread = None
+                        return
+                    self._wake.wait()
+                self._busy = True
+                bucket = self._next_bucket()
+            self._run_batch(bucket)
 
-    def _batch_done(self, task: "asyncio.Task") -> None:
-        self._inflight.discard(task)
-        if not self._inflight and self._buckets:
-            self._dispatch(next(iter(self._buckets)))
+    def _next_bucket(self) -> _Bucket:
+        """Pop the oldest full bucket, else the oldest (lock held)."""
+        index = next(
+            (
+                index
+                for index, bucket in enumerate(self._queue)
+                if len(bucket.pending) >= self.max_batch
+            ),
+            0,
+        )
+        bucket = self._queue.pop(index)
+        if self._open.get(bucket.key) is bucket:
+            del self._open[bucket.key]
+        return bucket
 
-    async def _run_batch(self, bucket: _Bucket) -> None:
-        loop = asyncio.get_running_loop()
+    def _run_batch(self, bucket: _Bucket) -> None:
         ready: List[_Pending] = []
+        expired: List[Tuple[_Pending, Tuple[int, dict]]] = []
         for pending in bucket.pending:
             if pending.deadline is not None and pending.deadline.expired():
-                self._resolve(
-                    pending,
-                    (
-                        504,
-                        {
-                            "error": "deadline_exceeded",
-                            "message": "query deadline expired before evaluation",
-                        },
-                    ),
-                )
+                expired.append((pending, (504, {
+                    "error": "deadline_exceeded",
+                    "message": "query deadline expired before evaluation",
+                })))
             else:
                 ready.append(pending)
+        if expired:
+            self._answer(expired)
         if not ready:
             return
-        start = loop.time()
+        start = time.monotonic()
         for pending in ready:
             self.metrics.observe("query_wait_seconds", start - pending.enqueued)
         self.metrics.inc("query_batches_total")
@@ -355,38 +405,50 @@ class MicroBatcher:
             "query_batch_size", float(len(ready)), buckets=BATCH_SIZE_BUCKETS
         )
         try:
-            results = await loop.run_in_executor(
-                self._executor,
-                self.evaluator.evaluate,
+            results = self.evaluator.evaluate(
                 bucket.model_spec,
                 bucket.victim_spec,
                 [pending.item for pending in ready],
+                bucket.key,
             )
         except Exception as exc:  # noqa: BLE001 - per-batch isolation
-            failure = (
-                500,
-                {"error": type(exc).__name__, "message": str(exc)},
-            )
-            for pending in ready:
-                self._resolve(pending, failure)
+            failure = (500, {"error": type(exc).__name__, "message": str(exc)})
+            self._answer([(pending, failure) for pending in ready])
             return
-        self.metrics.observe("query_batch_latency_seconds", loop.time() - start)
-        for pending, result in zip(ready, results):
-            self._resolve(pending, result)
+        self.metrics.observe("query_batch_latency_seconds", time.monotonic() - start)
+        self._answer(list(zip(ready, results)))
 
-    def _resolve(self, pending: _Pending, result: Tuple[int, dict]) -> None:
-        self._pending_total -= 1
-        if not pending.future.done():
-            pending.future.set_result(result)
+    def _answer(self, answers: List[Tuple[_Pending, Tuple[int, dict]]]) -> None:
+        """Hand ``answers`` to their event loop (evaluator thread)."""
+        loop = answers[0][0].future.get_loop()
+        try:
+            loop.call_soon_threadsafe(self._deliver, answers)
+        except RuntimeError:  # the loop has closed: nobody awaits these
+            pass
+
+    def _deliver(self, answers: List[Tuple[_Pending, Tuple[int, dict]]]) -> None:
+        for pending, result in answers:
+            self._pending_total -= 1
+            if not pending.future.done():
+                pending.future.set_result(result)
 
     # ---------------------------------------------------------------- drain
     async def drain(self) -> None:
-        """Dispatch every waiting bucket and wait for all batches to finish."""
-        while self._buckets or self._inflight:
-            for key in list(self._buckets):
-                self._dispatch(key)
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        self._executor.shutdown(wait=True)
+        """Run every waiting bucket, then stop the evaluator thread.
+
+        Returns once the thread has exited and every answer it produced has
+        been delivered.  A query submitted later is still answered, by a
+        new thread that exits as soon as the queue is empty.
+        """
+        loop = asyncio.get_running_loop()
+        while True:
+            with self._lock:
+                self._stopping = True
+                thread = self._thread
+                self._wake.notify()
+            if thread is None:
+                return
+            await loop.run_in_executor(None, thread.join)
 
     @property
     def pending_count(self) -> int:

@@ -68,6 +68,34 @@ class TestExactMultiplier:
         assert np.array_equal(rebuilt, first)
 
 
+class TestPackedLut:
+    def test_narrow_lut_packs_to_int16_once_per_process(self):
+        from repro.multipliers.base import clear_global_lut_cache
+
+        first, second = ExactMultiplier("e7", bit_width=7), ExactMultiplier("e7", bit_width=7)
+        packed = first.packed_lut()
+        assert packed.dtype == np.int16 and packed.flags.c_contiguous
+        assert not packed.flags.writeable
+        assert np.array_equal(packed, first.lut())
+        assert second.packed_lut() is packed  # one copy per multiplier
+        first.clear_cache()
+        assert first.packed_lut() is packed
+        first.clear_cache()
+        clear_global_lut_cache()
+        assert first.packed_lut() is not packed
+
+    def test_wide_lut_is_read_as_it_is(self):
+        m = ExactMultiplier()
+        assert m.packed_lut() is m.lut()
+
+    def test_unkeyed_multiplier_keeps_its_own_copy(self):
+        table = np.arange(16 * 16).reshape(16, 16)
+        m = LUTMultiplier("tiny", table)
+        assert m.packed_lut().dtype == np.int16
+        assert m.packed_lut() is m.packed_lut()
+        assert LUTMultiplier("tiny", table).packed_lut() is not m.packed_lut()
+
+
 class TestValidation:
     def test_rejects_negative_operands(self):
         with pytest.raises(ConfigurationError):

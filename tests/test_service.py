@@ -19,6 +19,7 @@ import json
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,14 @@ from repro.service.protocol import (
     read_request,
     render_response,
 )
-from repro.service.microbatch import MicroBatcher, QueryItem
+import repro.service.microbatch as microbatch_module
+from repro.service.microbatch import (
+    MicroBatcher,
+    QueryEvaluator,
+    QueryItem,
+    QueryTarget,
+    target_key,
+)
 from repro.service.scheduler import FAILED, SUCCEEDED
 import repro.service.scheduler as scheduler_module
 
@@ -652,10 +660,14 @@ class _StubEvaluator:
         self.gate = gate
         self.fail_first = fail_first
         self.batches = []
+        self.keys = []
+        self.threads = set()
         self.entered = threading.Event()
 
-    def evaluate(self, model_spec, victim_spec, items):
+    def evaluate(self, model_spec, victim_spec, items, key=None):
         self.batches.append([item.sample_index for item in items])
+        self.keys.append(key)
+        self.threads.add(threading.current_thread())
         first = len(self.batches) == 1
         self.entered.set()
         if first and self.gate is not None:
@@ -799,6 +811,137 @@ class TestMicroBatcher:
         assert second_status == 200
 
 
+class _ClassZero:
+    def predict_classes(self, batch):
+        return np.zeros(len(batch), dtype=np.int64)
+
+
+class TestEvaluatorThread:
+    """The one evaluator thread takes its batches itself: the event loop
+    only queues queries and receives answers."""
+
+    def test_blocked_event_loop_does_not_stall_queued_batches(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+        other = VictimSpec(multipliers=("M1",), calibration_samples=32)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            futures = [_submit(batcher, 0)]
+            await _until(evaluator.entered.is_set)
+            futures.append(asyncio.ensure_future(
+                batcher.submit(TINY_MODEL, other, QueryItem(sample_index=1))
+            ))
+            futures.append(_submit(batcher, 2))
+            await _until(lambda: batcher.pending_count == 3)
+            gate.set()
+            # block the loop: both queued buckets must still be evaluated
+            blocked_until = time.monotonic() + 30
+            while len(evaluator.batches) < 3:
+                assert time.monotonic() < blocked_until, evaluator.batches
+                time.sleep(0.001)
+            answers = await asyncio.gather(*futures)
+            await batcher.drain()
+            return answers
+
+        answers = asyncio.run(scenario())
+        assert [payload["sample_index"] for _, payload in answers] == [0, 1, 2]
+        assert evaluator.batches == [[0], [1], [2]]
+        assert evaluator.keys[0] == evaluator.keys[2] != evaluator.keys[1]
+
+    def test_failing_batch_leaves_the_thread_serving(self):
+        evaluator = _StubEvaluator(fail_first=True)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            first = await _submit(batcher, 0)
+            thread = batcher._thread
+            second = await _submit(batcher, 1)
+            assert batcher._thread is thread and thread.is_alive()
+            await batcher.drain()
+            return first, second
+
+        (status, body), second = asyncio.run(scenario())
+        assert status == 500 and body["error"] == "RuntimeError"
+        assert second == (200, {"sample_index": 1})
+        assert len(evaluator.threads) == 1
+
+    def test_drain_returns_after_the_thread_exits(self):
+        gate = threading.Event()
+        evaluator = _StubEvaluator(gate=gate)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            futures = [_submit(batcher, 0)]
+            await _until(evaluator.entered.is_set)
+            futures += [_submit(batcher, index) for index in (1, 2)]
+            await _until(lambda: batcher.pending_count == 3)
+            (thread,) = evaluator.threads
+            drain = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.05)
+            assert not drain.done() and thread.is_alive()
+            gate.set()
+            await drain
+            assert not thread.is_alive()
+            assert batcher._thread is None
+            assert batcher.pending_count == 0
+            assert all(future.done() for future in futures)
+
+        asyncio.run(scenario())
+        assert evaluator.batches == [[0], [1, 2]]
+
+    def test_pending_count_returns_to_zero(self):
+        evaluator = _StubEvaluator()
+        registry = MetricsRegistry()
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator, max_batch=2, metrics=registry)
+            answers = await asyncio.gather(*(_submit(batcher, i) for i in range(5)))
+            pending = batcher.pending_count
+            await batcher.drain()
+            return answers, pending
+
+        answers, pending = asyncio.run(scenario())
+        assert pending == 0
+        assert [payload["sample_index"] for _, payload in answers] == list(range(5))
+        assert threading.main_thread() not in evaluator.threads
+        assert "repro_query_pending 0" in registry.render()
+
+    def test_target_key_is_hashed_once_per_query(self, tmp_path, monkeypatch):
+        key = target_key(TINY_MODEL, QUERY_VICTIMS)
+        evaluator = QueryEvaluator(store=str(tmp_path / "store"))
+        evaluator._targets[key] = QueryTarget(
+            key=key,
+            model_spec=TINY_MODEL,
+            victim_spec=QUERY_VICTIMS,
+            trained=SimpleNamespace(model=_ClassZero()),
+            victims={"M1": _ClassZero(), "M4": _ClassZero()},
+            image_shape=(2, 2),
+        )
+        hashes = []
+        content_hash = microbatch_module.content_hash
+
+        def counting_hash(*args, **kwargs):
+            hashes.append(args)
+            return content_hash(*args, **kwargs)
+
+        monkeypatch.setattr(microbatch_module, "content_hash", counting_hash)
+
+        async def scenario():
+            batcher = MicroBatcher(evaluator)
+            answers = await asyncio.gather(*(
+                batcher.submit(TINY_MODEL, QUERY_VICTIMS, QueryItem(image=np.zeros((2, 2))))
+                for _ in range(4)
+            ))
+            await batcher.drain()
+            return answers
+
+        answers = asyncio.run(scenario())
+        assert [status for status, _ in answers] == [200] * 4
+        assert all(payload["target"] == key for _, payload in answers)
+        assert len(hashes) == 4
+
+
 class TestQueryMicroBatching:
     def test_concurrent_queries_fuse_and_match_serial(self, tmp_path):
         app = ServiceApp(
@@ -828,12 +971,12 @@ class TestQueryMicroBatching:
             batch_sizes = []
             evaluate = app.evaluator.evaluate
 
-            def gated_evaluate(model_spec, victim_spec, items):
+            def gated_evaluate(model_spec, victim_spec, items, key=None):
                 batch_sizes.append(len(items))
                 if len(batch_sizes) == 1:
                     entered.set()
                     assert gate.wait(60)
-                return evaluate(model_spec, victim_spec, items)
+                return evaluate(model_spec, victim_spec, items, key)
 
             app.evaluator.evaluate = gated_evaluate
             indices = list(range(1, 7))

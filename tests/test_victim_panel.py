@@ -15,7 +15,7 @@ from repro.attacks import FGMLinf
 from repro.axnn import build_axdnn, kernels
 from repro.axnn import native
 from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall
-from repro.axnn.panel import VictimPanel
+from repro.axnn.panel import LUT_LOOP_MAX_ROWS, VictimPanel
 from repro.errors import ConfigurationError
 from repro.models import build_alexnet, build_lenet5
 from repro.quantization.schemes import AffineQuantization
@@ -301,15 +301,18 @@ class TestStackedPanel:
         assert len(calls[("AxConv2D", "quantize_cols")]) == 3
         assert len(calls[("AxConv2D", "extract_cols")]) == 3
         assert len(calls[("AxDense", "quantize_input")]) == 2
-        # native members run inside one fused call per layer; every other
-        # member runs its own forward_from_codes and kernel product
+        # native members run inside one fused call per layer, and so do the
+        # percode members of a layer with few rows; every other member runs
+        # its own forward_from_codes and kernel product
         rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
         per_victim = {"AxConv2D": 0, "AxDense": 0}
         expected_rows, native_layers = [], set()
         for victim in lenet_victims.values():
             ax_layers = [layer for layer in victim.layers if hasattr(layer, "kernel")]
             for depth, layer in enumerate(ax_layers):
-                if isinstance(layer.kernel, kernels.NativeLUTKernel):
+                if isinstance(layer.kernel, kernels.NativeLUTKernel) or (
+                    _switches(layer) and rows_per_layer[depth] <= LUT_LOOP_MAX_ROWS
+                ):
                     native_layers.add(depth)
                     continue
                 per_victim[type(layer).__name__] += 1
@@ -328,3 +331,119 @@ class TestStackedPanel:
         # each product sees one victim's rows: summed MACs equal per-victim
         assert sorted(args[1].shape[0] for args in products) == sorted(expected_rows)
         assert all(args[1].ndim == 2 for args in products)
+
+
+def _switches(layer):
+    """Whether the panel runs this layer's product in its fused native call
+    at small row counts."""
+    return native.get_backend() is not None and layer.kernel.strategy == "percode"
+
+
+def _percode_victims(victims, depth):
+    return [
+        label for label, victim in victims.items()
+        if [layer for layer in victim.layers if hasattr(layer, "kernel")][depth]
+        .kernel.strategy == "percode"
+    ]
+
+
+class TestSmallBatchRouting:
+    """At most ``LUT_LOOP_MAX_ROWS`` code rows per victim, a group's
+    ``percode`` members run the native LUT loop inside the fused call."""
+
+    @pytest.mark.parametrize(
+        "batch", [1, 2, LUT_LOOP_MAX_ROWS, LUT_LOOP_MAX_ROWS + 1, 60]
+    )
+    def test_logits_byte_identical_to_per_victim(
+        self, lenet_panel, lenet_victims, mnist_small, batch
+    ):
+        x = _draw(mnist_small.test.images, batch, seed=batch)
+        fused = lenet_panel.forward(x)
+        for label, victim in lenet_victims.items():
+            expected = victim.forward(x)
+            got = np.ascontiguousarray(fused[label])
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (batch, label)
+
+    @pytest.mark.parametrize("batch", [1, LUT_LOOP_MAX_ROWS + 1])
+    def test_percode_products_run_only_above_the_crossover(
+        self, lenet_panel, lenet_victims, monkeypatch, batch
+    ):
+        calls = []
+        matmul = kernels.PerCodeBLASKernel.matmul
+
+        def spy(kernel, codes):
+            calls.append(codes.shape[0])
+            return matmul(kernel, codes)
+
+        monkeypatch.setattr(kernels.PerCodeBLASKernel, "matmul", spy)
+        lenet_panel.forward(np.zeros((batch, 28, 28, 1)))
+        rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
+        expected = [
+            rows
+            for depth, rows in enumerate(rows_per_layer)
+            for _ in _percode_victims(lenet_victims, depth)
+            if rows > LUT_LOOP_MAX_ROWS or native.get_backend() is None
+        ]
+        assert sorted(calls) == sorted(expected)
+        if native.get_backend() is not None and batch == 1:
+            # only LeNet conv2 (64 patch rows a sample) keeps percode
+            assert calls == [64] * len(_percode_victims(lenet_victims, 1))
+
+    @pytest.mark.skipif(native.get_backend() is None, reason="no native backend")
+    def test_fusion_report_names_the_switching_members(self, lenet_panel, lenet_victims):
+        report = lenet_panel.fusion_report()
+        for line_index, depth in ((3, 1), (6, 2), (9, 3)):
+            names = ", ".join(_percode_victims(lenet_victims, depth))
+            assert report[line_index].endswith(
+                f"<= {LUT_LOOP_MAX_ROWS} rows: 8 in 1 call, LUT loop for {names})]"
+            ), report[line_index]
+        assert report[6].endswith("LUT loop for M2, M3, M4, M5, M7, M8)]")
+        # no percode member at conv1 or fc2: nothing switches there
+        assert "LUT loop" not in report[0] and "LUT loop" not in report[-2]
+
+    @pytest.mark.skipif(native.get_backend() is None, reason="no native backend")
+    def test_every_lut_loop_member_reads_the_shared_packed_lut(
+        self, lenet_panel, lenet_victims
+    ):
+        shared = {id(victim.layers[0].kernel.multiplier.packed_lut())
+                  for victim in lenet_victims.values()}
+        calls = {id(call): call
+                 for products in lenet_panel._products.values()
+                 for call, _ in products if call is not None}
+        luts = [member.lut for call in calls.values()
+                for member in call._run.operands[1] if member.lut is not None]
+        assert all(id(lut) in shared for lut in luts)
+        # conv3 and fc1: M6 and M9 in the wide call, they and the six percode
+        # victims in the narrow one; conv2: M4 and M7 in the narrow call
+        assert len(luts) == 2 * (2 + 8) + 2
+
+    def test_numpy_backend_keeps_forward_from_codes(self, mnist_small, monkeypatch):
+        monkeypatch.setenv(native.BACKEND_ENV_VAR, "numpy")
+        kernels.clear_profile_cache()
+        try:
+            victims = build_victims(
+                build_lenet5(seed=5),
+                ["M2", "M4", "M8"],
+                _centred(mnist_small.train.images[:64]),
+                convolution_only=False,
+            )
+            panel = VictimPanel(victims)
+            assert not any("LUT loop" in line for line in panel.fusion_report())
+            calls = []
+            for owner in (AxConv2D, AxDense):
+                original = vars(owner)["forward_from_codes"]
+
+                def spy(*args, _original=original, **kwargs):
+                    calls.append(args[0].name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, "forward_from_codes", spy)
+            x = _draw(mnist_small.test.images, 1, seed=3)
+            fused = panel.forward(x)
+            assert len(calls) == 5 * len(victims)
+            for label, victim in victims.items():
+                assert np.array_equal(fused[label], victim.forward(x)), label
+        finally:
+            monkeypatch.undo()
+            kernels.clear_profile_cache()
