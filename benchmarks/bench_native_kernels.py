@@ -25,13 +25,19 @@ pure-NumPy reference paths it shadows, on the exact shapes the sweeps run:
   at the ``/v1/query`` shape (``panel_lenet.b1`` / ``.b2``: M1-M9 on one
   or two samples, the stacked panel against a per-victim ``forward``
   loop, floor 1.3x).
-* **panel routing by batch size** — the same nine victims through
-  ``VictimPanel.predict_classes`` at batch 1-60
-  (``panel_routing.b<batch>``): every ``percode`` member on its own
-  product against the ``percode`` members of layers with at most
-  ``batch`` rows per victim in the fused call's native LUT loop.  The
-  crossover constant ``repro.axnn.panel.LUT_LOOP_MAX_ROWS`` is read off
-  these rows: the last batch whose speedup median is above 1.
+* **compiled panel pass by batch size** — the same nine victims through
+  ``VictimPanel.predict_classes`` (one compiled call per pass) against the
+  per-victim ``predict`` loop, at batch 1-60 (``panel_pass.b<batch>``).
+* **factor product vs BLAS kernels** — a compiled panel member's product
+  on the float64 factors an ``exact`` or low-rank ``percode`` kernel
+  holds (gather in C, SciPy's ``dgemm``, the shared epilogue) against that
+  kernel's own ``matmul`` and NumPy epilogue, at batch 60 on LeNet
+  conv2/conv3 and AlexNet's third conv (``factor_product.*``): the figure
+  side of moving those members into the program.
+* **factor rank cut-off** — the LeNet M1-M9 panel pass with
+  ``repro.axnn.kernels.FACTOR_PRODUCT_MAX_RANK`` against a cut-off of 1
+  and of 8 at batch 1 and 60 (``panel_factor_rank.b<batch>.r<rank>``,
+  alternative / chosen): the constant is read off these rows.
 * **auto vs best (the routing calibration sweep)** — for every LeNet-5
   compute layer plus one AlexNet conv layer, × M2/M4/M5/M6/M8, × batch 1
   and 60, the kernel ``kernel="auto"`` builds against the other candidate
@@ -61,10 +67,11 @@ from repro.axnn import (
     make_kernel,
     multiplier_kernel_profile,
 )
-from repro.axnn import panel as panel_module
+from repro.axnn import kernels as kernels_module
+from repro.axnn.layers import NativeLayerCall
 from repro.axnn.native import BACKEND_ENV_VAR, backend_name, get_backend, reset_backend
 from repro.datasets import load_synthetic_mnist
-from repro.models.architectures import build_lenet5
+from repro.models.architectures import build_alexnet, build_lenet5
 from repro.multipliers import LUTMultiplier, get_multiplier
 from repro.nn import Adam, Trainer
 from repro.nn.functional import col2im, im2col, im2col_windows
@@ -365,12 +372,7 @@ def test_stacked_panel_small_batch(benchmark, suite, batch):
     them (quantize, patch gather, ReLU/AvgPool/Flatten) are what the panel
     shares, so the floor is set on this row.
     """
-    dataset = load_synthetic_mnist(n_train=256, n_test=96, seed=1)
-    model = build_lenet5(seed=1)
-    victims = {
-        label: build_axdnn(model, get_multiplier(label), dataset.train.images[:128])
-        for label in (f"M{index}" for index in range(1, 10))
-    }
+    dataset, victims = _lenet_panel_victims()
     panel = VictimPanel(victims)
     x = dataset.test.images[:batch]
 
@@ -390,57 +392,148 @@ def test_stacked_panel_small_batch(benchmark, suite, batch):
     )
 
 
-#: batches of the routing cells: the ``/v1/query`` sizes up to Fig. 4a's 60
-PANEL_ROUTING_BATCHES = (1, 2, 4, 6, 8, 16, 32, 60)
-
-
-@pytest.mark.benchmark(group="native-panel")
-@pytest.mark.parametrize("batch", PANEL_ROUTING_BATCHES)
-def test_panel_routing_by_batch(suite, monkeypatch, batch):
-    """Where ``LUT_LOOP_MAX_ROWS`` comes from: LeNet-5 M1-M9 through
-    ``VictimPanel.predict_classes``, paired and interleaved in one process.
-
-    The baseline keeps every ``percode`` member on its own product (the
-    constant at 0); the candidate sets the constant to ``batch``, so the
-    ``percode`` members of conv3 and fc1 (one code row per sample) run in
-    the fused call's LUT loop and conv2's (64 rows per sample) stay.  In a
-    panel pass each ``percode`` call streams its whole weight-factor
-    operand from memory, which a warm single-kernel timing
-    (``auto_vs_best``) never sees.  The logits are byte-identical.
-    """
+def _lenet_panel_victims():
+    """LeNet-5 M1-M9, as the small-batch panel cells build them."""
     dataset = load_synthetic_mnist(n_train=256, n_test=96, seed=1)
     model = build_lenet5(seed=1)
     victims = {
         label: build_axdnn(model, get_multiplier(label), dataset.train.images[:128])
         for label in (f"M{index}" for index in range(1, 10))
     }
+    return dataset, victims
+
+
+#: batches of the panel-pass cells: the ``/v1/query`` sizes up to Fig. 4a's 60
+PANEL_PASS_BATCHES = (1, 2, 4, 8, 60)
+
+
+@pytest.mark.benchmark(group="native-panel")
+@pytest.mark.parametrize("batch", PANEL_PASS_BATCHES)
+def test_compiled_panel_pass(suite, batch):
+    """LeNet-5 M1-M9 through ``VictimPanel.predict_classes`` — one compiled
+    call per pass — against the per-victim ``predict`` loop that
+    ``panel_lenet`` times, paired and interleaved in one process; logits
+    byte-identical."""
+    dataset, victims = _lenet_panel_victims()
     panel = VictimPanel(victims)
+    assert panel.compiled
     x = dataset.test.images[:batch]
 
-    def routed(limit):
-        def run():
-            monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", limit)
-            return panel.predict_classes(x)
-
-        return run
+    def per_victim():
+        return {label: victim.predict_classes(x) for label, victim in victims.items()}
 
     stats = suite.paired(
-        f"panel_routing.b{batch}", routed(0), routed(batch),
+        f"panel_pass.b{batch}", per_victim, lambda: panel.predict_classes(x),
         rounds=40 if batch <= 8 else 10,
     )
-    monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", 0)
-    percode = panel.forward(x)
-    monkeypatch.setattr(panel_module, "LUT_LOOP_MAX_ROWS", batch)
-    lut_loop = panel.forward(x)
-    for label in victims:
-        assert np.ascontiguousarray(percode[label]).tobytes() == (
-            np.ascontiguousarray(lut_loop[label]).tobytes()
-        ), label
-    if batch == 1:
-        assert stats["ratio_median"] > 1.0, (
-            f"the LUT loop lost the batch-1 panel pass "
-            f"({stats['ratio_median']:.3f}x); LUT_LOOP_MAX_ROWS routes it there"
+    fused = panel.predict(x)
+    for label, victim in victims.items():
+        expected = victim.predict(x)
+        assert np.ascontiguousarray(fused[label]).tobytes() == expected.tobytes(), label
+    assert stats["ratio_median"] >= 0.95, (
+        f"the compiled panel pass at batch {batch} is slower than the "
+        f"per-victim loop ({stats['ratio_median']:.3f}x)"
+    )
+
+
+#: (victim set, Ax-layer index, victims) of the factor-product cells at
+#: batch 60: every member the program moves off NumPy's BLAS there
+FACTOR_CELLS = {
+    "lenet_conv2": ("lenet", 1, ("M1", "M4")),
+    "lenet_conv3": ("lenet", 2, ("M1", "M4", "M2", "M3")),
+    "alexnet_conv2d_6": ("alexnet", 2, ("A1", "A6")),
+}
+
+
+@pytest.fixture(scope="module")
+def factor_victims():
+    """LeNet-5 M1-M4 and AlexNet A1/A6 victims (untrained weights: the
+    products' cost does not depend on accuracy)."""
+    mnist = load_synthetic_mnist(n_train=128, n_test=64, seed=1)
+    lenet = build_lenet5(seed=1)
+    alexnet = build_alexnet(seed=1)
+    cifar = np.random.default_rng(1).uniform(0.0, 1.0, size=(64, 32, 32, 3))
+    return {
+        "lenet": {
+            label: build_axdnn(lenet, get_multiplier(label), mnist.train.images[:128])
+            for label in ("M1", "M2", "M3", "M4")
+        },
+        "alexnet": {
+            label: build_axdnn(alexnet, get_multiplier(label), cifar)
+            for label in ("A1", "A6")
+        },
+    }
+
+
+@pytest.mark.benchmark(group="native-panel")
+@pytest.mark.parametrize("cell", sorted(FACTOR_CELLS))
+def test_factor_product_vs_blas_kernels(suite, factor_victims, cell):
+    """The compiled factor product of an ``exact`` or low-rank ``percode``
+    member against its kernel's own BLAS ``matmul`` plus the NumPy
+    epilogue, at batch 60 on random codes; both write the same bytes.
+
+    The fused side is the layer's ``NativeLayerCall``: the loop and
+    epilogue a compiled panel pass runs for that member.
+    """
+    net, depth, labels = FACTOR_CELLS[cell]
+    rows_per_image = {("lenet", 1): 64, ("lenet", 2): 1, ("alexnet", 2): 64}[net, depth]
+    rng = np.random.default_rng(depth)
+    for label in labels:
+        layer = [
+            layer for layer in factor_victims[net][label].layers
+            if hasattr(layer, "kernel")
+        ][depth]
+        assert layer.kernel.strategy in ("exact", "percode"), (cell, label)
+        codes = rng.integers(0, 256, size=(60 * rows_per_image, layer.kernel.inner))
+        codes = codes.astype(np.uint8)
+        fused = NativeLayerCall(layer)
+        via_blas = np.empty((codes.shape[0], layer.kernel.outputs))
+        via_fused = np.empty_like(via_blas)
+
+        suite.paired(
+            f"factor_product.{cell}.b60.{label}",
+            lambda: _forward_from_codes(layer, codes, via_blas),
+            lambda: fused(codes, via_fused), rounds=10,
         )
+        assert via_fused.tobytes() == via_blas.tobytes(), (cell, label)
+
+
+def _forward_from_codes(layer, codes, out):
+    """A conv or dense layer's own product and NumPy epilogue on a 2-D code
+    matrix (``forward_from_codes``; no fused call for these kernels)."""
+    if hasattr(layer, "filters"):
+        return layer.forward_from_codes(codes, codes.shape[0], 1, 1, out=out)
+    return layer.forward_from_codes(codes, out=out)
+
+
+@pytest.mark.benchmark(group="native-panel")
+@pytest.mark.parametrize("batch", [1, 60])
+def test_factor_rank_cutoff(suite, monkeypatch, batch):
+    """Where ``FACTOR_PRODUCT_MAX_RANK`` comes from: the LeNet M1-M9 panel
+    pass with the chosen cut-off against a cut-off of 1 (only rank-1
+    members on the factor product, ranks 3-8 in the LUT loop) and of 8
+    (every low-rank member on it), paired in one process.  A speedup above
+    1 means the chosen constant beat the alternative at that batch."""
+    chosen = kernels_module.FACTOR_PRODUCT_MAX_RANK
+    dataset, victims = _lenet_panel_victims()
+    panels = {}
+    for rank in (1, chosen, 8):
+        monkeypatch.setattr(kernels_module, "FACTOR_PRODUCT_MAX_RANK", rank)
+        panels[rank] = VictimPanel(victims)
+    monkeypatch.setattr(kernels_module, "FACTOR_PRODUCT_MAX_RANK", chosen)
+    x = dataset.test.images[:batch]
+    expected = panels[chosen].forward(x)
+    for rank in (1, 8):
+        suite.paired(
+            f"panel_factor_rank.b{batch}.r{rank}",
+            lambda: panels[rank].forward(x), lambda: panels[chosen].forward(x),
+            rounds=40 if batch == 1 else 10,
+        )
+        other = panels[rank].forward(x)
+        for label in victims:
+            assert np.ascontiguousarray(other[label]).tobytes() == (
+                np.ascontiguousarray(expected[label]).tobytes()
+            ), (rank, label)
 
 
 #: calibration shapes of the "auto" crossover: (rows per image, K, N) of

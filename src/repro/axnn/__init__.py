@@ -8,7 +8,8 @@ error-correction / sparse one-hot / native compiled strategies (the latter
 backed by :mod:`repro.axnn.native` — a tiny C extension, enabled or disabled
 via ``REPRO_KERNEL_BACKEND``).  :class:`repro.axnn.panel.VictimPanel`
 evaluates many victims of one source model in a single stacked pass,
-sharing quantization, the patch gather and the float layers.
+sharing quantization, the patch gather and the float layers; with a native
+backend the whole pass is one compiled call per victim group.
 """
 
 from repro.axnn.approx_ops import (

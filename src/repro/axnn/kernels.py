@@ -364,6 +364,14 @@ class MatmulKernel:
         """Human-readable strategy summary (used by AxModel.kernel_report)."""
         return self.strategy
 
+    def factor_operands(self) -> Optional[Dict[str, Optional[np.ndarray]]]:
+        """The low-rank operands this kernel already holds, as
+        :class:`repro.axnn.native.FusedMember` fields, or ``None``: the
+        float64 ``(K * r, N)`` weight factors and ``(2**bits, r)`` code
+        factors of ``sum_i f_i[A] @ (sign * g_i[mag])``, with no code
+        factors for the exact product (rank 1, factor = code)."""
+        return None
+
     def packed_codes(self, activation_codes: np.ndarray) -> np.ndarray:
         """The C-contiguous uint8 code matrix the compiled loops read.
 
@@ -431,12 +439,17 @@ class ExactBLASKernel(MatmulKernel):
                 f"the 'exact' kernel requires a bit-exact multiplier, got "
                 f"{multiplier.name!r}"
             )
-        self._signed_weights = (weight_sign * weight_magnitude).astype(np.float64)
+        self._signed_weights = np.ascontiguousarray(
+            weight_sign * weight_magnitude, dtype=np.float64
+        )
 
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         codes = self._check_codes(activation_codes)
         product = codes.astype(np.float64) @ self._signed_weights
         return np.rint(product).astype(np.int64)
+
+    def factor_operands(self) -> Dict[str, Optional[np.ndarray]]:
+        return {"code_factors": None, "weight_factors": self._signed_weights}
 
 
 class _TableOperand:
@@ -556,6 +569,14 @@ class PerCodeBLASKernel(MatmulKernel):
         if self._operand.is_low_rank:
             return f"percode[low-rank r={self._operand.rank}]"
         return "percode[per-code loop]"
+
+    def factor_operands(self) -> Optional[Dict[str, Optional[np.ndarray]]]:
+        if not self._operand.is_low_rank:
+            return None
+        return {
+            "code_factors": self._operand._code_factors,
+            "weight_factors": self._operand._weight_factors,
+        }
 
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         codes = self._check_codes(activation_codes)
@@ -851,6 +872,46 @@ def lut_loop_operands(kernel: MatmulKernel) -> Optional[Dict[str, np.ndarray]]:
     }
 
 
+#: a fused member whose kernel holds low-rank factors (``exact`` is rank 1)
+#: runs the compiled factor product up to this rank and the LUT loop above
+#: it.  Read off the paired ``panel_factor_rank`` cells of
+#: ``benchmarks/bench_native_kernels.py`` (LeNet M1-M9 panel pass, 2-core
+#: x86_64, one BLAS thread, speedup of this cut-off over the other, three
+#: recordings): at batch 1 over a cut-off of 8 1.14-1.20x, over 1
+#: 0.95-0.96x; at batch 60 over 1 1.04-1.10x, over 8 0.96-1.02x.  4 keeps
+#: ranks 3-4 (M2, M3) on BLAS and sends ranks 5-8 (M5, M8) to the LUT loop
+FACTOR_PRODUCT_MAX_RANK = 4
+
+
+def member_operands(kernel: MatmulKernel) -> Optional[Dict[str, np.ndarray]]:
+    """``kernel``'s product operands in a fused call, as
+    :class:`FusedMember` fields; ``None`` when no compiled loop can run it.
+
+    A native kernel brings its signed table or LUT-loop operands.  A kernel
+    with low-rank factors of rank at most :data:`FACTOR_PRODUCT_MAX_RANK`
+    brings its factors (:meth:`MatmulKernel.factor_operands`, no copy) when
+    the backend's factor product can call BLAS; any other kernel the LUT
+    loop's (:func:`lut_loop_operands`).
+    """
+    if isinstance(kernel, NativeLUTKernel):
+        return kernel.fused_operands()
+    from repro.axnn import native as _native
+
+    factors = kernel.factor_operands()
+    backend = _native.get_backend()
+    if (
+        factors is not None
+        and (
+            factors["code_factors"] is None
+            or factors["code_factors"].shape[1] <= FACTOR_PRODUCT_MAX_RANK
+        )
+        and backend is not None
+        and backend.enable_blas()
+    ):
+        return factors
+    return lut_loop_operands(kernel)
+
+
 def _padded_outputs(outputs: int) -> int:
     """Output width rounded up to the native table's lane count."""
     return -(-outputs // _NATIVE_TABLE_LANES) * _NATIVE_TABLE_LANES
@@ -919,14 +980,11 @@ def select_strategy(
 
     ``errorcorrection`` and ``gather`` are never chosen; both stay
     constructible by name.  The choice is made once per layer and ignores
-    the batch, which holds while the rows M carry the cost.  They do not at
-    small M: every ``percode`` call streams its whole ``(K*r, N)`` float64
-    weight-factor operand whatever M is, 0.1-0.3 ms per call in a LeNet
-    M1-M9 panel pass at batch 1, where the factors of 14 layers no longer
-    fit in cache.  :class:`repro.axnn.panel.VictimPanel` therefore runs a
-    group's ``percode`` members through the native LUT loop at small row
-    counts (``repro.axnn.panel.LUT_LOOP_MAX_ROWS``); a lone layer keeps the
-    kernel chosen here.
+    the batch.  A compiled :class:`repro.axnn.panel.VictimPanel` pass runs
+    the product of a member chosen here by :func:`member_operands`: a
+    ``percode`` member of rank above :data:`FACTOR_PRODUCT_MAX_RANK` there
+    takes the LUT loop, whose cost does not stream a ``(K*r, N)`` float64
+    factor operand per call; a lone layer keeps the kernel chosen here.
     """
     if multiplier.is_exact():
         return "exact"

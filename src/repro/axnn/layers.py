@@ -9,8 +9,9 @@ pooling, flatten, dropout, batch-norm) keep their float behaviour in
 evaluation mode via :class:`PassthroughLayer`.
 
 Every Ax layer runs the same three stages, and each is its own method so
-the fused multi-victim panel (:mod:`repro.axnn.panel`) can share the first
-two across victims:
+the fused multi-victim panel's NumPy walk (:mod:`repro.axnn.panel`) can
+share the first two across victims (its compiled pass runs all three in C,
+in the same order):
 
 1. quantize the input activation to codes (``quantize_input`` /
    ``quantize_cols``), once per input value;
@@ -19,15 +20,15 @@ two across victims:
    exactly the quantized float patches;
 3. ``forward_from_codes``: the LUT product and the dequantize epilogue,
    written in place into the output buffer.  A layer whose kernel is
-   ``native`` runs both in one compiled call (:class:`NativeLayerCall`,
-   the panel's fused entry with this layer as its only member); every
-   other kernel returns its int64 accumulator from ``kernel.matmul`` and
-   the epilogue runs as NumPy ufuncs.
+   ``native`` runs both in one compiled call (:class:`NativeLayerCall`
+   with this layer as its only member); every other kernel returns its
+   int64 accumulator from ``kernel.matmul`` and the epilogue runs as NumPy
+   ufuncs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from repro.axnn import native as _native
 from repro.axnn.kernels import (
     KernelSpec,
     NativeLUTKernel,
-    lut_loop_operands,
     make_kernel,
+    member_operands,
 )
 from repro.axnn.native import FusedMember
 from repro.errors import ConfigurationError, ShapeError
@@ -250,75 +251,41 @@ class AxConv2D(_ProductLayer):
 
 
 class NativeLayerCall:
-    """One compiled call for the native members of a group of Ax layers.
+    """One compiled call for an Ax layer's product and dequantize epilogue.
 
-    ``layers`` are the same layer of several victims (same kind, width and
-    activation scheme); ``slots`` their row blocks in the group's stacked
-    output of ``n_slots`` blocks, which the group's other members fill
-    through their own ``forward_from_codes``.  A :class:`NativeLUTKernel`
-    member brings its signed table or LUT-loop operands; a member with any
-    other kernel runs in the LUT loop
-    (:func:`repro.axnn.kernels.lut_loop_operands`), as the panel's
-    ``percode`` members do at small batches.  The code matrix is shared by
-    every member, or stacked one block per slot when ``stacked``.  Construction binds every
-    member's product operands and epilogue constants
-    (:meth:`repro.axnn.native.NativeBackend.bind_layer`, where every layout
-    check runs); a call then writes each member's product and dequantize
+    Construction binds the layer's product operands and epilogue constants
+    (:func:`fused_member`; :meth:`repro.axnn.native.NativeBackend.bind_layer`
+    runs every layout check); a call then writes the product and the
     epilogue, ``(acc - zero_point * correction) * (scale * weight_scale) +
     bias``, straight into ``out`` in one GIL-free pass — the float64
     operations of :func:`_dequantize_into`, in the same order, so the bits
-    are those of the per-victim NumPy epilogue.
+    are those of the NumPy epilogue.  A :class:`NativeLUTKernel` brings its
+    signed table or LUT-loop operands, any other kernel its low-rank
+    factors or the LUT loop's.
 
-    uint8 codes of 8-bit multipliers go to the compiled call as they are;
-    other codes take :meth:`MatmulKernel.packed_codes` first, so they
-    are range-checked and packed (or rejected) exactly as
+    uint8 codes of an 8-bit multiplier go to the compiled call as they are;
+    other codes take :meth:`MatmulKernel.packed_codes` first, so they are
+    range-checked and packed (or rejected) exactly as
     ``NativeLUTKernel.matmul`` does.
     """
 
-    def __init__(
-        self,
-        layers: Sequence["AxLayer"],
-        slots: Sequence[int],
-        n_slots: int,
-        stacked: bool,
-    ) -> None:
-        first = layers[0]
-        kernels = [layer.kernel for layer in layers]
-        self._pack = min(kernels, key=lambda kernel: kernel.codes_total).packed_codes
-        self._uint8_ready = all(kernel.codes_total == 256 for kernel in kernels)
-        backend = next(
-            (kernel._backend for kernel in kernels if isinstance(kernel, NativeLUTKernel)),
-            None,
-        ) or _native.get_backend()
+    def __init__(self, layer: "_ProductLayer") -> None:
+        kernel = layer.kernel
+        self._pack = kernel.packed_codes
+        self._uint8_ready = kernel.codes_total == 256
+        backend = getattr(kernel, "_backend", None) or _native.get_backend()
         if backend is None:
             raise ConfigurationError("a fused layer call needs a native backend")
-        members = [
-            FusedMember(
-                slot=slot,
-                zero_point=int(layer.activation_scheme.zero_point),
-                correction=np.ascontiguousarray(
-                    layer._zero_point_correction, dtype=np.int64
-                ),
-                alpha=float(layer.activation_scheme.scale * layer.weight_scale),
-                bias=(
-                    None if layer.bias is None
-                    else np.ascontiguousarray(layer.bias, dtype=np.float64)
-                ),
-                **_product_operands(layer.kernel),
-            )
-            for slot, layer in zip(slots, layers)
-        ]
         self._run = backend.bind_layer(
-            members, first.kernel.inner, first.kernel.outputs, n_slots, stacked
+            [fused_member(layer, 0)], kernel.inner, kernel.outputs, 1, False
         )
 
     @classmethod
-    def for_layer(cls, layer: "AxLayer") -> Optional["NativeLayerCall"]:
-        """The one-member call of a lone layer; ``None`` unless its kernel
-        is native."""
+    def for_layer(cls, layer: "_ProductLayer") -> Optional["NativeLayerCall"]:
+        """The call of a lone layer; ``None`` unless its kernel is native."""
         if not isinstance(layer.kernel, NativeLUTKernel):
             return None
-        return cls([layer], [0], 1, False)
+        return cls(layer)
 
     def __call__(self, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
         if (
@@ -331,18 +298,28 @@ class NativeLayerCall:
         return out
 
 
-def _product_operands(kernel) -> dict:
-    """A fused member's product operands: a native kernel's own, else the
-    LUT loop's (:class:`ConfigurationError` when the loop cannot run it)."""
-    if isinstance(kernel, NativeLUTKernel):
-        return kernel.fused_operands()
-    operands = lut_loop_operands(kernel)
+def fused_member(layer: "_ProductLayer", slot: int) -> FusedMember:
+    """``layer`` as member ``slot`` of a fused call: its product operands
+    (:func:`repro.axnn.kernels.member_operands`) and epilogue constants.
+    Raises :class:`ConfigurationError` when no compiled loop can run its
+    kernel."""
+    operands = member_operands(layer.kernel)
     if operands is None:
         raise ConfigurationError(
-            f"{kernel.describe()} on {kernel.multiplier.name!r} cannot run in "
-            "the native LUT loop"
+            f"{layer.kernel.describe()} on {layer.kernel.multiplier.name!r} "
+            "cannot run in a compiled product loop"
         )
-    return operands
+    return FusedMember(
+        slot=slot,
+        zero_point=int(layer.activation_scheme.zero_point),
+        correction=np.ascontiguousarray(layer._zero_point_correction, dtype=np.int64),
+        alpha=float(layer.activation_scheme.scale * layer.weight_scale),
+        bias=(
+            None if layer.bias is None
+            else np.ascontiguousarray(layer.bias, dtype=np.float64)
+        ),
+        **operands,
+    )
 
 
 def _dequantize_into(layer, accumulator: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,9 +1,13 @@
-"""Optional compiled backend for the LUT-product, im2col and col2im hot loops.
+"""Optional compiled backend for the LUT-product, im2col and col2im hot
+loops and the victim panel's whole pass.
 
 The approximate-DNN reproduction keeps pure NumPy as its always-available
 reference implementation; this package layers a *native* tier on top:
 ``cext``, a tiny C extension compiled on first use with the host's C
-compiler and called through ctypes (GIL released for the whole call).
+compiler and called through ctypes (GIL released for the whole call).  Its
+factor product calls SciPy's BLAS ``dgemm`` through the
+``scipy.linalg.cython_blas`` capsule, bound on first use
+(``NativeBackend.enable_blas``).
 
 Backend choice is governed by ``REPRO_KERNEL_BACKEND``:
 
@@ -27,10 +31,11 @@ namespace — only stdlib, NumPy, and :mod:`repro.errors`.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +75,18 @@ class NativeBackend:
     padded float64 or uint8 image into ``cols`` of the same dtype (its
     shape fixes ``out_h, out_w``).
     ``bind_layer(members, k, n, n_slots, stacked)`` binds the
-    :class:`FusedMember` operands of one Ax layer's native victims and
+    :class:`FusedMember` operands of one Ax layer's victims and
     returns ``run(codes, out)``: one call that writes every member's
     dequantized product into its row block of the group's stacked float64
     output (see :func:`check_layer_call` for the shapes).
+    ``enable_blas()`` binds the factor product (a :class:`FusedMember`
+    with ``weight_factors``) to SciPy's BLAS ``dgemm`` on first call and
+    returns whether it can run; members with factors may only be bound
+    after it returned ``True``.
+    ``bind_panel(ops, in_shape)`` binds a :class:`PanelOp` program (a
+    victim group's whole network, see :func:`check_panel_program`) and
+    returns ``run(x, out)``: one call from the float64 input batch to the
+    group's stacked output.
     All are bit-identical to their NumPy references.
     """
 
@@ -83,16 +96,21 @@ class NativeBackend:
     col2im_add: Callable
     im2col: Callable
     bind_layer: Callable
+    enable_blas: Callable
+    bind_panel: Callable
 
 
 @dataclass(frozen=True)
 class FusedMember:
     """One victim's operands in a fused layer call.
 
-    The product operands are either the signed ``table`` (int32, ``(K, C,
-    N padded to 8)``, see ``NativeLUTKernel``) or the LUT loop's ``sign``
-    (int8, ``(K, N)``), ``mag`` (uint8, ``(K, N)``) and ``lut`` (int16 or
-    int32, ``(C, C)``).  The dequantize epilogue is ``out = (acc -
+    The product operands are the signed ``table`` (int32, ``(K, C, N
+    padded to 8)``, see ``NativeLUTKernel``); or the low-rank loop's float64
+    ``weight_factors`` (``(K * r, N)``) with its ``code_factors`` (``(C,
+    r)``, or ``None`` for the exact product: rank 1, factor = code; see
+    ``MatmulKernel.factor_operands``); or the LUT loop's ``sign`` (int8,
+    ``(K, N)``), ``mag`` (uint8, ``(K, N)``) and ``lut`` (int16 or int32,
+    ``(C, C)``).  The dequantize epilogue is ``out = (acc -
     zero_point * correction) * alpha + bias``: ``correction`` is the
     int64 ``(N,)`` zero-point correction, ``alpha`` the activation scale
     times the weight scale, and ``bias`` a float64 ``(N,)`` vector or
@@ -110,6 +128,20 @@ class FusedMember:
     sign: Optional[np.ndarray] = None
     mag: Optional[np.ndarray] = None
     lut: Optional[np.ndarray] = None
+    code_factors: Optional[np.ndarray] = None
+    weight_factors: Optional[np.ndarray] = None
+
+    @property
+    def codes_covered(self) -> int:
+        """How many codes the product operands cover (every code below it
+        may reach the loops); unbounded for the exact product."""
+        if self.table is not None:
+            return self.table.shape[1]
+        if self.weight_factors is not None:
+            if self.code_factors is None:
+                return sys.maxsize
+            return self.code_factors.shape[0]
+        return self.lut.shape[0]
 
 
 def _check_operand(name: str, array, dtypes, shape) -> None:
@@ -155,6 +187,22 @@ def check_layer_members(
                     f"{n_dim} outputs in 8-lane blocks"
                 )
             continue
+        if member.weight_factors is not None:
+            _check_operand(
+                "weight_factors", member.weight_factors, (np.float64,), (None, n_dim)
+            )
+            rank = 1
+            if member.code_factors is not None:
+                _check_operand(
+                    "code_factors", member.code_factors, (np.float64,), (None, None)
+                )
+                rank = member.code_factors.shape[1]
+            if member.weight_factors.shape[0] != k_dim * rank:
+                raise ShapeError(
+                    f"fused layer weight factors {member.weight_factors.shape} "
+                    f"are not {k_dim} x rank {rank} rows"
+                )
+            continue
         _check_operand("sign", member.sign, (np.int8,), (k_dim, n_dim))
         _check_operand("mag", member.mag, (np.uint8,), (k_dim, n_dim))
         _check_operand("lut", member.lut, (np.int16, np.int32), (None, None))
@@ -197,6 +245,118 @@ def check_layer_call(
     return rows
 
 
+#: the op kinds of a compiled panel pass, as ``repro_panel_op.kind`` numbers them
+PANEL_OP_KINDS = {"conv": 1, "dense": 2, "relu": 3, "avgpool": 4}
+
+
+@dataclass(frozen=True)
+class PanelOp:
+    """One op of a compiled panel pass (``repro_panel_op`` in ``kernels.c``).
+
+    ``kind`` is a key of :data:`PANEL_OP_KINDS`.  ``in_blocks`` is 1 while
+    every member reads the same input, else the member count (one block of
+    samples per member).  ``in_shape`` is one input sample's ``(h, w, c)``;
+    a dense op reads ``h * w * c`` values.  A conv op takes a square
+    ``window`` kernel at ``stride`` over the input padded by ``pad``; an
+    average pool a ``window`` (at most 2) square at ``stride``.  A conv or
+    dense op quantizes with ``scale``, ``zero_point`` and ``qmax`` and runs
+    every member's ``(k_dim, n_dim)`` product (``members``, slots
+    ``0 .. len(members) - 1``).
+    """
+
+    kind: str
+    in_blocks: int
+    in_shape: Tuple[int, int, int]
+    window: int = 0
+    stride: int = 1
+    pad: int = 0
+    scale: float = 1.0
+    zero_point: int = 0
+    qmax: int = 255
+    k_dim: int = 0
+    n_dim: int = 0
+    members: Tuple[FusedMember, ...] = ()
+
+    @property
+    def out_hw(self) -> Tuple[int, int]:
+        """Output height and width of a conv or pool op."""
+        h, w, _ = self.in_shape
+        size = self.window
+        return (
+            (h + 2 * self.pad - size) // self.stride + 1,
+            (w + 2 * self.pad - size) // self.stride + 1,
+        )
+
+    def out_blocks_and_shape(self) -> Tuple[int, Tuple[int, int, int]]:
+        """The output's block count and per-sample ``(h, w, c)``."""
+        if self.kind == "conv":
+            return len(self.members), self.out_hw + (self.n_dim,)
+        if self.kind == "dense":
+            return len(self.members), (1, 1, self.n_dim)
+        if self.kind == "avgpool":
+            return self.in_blocks, self.out_hw + (self.in_shape[2],)
+        return self.in_blocks, self.in_shape
+
+
+def check_panel_program(ops: Sequence[PanelOp], in_shape) -> Tuple[int, int]:
+    """The checks of a compiled panel pass, run once when it is bound.
+
+    Each op must read what the one before it writes (the first reads one
+    shared input sample of ``in_shape``; dense and relu ops may read it
+    flattened), every conv and dense op must
+    quantize to 8-bit codes its members' operands cover, and the members
+    must pass :func:`check_layer_members`.  Returns the output's block
+    count and values per block sample.
+    """
+    blocks, shape = 1, tuple(int(size) for size in in_shape)
+    if len(shape) != 3 or min(shape) < 1:
+        raise ShapeError(f"panel program input shape {in_shape} is not (h, w, c)")
+    for index, op in enumerate(ops):
+        where = f"panel program op {index} ({op.kind})"
+        if op.kind not in PANEL_OP_KINDS:
+            raise ShapeError(f"{where}: unknown op kind")
+        # a flatten between ops is no op: dense and relu read any sample
+        # layout of the same size, conv and pool the NHWC sample itself
+        same = (
+            np.prod(op.in_shape) == np.prod(shape)
+            if op.kind in ("dense", "relu") else tuple(op.in_shape) == shape
+        )
+        if op.in_blocks != blocks or not same:
+            raise ShapeError(
+                f"{where}: reads {op.in_blocks} x {op.in_shape}, the program "
+                f"holds {blocks} x {shape}"
+            )
+        h, w, c = op.in_shape
+        if op.kind in ("conv", "avgpool"):
+            if op.window < 1 or op.stride < 1 or op.pad < 0 or min(op.out_hw) < 1:
+                raise ShapeError(f"{where}: window {op.window}, stride "
+                                 f"{op.stride}, pad {op.pad} do not fit {shape}")
+        if op.kind == "avgpool" and (op.window > 2 or op.pad):
+            raise ShapeError(f"{where}: only unpadded pools of size <= 2 compile")
+        if op.kind in ("conv", "dense"):
+            k_dim = op.window * op.window * c if op.kind == "conv" else h * w * c
+            n_members = len(op.members)
+            if (
+                op.k_dim != k_dim
+                or n_members < 1
+                or blocks not in (1, n_members)
+                or not 0 <= op.zero_point <= op.qmax <= 255
+                or not op.scale > 0
+            ):
+                raise ShapeError(
+                    f"{where}: K {op.k_dim} (input gives {k_dim}), "
+                    f"{n_members} members over {blocks} blocks, zero point "
+                    f"{op.zero_point}, qmax {op.qmax}, scale {op.scale}"
+                )
+            check_layer_members(op.members, op.k_dim, op.n_dim, n_members)
+            if any(member.codes_covered <= op.qmax for member in op.members):
+                raise ShapeError(f"{where}: a member's operands do not cover "
+                                 f"codes up to {op.qmax}")
+        blocks, shape = op.out_blocks_and_shape()
+        shape = tuple(int(size) for size in shape)
+    return blocks, shape[0] * shape[1] * shape[2]
+
+
 _STATE_LOCK = threading.Lock()
 _RESOLVED = False
 _BACKEND: Optional[NativeBackend] = None
@@ -222,6 +382,13 @@ def _load_cext() -> NativeBackend:
     from repro.axnn.native import cext
 
     lib = cext.load_library()
+    blas = []  # the enable_blas outcome, once known
+
+    def enable_blas() -> bool:
+        if not blas:
+            blas.append(cext.enable_blas(lib))
+        return blas[0]
+
     return NativeBackend(
         name="cext",
         lut_matmul=lambda codes, sign, mag, lut, out: cext.lut_matmul(
@@ -239,6 +406,8 @@ def _load_cext() -> NativeBackend:
         bind_layer=lambda members, k, n, n_slots, stacked: cext.bind_layer(
             lib, members, k, n, n_slots, stacked
         ),
+        enable_blas=enable_blas,
+        bind_panel=lambda ops, in_shape: cext.bind_panel(lib, ops, in_shape),
     )
 
 
@@ -313,9 +482,12 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "FusedMember",
     "NativeBackend",
+    "PANEL_OP_KINDS",
+    "PanelOp",
     "backend_name",
     "check_layer_call",
     "check_layer_members",
+    "check_panel_program",
     "get_backend",
     "native_fingerprint",
     "requested_backend",

@@ -11,7 +11,8 @@ a torn library behind.
 
 The loaded functions are plain ``ctypes`` foreign calls: ctypes drops the
 GIL for the duration of each call, so other threads (the service's job and
-query threads) keep running while a kernel does.
+query threads, the event loop) keep running while a kernel, or a whole
+compiled panel pass, does.
 
 Everything degrades cleanly: no compiler, an unusable cache directory, a
 failing compile, or an unloadable artifact raise :class:`NativeBuildError`,
@@ -32,8 +33,13 @@ from typing import Optional
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from repro.axnn.native import check_layer_call, check_layer_members
-from repro.errors import ShapeError
+from repro.axnn.native import (
+    PANEL_OP_KINDS,
+    check_layer_call,
+    check_layer_members,
+    check_panel_program,
+)
+from repro.errors import ConfigurationError, ShapeError
 
 #: environment variable overriding where compiled kernels are cached
 CACHE_ENV_VAR = "REPRO_NATIVE_CACHE"
@@ -183,7 +189,7 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
             ndpointer(dtype=image_dtype, flags="C_CONTIGUOUS,WRITEABLE"),  # cols
         ]
     layer = lib.repro_layer_f64
-    layer.restype = None
+    layer.restype = ctypes.c_int
     # raw addresses: bind_layer checks the member operands once, and each
     # call checks its code matrix and output (see check_layer_call)
     layer.argtypes = [
@@ -192,6 +198,19 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
         i64, i64,  # codes_stacked, n_members
         ctypes.c_void_p,  # LayerMember array
         ctypes.c_void_p,  # out (n_slots * rows, N) float64
+    ]
+    lib.repro_set_dgemm.restype = None
+    lib.repro_set_dgemm.argtypes = [ctypes.c_void_p]
+    panel = lib.repro_panel_f64
+    panel.restype = ctypes.c_int
+    # raw addresses: bind_panel checks the program once, and each call
+    # checks its input batch and output
+    panel.argtypes = [
+        ctypes.c_void_p,  # x (batch, h, w, c) float64
+        i64, i64,  # batch, n_ops
+        ctypes.c_void_p,  # PanelOp array
+        i64,  # output values per sample
+        ctypes.c_void_p,  # out float64
     ]
     return lib
 
@@ -265,11 +284,52 @@ class LayerMember(ctypes.Structure):
         ("lut", ctypes.c_void_p),
         ("lut_cols", ctypes.c_int64),
         ("lut_bytes", ctypes.c_int64),
+        ("code_factors", ctypes.c_void_p),
+        ("weight_factors", ctypes.c_void_p),
+        ("rank", ctypes.c_int64),
         ("zero_point", ctypes.c_int64),
         ("corr", ctypes.c_void_p),
         ("alpha", ctypes.c_double),
         ("bias", ctypes.c_void_p),
     ]
+
+
+def _raise_status(status: int, what: str) -> None:
+    """Raise for the non-zero status of a fused call (see ``factor_rows``
+    in ``kernels.c``)."""
+    if status == -1:
+        raise MemoryError(f"{what} could not allocate its buffers")
+    raise ConfigurationError(
+        f"{what} ran a factor product without a bound BLAS dgemm "
+        "(NativeBackend.enable_blas) or beyond its int dimensions"
+    )
+
+
+def _pack_members(members):
+    """The ``LayerMember`` array of checked :class:`FusedMember` operands."""
+    packed = (LayerMember * len(members))()
+    for entry, member in zip(packed, members):
+        entry.slot = member.slot
+        entry.zero_point = member.zero_point
+        entry.corr = member.correction.ctypes.data
+        entry.alpha = member.alpha
+        entry.bias = None if member.bias is None else member.bias.ctypes.data
+        if member.table is not None:
+            entry.table = member.table.ctypes.data
+            _, entry.codes_total, entry.n_pad = member.table.shape
+        elif member.weight_factors is not None:
+            entry.weight_factors = member.weight_factors.ctypes.data
+            entry.rank = 1
+            if member.code_factors is not None:
+                entry.code_factors = member.code_factors.ctypes.data
+                entry.rank = member.code_factors.shape[1]
+        else:
+            entry.sign = member.sign.ctypes.data
+            entry.mag = member.mag.ctypes.data
+            entry.lut = member.lut.ctypes.data
+            entry.lut_cols = member.lut.shape[1]
+            entry.lut_bytes = member.lut.dtype.itemsize
+    return packed
 
 
 def bind_layer(lib: ctypes.CDLL, members, k_dim, n_dim, n_slots, stacked):
@@ -283,22 +343,7 @@ def bind_layer(lib: ctypes.CDLL, members, k_dim, n_dim, n_slots, stacked):
     """
     check_layer_members(members, k_dim, n_dim, n_slots)
     stacked = int(bool(stacked))
-    packed = (LayerMember * len(members))()
-    for entry, member in zip(packed, members):
-        entry.slot = member.slot
-        entry.zero_point = member.zero_point
-        entry.corr = member.correction.ctypes.data
-        entry.alpha = member.alpha
-        entry.bias = None if member.bias is None else member.bias.ctypes.data
-        if member.table is not None:
-            entry.table = member.table.ctypes.data
-            _, entry.codes_total, entry.n_pad = member.table.shape
-        else:
-            entry.sign = member.sign.ctypes.data
-            entry.mag = member.mag.ctypes.data
-            entry.lut = member.lut.ctypes.data
-            entry.lut_cols = member.lut.shape[1]
-            entry.lut_bytes = member.lut.dtype.itemsize
+    packed = _pack_members(members)
     fn = lib.repro_layer_f64
     address = ctypes.addressof(packed)
     count = len(members)
@@ -306,8 +351,124 @@ def bind_layer(lib: ctypes.CDLL, members, k_dim, n_dim, n_slots, stacked):
 
     def run(codes, out):
         rows = check_layer_call(codes, out, k_dim, n_dim, n_slots, stacked)
-        fn(codes.ctypes.data, rows, k_dim, n_dim, stacked, count, address,
-           out.ctypes.data)
+        status = fn(codes.ctypes.data, rows, k_dim, n_dim, stacked, count,
+                    address, out.ctypes.data)
+        if status:
+            _raise_status(status, "a fused layer call")
 
     run.operands = keep
+    return run
+
+
+def scipy_dgemm_address() -> Optional[int]:
+    """The address of SciPy's BLAS ``dgemm`` (``scipy.linalg.cython_blas``,
+    the capsule Numba calls through), or ``None`` without SciPy."""
+    try:
+        from scipy.linalg import cython_blas
+    except ImportError:  # pragma: no cover - scipy is a baked-in dependency
+        return None
+    capsule = cython_blas.__pyx_capi__["dgemm"]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    return api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+
+
+def enable_blas(lib: ctypes.CDLL) -> bool:
+    """Point the library's factor product at SciPy's ``dgemm``; returns
+    whether it can run (see ``NativeBackend.enable_blas``)."""
+    address = scipy_dgemm_address()
+    if address:
+        lib.repro_set_dgemm(address)
+    return bool(address)
+
+
+class PanelOp(ctypes.Structure):
+    """``repro_panel_op`` of ``kernels.c``, field for field."""
+
+    _fields_ = [
+        ("kind", ctypes.c_int64),
+        ("in_blocks", ctypes.c_int64),
+        ("in_h", ctypes.c_int64),
+        ("in_w", ctypes.c_int64),
+        ("in_c", ctypes.c_int64),
+        ("out_h", ctypes.c_int64),
+        ("out_w", ctypes.c_int64),
+        ("window", ctypes.c_int64),
+        ("stride", ctypes.c_int64),
+        ("pad", ctypes.c_int64),
+        ("scale", ctypes.c_double),
+        ("zero_point", ctypes.c_int64),
+        ("qmax", ctypes.c_int64),
+        ("k_dim", ctypes.c_int64),
+        ("n_dim", ctypes.c_int64),
+        ("n_members", ctypes.c_int64),
+        ("members", ctypes.c_void_p),
+    ]
+
+
+def bind_panel(lib: ctypes.CDLL, ops, in_shape):
+    """The compiled panel pass of the :class:`repro.axnn.native.PanelOp`
+    program ``ops`` (see ``NativeBackend.bind_panel``).
+
+    Checks the program once (:func:`check_panel_program`) and packs it into
+    one ``PanelOp`` array; the returned ``run(x, out)`` checks that ``x`` is
+    a C-contiguous float64 batch of ``in_shape`` samples and ``out`` a
+    C-contiguous float64 array of the output's values, makes the single
+    foreign call (GIL released throughout) and returns ``out``.  It raises
+    :class:`MemoryError` when the pass cannot allocate its buffers.
+    """
+    out_blocks, out_values = check_panel_program(ops, in_shape)
+    in_shape = tuple(int(size) for size in in_shape)
+    packed = (PanelOp * len(ops))()
+    member_arrays = []
+    for entry, op in zip(packed, ops):
+        entry.kind = PANEL_OP_KINDS[op.kind]
+        entry.in_blocks = op.in_blocks
+        entry.in_h, entry.in_w, entry.in_c = op.in_shape
+        if op.kind in ("conv", "avgpool"):
+            entry.out_h, entry.out_w = op.out_hw
+        entry.window, entry.stride, entry.pad = op.window, op.stride, op.pad
+        entry.scale = op.scale
+        entry.zero_point, entry.qmax = op.zero_point, op.qmax
+        entry.k_dim, entry.n_dim = op.k_dim, op.n_dim
+        entry.n_members = len(op.members)
+        if op.members:
+            members = _pack_members(op.members)
+            member_arrays.append(members)
+            entry.members = ctypes.addressof(members)
+    fn = lib.repro_panel_f64
+    address = ctypes.addressof(packed)
+    count = len(ops)
+    per_sample = out_blocks * out_values
+
+    def run(x, out):
+        if (
+            x.dtype != np.float64
+            or not x.flags.c_contiguous
+            or x.shape[1:] != in_shape
+        ):
+            raise ShapeError(
+                f"panel input must be a C-contiguous float64 batch of "
+                f"{in_shape} samples, got {x.dtype} {x.shape}"
+            )
+        batch = x.shape[0]
+        if (
+            out.dtype != np.float64
+            or not out.flags.c_contiguous
+            or out.size != batch * per_sample
+        ):
+            raise ShapeError(
+                f"panel output must be C-contiguous float64 with {batch} x "
+                f"{per_sample} values, got {out.dtype} {out.shape}"
+            )
+        status = fn(x.ctypes.data, batch, count, address, out_values * out_blocks,
+                    out.ctypes.data)
+        if status:
+            _raise_status(status, "the compiled panel pass")
+        return out
+
+    run.operands = (packed, member_arrays, tuple(ops))
     return run

@@ -1,4 +1,4 @@
-"""Fused multi-victim evaluation: every victim of a panel in one pass per layer.
+"""Fused multi-victim evaluation: every victim of a panel in one pass.
 
 The paper's robustness figures (Fig. 4-8) and the ``/v1/query`` service
 evaluate ~9 victim AxDNNs on *identical* inputs.  The victims of one source
@@ -13,68 +13,82 @@ every conv geometry.
 * every victim starts in one group that shares the input batch;
 * an Ax compute layer quantizes the group's input activation **once**,
   gathers the uint8 code patches **once** (conv), and then runs the
-  kernel product and the dequantize epilogue of every victim — each on
-  its row slice, into one output buffer.  The members whose kernel is
-  ``native`` do so in ONE compiled call per layer
-  (:class:`repro.axnn.layers.NativeLayerCall`, bound at construction);
-  the others each run their ``forward_from_codes``.  At most
-  :data:`LUT_LOOP_MAX_ROWS` code rows per victim the ``percode`` members
-  join that call too, in the native LUT loop (see below).  From here on
-  the group is *stacked*: ``(victims * batch, ...)``, victim-major;
-* a float passthrough layer runs once per group on the whole stack.  ReLU
-  rectifies the panel's own buffer in place; pooling, flatten and dropout
-  return a smaller array, a view or their input, so no layer of the
-  repo's models copies a full stack.
+  kernel product and the dequantize epilogue of every victim, each on its
+  row slice, into one output buffer.  From here on the group is
+  *stacked*: ``(victims * batch, ...)``, victim-major;
+* a float passthrough layer runs once per group on the whole stack.
 
 A group splits only where its members' layers differ in what the shared
-stages depend on — activation scheme, conv geometry or width, or the float
+stages depend on: activation scheme, conv geometry or width, or the float
 layer object behind a passthrough.  Groups from ``build_victims`` never
 split.  The plan is static (it depends on layer structure only), so it is
-computed once at construction; per batch only the stacked compute runs.
-Each stage is the method ``AxLayer.forward`` composes, applied to the
-same values, so panel outputs are bit-identical to evaluating each victim
-independently — asserted by ``tests/test_victim_panel.py``.
+computed once at construction.
 
-Products are routed by batch size.  A ``percode`` product streams its
-whole ``(K*r, N)`` float64 weight-factor operand on every call, however
-few rows it multiplies; in a LeNet M1-M9 pass at batch 1 that is ~7.9 MiB
-over 14 calls, which evicts the next layer's operands from cache.  So each
-compute layer's group binds a second fused call at construction, holding
-its native members plus its ``percode`` members in the LUT loop (K*N sign
-and magnitude bytes each and the multiplier's shared packed LUT), and a
-pass whose code rows per victim are at most :data:`LUT_LOOP_MAX_ROWS`
-runs that call instead.  The LUT loop accumulates in int64 and shares the
-epilogue, so the output bits do not change.  Without a native backend
-nothing switches.
+**The compiled pass.**  When a native backend resolved, construction binds
+each final group's whole network into one program
+(:class:`repro.axnn.native.PanelOp`, ``repro_panel_f64`` in ``kernels.c``)
+and a pass is one ctypes call per final group, with the GIL released
+throughout.  The program quantizes (divide, round half to even, add the
+zero point, clip), gathers the patches padded with the zero point, runs
+every member's product into the shared dequantize epilogue (a ``native``
+member on its signed table or LUT loop; an ``exact`` member, and a
+``percode`` member of rank up to
+:data:`repro.axnn.kernels.FACTOR_PRODUCT_MAX_RANK`, on the float64
+factors its kernel holds, through BLAS ``dgemm``; any other 8-bit kernel
+in the LUT loop), and applies
+ReLU and the ``pool_size <= 2`` average pool in NumPy's order; flatten and
+inference-mode dropout are no-ops.  A split plan runs one program per
+final group, so a shared stage before the split runs once per final
+group.
+
+**The NumPy walk.**  Without a native backend, or for a plan the program
+cannot express (a max pool, a pool over 2, batch-norm, another float
+layer, a wider than 8-bit activation scheme or a kernel no compiled loop
+can run), or for an input whose sample shape is not the source model's,
+each stage is the method ``AxLayer.forward`` composes, applied once per
+group: ``quantize_cols``/``extract_cols`` or ``quantize_input``, then each
+member's ``forward_from_codes``.
+
+Either way every float operation is the one each victim's own
+``AxModel.forward`` performs, in the same order, so panel logits are
+bit-identical to evaluating each victim independently (asserted by
+``tests/test_victim_panel.py`` against per-victim evaluation and the
+seed-order oracle).  Non-finite input is rejected on both paths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.axnn import native as _native
 from repro.axnn.engine import AxModel
-from repro.axnn.kernels import lut_loop_operands
-from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall, PassthroughLayer
+from repro.axnn.layers import AxConv2D, AxDense, PassthroughLayer, fused_member
 from repro.errors import ConfigurationError
 from repro.nn.layers.activations import ReLU
+from repro.nn.layers.dropout import Dropout
+from repro.nn.layers.pooling import AvgPool2D
+from repro.nn.layers.reshape import Flatten
 from repro.nn.runtime import check_serial_workers, run_batched, validate_batch_size
+from repro.quantization.schemes import AffineQuantization
 
 #: a group is a tuple of victim indices carried as one tensor
 _Group = Tuple[int, ...]
 
 _KINDS = ((PassthroughLayer, "pass"), (AxConv2D, "conv"), (AxDense, "dense"))
 
-#: at most this many code rows per victim (batch * out_h * out_w for a
-#: conv, the batch for a dense layer) a group runs its ``percode`` members
-#: in its fused native call.  The crossover of the ``panel_routing`` cells
-#: of ``benchmarks/bench_native_kernels.py`` (LeNet M1-M9, 2-core x86_64,
-#: one BLAS thread, two runs): the LUT loop's paired speedup median read
-#: 1.23-1.34 at batch 1, 1.11-1.20 at 2 and 1.03-1.10 at 4, then 0.98-1.04
-#: at 6, 0.96-0.97 at 8 and 0.83-0.88 at 60
-LUT_LOOP_MAX_ROWS = 4
+
+class _Program(NamedTuple):
+    """A final group's compiled pass: its ops (with the layer each op
+    runs), per-sample output shape and bound call."""
+
+    group: _Group
+    stacked: bool
+    ops: List[_native.PanelOp]
+    op_layers: List[str]
+    out_shape: Tuple[int, ...]
+    run: Callable
 
 
 def _kind(layer) -> str:
@@ -92,6 +106,22 @@ def _split_key(kind: str, layer):
     if kind == "conv":
         return (layer.activation_scheme, layer.geometry, layer.filters)
     return (layer.activation_scheme, layer.units)
+
+
+def _as_hwc(shape) -> Tuple[int, int, int]:
+    """A per-sample shape as the ``(h, w, c)`` a compiled op reads."""
+    return tuple(shape) if len(shape) == 3 else (1, 1, int(np.prod(shape)))
+
+
+def _loop_name(member) -> str:
+    """The compiled loop a fused member's product runs in."""
+    if member.table is not None:
+        return "table"
+    if member.weight_factors is None:
+        return "LUT loop"
+    if member.code_factors is None:
+        return "exact"
+    return f"low-rank r={member.code_factors.shape[1]}"
 
 
 class VictimPanel:
@@ -118,13 +148,8 @@ class VictimPanel:
             )
         self.output_shape = self._models[0].output_shape
         self._plan, self._final_groups = self._build_plan()
-        self._products = {
-            (layer_index, group): self._bind_products(layer_index, group, stacked)
-            for layer_index, (kind, splits) in enumerate(self._plan)
-            if kind != "pass"
-            for _, stacked, groups in splits
-            for group in groups
-        }
+        self._input_shape = self._models[0].source.input_shape
+        self._programs = self._bind_programs()
 
     # ------------------------------------------------------------- planning
     @staticmethod
@@ -176,48 +201,116 @@ class VictimPanel:
             groups = next_groups
         return plan, groups
 
-    def _bind_products(self, layer_index: int, group: _Group, stacked: bool):
-        """How a compute layer's group runs its products: ``(wide,
-        narrow)``, for passes above and at most :data:`LUT_LOOP_MAX_ROWS`
-        code rows per victim.  Each is the fused call (``None`` when it has
-        no member) and the ``(slot, layer)`` pairs of the members left to
-        their own ``forward_from_codes``; ``narrow`` moves the ``percode``
-        members into the call when a native backend resolved."""
-        lut_loop = _native.get_backend() is not None
-        members, native, percode = [], set(), set()
-        for slot, victim in enumerate(group):
-            layer = self._models[victim].layers[layer_index]
-            members.append((slot, layer))
-            if layer._native_call is not None:
-                native.add(slot)
-            elif (
-                lut_loop
-                and layer.kernel.strategy == "percode"
-                and lut_loop_operands(layer.kernel) is not None
-            ):
-                percode.add(slot)
+    def _bind_programs(self):
+        """One :class:`_Program` per final group, or ``None`` for the NumPy
+        walk (no native backend, or a plan :meth:`_program_ops` cannot
+        express)."""
+        backend = _native.get_backend()
+        if backend is None or self._input_shape is None or any(
+            model.source.input_shape != self._input_shape for model in self._models
+        ):
+            return None
+        programs = []
+        for group, stacked in self._final_groups:
+            compiled = self._program_ops(group)
+            if compiled is None:
+                return None
+            ops, op_layers, out_shape = compiled
+            run = backend.bind_panel(ops, _as_hwc(self._input_shape))
+            programs.append(_Program(group, stacked, ops, op_layers, out_shape, run))
+        return programs
 
-        def split(fused_slots):
-            inside = [(slot, layer) for slot, layer in members if slot in fused_slots]
-            call = None
-            if inside:
-                slots, layers = zip(*inside)
-                call = NativeLayerCall(layers, slots, len(group), stacked)
-            return call, [pair for pair in members if pair[0] not in fused_slots]
-
-        wide = split(native)
-        return wide, (split(native | percode) if percode else wide)
-
-    def _routed(self, layer_index: int, group: _Group, rows: int):
-        """The fused call and other members for ``rows`` code rows per victim."""
-        wide, narrow = self._products[layer_index, group]
-        return narrow if rows <= LUT_LOOP_MAX_ROWS else wide
+    def _program_ops(self, group: _Group):
+        """The :class:`repro.axnn.native.PanelOp` program of one final
+        group, the layer name of each op and the per-sample output shape;
+        ``None`` when a layer or kernel has no compiled form (see the module
+        docstring)."""
+        models = [self._models[victim] for victim in group]
+        shape = tuple(self._input_shape)
+        blocks = 1
+        ops, op_layers = [], []
+        for layer_index, (kind, _) in enumerate(self._plan):
+            layers = [model.layers[layer_index] for model in models]
+            first = layers[0]
+            if kind == "pass":
+                layer = first.layer
+                if type(layer) is Flatten:
+                    shape = (int(np.prod(shape)),)
+                elif type(layer) is ReLU:
+                    ops.append(_native.PanelOp("relu", blocks, _as_hwc(shape)))
+                    op_layers.append(first.name)
+                elif type(layer) is AvgPool2D and layer.pool_size <= 2 and len(shape) == 3:
+                    op = _native.PanelOp(
+                        "avgpool", blocks, shape,
+                        window=layer.pool_size, stride=layer.stride,
+                    )
+                    ops.append(op)
+                    op_layers.append(first.name)
+                    shape = op.out_blocks_and_shape()[1]
+                elif type(layer) is not Dropout:
+                    return None
+                continue
+            scheme = first.activation_scheme
+            if type(scheme) is not AffineQuantization or scheme.bits > 8:
+                return None
+            try:
+                members = tuple(
+                    fused_member(layer, slot) for slot, layer in enumerate(layers)
+                )
+            except ConfigurationError:  # no compiled loop runs this kernel
+                return None
+            if any(member.codes_covered <= scheme.qmax for member in members):
+                return None
+            quantize = dict(
+                scale=float(scheme.scale), zero_point=int(scheme.zero_point),
+                qmax=scheme.qmax, k_dim=first.kernel.inner,
+                n_dim=first.kernel.outputs, members=members,
+            )
+            if kind == "conv":
+                if len(shape) != 3:
+                    return None
+                op = _native.PanelOp(
+                    "conv", blocks, shape, window=first.kernel_size,
+                    stride=first.stride, pad=first.pad_amount, **quantize,
+                )
+                shape = op.out_blocks_and_shape()[1]
+            else:
+                if len(shape) != 1:
+                    return None
+                op = _native.PanelOp("dense", blocks, _as_hwc(shape), **quantize)
+                shape = (first.units,)
+            ops.append(op)
+            op_layers.append(first.name)
+            blocks = len(members)
+        return ops, op_layers, shape
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         """Logits for one batch, keyed by victim name (bit-identical to
-        running each victim's ``forward`` on ``x``)."""
-        x = np.asarray(x, dtype=np.float64)
+        running each victim's ``forward`` on ``x``).
+
+        Raises :class:`ConfigurationError` when ``x`` holds a NaN or an
+        infinity: the quantizer has no defined code for them.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ConfigurationError("panel input holds NaN or infinite values")
+        if self._programs is None or x.shape[1:] != tuple(self._input_shape):
+            return self._walk(x)
+        batch = x.shape[0]
+        outputs: Dict[str, np.ndarray] = {}
+        for program in self._programs:
+            group, stacked = program.group, program.stacked
+            blocks = len(group) if stacked else 1
+            value = program.run(x, np.empty((blocks * batch,) + program.out_shape))
+            for slot, victim in enumerate(group):
+                outputs[self._names[victim]] = (
+                    value[slot * batch : (slot + 1) * batch] if stacked else value
+                )
+        return {name: outputs[name] for name in self._names}
+
+    def _walk(self, x: np.ndarray) -> Dict[str, np.ndarray]:
+        """The NumPy walk of the plan: the shared stages once per group."""
         batch = x.shape[0]
         activations: Dict[_Group, np.ndarray] = {tuple(range(len(self._models))): x}
         for layer_index, (kind, splits) in enumerate(self._plan):
@@ -274,10 +367,8 @@ class VictimPanel:
         patches = patches.reshape(-1, patch)
         out = np.empty((len(group) * batch, out_h, out_w, first.filters))
         block = batch * out_h * out_w  # patch rows of one victim
-        fused, others = self._routed(layer_index, group, block)
-        if fused is not None:
-            fused(patches, out)
-        for slot, layer in others:
+        for slot, victim in enumerate(group):
+            layer = self._models[victim].layers[layer_index]
             rows = patches[slot * block : (slot + 1) * block] if stacked else patches
             layer.forward_from_codes(
                 rows, batch, out_h, out_w, out=out[slot * batch : (slot + 1) * batch]
@@ -289,10 +380,8 @@ class VictimPanel:
         codes = first.quantize_input(x)
         del x
         out = np.empty((len(group) * batch, first.units))
-        fused, others = self._routed(layer_index, group, batch)
-        if fused is not None:
-            fused(codes, out)
-        for slot, layer in others:
+        for slot, victim in enumerate(group):
+            layer = self._models[victim].layers[layer_index]
             rows = codes[slot * batch : (slot + 1) * batch] if stacked else codes
             layer.forward_from_codes(rows, out=out[slot * batch : (slot + 1) * batch])
         return out
@@ -335,8 +424,49 @@ class VictimPanel:
         return {name: np.argmax(value, axis=-1) for name, value in logits.items()}
 
     # ------------------------------------------------------------ reporting
+    @property
+    def compiled(self) -> bool:
+        """Whether a pass runs the compiled program (else the NumPy walk)."""
+        return self._programs is not None
+
     def fusion_report(self) -> List[str]:
-        """One line per layer: the groups it runs and the work each shares."""
+        """One line per program op of each final group (one per layer on
+        the NumPy walk): the victims it runs and the work each shares."""
+        if self._programs is None:
+            lines = self._walk_report()
+            path = "NumPy walk"
+        else:
+            lines = []
+            for program in self._programs:
+                prefix = "" if len(self._programs) == 1 else "[" + ", ".join(
+                    self._names[victim] for victim in program.group
+                ) + "] "
+                lines.extend(
+                    f"{prefix}{name}: {self._op_report(program.group, op)}"
+                    for op, name in zip(program.ops, program.op_layers)
+                )
+            calls = len(self._programs)
+            path = f"{calls} compiled call{'s' if calls != 1 else ''}"
+        groups = len(self._final_groups)
+        lines.append(f"panel: {len(self._models)} victims, {len(self._plan)} layers, "
+                     f"{groups} group{'s' if groups != 1 else ''}, {path}")
+        return lines
+
+    def _op_report(self, group: _Group, op) -> str:
+        form = "stacked" if op.in_blocks > 1 else "shared"
+        victims = f"{len(group)} victims {form}"
+        if op.kind in ("relu", "avgpool"):
+            return f"{op.kind}[{victims}]"
+        loops: Dict[str, List[str]] = {}
+        for member in op.members:
+            loops.setdefault(_loop_name(member), []).append(
+                self._names[group[member.slot]]
+            )
+        products = "; ".join(f"{loop}: {', '.join(names)}" for loop, names in loops.items())
+        once = "1 quantize" if op.kind == "dense" else "1 quantize, 1 gather"
+        return f"{op.kind}[{victims}, {once}, {len(op.members)} products ({products})]"
+
+    def _walk_report(self) -> List[str]:
         lines = []
         for layer_index, (kind, splits) in enumerate(self._plan):
             parts = []
@@ -346,36 +476,12 @@ class VictimPanel:
                     if kind == "pass":
                         parts.append(f"{form}[{len(group)} victims]")
                     else:
-                        once = "1 quantize"
-                        if kind == "conv":
-                            once = "1 extract, " + once
-                        products = self._products_report(layer_index, group)
+                        once = "1 quantize" if kind == "dense" else "1 quantize, 1 gather"
                         parts.append(f"{kind}[{len(group)} victims {form}, {once}, "
-                                     f"{products}]")
+                                     f"{len(group)} products]")
             name = self._models[0].layers[layer_index].name
             lines.append(f"{name}: {' + '.join(parts)}")
-        groups = len(self._final_groups)
-        lines.append(f"panel: {len(self._models)} victims, {len(self._plan)} layers, "
-                     f"{groups} group{'s' if groups != 1 else ''}")
         return lines
-
-    def _products_report(self, layer_index: int, group: _Group) -> str:
-        """``N products``, the fused call's size, and the members that join
-        it at most :data:`LUT_LOOP_MAX_ROWS` rows per victim."""
-        (fused, others), (_, narrow_others) = self._products[layer_index, group]
-        text = f"{len(group)} products"
-        notes = []
-        if fused is not None:
-            notes.append(f"{len(group) - len(others)} native in 1 call")
-        if len(narrow_others) < len(others):
-            stay = {slot for slot, _ in narrow_others}
-            names = [
-                self._names[group[slot]] for slot, _ in others if slot not in stay
-            ]
-            notes.append(f"<= {LUT_LOOP_MAX_ROWS} rows: "
-                         f"{len(group) - len(narrow_others)} in 1 call, "
-                         f"LUT loop for {', '.join(names)}")
-        return text + (f" ({'; '.join(notes)})" if notes else "")
 
     def __len__(self) -> int:
         return len(self._models)

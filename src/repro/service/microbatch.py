@@ -15,7 +15,8 @@ Bit-identity is the contract that makes this safe: every predict path in
 the repo is row-independent, so the fused answer for a query is
 bit-identical to evaluating that sample alone.  ``/metrics`` splits a
 query's time into ``query_wait_seconds`` (enqueue until the evaluator takes
-its batch) and ``query_batch_latency_seconds`` (its batch's evaluation).
+its batch) and ``query_batch_latency_seconds`` (its batch's evaluation), and
+``query_panel_seconds`` times the victims' pass inside that evaluation.
 
 Targets — a trained source model plus its built victim set — are resolved
 through the :class:`~repro.experiments.session.Session` (training is
@@ -166,6 +167,10 @@ class QueryEvaluator:
                     f"query image has shape {tuple(image.shape)}, the target "
                     f"expects {target.image_shape}"
                 )
+            if not np.isfinite(image).all():
+                # JSON's NaN and Infinity literals parse, but no code
+                # quantizes them
+                raise ConfigurationError("query image holds NaN or infinite values")
             return image
         if item.sample_index is None:
             raise ConfigurationError(
@@ -189,11 +194,12 @@ class QueryEvaluator:
         """Answer a stacked batch of queries with ONE predict pass per victim.
 
         Returns one ``(http_status, payload)`` per item, in order.  A
-        malformed item (bad shape, out-of-range index) fails alone with
-        400; the rest of the batch still evaluates.  The predictions are
-        bit-identical to evaluating each sample in its own batch, because
-        batched prediction is row-independent.  ``key`` is the target's
-        :func:`target_key` when the caller already holds it.
+        malformed item (bad shape, a non-finite value, an out-of-range
+        index) fails alone with 400; the rest of the batch still evaluates.
+        The predictions are bit-identical to evaluating each sample in its
+        own batch, because batched prediction is row-independent.  ``key``
+        is the target's :func:`target_key` when the caller already holds
+        it.  The victims' pass is observed as ``query_panel_seconds``.
         """
         target = self.resolve(model_spec, victim_spec, key)
         images: List[np.ndarray] = []
@@ -209,6 +215,7 @@ class QueryEvaluator:
                 slots.append(len(images) - 1)
         if images:
             batch = np.stack(images, axis=0)
+            start = time.monotonic()
             if target.panel is not None:
                 predictions = target.panel.predict_classes(batch)
             else:
@@ -216,6 +223,7 @@ class QueryEvaluator:
                     name: victim.predict_classes(batch)
                     for name, victim in target.victims.items()
                 }
+            self.metrics.observe("query_panel_seconds", time.monotonic() - start)
             source = target.trained.model.predict_classes(batch)
             for index, (item, slot) in enumerate(zip(items, slots)):
                 if slot is None:

@@ -1,8 +1,9 @@
 """Tests for the fused native layer call (repro.axnn.layers.NativeLayerCall).
 
 Every Ax layer whose kernel is ``native`` runs its LUT product and its
-dequantize epilogue in one compiled call, alone or together with the same
-layer of the other native victims of a panel group.  The reference is the
+dequantize epilogue in one compiled call; the same member loop runs every
+victim of a compiled panel pass (``NativeBackend.bind_layer`` and
+``bind_panel``).  The reference is the
 int64 accumulator of ``NativeLUTKernel.matmul`` (the same loops with the
 epilogue off) followed by the NumPy epilogue in
 ``oracle.dequantize_reference``; outputs must match it byte for byte.
@@ -14,10 +15,18 @@ import pytest
 from oracle import ax_model_reference, dequantize_reference
 from repro.axnn import build_axdnn
 from repro.axnn.kernels import NativeLUTKernel
-from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall, _dequantize_into
+from repro.axnn.layers import (
+    AxConv2D,
+    AxDense,
+    NativeLayerCall,
+    _dequantize_into,
+    fused_member,
+)
 from repro.axnn.native import (
     FusedMember,
+    PanelOp,
     check_layer_members,
+    check_panel_program,
     get_backend,
 )
 from repro.axnn.panel import VictimPanel
@@ -150,16 +159,21 @@ class TestGroupCall:
         n_slots = len(victims)
         for depth in range(len(_ax_layers(victims[0]))):
             layers = [_ax_layers(victim)[depth] for victim in victims]
-            native = [(slot, layer) for slot, layer in enumerate(layers) if _is_native(layer)]
-            slots, members = zip(*native)
-            inner, outputs = members[0].kernel.inner, members[0].kernel.outputs
+            # every kernel joins (table, LUT loop or factor product) but one
+            # slot, which the call must leave as it is
+            slots = [slot for slot in range(n_slots) if slot != depth]
+            inner, outputs = layers[0].kernel.inner, layers[0].kernel.outputs
             codes = _codes(depth + rows, rows * (n_slots if stacked else 1), inner)
             out = np.full((n_slots * rows, outputs), np.nan)
-            NativeLayerCall(members, slots, n_slots, stacked)(codes, out)
+            run = get_backend().bind_layer(
+                [fused_member(layers[slot], slot) for slot in slots],
+                inner, outputs, n_slots, stacked,
+            )
+            run(codes, out)
             for slot, layer in enumerate(layers):
                 block = out[slot * rows : (slot + 1) * rows]
                 if slot not in slots:
-                    assert np.isnan(block).all()  # left to the member's own path
+                    assert np.isnan(block).all()
                     continue
                 own = codes[slot * rows : (slot + 1) * rows] if stacked else codes
                 assert _same_bytes(block, _reference(layer, own)), (depth, slot)
@@ -226,22 +240,29 @@ class TestCodeFallback:
             layer.forward_from_codes(codes, out=np.empty((2, layer.units * 2))[:, ::2])
         with pytest.raises(ShapeError):
             layer.forward_from_codes(codes, out=np.empty((3, layer.units)))
-        call = NativeLayerCall([layer], [0], 2, True)
+        call = get_backend().bind_layer(
+            [fused_member(layer, 0)], layer.kernel.inner, layer.units, 2, True
+        )
         with pytest.raises(ShapeError):  # 3 stacked rows do not split in 2 slots
             call(_codes(1, 3, layer.kernel.inner), np.empty((3, layer.units)))
 
 
+def _table_member(**overrides):
+    """A valid K=2, N=3 member on an all-zero signed table."""
+    fields = dict(
+        slot=0,
+        zero_point=0,
+        correction=np.zeros(3, dtype=np.int64),
+        alpha=1.0,
+        table=np.zeros((2, 256, 8), dtype=np.int32),
+    )
+    fields.update(overrides)
+    return FusedMember(**fields)
+
+
 class TestBindChecks:
     def _member(self, **overrides):
-        fields = dict(
-            slot=0,
-            zero_point=0,
-            correction=np.zeros(3, dtype=np.int64),
-            alpha=1.0,
-            table=np.zeros((2, 256, 8), dtype=np.int32),
-        )
-        fields.update(overrides)
-        return FusedMember(**fields)
+        return _table_member(**overrides)
 
     def test_valid_member_binds(self):
         check_layer_members([self._member()], 2, 3, 1)
@@ -272,3 +293,131 @@ class TestBindChecks:
     def test_duplicate_slots_rejected(self):
         with pytest.raises(ShapeError):
             check_layer_members([self._member(), self._member()], 2, 3, 2)
+
+
+class TestFactorMembers:
+    """A member with low-rank factors binds the arrays its kernel holds
+    and writes the bytes of the kernel's own BLAS product and epilogue."""
+
+    def _member(self, **overrides):
+        fields = dict(
+            slot=0,
+            zero_point=0,
+            correction=np.zeros(3, dtype=np.int64),
+            alpha=1.0,
+            weight_factors=np.zeros((2, 3)),
+        )
+        fields.update(overrides)
+        return FusedMember(**fields)
+
+    def test_valid_members_bind(self):
+        assert get_backend().enable_blas()
+        check_layer_members([self._member()], 2, 3, 1)
+        check_layer_members(
+            [self._member(weight_factors=np.zeros((4, 3)),
+                          code_factors=np.zeros((256, 2)))], 2, 3, 1,
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"weight_factors": np.zeros((2, 3), dtype=np.float32)},
+            {"weight_factors": np.zeros((4, 3))},
+            {"weight_factors": np.zeros((2, 6))[:, ::2]},
+            {"weight_factors": np.zeros((4, 3)), "code_factors": np.zeros((256, 3))},
+            {"weight_factors": np.zeros((4, 3)), "code_factors": np.zeros((256, 4))[:, ::2]},
+        ],
+    )
+    def test_layout_errors_are_caught_once(self, overrides):
+        with pytest.raises(ShapeError):
+            check_layer_members([self._member(**overrides)], 2, 3, 1)
+
+    def test_factor_product_without_dgemm_fails_cleanly(self, lenet_victims):
+        from repro.axnn.native import cext
+
+        layer = _ax_layers(lenet_victims["M1"])[-1]
+        call = NativeLayerCall(layer)
+        codes = _codes(3, 2, layer.kernel.inner)
+        lib = cext.load_library()
+        lib.repro_set_dgemm(None)
+        try:
+            with pytest.raises(ConfigurationError, match="dgemm"):
+                call(codes, np.empty((2, layer.kernel.outputs)))
+        finally:
+            assert cext.enable_blas(lib)
+        out = np.empty((2, layer.kernel.outputs))
+        call(codes, out)
+        assert _same_bytes(out, _reference(layer, codes))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 60])
+    def test_factor_product_matches_the_kernel(self, lenet_victims, rows):
+        checked = 0
+        for label, victim in lenet_victims.items():
+            for depth, layer in enumerate(_ax_layers(victim)):
+                factors = layer.kernel.factor_operands()
+                if factors is None:
+                    continue
+                codes = _codes(depth * 10 + rows, rows, layer.kernel.inner)
+                out = np.empty((rows, layer.kernel.outputs))
+                NativeLayerCall(layer)(codes, out)
+                assert _same_bytes(out, _reference(layer, codes)), (label, depth)
+                checked += 1
+        assert checked >= 5 + 3 * 3  # M1 everywhere; M4 and M7 on three layers
+
+
+class TestPanelProgramChecks:
+    """``check_panel_program`` rejects, at bind time, any program whose raw
+    pointers the compiled pass could misread."""
+
+    def _dense(self, **overrides):
+        fields = dict(
+            kind="dense", in_blocks=1, in_shape=(1, 1, 2), k_dim=2, n_dim=3,
+            members=(_table_member(),),
+        )
+        fields.update(overrides)
+        return PanelOp(**fields)
+
+    def test_valid_program_binds_and_runs(self):
+        run = get_backend().bind_panel(
+            [PanelOp("relu", 1, (1, 1, 2)), self._dense()], (1, 1, 2)
+        )
+        out = run(np.full((4, 1, 1, 2), -1.0), np.full((4, 3), np.nan))
+        assert np.array_equal(out, np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            run(np.zeros((4, 1, 1, 2), dtype=np.float32), np.empty((4, 3)))
+        with pytest.raises(ShapeError):
+            run(np.zeros((4, 1, 2, 1)), np.empty((4, 3)))
+        with pytest.raises(ShapeError):
+            run(np.zeros((4, 1, 1, 2)), np.empty((4, 4)))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            lambda op: [op(in_shape=(1, 1, 3), k_dim=3)],  # reads 3 values of 2
+            lambda op: [op(in_blocks=2)],  # reads two blocks of one
+            lambda op: [op(k_dim=3)],
+            lambda op: [op(qmax=256)],
+            lambda op: [op(zero_point=9, qmax=8)],
+            lambda op: [op(scale=0.0)],
+            lambda op: [op(members=())],
+            lambda op: [op(kind="maxpool")],
+            lambda op: [PanelOp("avgpool", 1, (1, 1, 2), window=3)],
+            lambda op: [PanelOp("avgpool", 1, (4, 4, 2), window=3)],
+            lambda op: [op(), op(in_shape=(1, 1, 3))],  # K 2 after a 3-wide dense
+        ],
+    )
+    def test_inconsistent_programs_are_rejected(self, ops):
+        program = ops(self._dense)
+        with pytest.raises(ShapeError):
+            check_panel_program(program, (1, 1, 2))
+        with pytest.raises(ShapeError):
+            get_backend().bind_panel(program, (1, 1, 2))
+
+    def test_codes_beyond_the_operands_are_rejected(self):
+        narrow = _table_member(
+            table=None, sign=np.zeros((2, 3), np.int8), mag=np.zeros((2, 3), np.uint8),
+            lut=np.zeros((16, 16), np.int16),
+        )
+        check_panel_program([self._dense(members=(narrow,), qmax=15)], (1, 1, 2))
+        with pytest.raises(ShapeError, match="cover"):
+            check_panel_program([self._dense(members=(narrow,), qmax=16)], (1, 1, 2))

@@ -942,6 +942,18 @@ class TestEvaluatorThread:
         assert len(hashes) == 4
 
 
+class TestQueryImages:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_image_is_an_invalid_query(self, tmp_path, value):
+        evaluator = QueryEvaluator(store=str(tmp_path / "store"))
+        target = SimpleNamespace(image_shape=(2, 2, 1))
+        image = [[[0.5], [value]], [[0.0], [1.0]]]
+        with pytest.raises(ConfigurationError, match="NaN or infinite"):
+            evaluator._item_image(target, QueryItem(image=image))
+        finite = evaluator._item_image(target, QueryItem(image=[[[0.5], [2.0]], [[0.0], [1.0]]]))
+        assert finite.shape == (2, 2, 1)
+
+
 class TestQueryMicroBatching:
     def test_concurrent_queries_fuse_and_match_serial(self, tmp_path):
         app = ServiceApp(
@@ -1057,10 +1069,35 @@ class TestQueryMicroBatching:
                 {"model": model, "victims": victims, "image": [[1.0], [2.0, 3.0]]},
             )
             assert (status, body["error"]) == (400, "invalid_query")
+            # JSON's NaN and Infinity literals parse, but no code quantizes them
+            shape = app.evaluator.resolve(
+                TINY_MODEL, VictimSpec.from_dict(victims)
+            ).image_shape
+            for value in (float("nan"), float("inf"), float("-inf")):
+                image = np.zeros(shape)
+                image[(0,) * len(shape)] = value
+                status, body, _ = http_json(
+                    app,
+                    "POST",
+                    "/v1/query",
+                    {"model": model, "victims": victims, "image": image.tolist()},
+                )
+                assert (status, body["error"]) == (400, "invalid_query"), value
+                assert "NaN or infinite" in body["message"]
             status, body, _ = http_json(
                 app, "POST", "/v1/query", {"model": model, "victims": victims}
             )
             assert status == 400
+
+            # the victims' pass is timed inside each batch's evaluation
+            status, metrics_text, _ = http_json(app, "GET", "/metrics")
+            text = metrics_text.decode("utf-8")
+            panel_count = next(
+                line for line in text.splitlines()
+                if line.startswith("repro_query_panel_seconds_count")
+            )
+            assert int(panel_count.split()[-1]) >= 3
+            assert "# TYPE repro_query_panel_seconds histogram" in text
         finally:
             app.request_shutdown()
 

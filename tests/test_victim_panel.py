@@ -5,6 +5,8 @@ single logit — grids produced through the fused path must be bit-identical
 to per-victim evaluation, for every worker count and batch size.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,20 @@ from repro.attacks import FGMLinf
 from repro.axnn import build_axdnn, kernels
 from repro.axnn import native
 from repro.axnn.layers import AxConv2D, AxDense, NativeLayerCall
-from repro.axnn.panel import LUT_LOOP_MAX_ROWS, VictimPanel
+from repro.axnn.panel import VictimPanel
 from repro.errors import ConfigurationError
 from repro.models import build_alexnet, build_lenet5
+from repro.nn import (
+    AvgPool2D,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    ReLU,
+    Sequential,
+)
 from repro.quantization.schemes import AffineQuantization
 from repro.robustness import build_victims, grid_from_suite
 from repro.robustness.evaluator import AdversarialSuite
@@ -76,12 +89,12 @@ class TestPanelForward:
 
     def test_first_conv_is_fully_fused(self, panel):
         # all victims share the input batch, so the first Ax conv must do
-        # exactly one patch extraction and one quantization for the panel
+        # exactly one quantization and one patch gather for the panel
         first_compute = next(
             line for line in panel.fusion_report() if "conv[" in line
         )
-        assert f"conv[{len(VICTIM_LABELS)} victims" in first_compute
-        assert "1 extract, 1 quantize" in first_compute
+        assert f"conv[{len(VICTIM_LABELS)} victims shared" in first_compute
+        assert "1 quantize, 1 gather" in first_compute
 
     def test_requires_lockstep_compatibility(self, victims, tiny_cnn):
         class Stub:
@@ -208,15 +221,30 @@ class TestStackedPanel:
 
     def test_plan_keeps_one_stacked_group(self, lenet_panel):
         report = lenet_panel.fusion_report()
-        # M2-M9 route conv1 to the native kernel when a backend resolved
-        fused = " (8 native in 1 call)" if native.get_backend() is not None else ""
+        if native.get_backend() is None:
+            assert report[0] == (
+                "ax_conv2d_0: conv[9 victims shared, 1 quantize, 1 gather, 9 products]"
+            )
+            assert report[1] == "relu_1: stacked[9 victims]"
+            assert report[-1] == "panel: 9 victims, 12 layers, 1 group, NumPy walk"
+            return
+        # one line per program op: flatten has none
         assert report[0] == (
-            "ax_conv2d_0: conv[9 victims shared, 1 extract, 1 quantize, "
-            f"9 products{fused}]"
+            "ax_conv2d_0: conv[9 victims shared, 1 quantize, 1 gather, 9 products "
+            "(exact: M1; table: M2, M3, M4, M5, M6, M7, M8, M9)]"
         )
-        assert report[1] == "relu_1: stacked[9 victims]"
-        assert "conv[9 victims stacked, 1 extract, 1 quantize" in report[3]
-        assert report[-1] == "panel: 9 victims, 12 layers, 1 group"
+        assert report[1] == "relu_1: relu[9 victims stacked]"
+        assert report[2] == "avgpool2d_2: avgpool[9 victims stacked]"
+        assert report[3].startswith(
+            "ax_conv2d_3: conv[9 victims stacked, 1 quantize, 1 gather, 9 products"
+        )
+        assert report[6] == (
+            "ax_conv2d_6: conv[9 victims stacked, 1 quantize, 1 gather, 9 products "
+            "(exact: M1; low-rank r=3: M2; low-rank r=4: M3; low-rank r=1: M4, M7; "
+            "LUT loop: M5, M6, M8, M9)]"
+        )
+        assert len(report) == 11 + 1
+        assert report[-1] == "panel: 9 victims, 12 layers, 1 group, 1 compiled call"
 
     @given(batch=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -224,12 +252,6 @@ class TestStackedPanel:
         self, lenet_panel, lenet_victims, mnist_small, batch, seed
     ):
         x = _draw(mnist_small.test.images, batch, seed)
-        _assert_panel_matches(lenet_panel, lenet_victims, x, oracle_labels=LENET_LABELS)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=1, deadline=None)
-    def test_lenet_batch_60(self, lenet_panel, lenet_victims, mnist_small, seed):
-        x = _draw(mnist_small.test.images, 60, seed)
         _assert_panel_matches(lenet_panel, lenet_victims, x, oracle_labels=LENET_LABELS)
 
     def test_batch_0(self, lenet_panel, lenet_victims, mnist_small):
@@ -269,181 +291,314 @@ class TestStackedPanel:
         victims.update({f"{label}'": victim for label, victim in others.items()})
         panel = VictimPanel(victims)
         report = panel.fusion_report()
-        assert report[0].count("conv[") == 2
-        assert report[3].count("conv[") == 3
-        assert report[-1].endswith("3 groups")
-        x = _draw(mnist_small.test.images, 5, seed=11)
-        _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
+        assert report[-1].startswith("panel: 5 victims, 12 layers, 3 groups")
+        if panel.compiled:
+            # one program per final group, each from the shared input
+            assert report[-1].endswith("3 compiled calls")
+            assert [line for line in report if "ax_conv2d_0:" in line] == [
+                "[M1, M4] ax_conv2d_0: conv[2 victims shared, 1 quantize, "
+                "1 gather, 2 products (exact: M1; table: M4)]",
+                "[M6] ax_conv2d_0: conv[1 victims shared, 1 quantize, "
+                "1 gather, 1 products (table: M6)]",
+                "[M4', M8'] ax_conv2d_0: conv[2 victims shared, 1 quantize, "
+                "1 gather, 2 products (table: M4', M8')]",
+            ]
+        else:
+            assert report[0].count("conv[") == 2
+            assert report[3].count("conv[") == 3
+        for batch in (1, 5):
+            x = _draw(mnist_small.test.images, batch, seed=11)
+            _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
         batched = panel.predict(x, batch_size=2)
         for label, victim in victims.items():
             assert np.array_equal(batched[label], victim.predict(x, batch_size=2))
 
-    def test_every_traced_call_runs(self, lenet_panel, lenet_victims, monkeypatch):
-        calls = {}
 
-        def spy(owner, attribute):
-            original = vars(owner)[attribute]  # the perfbench tracer's lookup
+    def test_compiled_pass_runs_no_traced_call(self, lenet_panel, monkeypatch):
+        """On the compiled pass none of the per-stage methods the perfbench
+        tracer hooks runs: quantize, gather, every member's product and the
+        float layers are one call per final group."""
+        calls = _spy_traced_calls(monkeypatch)
+        lenet_panel.forward(np.zeros((2, 28, 28, 1)))
+        if lenet_panel.compiled:
+            assert calls == {}
+        else:
+            assert len(calls[("AxConv2D", "forward_from_codes")]) == 3 * 9
 
-            def wrapper(*args, **kwargs):
-                key = (owner.__name__, attribute)
-                calls.setdefault(key, []).append(args)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, attribute, wrapper)
-
-        for owner, attribute in SPIED_LAYER_CALLS:
-            spy(owner, attribute)
-        for kernel_class in KERNEL_CLASSES:
-            spy(kernel_class, "matmul")
-        spy(NativeLayerCall, "__call__")
-        batch = 2
-        lenet_panel.forward(np.zeros((batch, 28, 28, 1)))
+    def test_walk_runs_every_traced_call(self, mnist_small, monkeypatch):
+        """The NumPy walk (no native backend) shares each stage once per
+        group and runs each member's own product."""
+        with _numpy_backend(monkeypatch):
+            victims = build_victims(
+                build_lenet5(seed=5), ["M1", "M4", "M8"],
+                _centred(mnist_small.train.images[:64]), convolution_only=False,
+            )
+            panel = VictimPanel(victims)
+            assert not panel.compiled
+            calls = _spy_traced_calls(monkeypatch)
+            batch = 2
+            x = _draw(mnist_small.test.images, batch, seed=4)
+            fused = panel.forward(x)
+            monkeypatch.undo()
+            for label, victim in victims.items():
+                assert np.array_equal(fused[label], victim.forward(x)), label
         assert len(calls[("AxConv2D", "quantize_cols")]) == 3
         assert len(calls[("AxConv2D", "extract_cols")]) == 3
         assert len(calls[("AxDense", "quantize_input")]) == 2
-        # native members run inside one fused call per layer, and so do the
-        # percode members of a layer with few rows; every other member runs
-        # its own forward_from_codes and kernel product
-        rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
-        per_victim = {"AxConv2D": 0, "AxDense": 0}
-        expected_rows, native_layers = [], set()
-        for victim in lenet_victims.values():
-            ax_layers = [layer for layer in victim.layers if hasattr(layer, "kernel")]
-            for depth, layer in enumerate(ax_layers):
-                if isinstance(layer.kernel, kernels.NativeLUTKernel) or (
-                    _switches(layer) and rows_per_layer[depth] <= LUT_LOOP_MAX_ROWS
-                ):
-                    native_layers.add(depth)
-                    continue
-                per_victim[type(layer).__name__] += 1
-                expected_rows.append(rows_per_layer[depth])
-        assert len(calls.get(("AxConv2D", "forward_from_codes"), [])) == (
-            per_victim["AxConv2D"]
-        )
-        assert len(calls.get(("AxDense", "forward_from_codes"), [])) == (
-            per_victim["AxDense"]
-        )
-        assert len(calls.get(("NativeLayerCall", "__call__"), [])) == len(native_layers)
+        assert len(calls[("AxConv2D", "forward_from_codes")]) == 3 * len(victims)
+        assert len(calls[("AxDense", "forward_from_codes")]) == 2 * len(victims)
         products = [
             args for (owner, attribute), recorded in calls.items()
             if attribute == "matmul" for args in recorded
         ]
         # each product sees one victim's rows: summed MACs equal per-victim
-        assert sorted(args[1].shape[0] for args in products) == sorted(expected_rows)
-        assert all(args[1].ndim == 2 for args in products)
+        rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
+        assert sorted(args[1].shape[0] for args in products) == sorted(
+            rows_per_layer * len(victims)
+        )
 
 
-def _switches(layer):
-    """Whether the panel runs this layer's product in its fused native call
-    at small row counts."""
-    return native.get_backend() is not None and layer.kernel.strategy == "percode"
+#: every call the perfbench tracer hooks by name on the Ax layers
+SPIED_LAYER_CALLS = (
+    (AxConv2D, "quantize_cols"),
+    (AxConv2D, "extract_cols"),
+    (AxConv2D, "forward_from_codes"),
+    (AxDense, "quantize_input"),
+    (AxDense, "forward_from_codes"),
+)
+KERNEL_CLASSES = (
+    kernels.ExactBLASKernel,
+    kernels.PerCodeBLASKernel,
+    kernels.ErrorCorrectionKernel,
+    kernels.NativeLUTKernel,
+    kernels.SparseOneHotKernel,
+    kernels.GatherKernel,
+)
 
 
-def _percode_victims(victims, depth):
-    return [
-        label for label, victim in victims.items()
-        if [layer for layer in victim.layers if hasattr(layer, "kernel")][depth]
-        .kernel.strategy == "percode"
-    ]
+def _spy_traced_calls(monkeypatch):
+    """Record every call of the traced layer methods, kernel products and
+    the fused layer call, keyed ``(owner, attribute)``."""
+    calls = {}
+
+    def spy(owner, attribute):
+        original = vars(owner)[attribute]  # the perfbench tracer's lookup
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault((owner.__name__, attribute), []).append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+
+    for owner, attribute in SPIED_LAYER_CALLS:
+        spy(owner, attribute)
+    for kernel_class in KERNEL_CLASSES:
+        spy(kernel_class, "matmul")
+    spy(NativeLayerCall, "__call__")
+    return calls
 
 
-class TestSmallBatchRouting:
-    """At most ``LUT_LOOP_MAX_ROWS`` code rows per victim, a group's
-    ``percode`` members run the native LUT loop inside the fused call."""
+@contextlib.contextmanager
+def _numpy_backend(monkeypatch):
+    """Within the block ``REPRO_KERNEL_BACKEND=numpy`` (no native backend);
+    the resolved backend is reset on entry and exit."""
+    monkeypatch.setenv(native.BACKEND_ENV_VAR, "numpy")
+    kernels.clear_profile_cache()
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        kernels.clear_profile_cache()
 
-    @pytest.mark.parametrize(
-        "batch", [1, 2, LUT_LOOP_MAX_ROWS, LUT_LOOP_MAX_ROWS + 1, 60]
+
+def _exact_bytes(got, expected):
+    got = np.ascontiguousarray(got)
+    return (
+        got.dtype == expected.dtype
+        and got.shape == expected.shape
+        and got.tobytes() == expected.tobytes()
     )
-    def test_logits_byte_identical_to_per_victim(
-        self, lenet_panel, lenet_victims, mnist_small, batch
+
+
+@pytest.fixture(scope="module")
+def alexnet_panel(alexnet_victims):
+    return VictimPanel(alexnet_victims)
+
+
+#: victims checked against the oracle at batch 60 (it takes ~3.5 s per
+#: AlexNet victim there); every victim is checked at the smaller batches
+ORACLE_AT_60 = {"lenet": LENET_LABELS, "alexnet": ["A3"]}
+
+
+class TestCompiledPass:
+    """The one oracle entry of the compiled panel pass: its logits are the
+    bytes of each victim's own ``AxModel.predict`` and of the seed-order
+    oracle, on both architectures at every batch size the service and the
+    figures run."""
+
+    @pytest.mark.parametrize("batch", [0, 1, 2, 5, 60])
+    @pytest.mark.parametrize("net", ["lenet", "alexnet"])
+    def test_logits_match_predict_and_oracle(
+        self, request, mnist_small, cifar_small, net, batch
     ):
-        x = _draw(mnist_small.test.images, batch, seed=batch)
+        panel = request.getfixturevalue(f"{net}_panel")
+        victims = request.getfixturevalue(f"{net}_victims")
+        images = (mnist_small if net == "lenet" else cifar_small).test.images
+        assert panel.compiled == (native.get_backend() is not None)
+        x = _draw(images, batch, seed=batch)
+        fused = panel.predict(x, batch_size=64)
+        oracle = ORACLE_AT_60[net] if batch == 60 else list(victims)
+        for label, victim in victims.items():
+            expected = victim.predict(x, batch_size=64)
+            assert _exact_bytes(fused[label], expected), (net, batch, label)
+            if batch and label in oracle:
+                assert _exact_bytes(expected, ax_model_reference(victim, x)), label
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.floats(0.0, 0.5),
+        zeros=st.floats(0.0, 0.5),
+        outside=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_rounding_ties_signed_zeros_and_out_of_range(
+        self, lenet_panel, lenet_victims, seed, ties, zeros, outside
+    ):
+        """Inputs the quantizer must round as NumPy does: exact ``.5`` ties
+        (half to even), ``+0.0`` and ``-0.0``, and values far outside the
+        calibration range (clipped to 0 and 255)."""
+        rng = np.random.default_rng(seed)
+        scheme = next(iter(lenet_victims.values())).layers[0].activation_scheme
+        shape = (2, 28, 28, 1)
+        x = rng.uniform(-0.6, 0.6, size=shape)
+        kind = rng.uniform(size=shape)
+        half = rng.integers(-300, 300, size=shape) + 0.5
+        x = np.where(kind < ties, half * scheme.scale, x)
+        signed_zero = np.where(rng.uniform(size=shape) < 0.5, -0.0, 0.0)
+        x = np.where((kind >= ties) & (kind < ties + zeros), signed_zero, x)
+        far = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(0, 300, size=shape)
+        x = np.where(kind >= 1.0 - outside, far, x)
+        exact_ties = (x / scheme.scale) % 1.0 == 0.5
+        assert exact_ties.any() or ties < 0.05
         fused = lenet_panel.forward(x)
         for label, victim in lenet_victims.items():
             expected = victim.forward(x)
-            got = np.ascontiguousarray(fused[label])
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes(), (batch, label)
+            assert _exact_bytes(fused[label], expected), label
+            assert _exact_bytes(expected, ax_model_reference(victim, x)), label
 
-    @pytest.mark.parametrize("batch", [1, LUT_LOOP_MAX_ROWS + 1])
-    def test_percode_products_run_only_above_the_crossover(
-        self, lenet_panel, lenet_victims, monkeypatch, batch
-    ):
-        calls = []
-        matmul = kernels.PerCodeBLASKernel.matmul
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, lenet_panel, mnist_small, value, monkeypatch):
+        x = _draw(mnist_small.test.images, 2, seed=1)
+        x[1, 3, 4, 0] = value
+        with pytest.raises(ConfigurationError, match="NaN or infinite"):
+            lenet_panel.forward(x)
+        with _numpy_backend(monkeypatch):
+            walk = VictimPanel(dict(list(lenet_panel.victims.items())[:2]))
+            assert not walk.compiled
+            with pytest.raises(ConfigurationError, match="NaN or infinite"):
+                walk.predict(x)
 
-        def spy(kernel, codes):
-            calls.append(codes.shape[0])
-            return matmul(kernel, codes)
-
-        monkeypatch.setattr(kernels.PerCodeBLASKernel, "matmul", spy)
-        lenet_panel.forward(np.zeros((batch, 28, 28, 1)))
-        rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
-        expected = [
-            rows
-            for depth, rows in enumerate(rows_per_layer)
-            for _ in _percode_victims(lenet_victims, depth)
-            if rows > LUT_LOOP_MAX_ROWS or native.get_backend() is None
-        ]
-        assert sorted(calls) == sorted(expected)
-        if native.get_backend() is not None and batch == 1:
-            # only LeNet conv2 (64 patch rows a sample) keeps percode
-            assert calls == [64] * len(_percode_victims(lenet_victims, 1))
-
-    @pytest.mark.skipif(native.get_backend() is None, reason="no native backend")
-    def test_fusion_report_names_the_switching_members(self, lenet_panel, lenet_victims):
-        report = lenet_panel.fusion_report()
-        for line_index, depth in ((3, 1), (6, 2), (9, 3)):
-            names = ", ".join(_percode_victims(lenet_victims, depth))
-            assert report[line_index].endswith(
-                f"<= {LUT_LOOP_MAX_ROWS} rows: 8 in 1 call, LUT loop for {names})]"
-            ), report[line_index]
-        assert report[6].endswith("LUT loop for M2, M3, M4, M5, M7, M8)]")
-        # no percode member at conv1 or fc2: nothing switches there
-        assert "LUT loop" not in report[0] and "LUT loop" not in report[-2]
-
-    @pytest.mark.skipif(native.get_backend() is None, reason="no native backend")
-    def test_every_lut_loop_member_reads_the_shared_packed_lut(
-        self, lenet_panel, lenet_victims
-    ):
-        shared = {id(victim.layers[0].kernel.multiplier.packed_lut())
-                  for victim in lenet_victims.values()}
-        calls = {id(call): call
-                 for products in lenet_panel._products.values()
-                 for call, _ in products if call is not None}
-        luts = [member.lut for call in calls.values()
-                for member in call._run.operands[1] if member.lut is not None]
-        assert all(id(lut) in shared for lut in luts)
-        # conv3 and fc1: M6 and M9 in the wide call, they and the six percode
-        # victims in the narrow one; conv2: M4 and M7 in the narrow call
-        assert len(luts) == 2 * (2 + 8) + 2
-
-    def test_numpy_backend_keeps_forward_from_codes(self, mnist_small, monkeypatch):
-        monkeypatch.setenv(native.BACKEND_ENV_VAR, "numpy")
-        kernels.clear_profile_cache()
-        try:
+    def test_numpy_backend_runs_the_walk(self, mnist_small, monkeypatch):
+        with _numpy_backend(monkeypatch):
             victims = build_victims(
-                build_lenet5(seed=5),
-                ["M2", "M4", "M8"],
-                _centred(mnist_small.train.images[:64]),
-                convolution_only=False,
+                build_lenet5(seed=5), ["M1", "M2", "M4", "M8"],
+                _centred(mnist_small.train.images[:64]), convolution_only=False,
             )
             panel = VictimPanel(victims)
-            assert not any("LUT loop" in line for line in panel.fusion_report())
-            calls = []
-            for owner in (AxConv2D, AxDense):
-                original = vars(owner)["forward_from_codes"]
+            assert not panel.compiled
+            assert panel.fusion_report()[-1].endswith("NumPy walk")
+            for batch in (1, 5):
+                x = _draw(mnist_small.test.images, batch, seed=batch)
+                fused = panel.forward(x)
+                for label, victim in victims.items():
+                    assert _exact_bytes(fused[label], victim.forward(x)), label
 
-                def spy(*args, _original=original, **kwargs):
-                    calls.append(args[0].name)
-                    return _original(*args, **kwargs)
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            lambda: MaxPool2D(pool_size=2),
+            lambda: AvgPool2D(pool_size=3, stride=1),
+            lambda: BatchNorm(),
+        ],
+        ids=["max-pool", "pool-3", "batch-norm"],
+    )
+    def test_plans_the_program_cannot_express_run_the_walk(self, mnist_small, layer):
+        model = Sequential(
+            [
+                Conv2D(4, kernel_size=3, padding="valid"),
+                ReLU(),
+                layer(),
+                Flatten(),
+                Dropout(0.3, seed=1),
+                Dense(10),
+            ],
+            input_shape=(28, 28, 1),
+            seed=2,
+        )
+        victims = build_victims(
+            model, ["M1", "M4", "M6"], _centred(mnist_small.train.images[:32]),
+            convolution_only=False,
+        )
+        panel = VictimPanel(victims)
+        assert not panel.compiled
+        x = _draw(mnist_small.test.images, 3, seed=2)
+        fused = panel.forward(x)
+        for label, victim in victims.items():
+            assert _exact_bytes(fused[label], victim.forward(x)), label
 
-                monkeypatch.setattr(owner, "forward_from_codes", spy)
-            x = _draw(mnist_small.test.images, 1, seed=3)
-            fused = panel.forward(x)
-            assert len(calls) == 5 * len(victims)
-            for label, victim in victims.items():
-                assert np.array_equal(fused[label], victim.forward(x)), label
-        finally:
-            monkeypatch.undo()
-            kernels.clear_profile_cache()
+    def test_pool_size_1_and_dropout_compile(self, mnist_small):
+        model = Sequential(
+            [
+                Conv2D(4, kernel_size=3, padding="same"),
+                ReLU(),
+                AvgPool2D(pool_size=1),
+                AvgPool2D(pool_size=2, stride=3),
+                Flatten(),
+                Dropout(0.3, seed=1),
+                Dense(10),
+            ],
+            input_shape=(28, 28, 1),
+            seed=2,
+        )
+        victims = build_victims(
+            model, ["M1", "M4", "M6"], _centred(mnist_small.train.images[:32]),
+            convolution_only=False,
+        )
+        panel = VictimPanel(victims)
+        assert panel.compiled == (native.get_backend() is not None)
+        x = _draw(mnist_small.test.images, 3, seed=2)
+        fused = panel.forward(x)
+        for label, victim in victims.items():
+            assert _exact_bytes(fused[label], victim.forward(x)), label
+            assert _exact_bytes(fused[label], ax_model_reference(victim, x)), label
+
+    @pytest.mark.skipif(native.get_backend() is None, reason="no native backend")
+    def test_program_copies_no_member_operand(self, lenet_panel, lenet_victims):
+        """Every member reads the arrays its kernel already holds: the
+        signed table, the low-rank factors, or the multiplier's shared
+        packed LUT (the LUT loop's sign and magnitude bytes are the only
+        per-member packing, for members without a table or low-rank
+        factors)."""
+        (program,) = lenet_panel._programs
+        compute = [op for op in program.ops if op.members]
+        victims = list(lenet_victims.values())
+        lut_loop = 0
+        for depth, op in enumerate(compute):
+            for member in op.members:
+                layer = [
+                    layer for layer in victims[member.slot].layers
+                    if hasattr(layer, "kernel")
+                ][depth]
+                kernel = layer.kernel
+                if member.table is not None:
+                    assert member.table is kernel._table
+                elif member.weight_factors is not None:
+                    factors = kernel.factor_operands()
+                    assert member.weight_factors is factors["weight_factors"]
+                    assert member.code_factors is factors["code_factors"]
+                else:
+                    assert member.lut is kernel.multiplier.packed_lut()
+                    lut_loop += 1
+        # conv3 and fc1: M6 and M9 (full rank) and M5, M8 (rank 8)
+        assert lut_loop == 2 * 4
+
