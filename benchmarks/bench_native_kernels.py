@@ -68,7 +68,7 @@ from repro.axnn import (
     multiplier_kernel_profile,
 )
 from repro.axnn import kernels as kernels_module
-from repro.axnn.layers import NativeLayerCall
+from repro.axnn.layers import NativeLayerCall, _dequantize_into
 from repro.axnn.native import BACKEND_ENV_VAR, backend_name, get_backend, reset_backend
 from repro.datasets import load_synthetic_mnist
 from repro.models.architectures import build_alexnet, build_lenet5
@@ -500,10 +500,10 @@ def test_factor_product_vs_blas_kernels(suite, factor_victims, cell):
 
 def _forward_from_codes(layer, codes, out):
     """A conv or dense layer's own product and NumPy epilogue on a 2-D code
-    matrix (``forward_from_codes``; no fused call for these kernels)."""
-    if hasattr(layer, "filters"):
-        return layer.forward_from_codes(codes, codes.shape[0], 1, 1, out=out)
-    return layer.forward_from_codes(codes, out=out)
+    matrix, written into the preallocated ``out``: the kernel's BLAS
+    ``matmul``, then the layer's dequantize epilogue (what
+    ``forward_from_codes`` runs for these kernels, minus the allocation)."""
+    return _dequantize_into(layer, layer.kernel.matmul(codes), out)
 
 
 @pytest.mark.benchmark(group="native-panel")

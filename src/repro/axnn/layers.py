@@ -8,22 +8,24 @@ the configured approximate multiplier; all other layers (activations,
 pooling, flatten, dropout, batch-norm) keep their float behaviour in
 evaluation mode via :class:`PassthroughLayer`.
 
-Every Ax layer runs the same three stages, and each is its own method so
-the fused multi-victim panel's NumPy walk (:mod:`repro.axnn.panel`) can
-share the first two across victims (its compiled pass runs all three in C,
-in the same order):
+Every Ax layer runs the same three stages, each its own method:
 
 1. quantize the input activation to codes (``quantize_input`` /
    ``quantize_cols``), once per input value;
 2. for a convolution, gather the code patches (``extract_cols``), padding
    with the scheme's zero point — the code of ``0.0`` — so the patches are
    exactly the quantized float patches;
-3. ``forward_from_codes``: the LUT product and the dequantize epilogue,
-   written in place into the output buffer.  A layer whose kernel is
-   ``native`` runs both in one compiled call (:class:`NativeLayerCall`
-   with this layer as its only member); every other kernel returns its
-   int64 accumulator from ``kernel.matmul`` and the epilogue runs as NumPy
-   ufuncs.
+3. ``forward_from_codes``: the LUT product and the dequantize epilogue.
+   A layer whose kernel is ``native`` runs both in one compiled call
+   (:class:`NativeLayerCall` with this layer as its only member); every
+   other kernel returns its int64 accumulator from ``kernel.matmul`` and
+   the epilogue runs as NumPy ufuncs.
+
+``forward`` composes the three, and ``perfbench/tracer.py`` hooks each by
+name to time a victim's quantize, gather and per-layer work; that is why
+they stay separate methods.  The fused multi-victim panel
+(:mod:`repro.axnn.panel`) runs the same stages in one compiled program and
+otherwise calls each victim's ``forward``.
 """
 
 from __future__ import annotations
@@ -132,25 +134,17 @@ class AxDense(_ProductLayer):
         )
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        """Activation codes for ``x`` (uint8 for 8-bit schemes) — shareable
-        across panel victims whose layers use the same quantization scheme."""
+        """Activation codes for ``x`` (uint8 for 8-bit schemes)."""
         if x.ndim != 2:
             raise ShapeError(f"{self.name}: expected 2-D input, got {x.shape}")
         return self.activation_scheme.quantize_packed(x)
 
-    def forward_from_codes(
-        self, codes: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def forward_from_codes(self, codes: np.ndarray) -> np.ndarray:
         """Evaluate the layer from precomputed activation codes.
 
-        ``forward`` is exactly ``forward_from_codes(quantize_input(x))``;
-        the split lets :class:`repro.axnn.panel.VictimPanel` quantize once
-        and feed every victim's LUT product from the shared codes.  The
-        result is written into ``out`` (shape ``(rows, units)``; C-contiguous
-        float64 for a native kernel) when given, else into a new array.
+        ``forward`` is exactly ``forward_from_codes(quantize_input(x))``.
         """
-        if out is None:
-            out = np.empty((codes.shape[0], self.units), dtype=np.float64)
+        out = np.empty((codes.shape[0], self.units), dtype=np.float64)
         if self._native_call is not None:
             return self._native_call(codes, out)
         return _dequantize_into(self, self.kernel.matmul(codes), out)
@@ -198,16 +192,14 @@ class AxConv2D(_ProductLayer):
     def quantize_cols(self, x: np.ndarray) -> np.ndarray:
         """Activation codes of the NHWC input ``x`` (uint8 for 8-bit
         schemes) — one code per input value, before patch extraction, so no
-        value is quantized once per patch it falls in.  Shareable across
-        victims whose layers use the same quantization scheme."""
+        value is quantized once per patch it falls in."""
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got {x.shape}")
         return self.activation_scheme.quantize_packed(x)
 
     def extract_cols(self, codes: np.ndarray) -> np.ndarray:
         """The im2col patch matrix of the code image ``codes`` — a pure
-        function of the codes and :attr:`geometry`, hence shareable across
-        panel victims.  Padding takes the scheme's zero point, the code of
+        function of the codes and :attr:`geometry`.  Padding takes the scheme's zero point, the code of
         ``0.0``, so the patches equal the quantized zero-padded float
         patches."""
         return im2col(
@@ -220,24 +212,14 @@ class AxConv2D(_ProductLayer):
         )
 
     def forward_from_codes(
-        self,
-        codes: np.ndarray,
-        batch: int,
-        out_h: int,
-        out_w: int,
-        out: Optional[np.ndarray] = None,
+        self, codes: np.ndarray, batch: int, out_h: int, out_w: int
     ) -> np.ndarray:
         """Evaluate the layer from a 2-D matrix of code patches.
 
         ``forward`` is exactly this applied to
-        ``extract_cols(quantize_cols(x))`` flattened to one patch per row;
-        the decomposition is what the fused multi-victim panel exploits.
-        The result is written into ``out`` (shape ``(batch, out_h, out_w,
-        filters)``; C-contiguous float64 for a native kernel) when given,
-        else into a new array.
+        ``extract_cols(quantize_cols(x))`` flattened to one patch per row.
         """
-        if out is None:
-            out = np.empty((batch, out_h, out_w, self.filters), dtype=np.float64)
+        out = np.empty((batch, out_h, out_w, self.filters), dtype=np.float64)
         if self._native_call is not None:
             return self._native_call(codes, out)
         return _dequantize_into(self, self.kernel.matmul(codes), out)

@@ -406,9 +406,9 @@ DEFINE_IM2COL(u8, uint8_t)
  * block of `batch` samples per member, member-major.  Each op reads the
  * current activation and writes the next into one of two float64 buffers
  * allocated here, so the pass makes one allocation per buffer and no
- * Python or NumPy call.  Every float operation is the one the NumPy walk
- * performs, in the same order, so the output bits are those of each
- * member's own AxModel.forward:
+ * Python or NumPy call.  Every float operation is the one each member's
+ * own AxModel.forward performs, in the same order, so the output bits are
+ * that forward's:
  *
  *   PANEL_CONV   quantize every input value (divide by the scale, round half
  *                to even, add the zero point, clip: AffineQuantization),

@@ -7,7 +7,7 @@ passthrough layers are the same objects, the activation schemes are the
 same (:func:`repro.robustness.build_victims` calibrates once) and so is
 every conv geometry.
 
-:class:`VictimPanel` therefore walks all victims through the network as
+:class:`VictimPanel` therefore runs all victims through the network as
 *groups*, each carried as ONE tensor:
 
 * every victim starts in one group that shares the input batch;
@@ -18,16 +18,15 @@ every conv geometry.
   *stacked*: ``(victims * batch, ...)``, victim-major;
 * a float passthrough layer runs once per group on the whole stack.
 
-A group splits only where its members' layers differ in what the shared
-stages depend on: activation scheme, conv geometry or width, or the float
-layer object behind a passthrough.  Groups from ``build_victims`` never
-split.  The plan is static (it depends on layer structure only), so it is
-computed once at construction.
+A group holds the victims whose layers agree, at every depth, in what the
+shared stages depend on: activation scheme, conv geometry or width, and
+the float layer object behind a passthrough.  Victims from
+``build_victims`` form one group.
 
 **The compiled pass.**  When a native backend resolved, construction binds
-each final group's whole network into one program
+each group's whole network into one program
 (:class:`repro.axnn.native.PanelOp`, ``repro_panel_f64`` in ``kernels.c``)
-and a pass is one ctypes call per final group, with the GIL released
+and a pass is one ctypes call per group, with the GIL released
 throughout.  The program quantizes (divide, round half to even, add the
 zero point, clip), gathers the patches padded with the zero point, runs
 every member's product into the shared dequantize epilogue (a ``native``
@@ -37,17 +36,18 @@ member on its signed table or LUT loop; an ``exact`` member, and a
 factors its kernel holds, through BLAS ``dgemm``; any other 8-bit kernel
 in the LUT loop), and applies
 ReLU and the ``pool_size <= 2`` average pool in NumPy's order; flatten and
-inference-mode dropout are no-ops.  A split plan runs one program per
-final group, so a shared stage before the split runs once per final
-group.
+inference-mode dropout are no-ops.
 
-**The NumPy walk.**  Without a native backend, or for a plan the program
+**The fallback.**  Without a native backend, or for a plan the program
 cannot express (a max pool, a pool over 2, batch-norm, another float
 layer, a wider than 8-bit activation scheme or a kernel no compiled loop
 can run), or for an input whose sample shape is not the source model's,
-each stage is the method ``AxLayer.forward`` composes, applied once per
-group: ``quantize_cols``/``extract_cols`` or ``quantize_input``, then each
-member's ``forward_from_codes``.
+a pass is each victim's own ``AxModel.forward`` (PERFORMANCE.md, "Deleting
+the panel's NumPy walk", has what sharing stages in NumPy saved).  The Ax
+layers keep those stages as separate methods (``quantize_cols``/
+``extract_cols`` or ``quantize_input``, then ``forward_from_codes``)
+because their ``forward`` composes them and ``perfbench/tracer.py`` hooks
+them by name.
 
 Either way every float operation is the one each victim's own
 ``AxModel.forward`` performs, in the same order, so panel logits are
@@ -80,11 +80,12 @@ _KINDS = ((PassthroughLayer, "pass"), (AxConv2D, "conv"), (AxDense, "dense"))
 
 
 class _Program(NamedTuple):
-    """A final group's compiled pass: its ops (with the layer each op
-    runs), per-sample output shape and bound call."""
+    """A group's compiled pass: its ops (with the layer each op runs),
+    the row blocks of its output, per-sample output shape and bound
+    call."""
 
     group: _Group
-    stacked: bool
+    blocks: int
     ops: List[_native.PanelOp]
     op_layers: List[str]
     out_shape: Tuple[int, ...]
@@ -99,8 +100,9 @@ def _kind(layer) -> str:
     return ""
 
 
-def _split_key(kind: str, layer):
-    """What a group's members must share to keep running as one tensor."""
+def _split_key(layer):
+    """What a group's members must share at ``layer`` to run as one tensor."""
+    kind = _kind(layer)
     if kind == "pass":
         return id(layer.layer)
     if kind == "conv":
@@ -147,14 +149,13 @@ class VictimPanel:
                 "individually instead"
             )
         self.output_shape = self._models[0].output_shape
-        self._plan, self._final_groups = self._build_plan()
         self._input_shape = self._models[0].source.input_shape
         self._programs = self._bind_programs()
 
     # ------------------------------------------------------------- planning
     @staticmethod
     def compatible(models: Sequence[AxModel]) -> bool:
-        """Whether ``models`` can be walked layer by layer as stacked groups:
+        """Whether ``models`` can run layer by layer as stacked groups:
         same layer count, same output shape, and at every depth the same
         layer kind (passthrough, Ax conv or Ax dense) for every victim."""
         if not models:
@@ -171,68 +172,46 @@ class VictimPanel:
                 return False
         return True
 
-    def _build_plan(self):
-        """The static plan and the groups leaving the last layer.
-
-        Per layer the plan holds ``(kind, splits)``, each split ``(parent,
-        stacked, groups)``: the group ``parent`` enters the layer
-        (``stacked``: one block of rows per member; else one block all
-        members share) and leaves it as ``groups``, a stable partition by
-        :func:`_split_key` (usually just ``(parent,)``).  A final group is
-        ``(group, stacked)``.
-        """
-        groups: List[Tuple[_Group, bool]] = [(tuple(range(len(self._models))), False)]
-        plan = []
-        for layer_index in range(len(self._models[0].layers)):
-            kind = _kind(self._models[0].layers[layer_index])
-            splits = []
-            next_groups: List[Tuple[_Group, bool]] = []
-            for parent, stacked in groups:
-                members: Dict[object, List[int]] = {}
-                for victim in parent:
-                    key = _split_key(kind, self._models[victim].layers[layer_index])
-                    members.setdefault(key, []).append(victim)
-                children = [tuple(group) for group in members.values()]
-                splits.append((parent, stacked, children))
-                next_groups.extend(
-                    (child, stacked or kind != "pass") for child in children
-                )
-            plan.append((kind, splits))
-            groups = next_groups
-        return plan, groups
+    def _groups(self) -> List[_Group]:
+        """The victims, partitioned by their :func:`_split_key` at every
+        layer, in order of first member."""
+        groups: Dict[tuple, List[int]] = {}
+        for victim, model in enumerate(self._models):
+            key = tuple(_split_key(layer) for layer in model.layers)
+            groups.setdefault(key, []).append(victim)
+        return [tuple(group) for group in groups.values()]
 
     def _bind_programs(self):
-        """One :class:`_Program` per final group, or ``None`` for the NumPy
-        walk (no native backend, or a plan :meth:`_program_ops` cannot
-        express)."""
+        """One :class:`_Program` per group, or ``None`` for each victim's
+        own forward (no native backend, or a plan :meth:`_program_ops`
+        cannot express)."""
         backend = _native.get_backend()
         if backend is None or self._input_shape is None or any(
             model.source.input_shape != self._input_shape for model in self._models
         ):
             return None
         programs = []
-        for group, stacked in self._final_groups:
+        for group in self._groups():
             compiled = self._program_ops(group)
             if compiled is None:
                 return None
-            ops, op_layers, out_shape = compiled
+            ops, op_layers, blocks, out_shape = compiled
             run = backend.bind_panel(ops, _as_hwc(self._input_shape))
-            programs.append(_Program(group, stacked, ops, op_layers, out_shape, run))
+            programs.append(_Program(group, blocks, ops, op_layers, out_shape, run))
         return programs
 
     def _program_ops(self, group: _Group):
-        """The :class:`repro.axnn.native.PanelOp` program of one final
-        group, the layer name of each op and the per-sample output shape;
-        ``None`` when a layer or kernel has no compiled form (see the module
-        docstring)."""
+        """The :class:`repro.axnn.native.PanelOp` program of one group, the
+        layer name of each op, the row blocks of its output and the
+        per-sample output shape; ``None`` when a layer or kernel has no
+        compiled form (see the module docstring)."""
         models = [self._models[victim] for victim in group]
         shape = tuple(self._input_shape)
         blocks = 1
         ops, op_layers = [], []
-        for layer_index, (kind, _) in enumerate(self._plan):
-            layers = [model.layers[layer_index] for model in models]
+        for layers in zip(*(model.layers for model in models)):
             first = layers[0]
-            if kind == "pass":
+            if isinstance(first, PassthroughLayer):
                 layer = first.layer
                 if type(layer) is Flatten:
                     shape = (int(np.prod(shape)),)
@@ -266,7 +245,7 @@ class VictimPanel:
                 qmax=scheme.qmax, k_dim=first.kernel.inner,
                 n_dim=first.kernel.outputs, members=members,
             )
-            if kind == "conv":
+            if isinstance(first, AxConv2D):
                 if len(shape) != 3:
                     return None
                 op = _native.PanelOp(
@@ -282,7 +261,7 @@ class VictimPanel:
             ops.append(op)
             op_layers.append(first.name)
             blocks = len(members)
-        return ops, op_layers, shape
+        return ops, op_layers, blocks, shape
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
@@ -296,97 +275,17 @@ class VictimPanel:
         if not np.isfinite(x).all():
             raise ConfigurationError("panel input holds NaN or infinite values")
         if self._programs is None or x.shape[1:] != tuple(self._input_shape):
-            return self._walk(x)
+            return {name: model.forward(x) for name, model in self.victims.items()}
         batch = x.shape[0]
         outputs: Dict[str, np.ndarray] = {}
         for program in self._programs:
-            group, stacked = program.group, program.stacked
-            blocks = len(group) if stacked else 1
-            value = program.run(x, np.empty((blocks * batch,) + program.out_shape))
-            for slot, victim in enumerate(group):
+            value = program.run(x, np.empty((program.blocks * batch,) + program.out_shape))
+            for slot, victim in enumerate(program.group):
                 outputs[self._names[victim]] = (
-                    value[slot * batch : (slot + 1) * batch] if stacked else value
+                    value[slot * batch : (slot + 1) * batch]
+                    if program.blocks > 1 else value
                 )
         return {name: outputs[name] for name in self._names}
-
-    def _walk(self, x: np.ndarray) -> Dict[str, np.ndarray]:
-        """The NumPy walk of the plan: the shared stages once per group."""
-        batch = x.shape[0]
-        activations: Dict[_Group, np.ndarray] = {tuple(range(len(self._models))): x}
-        for layer_index, (kind, splits) in enumerate(self._plan):
-            step = self._STEPS[kind]
-            next_activations: Dict[_Group, np.ndarray] = {}
-            for parent, stacked, groups in splits:
-                value = activations.pop(parent)
-                if stacked and len(groups) > 1:
-                    rows = {
-                        victim: value[slot * batch : (slot + 1) * batch]
-                        for slot, victim in enumerate(parent)
-                    }
-                    inputs = [
-                        np.concatenate([rows[victim] for victim in group])
-                        for group in groups
-                    ]
-                    del rows
-                else:
-                    inputs = [value] * len(groups)
-                # a step holds the only reference to a stacked input, so it
-                # can free the input before filling its output buffer
-                del value
-                for group in groups:
-                    next_activations[group] = step(
-                        self, layer_index, group, stacked, inputs.pop(0), batch
-                    )
-            activations = next_activations
-        outputs: Dict[str, np.ndarray] = {}
-        for group, stacked in self._final_groups:
-            value = activations[group]
-            for slot, victim in enumerate(group):
-                outputs[self._names[victim]] = (
-                    value[slot * batch : (slot + 1) * batch] if stacked else value
-                )
-        return {name: outputs[name] for name in self._names}
-
-    def _passthrough(self, layer_index, group, stacked, x, batch):
-        layer = self._models[group[0]].layers[layer_index]
-        if stacked and isinstance(layer.layer, ReLU):
-            # the stack is the panel's own buffer: np.maximum(x, 0.0) is
-            # exactly what ReLU.forward computes, here without the copy
-            return np.maximum(x, 0.0, out=x)
-        # the other float layers of the repo's models return a smaller
-        # array (pooling), a view (flatten) or their input (dropout)
-        return layer.forward(x)
-
-    def _conv(self, layer_index, group, stacked, x, batch):
-        first = self._models[group[0]].layers[layer_index]
-        codes = first.quantize_cols(x)
-        del x
-        patches = first.extract_cols(codes)
-        del codes
-        _, out_h, out_w, patch = patches.shape
-        patches = patches.reshape(-1, patch)
-        out = np.empty((len(group) * batch, out_h, out_w, first.filters))
-        block = batch * out_h * out_w  # patch rows of one victim
-        for slot, victim in enumerate(group):
-            layer = self._models[victim].layers[layer_index]
-            rows = patches[slot * block : (slot + 1) * block] if stacked else patches
-            layer.forward_from_codes(
-                rows, batch, out_h, out_w, out=out[slot * batch : (slot + 1) * batch]
-            )
-        return out
-
-    def _dense(self, layer_index, group, stacked, x, batch):
-        first = self._models[group[0]].layers[layer_index]
-        codes = first.quantize_input(x)
-        del x
-        out = np.empty((len(group) * batch, first.units))
-        for slot, victim in enumerate(group):
-            layer = self._models[victim].layers[layer_index]
-            rows = codes[slot * batch : (slot + 1) * batch] if stacked else codes
-            layer.forward_from_codes(rows, out=out[slot * batch : (slot + 1) * batch])
-        return out
-
-    _STEPS = {"pass": _passthrough, "conv": _conv, "dense": _dense}
 
     def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
         """Panel logits stacked to ``(batch, n_victims, *output_shape)`` so
@@ -426,30 +325,29 @@ class VictimPanel:
     # ------------------------------------------------------------ reporting
     @property
     def compiled(self) -> bool:
-        """Whether a pass runs the compiled program (else the NumPy walk)."""
+        """Whether a pass runs the compiled program (else each victim's own
+        forward)."""
         return self._programs is not None
 
     def fusion_report(self) -> List[str]:
-        """One line per program op of each final group (one per layer on
-        the NumPy walk): the victims it runs and the work each shares."""
+        """One line per program op of each group (none on the fallback):
+        the victims it runs and the work each shares."""
+        victims, layers = len(self._models), len(self._models[0].layers)
         if self._programs is None:
-            lines = self._walk_report()
-            path = "NumPy walk"
-        else:
-            lines = []
-            for program in self._programs:
-                prefix = "" if len(self._programs) == 1 else "[" + ", ".join(
-                    self._names[victim] for victim in program.group
-                ) + "] "
-                lines.extend(
-                    f"{prefix}{name}: {self._op_report(program.group, op)}"
-                    for op, name in zip(program.ops, program.op_layers)
-                )
-            calls = len(self._programs)
-            path = f"{calls} compiled call{'s' if calls != 1 else ''}"
-        groups = len(self._final_groups)
-        lines.append(f"panel: {len(self._models)} victims, {len(self._plan)} layers, "
-                     f"{groups} group{'s' if groups != 1 else ''}, {path}")
+            return [f"panel: {victims} victims, {layers} layers, per-victim forward"]
+        lines = []
+        for program in self._programs:
+            prefix = "" if len(self._programs) == 1 else "[" + ", ".join(
+                self._names[victim] for victim in program.group
+            ) + "] "
+            lines.extend(
+                f"{prefix}{name}: {self._op_report(program.group, op)}"
+                for op, name in zip(program.ops, program.op_layers)
+            )
+        calls = len(self._programs)
+        plural = "s" if calls != 1 else ""
+        lines.append(f"panel: {victims} victims, {layers} layers, {calls} group{plural}, "
+                     f"{calls} compiled call{plural}")
         return lines
 
     def _op_report(self, group: _Group, op) -> str:
@@ -465,23 +363,6 @@ class VictimPanel:
         products = "; ".join(f"{loop}: {', '.join(names)}" for loop, names in loops.items())
         once = "1 quantize" if op.kind == "dense" else "1 quantize, 1 gather"
         return f"{op.kind}[{victims}, {once}, {len(op.members)} products ({products})]"
-
-    def _walk_report(self) -> List[str]:
-        lines = []
-        for layer_index, (kind, splits) in enumerate(self._plan):
-            parts = []
-            for _, stacked, groups in splits:
-                form = "stacked" if stacked else "shared"
-                for group in groups:
-                    if kind == "pass":
-                        parts.append(f"{form}[{len(group)} victims]")
-                    else:
-                        once = "1 quantize" if kind == "dense" else "1 quantize, 1 gather"
-                        parts.append(f"{kind}[{len(group)} victims {form}, {once}, "
-                                     f"{len(group)} products]")
-            name = self._models[0].layers[layer_index].name
-            lines.append(f"{name}: {' + '.join(parts)}")
-        return lines
 
     def __len__(self) -> int:
         return len(self._models)

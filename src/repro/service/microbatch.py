@@ -8,8 +8,7 @@ itself — a full one (``max_batch`` queries) first, else the oldest — so it
 never waits for the event loop between batches, and a query that finds it
 idle starts at once, alone, with no hold.  The batch size follows the load
 instead of a timer.  Each batch is **one** ``predict_classes`` pass through
-the fused :class:`~repro.axnn.panel.VictimPanel` when the victim set is
-lockstep-compatible, per victim otherwise.
+the target's fused :class:`~repro.axnn.panel.VictimPanel`.
 
 Bit-identity is the contract that makes this safe: every predict path in
 the repo is row-independent, so the fused answer for a query is
@@ -68,11 +67,8 @@ class QueryTarget:
     victim_spec: VictimSpec
     trained: object  # TrainedModel
     victims: Dict[str, object]  # name -> AxModel
-    panel: Optional[VictimPanel] = None
+    panel: VictimPanel
     image_shape: Tuple[int, ...] = ()
-
-    def victim_names(self) -> List[str]:
-        return list(self.victims.keys())
 
 
 def target_key(model_spec: ModelSpec, victim_spec: VictimSpec) -> str:
@@ -135,17 +131,13 @@ class QueryEvaluator:
             session = Session(store=self.store)
             trained = session.resolve_model(model_spec)
             victims = session.build_victims(trained, victim_spec)
-            panel = None
-            models = list(victims.values())
-            if len(models) >= 2 and VictimPanel.compatible(models):
-                panel = VictimPanel(victims)
             target = QueryTarget(
                 key=key,
                 model_spec=model_spec,
                 victim_spec=victim_spec,
                 trained=trained,
                 victims=victims,
-                panel=panel,
+                panel=VictimPanel(victims),
                 image_shape=tuple(trained.dataset.image_shape),
             )
             self._targets[key] = target
@@ -191,7 +183,7 @@ class QueryEvaluator:
         items: List[QueryItem],
         key: Optional[str] = None,
     ) -> List[Tuple[int, dict]]:
-        """Answer a stacked batch of queries with ONE predict pass per victim.
+        """Answer a stacked batch of queries with ONE panel predict pass.
 
         Returns one ``(http_status, payload)`` per item, in order.  A
         malformed item (bad shape, a non-finite value, an out-of-range
@@ -216,13 +208,7 @@ class QueryEvaluator:
         if images:
             batch = np.stack(images, axis=0)
             start = time.monotonic()
-            if target.panel is not None:
-                predictions = target.panel.predict_classes(batch)
-            else:
-                predictions = {
-                    name: victim.predict_classes(batch)
-                    for name, victim in target.victims.items()
-                }
+            predictions = target.panel.predict_classes(batch)
             self.metrics.observe("query_panel_seconds", time.monotonic() - start)
             source = target.trained.model.predict_classes(batch)
             for index, (item, slot) in enumerate(zip(items, slots)):

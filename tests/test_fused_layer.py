@@ -236,10 +236,13 @@ class TestCodeFallback:
         with pytest.raises(ShapeError):
             layer.forward_from_codes(_codes(1, 2, layer.kernel.inner + 1))
         codes = _codes(1, 2, layer.kernel.inner)
+        lone = get_backend().bind_layer(
+            [fused_member(layer, 0)], layer.kernel.inner, layer.units, 1, False
+        )
         with pytest.raises(ShapeError):
-            layer.forward_from_codes(codes, out=np.empty((2, layer.units * 2))[:, ::2])
+            lone(codes, np.empty((2, layer.units * 2))[:, ::2])
         with pytest.raises(ShapeError):
-            layer.forward_from_codes(codes, out=np.empty((3, layer.units)))
+            lone(codes, np.empty((3, layer.units)))
         call = get_backend().bind_layer(
             [fused_member(layer, 0)], layer.kernel.inner, layer.units, 2, True
         )

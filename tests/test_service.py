@@ -696,20 +696,61 @@ def _submit(batcher, index, deadline=None):
 class TestMicroBatcher:
     """The work-conserving dispatch rule, against a stub evaluator."""
 
-    def test_lone_query_on_idle_batcher_has_no_hold(self):
+    def test_lone_query_on_idle_batcher_has_no_hold(self, monkeypatch):
+        """A query that finds the evaluator idle closes its bucket at
+        ``submit``, and nothing timed runs before its batch: no
+        ``Condition.wait`` with a timeout, no ``call_later``/``call_at``
+        timer and no sleep."""
         registry = MetricsRegistry()
         evaluator = _StubEvaluator()
+        timed = []
+        sleep = time.sleep
+
+        def recording_sleep(seconds):
+            timed.append(("sleep", seconds))
+            sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+
+        class RecordingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                if timeout is not None:
+                    timed.append(("wait", timeout))
+                return super().wait(timeout)
 
         async def scenario():
-            batcher = MicroBatcher(evaluator, metrics=registry)
-            answer = await _submit(batcher, 3)
-            await batcher.drain()
-            return answer
+            loop = asyncio.get_running_loop()
+            for name in ("call_later", "call_at"):
+                schedule = getattr(loop, name)
 
-        assert asyncio.run(scenario()) == (200, {"sample_index": 3})
-        wait_sum, waits = histogram_sum_count(registry, "query_wait_seconds")
+                def recording(when, *args, _name=name, _schedule=schedule, **kwargs):
+                    timed.append((_name, when))
+                    return _schedule(when, *args, **kwargs)
+
+                monkeypatch.setattr(loop, name, recording)
+            batcher = MicroBatcher(evaluator, metrics=registry)
+            batcher._wake = RecordingCondition(batcher._lock)
+            open_at_dispatch = []
+            next_bucket = batcher._next_bucket
+
+            def recording_next_bucket():
+                open_at_dispatch.append(
+                    [bucket.key in batcher._open for bucket in batcher._queue]
+                )
+                return next_bucket()
+
+            batcher._next_bucket = recording_next_bucket
+            answer = await _submit(batcher, 3)
+            held = list(timed)
+            await batcher.drain()
+            return answer, open_at_dispatch, held
+
+        answer, open_at_dispatch, held = asyncio.run(scenario())
+        assert answer == (200, {"sample_index": 3})
+        assert open_at_dispatch == [[False]], "the lone query's bucket stayed open"
+        assert held == [], f"a timed wait ran before the lone query's batch: {held}"
+        _, waits = histogram_sum_count(registry, "query_wait_seconds")
         assert waits == 1
-        assert wait_sum < 1e-3, f"idle dispatch held the query {wait_sum:.4f}s"
         assert evaluator.batches == [[3]]
 
     def test_arrivals_during_a_batch_form_one_next_batch(self):
@@ -816,6 +857,11 @@ class _ClassZero:
         return np.zeros(len(batch), dtype=np.int64)
 
 
+class _ClassZeroPanel:
+    def predict_classes(self, batch):
+        return {name: _ClassZero().predict_classes(batch) for name in ("M1", "M4")}
+
+
 class TestEvaluatorThread:
     """The one evaluator thread takes its batches itself: the event loop
     only queues queries and receives answers."""
@@ -916,6 +962,7 @@ class TestEvaluatorThread:
             victim_spec=QUERY_VICTIMS,
             trained=SimpleNamespace(model=_ClassZero()),
             victims={"M1": _ClassZero(), "M4": _ClassZero()},
+            panel=_ClassZeroPanel(),
             image_shape=(2, 2),
         )
         hashes = []
@@ -952,6 +999,29 @@ class TestQueryImages:
             evaluator._item_image(target, QueryItem(image=image))
         finite = evaluator._item_image(target, QueryItem(image=[[[0.5], [2.0]], [[0.0], [1.0]]]))
         assert finite.shape == (2, 2, 1)
+
+
+class TestOneVictimTarget:
+    def test_one_multiplier_answers_like_predict_classes(self, tmp_path):
+        """A one-victim target runs through its one-victim panel and answers
+        what the victim's own ``AxModel.predict_classes`` does."""
+        evaluator = QueryEvaluator(store=str(tmp_path / "store"))
+        victims = VictimSpec(multipliers=("M4",), calibration_samples=32)
+        target = evaluator.resolve(TINY_MODEL, victims)
+        assert list(target.panel.victims) == ["M4"]
+        test = target.trained.dataset.test
+        image = np.asarray(test.images[5], dtype=np.float64) - 0.25
+        items = [QueryItem(sample_index=index) for index in range(4)]
+        items.append(QueryItem(image=image.tolist(), label=1))
+        answers = evaluator.evaluate(TINY_MODEL, victims, items)
+        batch = np.concatenate([test.images[:4], image[None]]).astype(np.float64)
+        expected = target.victims["M4"].predict_classes(batch)
+        source = target.trained.model.predict_classes(batch)
+        assert [status for status, _ in answers] == [200] * 5
+        for row, (_, payload) in enumerate(answers):
+            assert payload["predictions"] == {"M4": int(expected[row])}
+            assert payload["source_prediction"] == int(source[row])
+        assert answers[-1][1]["correct"] == {"M4": int(expected[-1]) == 1}
 
 
 class TestQueryMicroBatching:

@@ -90,9 +90,13 @@ class TestPanelForward:
     def test_first_conv_is_fully_fused(self, panel):
         # all victims share the input batch, so the first Ax conv must do
         # exactly one quantization and one patch gather for the panel
-        first_compute = next(
-            line for line in panel.fusion_report() if "conv[" in line
-        )
+        report = panel.fusion_report()
+        if not panel.compiled:
+            assert report == [
+                f"panel: {len(VICTIM_LABELS)} victims, 8 layers, per-victim forward"
+            ]
+            return
+        first_compute = next(line for line in report if "conv[" in line)
         assert f"conv[{len(VICTIM_LABELS)} victims shared" in first_compute
         assert "1 quantize, 1 gather" in first_compute
 
@@ -221,12 +225,9 @@ class TestStackedPanel:
 
     def test_plan_keeps_one_stacked_group(self, lenet_panel):
         report = lenet_panel.fusion_report()
+        assert lenet_panel._groups() == [tuple(range(9))]
         if native.get_backend() is None:
-            assert report[0] == (
-                "ax_conv2d_0: conv[9 victims shared, 1 quantize, 1 gather, 9 products]"
-            )
-            assert report[1] == "relu_1: stacked[9 victims]"
-            assert report[-1] == "panel: 9 victims, 12 layers, 1 group, NumPy walk"
+            assert report == ["panel: 9 victims, 12 layers, per-victim forward"]
             return
         # one line per program op: flatten has none
         assert report[0] == (
@@ -290,11 +291,12 @@ class TestStackedPanel:
         others = build_victims(model, ["M4", "M8"], calibration[:16] * 1.5)
         victims.update({f"{label}'": victim for label, victim in others.items()})
         panel = VictimPanel(victims)
+        # the groups: {M1, M4}, {M6} and {M4', M8'}
+        assert panel._groups() == [(0, 1), (2,), (3, 4)]
         report = panel.fusion_report()
-        assert report[-1].startswith("panel: 5 victims, 12 layers, 3 groups")
         if panel.compiled:
-            # one program per final group, each from the shared input
-            assert report[-1].endswith("3 compiled calls")
+            # one program per group, each from the shared input
+            assert report[-1] == "panel: 5 victims, 12 layers, 3 groups, 3 compiled calls"
             assert [line for line in report if "ax_conv2d_0:" in line] == [
                 "[M1, M4] ax_conv2d_0: conv[2 victims shared, 1 quantize, "
                 "1 gather, 2 products (exact: M1; table: M4)]",
@@ -304,8 +306,7 @@ class TestStackedPanel:
                 "1 gather, 2 products (table: M4', M8')]",
             ]
         else:
-            assert report[0].count("conv[") == 2
-            assert report[3].count("conv[") == 3
+            assert report == ["panel: 5 victims, 12 layers, per-victim forward"]
         for batch in (1, 5):
             x = _draw(mnist_small.test.images, batch, seed=11)
             _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
@@ -325,9 +326,10 @@ class TestStackedPanel:
         else:
             assert len(calls[("AxConv2D", "forward_from_codes")]) == 3 * 9
 
-    def test_walk_runs_every_traced_call(self, mnist_small, monkeypatch):
-        """The NumPy walk (no native backend) shares each stage once per
-        group and runs each member's own product."""
+    def test_fallback_runs_each_victims_traced_calls(self, mnist_small, monkeypatch):
+        """Without a native backend a pass is each victim's own forward:
+        every traced stage runs once per victim and Ax layer, and each
+        product sees one victim's rows."""
         with _numpy_backend(monkeypatch):
             victims = build_victims(
                 build_lenet5(seed=5), ["M1", "M4", "M8"],
@@ -335,45 +337,17 @@ class TestStackedPanel:
             )
             panel = VictimPanel(victims)
             assert not panel.compiled
-            calls = _spy_traced_calls(monkeypatch)
             batch = 2
             x = _draw(mnist_small.test.images, batch, seed=4)
-            fused = panel.forward(x)
-            monkeypatch.undo()
-            for label, victim in victims.items():
-                assert np.array_equal(fused[label], victim.forward(x)), label
-        assert len(calls[("AxConv2D", "quantize_cols")]) == 3
-        assert len(calls[("AxConv2D", "extract_cols")]) == 3
-        assert len(calls[("AxDense", "quantize_input")]) == 2
-        assert len(calls[("AxConv2D", "forward_from_codes")]) == 3 * len(victims)
-        assert len(calls[("AxDense", "forward_from_codes")]) == 2 * len(victims)
+            calls = _assert_runs_each_forward(panel, victims, x, monkeypatch)
         products = [
             args for (owner, attribute), recorded in calls.items()
             if attribute == "matmul" for args in recorded
         ]
-        # each product sees one victim's rows: summed MACs equal per-victim
         rows_per_layer = [batch * 24 * 24, batch * 8 * 8, batch, batch, batch]
         assert sorted(args[1].shape[0] for args in products) == sorted(
             rows_per_layer * len(victims)
         )
-
-
-#: every call the perfbench tracer hooks by name on the Ax layers
-SPIED_LAYER_CALLS = (
-    (AxConv2D, "quantize_cols"),
-    (AxConv2D, "extract_cols"),
-    (AxConv2D, "forward_from_codes"),
-    (AxDense, "quantize_input"),
-    (AxDense, "forward_from_codes"),
-)
-KERNEL_CLASSES = (
-    kernels.ExactBLASKernel,
-    kernels.PerCodeBLASKernel,
-    kernels.ErrorCorrectionKernel,
-    kernels.NativeLUTKernel,
-    kernels.SparseOneHotKernel,
-    kernels.GatherKernel,
-)
 
 
 def _spy_traced_calls(monkeypatch):
@@ -395,6 +369,26 @@ def _spy_traced_calls(monkeypatch):
     for kernel_class in KERNEL_CLASSES:
         spy(kernel_class, "matmul")
     spy(NativeLayerCall, "__call__")
+    return calls
+
+
+def _assert_runs_each_forward(panel, victims, x, monkeypatch):
+    """A pass of ``panel`` on ``x`` runs each victim's own forward: every
+    traced stage runs once on each victim's Ax layer, and the logits are
+    the bytes of ``victim.forward(x)``.  Returns the recorded calls; the
+    spies are removed on return."""
+    calls = _spy_traced_calls(monkeypatch)
+    fused = panel.forward(x)
+    monkeypatch.undo()
+    for owner, attribute in SPIED_LAYER_CALLS:
+        ran = sorted(id(args[0]) for args in calls.get((owner.__name__, attribute), []))
+        assert ran == sorted(
+            id(layer) for victim in victims.values() for layer in victim.layers
+            if type(layer) is owner
+        ), (owner.__name__, attribute)
+    assert list(fused) == list(victims)
+    for label, victim in victims.items():
+        assert _exact_bytes(fused[label], victim.forward(x)), label
     return calls
 
 
@@ -493,12 +487,12 @@ class TestCompiledPass:
         with pytest.raises(ConfigurationError, match="NaN or infinite"):
             lenet_panel.forward(x)
         with _numpy_backend(monkeypatch):
-            walk = VictimPanel(dict(list(lenet_panel.victims.items())[:2]))
-            assert not walk.compiled
+            fallback = VictimPanel(dict(list(lenet_panel.victims.items())[:2]))
+            assert not fallback.compiled
             with pytest.raises(ConfigurationError, match="NaN or infinite"):
-                walk.predict(x)
+                fallback.predict(x)
 
-    def test_numpy_backend_runs_the_walk(self, mnist_small, monkeypatch):
+    def test_numpy_backend_runs_each_victims_forward(self, mnist_small, monkeypatch):
         with _numpy_backend(monkeypatch):
             victims = build_victims(
                 build_lenet5(seed=5), ["M1", "M2", "M4", "M8"],
@@ -506,12 +500,12 @@ class TestCompiledPass:
             )
             panel = VictimPanel(victims)
             assert not panel.compiled
-            assert panel.fusion_report()[-1].endswith("NumPy walk")
+            assert panel.fusion_report() == [
+                "panel: 4 victims, 12 layers, per-victim forward"
+            ]
             for batch in (1, 5):
                 x = _draw(mnist_small.test.images, batch, seed=batch)
-                fused = panel.forward(x)
-                for label, victim in victims.items():
-                    assert _exact_bytes(fused[label], victim.forward(x)), label
+                _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
 
     @pytest.mark.parametrize(
         "layer",
@@ -522,7 +516,9 @@ class TestCompiledPass:
         ],
         ids=["max-pool", "pool-3", "batch-norm"],
     )
-    def test_plans_the_program_cannot_express_run_the_walk(self, mnist_small, layer):
+    def test_plans_the_program_cannot_express_run_each_forward(
+        self, mnist_small, layer, monkeypatch
+    ):
         model = Sequential(
             [
                 Conv2D(4, kernel_size=3, padding="valid"),
@@ -542,9 +538,36 @@ class TestCompiledPass:
         panel = VictimPanel(victims)
         assert not panel.compiled
         x = _draw(mnist_small.test.images, 3, seed=2)
-        fused = panel.forward(x)
+        _assert_runs_each_forward(panel, victims, x, monkeypatch)
         for label, victim in victims.items():
-            assert _exact_bytes(fused[label], victim.forward(x)), label
+            assert _exact_bytes(victim.forward(x), ax_model_reference(victim, x)), label
+
+    def test_other_input_shapes_run_each_forward(self, mnist_small, monkeypatch):
+        """The program is bound to the source model's sample shape; a fully
+        convolutional panel still answers other shapes, by each victim's
+        own forward."""
+        model = Sequential(
+            [Conv2D(4, kernel_size=3, padding="same"), ReLU(), AvgPool2D(pool_size=2)],
+            input_shape=(28, 28, 1),
+            seed=2,
+        )
+        victims = build_victims(
+            model, ["M1", "M4", "M6"], _centred(mnist_small.train.images[:32]),
+            convolution_only=False,
+        )
+        panel = VictimPanel(victims)
+        assert panel.compiled == (native.get_backend() is not None)
+        x = _draw(mnist_small.test.images, 2, seed=3)
+        calls = _spy_traced_calls(monkeypatch)
+        panel.forward(x)
+        monkeypatch.undo()
+        assert (calls == {}) == panel.compiled
+        _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
+        wide = _centred(mnist_small.test.images[:2, 2:22])
+        assert wide.shape == (2, 20, 28, 1)
+        _assert_runs_each_forward(panel, victims, wide, monkeypatch)
+        for label, victim in victims.items():
+            assert _exact_bytes(victim.forward(wide), ax_model_reference(victim, wide)), label
 
     def test_pool_size_1_and_dropout_compile(self, mnist_small):
         model = Sequential(
