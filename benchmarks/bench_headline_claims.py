@@ -20,7 +20,7 @@ from repro.analysis import (
 )
 from repro.attacks import get_attack
 from repro.multipliers import get_multiplier, mean_absolute_error
-from repro.robustness import multiplier_sweep
+from repro.robustness import AdversarialSuite, grid_from_suite
 
 
 @pytest.mark.benchmark(group="headline")
@@ -30,14 +30,19 @@ def test_headline_claims(benchmark, suite, lenet_bundle):
     def run():
         grids = {}
         for key in ("CR_l2", "BIM_linf", "BIM_l2"):
-            grids[key] = multiplier_sweep(
+            adversarial = AdversarialSuite.generate(
                 lenet_bundle["model"],
-                lenet_bundle["victims"],
                 get_attack(key),
                 lenet_bundle["x"],
                 lenet_bundle["y"],
                 EPSILONS,
-                "synthetic-mnist",
+                workers="auto",
+            )
+            grids[key] = grid_from_suite(
+                adversarial,
+                lenet_bundle["victims"],
+                dataset_name="synthetic-mnist",
+                source_name=lenet_bundle["model"].name,
             )
         return grids
 

@@ -26,10 +26,11 @@ experimental stack:
 ``repro.datasets``
     Deterministic synthetic MNIST-like and CIFAR-10-like datasets.
 ``repro.models``
-    LeNet-5, AlexNet-style CNN and FFNN builders plus a train-and-cache zoo.
+    LeNet-5, AlexNet-style CNN and FFNN builders.
 ``repro.robustness``
-    The robustness-evaluation harness (Algorithm 1), multiplier/epsilon
-    sweeps, transferability and quantization analyses.
+    The robustness-evaluation harness (Algorithm 1): adversarial suites,
+    multiplier/epsilon grids, transferability tables and quantization
+    studies.
 ``repro.analysis``
     ASCII heat-map tables, digitised paper data and paper-vs-measured checks.
 ``repro.experiments``

@@ -32,7 +32,8 @@ float64 BLAS instead:
     ``exact_matmul(A, W)`` via one BLAS product plus a correction drawn from
     the multiplier's ``error_lut()`` restricted to its nonzero structure
     (low-rank factors of the error table when they exist, otherwise only the
-    error-active codes present in the batch).  Never chosen by ``auto`` —
+    error-active codes present in the batch), analysed when the kernel is
+    built.  Never chosen by ``auto`` —
     it ties or loses against ``percode``/``native`` on every measured
     shape — and kept constructible by name only.
 
@@ -102,25 +103,6 @@ KERNEL_STRATEGIES = (
     "native",
 )
 
-#: accepted spellings for each canonical strategy name, keyed with every
-#: separator (space, dash, underscore) stripped
-_STRATEGY_ALIASES: Dict[str, str] = {
-    "gather": "gather",
-    "reference": "gather",
-    "percode": "percode",
-    "percodeblas": "percode",
-    "blas": "percode",
-    "errorcorrection": "errorcorrection",
-    "errcorr": "errorcorrection",
-    "sparse": "sparse",
-    "onehot": "sparse",
-    "sparseonehot": "sparse",
-    "exact": "exact",
-    "native": "native",
-    "compiled": "native",
-    "auto": "auto",
-}
-
 #: partial sums in the BLAS paths must stay below this to round exactly
 _EXACT_FLOAT_BOUND = float(1 << 52)
 
@@ -161,22 +143,13 @@ _SPARSE_STACK_BUDGET_BYTES = 256 * 1024 * 1024
 
 
 def normalize_strategy(strategy: str) -> str:
-    """Map a user-facing kernel name onto its canonical spelling.
-
-    Case and the separators space/dash/underscore are ignored, so
-    ``"per-code BLAS"``, ``"percode"`` and ``"error_correction"`` all
-    resolve.
-    """
-    key = str(strategy).strip().lower()
-    for separator in (" ", "-", "_"):
-        key = key.replace(separator, "")
-    try:
-        return _STRATEGY_ALIASES[key]
-    except KeyError:
-        known = sorted(set(_STRATEGY_ALIASES.values()) | {"auto"})
-        raise ConfigurationError(
-            f"unknown kernel strategy {strategy!r}; known: {known}"
-        ) from None
+    """Check a kernel name: ``"auto"`` or one of :data:`KERNEL_STRATEGIES`."""
+    if strategy == "auto" or strategy in KERNEL_STRATEGIES:
+        return strategy
+    raise ConfigurationError(
+        f"unknown kernel strategy {strategy!r}; known: "
+        f"{['auto', *KERNEL_STRATEGIES]}"
+    )
 
 
 def integer_low_rank_factors(
@@ -239,12 +212,6 @@ class MultiplierKernelProfile:
 
     #: exact integer factors of the product LUT, or None
     lut_factors: Optional[Tuple[np.ndarray, np.ndarray]]
-    #: exact integer factors of the error LUT (approx - exact), or None
-    error_factors: Optional[Tuple[np.ndarray, np.ndarray]]
-    #: activation codes whose error-LUT row has any nonzero entry
-    error_active_codes: np.ndarray
-    #: fraction of nonzero entries in the error LUT
-    error_density: float
     #: largest |entry| of the product LUT
     lut_peak: int
 
@@ -252,9 +219,14 @@ class MultiplierKernelProfile:
     def lut_rank(self) -> Optional[int]:
         return None if self.lut_factors is None else len(self.lut_factors[0])
 
-    @property
-    def error_rank(self) -> Optional[int]:
-        return None if self.error_factors is None else len(self.error_factors[0])
+
+def _analysed_factors(
+    multiplier: Multiplier, table: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Integer factors of a multiplier's table; None past the analysis width."""
+    if multiplier.bit_width > _MAX_ANALYSIS_BITS:
+        return None
+    return integer_low_rank_factors(table)
 
 
 _PROFILE_CACHE: Dict[tuple, MultiplierKernelProfile] = {}
@@ -277,19 +249,9 @@ def multiplier_kernel_profile(multiplier: Multiplier) -> MultiplierKernelProfile
     with _PROFILE_LOCK:
         if key is not None and key in _PROFILE_CACHE:
             return _PROFILE_CACHE[key]
-        error = multiplier.error_lut().astype(np.int64)
         lut = multiplier.lut()
-        if multiplier.bit_width <= _MAX_ANALYSIS_BITS:
-            lut_factors = integer_low_rank_factors(lut)
-            error_factors = integer_low_rank_factors(error)
-        else:
-            lut_factors = None
-            error_factors = None
         profile = MultiplierKernelProfile(
-            lut_factors=lut_factors,
-            error_factors=error_factors,
-            error_active_codes=np.flatnonzero(np.any(error != 0, axis=1)),
-            error_density=float(np.count_nonzero(error)) / float(error.size),
+            lut_factors=_analysed_factors(multiplier, lut),
             lut_peak=int(np.abs(lut).max(initial=0)),
         )
         if key is not None:
@@ -607,17 +569,16 @@ class ErrorCorrectionKernel(MatmulKernel):
                 "operand range too wide for an exactly-rounded BLAS product"
             )
         self._signed_weights = (weight_sign * weight_magnitude).astype(np.float64)
-        profile = multiplier_kernel_profile(multiplier)
+        error = multiplier.error_lut()
         self._operand = _TableOperand(
-            multiplier.error_lut(),
-            profile.error_factors,
+            error,
+            _analysed_factors(multiplier, error),
             weight_sign,
             weight_magnitude,
             reserved_bound=exact_bound,
         )
         if not self._operand.is_low_rank:
-            self._active = np.zeros(multiplier.operand_max + 1, dtype=bool)
-            self._active[profile.error_active_codes] = True
+            self._active = np.any(error != 0, axis=1)
 
     def describe(self) -> str:
         if self._operand.is_low_rank:
@@ -643,7 +604,7 @@ class SparseOneHotKernel(MatmulKernel):
     ``A[m, k] * K + k``, and the weight side becomes the stacked table
     ``T[c*K + k, n] = sign[k, n] * LUT[c, mag[k, n]]``, built once per layer
     at construction when it fits the byte budget (every layer of the repo's
-    model zoo does).  All arithmetic is integer, so the accumulator is
+    architectures does).  All arithmetic is integer, so the accumulator is
     exact — bit-identical to the gather reference with no float-rounding
     argument required; int32 operands are used when the worst-case partial
     sum ``K * max|LUT|`` fits in 31 bits (half the memory traffic), int64
@@ -1014,8 +975,8 @@ def make_kernel(
 ) -> MatmulKernel:
     """Build a bound kernel for ``(multiplier, weights)``.
 
-    ``strategy`` is a canonical kernel name (see :data:`KERNEL_STRATEGIES`),
-    an accepted alias, ``"auto"`` (chosen once here from the multiplier's
+    ``strategy`` is a kernel name (see :data:`KERNEL_STRATEGIES`),
+    ``"auto"`` (chosen once here from the multiplier's
     LUT structure and the weights' ``(K, N)`` shape, see
     :func:`select_strategy`), or an already constructed
     :class:`MatmulKernel` (returned unchanged).

@@ -70,6 +70,7 @@ from repro.experiments.session import (
     ExperimentResult,
     ProgressEvent,
     Session,
+    TrainedModel,
 )
 
 __all__ = [
@@ -101,6 +102,7 @@ __all__ = [
     "Session",
     "ExperimentResult",
     "ProgressEvent",
+    "TrainedModel",
     "REQUIRE_CACHED_ENV_VAR",
     "CHECKPOINT_EVERY_ENV_VAR",
     "PREFETCH_ENV_VAR",

@@ -51,7 +51,6 @@ from repro.experiments.spec import (
 )
 from repro.experiments.store import ArtifactStore, Lease, TrainingCheckpointer
 from repro.models.architectures import build_architecture
-from repro.models.zoo import TrainedModel
 from repro.nn import Adam, Trainer
 from repro.nn.model import Sequential
 from repro.nn.runtime import WorkerSpec
@@ -61,7 +60,6 @@ from repro.robustness.quantization_analysis import (
     QuantizationComparison,
     QuantizationStudy,
 )
-from repro.robustness.report import ExperimentRecord
 from repro.robustness.sweep import RobustnessGrid, grid_from_suite
 from repro.robustness.transferability import (
     TransferabilityCell,
@@ -132,6 +130,15 @@ class ProgressEvent:
 
 
 @dataclass
+class TrainedModel:
+    """A trained accurate model together with its dataset and test accuracy."""
+
+    model: Sequential
+    dataset: Dataset
+    test_accuracy: float
+
+
+@dataclass
 class ExperimentResult:
     """Typed result of one :meth:`Session.run` call."""
 
@@ -168,67 +175,67 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, payload: dict, spec: ExperimentSpec) -> "ExperimentResult":
-        """Rebuild a result stored by :meth:`to_dict`."""
+        """Rebuild a result stored by :meth:`to_dict`.
+
+        Raises :class:`ConfigurationError` for a payload of any other
+        version or shape, so a reader can treat it as a cache miss.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"result payload is a JSON {type(payload).__name__}, not an object"
+            )
         version = payload.get("result_version")
         if version != RESULT_VERSION:
             raise ConfigurationError(
                 f"unsupported result_version {version!r}; this build reads "
                 f"version {RESULT_VERSION}"
             )
-        study = None
-        if payload.get("study") is not None:
-            study = QuantizationStudy()
-            for comparison in payload["study"].values():
-                study.add(
-                    QuantizationComparison(
-                        attack_key=comparison["attack"],
-                        epsilons=[float(eps) for eps in comparison["epsilons"]],
-                        float_robustness=[float(v) for v in comparison["float"]],
-                        quantized_robustness=[float(v) for v in comparison["quantized"]],
+        try:
+            study = None
+            if payload.get("study") is not None:
+                study = QuantizationStudy()
+                for comparison in payload["study"].values():
+                    study.add(
+                        QuantizationComparison(
+                            attack_key=comparison["attack"],
+                            epsilons=[float(eps) for eps in comparison["epsilons"]],
+                            float_robustness=[float(v) for v in comparison["float"]],
+                            quantized_robustness=[
+                                float(v) for v in comparison["quantized"]
+                            ],
+                        )
                     )
+            table = None
+            if payload.get("table") is not None:
+                table_payload = payload["table"]
+                table = TransferabilityTable(
+                    attack_key=table_payload["attack"],
+                    epsilon=float(table_payload["epsilon"]),
+                    cells=[
+                        TransferabilityCell(
+                            source=cell["source"],
+                            victim=cell["victim"],
+                            dataset=cell["dataset"],
+                            accuracy_before=float(cell["before"]),
+                            accuracy_after=float(cell["after"]),
+                        )
+                        for cell in table_payload["cells"]
+                    ],
                 )
-        table = None
-        if payload.get("table") is not None:
-            table_payload = payload["table"]
-            table = TransferabilityTable(
-                attack_key=table_payload["attack"],
-                epsilon=float(table_payload["epsilon"]),
-                cells=[
-                    TransferabilityCell(
-                        source=cell["source"],
-                        victim=cell["victim"],
-                        dataset=cell["dataset"],
-                        accuracy_before=float(cell["before"]),
-                        accuracy_after=float(cell["after"]),
-                    )
-                    for cell in table_payload["cells"]
+            return cls(
+                spec=spec,
+                grids=[
+                    RobustnessGrid.from_dict(grid) for grid in payload.get("grids", [])
                 ],
+                study=study,
+                table=table,
+                source_accuracies={
+                    key: float(value)
+                    for key, value in payload.get("source_accuracies", {}).items()
+                },
             )
-        return cls(
-            spec=spec,
-            grids=[RobustnessGrid.from_dict(grid) for grid in payload.get("grids", [])],
-            study=study,
-            table=table,
-            source_accuracies={
-                key: float(value)
-                for key, value in payload.get("source_accuracies", {}).items()
-            },
-        )
-
-    def to_record(self, description: str = "") -> ExperimentRecord:
-        """The result as a :class:`repro.robustness.report.ExperimentRecord`."""
-        record = ExperimentRecord(
-            experiment_id=self.spec.name,
-            description=description or f"{self.spec.kind} experiment {self.spec.name}",
-            grids=list(self.grids),
-        )
-        record.extra["spec"] = self.spec.to_dict()
-        record.extra["source_accuracies"] = dict(self.source_accuracies)
-        if self.study is not None:
-            record.extra["quantization_study"] = self.study.to_dict()
-        if self.table is not None:
-            record.extra["transferability"] = self.table.to_dict()
-        return record
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed result payload: {exc!r}") from None
 
 
 def _source_name(model_spec: ModelSpec) -> str:
@@ -775,7 +782,7 @@ class Session:
             if payload is not None:
                 try:
                     result = ExperimentResult.from_dict(payload, spec=spec)
-                except (ConfigurationError, KeyError, TypeError, ValueError):
+                except ConfigurationError:
                     # a result written by an incompatible build is a miss,
                     # not a crash: evict it and recompute below
                     self.store.evict("result", digest)

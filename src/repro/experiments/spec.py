@@ -46,7 +46,7 @@ from repro.version import __version__
 #: version of the spec wire format; bump when the JSON layout changes
 SPEC_SCHEMA_VERSION = 1
 
-#: architectures the model zoo can build
+#: architectures :func:`repro.models.build_architecture` can build
 ARCHITECTURES = ("ffnn", "lenet5", "alexnet")
 
 #: synthetic dataset families

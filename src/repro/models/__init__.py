@@ -1,4 +1,4 @@
-"""Model architectures (LeNet-5, AlexNet, FFNN) and the train-and-cache zoo."""
+"""Model architectures (LeNet-5, AlexNet, FFNN)."""
 
 from repro.models.architectures import (
     ARCHITECTURES,
@@ -11,14 +11,6 @@ from repro.models.architectures import (
     build_lenet5,
     multiply_counts,
 )
-from repro.models.zoo import (
-    DEFAULT_CACHE_DIR,
-    TrainedModel,
-    trained_alexnet,
-    trained_ffnn,
-    trained_lenet5,
-    trained_model,
-)
 
 __all__ = [
     "build_ffnn",
@@ -30,10 +22,4 @@ __all__ = [
     "MNIST_SHAPE",
     "CIFAR_SHAPE",
     "NUM_CLASSES",
-    "TrainedModel",
-    "trained_lenet5",
-    "trained_ffnn",
-    "trained_alexnet",
-    "trained_model",
-    "DEFAULT_CACHE_DIR",
 ]

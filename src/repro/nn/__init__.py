@@ -42,7 +42,7 @@ from repro.nn.runtime import (
     run_batched,
     validate_batch_size,
 )
-from repro.nn.serialization import dumps_model, load_weights, loads_model, save_weights
+from repro.nn.serialization import dumps_model, loads_model
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -80,8 +80,6 @@ __all__ = [
     "accuracy_percent",
     "confusion_matrix",
     "top_k_accuracy",
-    "save_weights",
-    "load_weights",
     "dumps_model",
     "loads_model",
     "ProcessShardPool",

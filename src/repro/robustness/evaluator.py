@@ -142,26 +142,3 @@ class AdversarialSuite:
                     )
                 )
         return results
-
-
-def evaluate_robustness(
-    source_model: Sequential,
-    victim,
-    attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epsilons: Sequence[float],
-    victim_name: str = "victim",
-) -> List[RobustnessResult]:
-    """One-shot convenience wrapper: generate the suite and evaluate one victim."""
-    suite = AdversarialSuite.generate(source_model, attack, images, labels, epsilons)
-    return suite.evaluate(victim, victim_name)
-
-
-def accuracy_loss(results: Sequence[RobustnessResult]) -> Dict[float, float]:
-    """Accuracy loss (vs the eps=0 row) per budget, as reported in the paper."""
-    by_eps = {result.epsilon: result.robustness_percent for result in results}
-    if 0.0 not in by_eps:
-        raise ConfigurationError("accuracy_loss requires an epsilon = 0 baseline row")
-    baseline = by_eps[0.0]
-    return {eps: baseline - value for eps, value in sorted(by_eps.items())}

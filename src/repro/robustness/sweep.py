@@ -2,22 +2,21 @@
 
 Each of the paper's Figures 4-7 is a grid with perturbation budgets on the
 rows and multipliers (M1..M9 or the AlexNet set) on the columns, holding the
-percentage robustness of the corresponding AxDNN.  :func:`multiplier_sweep`
-produces exactly that grid for one attack.
+percentage robustness of the corresponding AxDNN.  :func:`grid_from_suite`
+fills that grid for one attack from an :class:`AdversarialSuite` crafted on
+the source model; :class:`repro.experiments.Session` runs the whole figure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.attacks.base import Attack
 from repro.axnn.engine import AxModel
 from repro.errors import ConfigurationError
-from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec, check_serial_workers
+from repro.nn.runtime import check_serial_workers
 from repro.robustness.evaluator import AdversarialSuite
 
 
@@ -117,10 +116,11 @@ def grid_from_suite(
 ) -> RobustnessGrid:
     """Robustness grid of every victim on a pre-generated adversarial suite.
 
-    This is the evaluation half of :func:`multiplier_sweep`: the expensive
-    crafting step is already done (or was served from the artifact store —
-    see :mod:`repro.experiments`), so only victim inference is paid here,
-    serially.  ``workers`` accepts only ``None`` or ``1`` (see
+    Adversarial examples are crafted once on the source model and shared
+    by every victim, exactly as in Algorithm 1 (the adversary never sees the
+    approximate inference engine).  That crafting is already done (or was
+    served from the artifact store — see :mod:`repro.experiments`), so only
+    victim inference is paid here, serially.  ``workers`` accepts only ``None`` or ``1`` (see
     :func:`repro.nn.runtime.check_serial_workers`).
 
     ``fused`` controls the multi-victim fusion (see :func:`_panel_or_none`):
@@ -156,58 +156,3 @@ def grid_from_suite(
             "n_samples": str(suite.labels.shape[0]),
         },
     )
-
-
-def multiplier_sweep(
-    source_model: Sequential,
-    victims: Dict[str, AxModel],
-    attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epsilons: Sequence[float],
-    dataset_name: str = "dataset",
-    workers: WorkerSpec = "auto",
-    seed: int = None,
-    fused: Optional[bool] = None,
-) -> RobustnessGrid:
-    """Robustness grid of every victim under one attack over a budget sweep.
-
-    Adversarial examples are generated once on the source model and shared by
-    all victims, exactly as in Algorithm 1 (the adversary never sees the
-    approximate inference engine).  Generation runs the whole budget sweep
-    in one amortised engine pass, sharded over ``workers`` processes
-    (default one per core); victim evaluation is serial.  The grid is
-    bit-identical for every worker count.  ``seed`` overrides the attack's
-    own crafting seed (the hook the declarative experiment API uses for
-    artifact determinism).
-    """
-    if not victims:
-        raise ConfigurationError("at least one victim AxDNN is required")
-    suite = AdversarialSuite.generate(
-        source_model, attack, images, labels, epsilons, workers=workers, seed=seed
-    )
-    return grid_from_suite(
-        suite,
-        victims,
-        dataset_name=dataset_name,
-        source_name=source_model.name,
-        fused=fused,
-    )
-
-
-def attack_panel(
-    source_model: Sequential,
-    victims: Dict[str, AxModel],
-    attacks: Sequence[Attack],
-    images: np.ndarray,
-    labels: np.ndarray,
-    epsilons: Sequence[float],
-    dataset_name: str = "dataset",
-) -> List[RobustnessGrid]:
-    """One grid per attack — a full figure panel (e.g. Fig. 4a-d)."""
-    return [
-        multiplier_sweep(
-            source_model, victims, attack, images, labels, epsilons, dataset_name
-        )
-        for attack in attacks
-    ]

@@ -4,21 +4,17 @@ Adversarial examples crafted on one accurate model are evaluated on AxDNNs
 built from a *different* architecture (second attack scenario of Section
 II-A: the adversary knows neither the inexactness nor the model structure).
 Each table cell reports ``accuracy before attack / accuracy after attack`` of
-the victim AxDNN, which is the paper's X/Y notation.
+the victim AxDNN, which is the paper's X/Y notation.  A ``kind="transfer"``
+:class:`repro.experiments.ExperimentSpec` run by
+:class:`repro.experiments.Session` fills the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
-import numpy as np
-
-from repro.attacks.base import Attack
-from repro.attacks.engine import AttackEngine
-from repro.axnn.engine import AxModel
 from repro.errors import ConfigurationError
-from repro.nn.model import Sequential
 
 
 @dataclass(frozen=True)
@@ -79,54 +75,3 @@ class TransferabilityTable:
                 for cell in self.cells
             ],
         }
-
-
-def transferability_analysis(
-    sources: Dict[str, Sequential],
-    victims: Dict[str, AxModel],
-    attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epsilon: float,
-    dataset_name: str,
-) -> List[TransferabilityCell]:
-    """Evaluate every (source, victim) pair on one dataset.
-
-    ``sources`` maps source names (e.g. ``"AccL5"``) to accurate float models
-    used for crafting the adversarial examples; ``victims`` maps victim names
-    (e.g. ``"AxL5"``, ``"AxAlx"``) to AxDNNs evaluated on those examples.
-    """
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    cells: List[TransferabilityCell] = []
-    for source_name, source_model in sources.items():
-        adversarial = AttackEngine(source_model).generate(
-            attack, images, labels, epsilon
-        )
-        for victim_name, victim in victims.items():
-            before = victim.accuracy_percent(images, labels)
-            after = victim.accuracy_percent(adversarial, labels)
-            cells.append(
-                TransferabilityCell(
-                    source=source_name,
-                    victim=victim_name,
-                    dataset=dataset_name,
-                    accuracy_before=before,
-                    accuracy_after=after,
-                )
-            )
-    return cells
-
-
-def build_transferability_table(
-    attack: Attack,
-    epsilon: float,
-    per_dataset_cells: Sequence[List[TransferabilityCell]],
-) -> TransferabilityTable:
-    """Combine per-dataset cell lists into one table."""
-    cells: List[TransferabilityCell] = []
-    for dataset_cells in per_dataset_cells:
-        cells.extend(dataset_cells)
-    return TransferabilityTable(attack_key=attack.key(), epsilon=epsilon, cells=cells)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.axnn import build_axdnn, build_quantized_accurate
 from repro.datasets import load_synthetic_cifar10, load_synthetic_mnist
+from repro.experiments import ModelSpec, Session
 from repro.experiments.backends import reset_memory_backends
 from repro.models import build_lenet5
 from repro.nn import Adam, Conv2D, Dense, Flatten, ReLU, Sequential, Trainer
@@ -89,6 +90,26 @@ def trained_lenet(mnist_small):
         batch_size=32,
     )
     return model
+
+
+#: source models of the tests that run quantization and transfer specs: they
+#: share one test split (n_test, seed), as transfer specs require
+SPEC_LENET = ModelSpec(
+    architecture="lenet5", dataset="mnist", n_train=500, n_test=60, epochs=3
+)
+SPEC_FFNN = ModelSpec(
+    architecture="ffnn", dataset="mnist", n_train=500, n_test=60, epochs=3
+)
+
+
+@pytest.fixture(scope="session")
+def experiment_session(tmp_path_factory):
+    """One :class:`Session` over a store kept for the whole test run.
+
+    Specs naming the same :class:`ModelSpec` train it once, whichever test
+    module runs them first.
+    """
+    return Session(store=str(tmp_path_factory.mktemp("experiment-store")))
 
 
 @pytest.fixture(scope="session")

@@ -269,7 +269,9 @@ class TestIntegerLowRankFactors:
         assert multiplier_kernel_profile(get_multiplier("M7")).lut_rank == 1
         profile_m2 = multiplier_kernel_profile(get_multiplier("M2"))
         assert profile_m2.lut_rank == 3
-        assert profile_m2.error_rank == 2
+        sign, magnitude = random_problem(np.random.default_rng(2))[1:]
+        kernel = make_kernel(get_multiplier("M2"), sign, magnitude, "errorcorrection")
+        assert "low-rank r=2" in kernel.describe()
 
 
 class TestStrategySelection:
@@ -317,16 +319,42 @@ class TestStrategySelection:
             assert strategy != "gather", name
             assert strategy in KERNEL_STRATEGIES, name
 
-    def test_strategy_aliases(self):
-        assert normalize_strategy("per-code-BLAS") == "percode"
-        assert normalize_strategy("error-correction") == "errorcorrection"
-        assert normalize_strategy("sparse-one-hot") == "sparse"
-        assert normalize_strategy("one_hot") == "sparse"
-        with pytest.raises(ConfigurationError):
-            normalize_strategy("definitely-not-a-kernel")
+    @pytest.mark.parametrize(
+        "alias",
+        ["per-code-BLAS", "error-correction", "sparse-one-hot", "one_hot",
+         "reference", "blas", "errcorr", "AUTO", "definitely-not-a-kernel"],
+    )
+    def test_strategy_aliases_refused(self, alias):
+        with pytest.raises(ConfigurationError, match="known:"):
+            normalize_strategy(alias)
+
+    def test_canonical_names_accepted(self):
+        for name in ("auto", *KERNEL_STRATEGIES):
+            assert normalize_strategy(name) == name
 
     def test_strategy_names_exported(self):
         assert set(ALL_STRATEGIES) <= set(KERNEL_STRATEGIES)
+
+    def test_auto_lenet_build_never_reads_the_error_lut(
+        self, calibration_batch, monkeypatch
+    ):
+        # only the by-name errorcorrection kernel reads the error table;
+        # profiling for "auto" must not pay for it
+        from repro.axnn import build_victims
+        from repro.axnn.kernels import clear_profile_cache
+        from repro.models import build_lenet5
+        from repro.multipliers.base import Multiplier
+
+        def refuse(self):
+            raise AssertionError(f"error_lut() called for {self.name}")
+
+        clear_profile_cache()
+        monkeypatch.setattr(Multiplier, "error_lut", refuse)
+        labels = [f"M{index}" for index in range(1, 10)]
+        victims = build_victims(
+            build_lenet5(seed=0), labels, calibration_batch, kernel="auto"
+        )
+        assert list(victims) == labels
 
 
 #: LeNet-5 compute layers as bound (K, N) weight shapes (28x28 input)
@@ -509,7 +537,7 @@ class TestEngineKernelSelection:
             for layer in gather_model.compute_layers()
         )
         ec_model = build_axdnn(
-            tiny_cnn, "M2", calibration_batch, kernel="error-correction"
+            tiny_cnn, "M2", calibration_batch, kernel="errorcorrection"
         )
         assert all(
             isinstance(layer.kernel, ErrorCorrectionKernel)

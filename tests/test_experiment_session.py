@@ -8,6 +8,8 @@ performs **zero training and zero adversarial crafting** on the second run
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.engine import AttackEngine
 from repro.errors import ConfigurationError, MissingArtifactError
@@ -21,9 +23,8 @@ from repro.experiments import (
     SweepSpec,
     VictimSpec,
 )
-from repro.experiments.session import REQUIRE_CACHED_ENV_VAR
+from repro.experiments.session import REQUIRE_CACHED_ENV_VAR, RESULT_VERSION
 from repro.nn.trainer import Trainer
-from repro.robustness.report import ExperimentRecord
 
 TINY_MODEL = ModelSpec(
     architecture="lenet5", dataset="mnist", n_train=64, n_test=32, epochs=1
@@ -40,6 +41,57 @@ def tiny_spec(**overrides):
     )
     defaults.update(overrides)
     return ExperimentSpec(**defaults)
+
+
+#: any JSON document, and result documents whose fields hold any JSON
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _fields(*keys):
+    return st.fixed_dictionaries({}, optional={key: JSON_VALUES for key in keys})
+
+
+RESULT_PAYLOADS = JSON_VALUES | st.fixed_dictionaries(
+    {"result_version": st.just(RESULT_VERSION)},
+    optional={
+        "grids": st.lists(
+            _fields("attack", "dataset", "epsilons", "victims", "values", "metadata"),
+            max_size=2,
+        )
+        | JSON_VALUES,
+        "study": st.dictionaries(
+            st.text(max_size=3),
+            _fields("attack", "epsilons", "float", "quantized"),
+            max_size=2,
+        )
+        | JSON_VALUES,
+        "table": st.fixed_dictionaries(
+            {},
+            optional={
+                "attack": JSON_VALUES,
+                "epsilon": JSON_VALUES,
+                "cells": st.lists(
+                    _fields("source", "victim", "dataset", "before", "after"),
+                    max_size=2,
+                )
+                | JSON_VALUES,
+            },
+        )
+        | JSON_VALUES,
+        "source_accuracies": st.dictionaries(
+            st.text(max_size=3), JSON_VALUES, max_size=2
+        )
+        | JSON_VALUES,
+    },
+)
+
+
+SMOKE_SPEC = tiny_spec()
 
 
 @pytest.fixture()
@@ -271,19 +323,43 @@ class TestResultPlumbing:
         # was recomputed
         assert counters == {"train": 1, "craft": 1}
 
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            [],
+            {"result_version": RESULT_VERSION, "study": []},
+            {"result_version": RESULT_VERSION, "source_accuracies": []},
+        ],
+        ids=["list", "list-study", "list-source-accuracies"],
+    )
+    def test_misshapen_stored_result_is_evicted_and_recomputed(
+        self, store, counters, stored
+    ):
+        spec = tiny_spec()
+        digest = spec.content_hash()
+        store.put_json("result", digest, stored)
+        result = Session(store=store).run(spec)
+        assert not result.from_cache
+        assert result.grids[0].values.shape == (2, 2)
+        assert store.get_json("result", digest) == result.to_dict()
+        assert counters == {"train": 1, "craft": 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=RESULT_PAYLOADS)
+    def test_from_dict_refuses_any_other_shape(self, payload):
+        # a stored document of any shape is either a result or a
+        # ConfigurationError, the one type Session.run treats as a miss
+        try:
+            result = ExperimentResult.from_dict(payload, spec=SMOKE_SPEC)
+        except ConfigurationError:
+            return
+        assert isinstance(result, ExperimentResult)
+
     def test_grid_lookup(self, store):
         result = Session(store=store).run(tiny_spec())
         assert result.grid("FGM_linf") is result.grids[0]
         with pytest.raises(ConfigurationError, match="no grid"):
             result.grid("BIM_linf")
-
-    def test_to_record(self, store):
-        result = Session(store=store).run(tiny_spec())
-        record = result.to_record(description="smoke")
-        assert isinstance(record, ExperimentRecord)
-        assert record.experiment_id == "session-smoke"
-        assert record.extra["spec"]["model"]["architecture"] == "lenet5"
-        assert len(record.grids) == 1
 
     def test_progress_events(self, store):
         events = []

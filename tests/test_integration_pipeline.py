@@ -19,10 +19,21 @@ from repro.analysis import (
 )
 from repro.attacks import get_attack
 from repro.axnn import build_quantized_accurate
+from repro.experiments import AttackSpec, ExperimentSpec, SweepSpec, VictimSpec
 from repro.multipliers import energy_saving_percent
-from repro.robustness import build_victims, multiplier_sweep, quantization_study
+from repro.robustness import AdversarialSuite, build_victims, grid_from_suite
+
+from conftest import SPEC_FFNN, SPEC_LENET
 
 EPSILONS = [0.0, 0.1, 0.25, 0.5]
+
+
+def sweep(source_model, victims, attack, images, labels, epsilons, dataset_name="dataset"):
+    """One figure grid: craft on the source model once, evaluate every victim."""
+    suite = AdversarialSuite.generate(source_model, attack, images, labels, epsilons)
+    return grid_from_suite(
+        suite, victims, dataset_name=dataset_name, source_name=source_model.name
+    )
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +57,7 @@ class TestFullPipeline:
 
     def test_bim_linf_grid_matches_paper_shape(self, tiny_cnn, pipeline):
         """Q1: robustness decreases with eps and collapses for linf BIM."""
-        grid = multiplier_sweep(
+        grid = sweep(
             tiny_cnn,
             pipeline["victims"],
             get_attack("BIM_linf"),
@@ -67,11 +78,11 @@ class TestFullPipeline:
 
     def test_l2_attacks_milder_than_linf(self, tiny_cnn, pipeline):
         """Q1: l2-norm attacks preserve far more accuracy than linf attacks."""
-        l2_grid = multiplier_sweep(
+        l2_grid = sweep(
             tiny_cnn, pipeline["victims"], get_attack("BIM_l2"),
             pipeline["x"], pipeline["y"], EPSILONS,
         )
-        linf_grid = multiplier_sweep(
+        linf_grid = sweep(
             tiny_cnn, pipeline["victims"], get_attack("BIM_linf"),
             pipeline["x"], pipeline["y"], EPSILONS,
         )
@@ -80,7 +91,7 @@ class TestFullPipeline:
 
     def test_decision_attack_hurts_axdnn_more(self, tiny_cnn, pipeline):
         """Q1/headline: the same CR attack harms an AxDNN more than the accurate DNN."""
-        grid = multiplier_sweep(
+        grid = sweep(
             tiny_cnn, pipeline["victims"], get_attack("CR_l2"),
             pipeline["x"], pipeline["y"], [0.0, 1.0, 2.0],
         )
@@ -91,7 +102,7 @@ class TestFullPipeline:
 
     def test_not_universally_defensive(self, tiny_cnn, pipeline):
         """The core claim (A1): approximation is not a universal defense."""
-        grid = multiplier_sweep(
+        grid = sweep(
             tiny_cnn, pipeline["victims"], get_attack("CR_l2"),
             pipeline["x"], pipeline["y"], [0.0, 1.0, 2.0],
         )
@@ -100,43 +111,38 @@ class TestFullPipeline:
 
     def test_rag_attack_is_mild(self, tiny_cnn, pipeline):
         """Fig. 6b: the repeated additive Gaussian attack barely moves accuracy."""
-        grid = multiplier_sweep(
+        grid = sweep(
             tiny_cnn, pipeline["victims"], get_attack("RAG_l2"),
             pipeline["x"], pipeline["y"], [0.0, 1.0, 2.0],
         )
         assert grid.accuracy_loss().max() <= 15.0
 
-    def test_quantization_helps_accurate_model(self, tiny_cnn, mnist_small, calibration_batch):
+    def test_quantization_helps_accurate_model(self, experiment_session):
         """Q3 / Fig. 8: 8-bit quantization does not hurt (and typically helps) robustness."""
-        x = mnist_small.test.images[:40]
-        y = mnist_small.test.labels[:40]
-        study = quantization_study(
-            tiny_cnn,
-            [get_attack("FGM_linf"), get_attack("BIM_linf")],
-            x,
-            y,
-            [0.0, 0.1, 0.25],
-            calibration_batch,
+        spec = ExperimentSpec(
+            name="integration-quantization",
+            kind="quantization",
+            model=SPEC_LENET,
+            victims=VictimSpec(calibration_samples=64),
+            attacks=(AttackSpec("FGM_linf"), AttackSpec("BIM_linf")),
+            sweep=SweepSpec(epsilons=(0.0, 0.1, 0.25), n_samples=40),
         )
+        study = experiment_session.run(spec).study
         assert study.mean_quantization_gain() >= -5.0
 
-    def test_transfer_between_architectures(self, tiny_cnn, trained_lenet, calibration_batch, mnist_small):
+    def test_transfer_between_architectures(self, experiment_session):
         """Q2 / Table II: attacks crafted on one architecture transfer to the other's AxDNN."""
-        from repro.robustness import transferability_analysis
-
-        x = mnist_small.test.images[:30]
-        y = mnist_small.test.labels[:30]
-        victims = build_victims(trained_lenet, ["M4"], calibration_batch)
-        cells = transferability_analysis(
-            {"AccTiny": tiny_cnn},
-            {"AxL5": victims["M4"]},
-            get_attack("BIM_linf"),
-            x,
-            y,
-            epsilon=0.25,
-            dataset_name="synthetic-mnist",
+        spec = ExperimentSpec(
+            name="integration-transfer",
+            kind="transfer",
+            model=SPEC_LENET,
+            transfer_sources=(SPEC_FFNN,),
+            victims=VictimSpec(multipliers=("M4",), calibration_samples=64),
+            attacks=(AttackSpec("BIM_linf"),),
+            sweep=SweepSpec(epsilons=(0.25,), n_samples=30),
         )
-        cell = cells[0]
+        table = experiment_session.run(spec).table
+        cell = table.cell("AccFF", "AxL5", "synthetic-mnist")
         assert cell.accuracy_after < cell.accuracy_before
 
     def test_energy_motivation_holds(self):

@@ -1,4 +1,4 @@
-"""Tests for the model architectures and the train-and-cache zoo."""
+"""Tests for the model architectures."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.models import (
     build_lenet5,
     multiply_counts,
 )
-from repro.models.zoo import TrainedModel, trained_ffnn, trained_lenet5
 from repro.nn import Conv2D, Dense
 
 
@@ -75,33 +74,3 @@ class TestArchitectures:
         model = build_lenet5()
         # conv1: 24x24 positions x 5x5x1 kernel x 6 filters
         assert multiply_counts(model)[0] == 24 * 24 * 25 * 6
-
-
-class TestZoo:
-    def test_trained_lenet5_reaches_threshold_and_caches(self, tmp_path):
-        first = trained_lenet5(
-            n_train=300, n_test=100, epochs=2, cache_dir=str(tmp_path)
-        )
-        assert isinstance(first, TrainedModel)
-        assert first.test_accuracy > 0.6
-        assert first.baseline_accuracy_percent == pytest.approx(
-            first.test_accuracy * 100.0
-        )
-        # second call must load from cache and give identical predictions
-        second = trained_lenet5(
-            n_train=300, n_test=100, epochs=2, cache_dir=str(tmp_path)
-        )
-        x = first.dataset.test.images[:8]
-        assert np.allclose(first.model.predict(x), second.model.predict(x))
-
-    def test_trained_ffnn_smoke(self, tmp_path):
-        trained = trained_ffnn(n_train=200, n_test=50, epochs=2, cache_dir=str(tmp_path))
-        assert trained.test_accuracy > 0.5
-
-    def test_force_retrain_overwrites(self, tmp_path):
-        first = trained_ffnn(n_train=100, n_test=40, epochs=1, cache_dir=str(tmp_path))
-        second = trained_ffnn(
-            n_train=100, n_test=40, epochs=1, cache_dir=str(tmp_path), force_retrain=True
-        )
-        assert isinstance(first, TrainedModel)
-        assert isinstance(second, TrainedModel)

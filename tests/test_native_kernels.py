@@ -173,9 +173,11 @@ class TestNativeLUTMatmul:
         with pytest.raises(ConfigurationError):
             kernel.matmul(bad)
 
-    def test_strategy_aliases(self):
+    def test_strategy_aliases_refused(self):
         assert normalize_strategy("native") == "native"
-        assert normalize_strategy("compiled") == "native"
+        for alias in ("compiled", "Native", " native"):
+            with pytest.raises(ConfigurationError, match="known:"):
+                normalize_strategy(alias)
 
 
 class TestNativeTablePath:

@@ -1,6 +1,4 @@
-"""Tests for losses, optimizers, Sequential model, trainer and serialization."""
-
-import os
+"""Tests for losses, optimizers, Sequential model and trainer."""
 
 import numpy as np
 import pytest
@@ -20,9 +18,7 @@ from repro.nn import (
     accuracy,
     accuracy_percent,
     confusion_matrix,
-    load_weights,
     one_hot,
-    save_weights,
     softmax,
     top_k_accuracy,
 )
@@ -290,19 +286,3 @@ class TestMetrics:
         # first sample: label 2 is in the top-2; second: label 2 is not
         assert top_k_accuracy(logits, np.array([2, 2]), k=2) == pytest.approx(0.5)
         assert top_k_accuracy(logits, np.array([0, 0]), k=1) == pytest.approx(0.5)
-
-
-class TestSerialization:
-    def test_save_and_load_roundtrip(self, tmp_path):
-        model = Sequential([Dense(5), ReLU(), Dense(2)], input_shape=(3,), seed=0)
-        other = Sequential([Dense(5), ReLU(), Dense(2)], input_shape=(3,), seed=99)
-        path = os.path.join(tmp_path, "weights.npz")
-        save_weights(model, path)
-        load_weights(other, path)
-        x = RNG.normal(size=(4, 3))
-        assert np.allclose(model.forward(x), other.forward(x))
-
-    def test_load_missing_file(self):
-        model = Sequential([Dense(2)], input_shape=(3,))
-        with pytest.raises(ConfigurationError):
-            load_weights(model, "/nonexistent/path/weights.npz")

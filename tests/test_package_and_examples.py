@@ -39,12 +39,20 @@ class TestPackage:
 
     def test_public_init_exports_resolve(self):
         # every name advertised in __all__ must exist on the module
+        import repro.analysis as analysis
         import repro.attacks as attacks
+        import repro.axnn as axnn
+        import repro.defenses as defenses
         import repro.experiments as experiments
+        import repro.models as models
         import repro.multipliers as multipliers
         import repro.nn as nn
+        import repro.robustness as robustness
 
-        for module in (attacks, experiments, multipliers, nn):
+        for module in (
+            analysis, attacks, axnn, defenses, experiments, models, multipliers, nn,
+            robustness,
+        ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 

@@ -27,7 +27,7 @@ from repro.nn.runtime import (
     run_batched,
     validate_batch_size,
 )
-from repro.robustness import AdversarialSuite, grid_from_suite, multiplier_sweep
+from repro.robustness import AdversarialSuite, grid_from_suite
 
 
 class TestResolveWorkers:
@@ -169,7 +169,7 @@ class TestBatchedPredict:
 
 
 class TestSweepWorkerInvariance:
-    def test_multiplier_sweep_invariant_to_workers(
+    def test_suite_grid_invariant_to_workers(
         self, tiny_cnn, approx_tiny_m8, quantized_tiny, mnist_small
     ):
         """Crafting processes never change the grid."""
@@ -177,15 +177,12 @@ class TestSweepWorkerInvariance:
         y = mnist_small.test.labels[:10]
         victims = {"M1": quantized_tiny, "M8": approx_tiny_m8}
         grids = [
-            multiplier_sweep(
-                tiny_cnn,
+            grid_from_suite(
+                AdversarialSuite.generate(
+                    tiny_cnn, get_attack("FGM_linf"), x, y, [0.0, 0.1], workers=workers
+                ),
                 victims,
-                get_attack("FGM_linf"),
-                x,
-                y,
-                [0.0, 0.1],
-                "synthetic-mnist",
-                workers=workers,
+                dataset_name="synthetic-mnist",
             )
             for workers in [1, 4]
         ]

@@ -3,24 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.attacks import FGMLinf, get_attack
+from repro.attacks import FGMLinf
 from repro.axnn import build_axdnn
 from repro.errors import ConfigurationError
+from repro.experiments import AttackSpec, ExperimentSpec, SweepSpec, VictimSpec
 from repro.robustness import (
     AdversarialSuite,
-    ExperimentRecord,
     QuantizationStudy,
-    ReproductionReport,
     RobustnessGrid,
-    accuracy_loss,
-    build_transferability_table,
     build_victims,
-    compare_float_and_quantized,
-    evaluate_robustness,
-    multiplier_sweep,
-    quantization_study,
-    transferability_analysis,
+    grid_from_suite,
 )
+
+from conftest import SPEC_FFNN, SPEC_LENET
 
 EPSILONS = [0.0, 0.1, 0.3]
 
@@ -61,24 +56,15 @@ class TestAdversarialSuite:
         assert values[0] >= values[-1]
 
     def test_accuracy_loss_uses_baseline(self, suite, quantized_tiny):
-        results = suite.evaluate(quantized_tiny, "quantized")
-        losses = accuracy_loss(results)
-        assert losses[0.0] == pytest.approx(0.0)
-        assert losses[EPSILONS[-1]] >= 0.0
+        losses = grid_from_suite(suite, {"quantized": quantized_tiny}).accuracy_loss()
+        assert losses[0] == pytest.approx(0.0)
+        assert losses[-1] >= 0.0
 
-    def test_accuracy_loss_requires_baseline(self):
-        from repro.robustness.evaluator import RobustnessResult
-
-        with pytest.raises(ConfigurationError):
-            accuracy_loss(
-                [RobustnessResult("v", "a", 0.5, 90.0, 10)]
-            )
-
-    def test_evaluate_robustness_wrapper(self, tiny_cnn, quantized_tiny, small_eval):
+    def test_evaluate_after_generate(self, tiny_cnn, quantized_tiny, small_eval):
         x, y = small_eval
-        results = evaluate_robustness(
-            tiny_cnn, quantized_tiny, FGMLinf(), x, y, EPSILONS, victim_name="q"
-        )
+        results = AdversarialSuite.generate(
+            tiny_cnn, FGMLinf(), x, y, EPSILONS
+        ).evaluate(quantized_tiny, "q")
         assert len(results) == 3
         assert results[0].victim == "q"
 
@@ -87,6 +73,12 @@ class TestSweep:
     @pytest.fixture(scope="class")
     def victims(self, tiny_cnn, calibration_batch):
         return build_victims(tiny_cnn, ["M1", "M8"], calibration_batch)
+
+    @pytest.fixture(scope="class")
+    def grid(self, suite, victims, tiny_cnn):
+        return grid_from_suite(
+            suite, victims, dataset_name="synthetic-mnist", source_name=tiny_cnn.name
+        )
 
     def test_build_victims_labels(self, victims):
         assert set(victims) == {"M1", "M8"}
@@ -130,27 +122,19 @@ class TestSweep:
                 assert shared.activation_scheme == own.activation_scheme
             assert np.array_equal(victim.predict(x), single.predict(x))
 
-    def test_grid_shape_and_metadata(self, tiny_cnn, victims, small_eval):
-        x, y = small_eval
-        grid = multiplier_sweep(
-            tiny_cnn, victims, FGMLinf(), x, y, EPSILONS, "synthetic-mnist"
-        )
+    def test_grid_shape_and_metadata(self, grid):
         assert grid.values.shape == (3, 2)
         assert grid.victim_labels == ["M1", "M8"]
         assert grid.attack_key == "FGM_linf"
         assert grid.metadata["n_samples"] == "30"
 
-    def test_grid_accessors(self, tiny_cnn, victims, small_eval):
-        x, y = small_eval
-        grid = multiplier_sweep(tiny_cnn, victims, FGMLinf(), x, y, EPSILONS)
+    def test_grid_accessors(self, grid):
         assert grid.column("M1").shape == (3,)
         assert grid.row(0.0).shape == (2,)
         assert np.array_equal(grid.baseline_row(), grid.row(0.0))
         assert np.allclose(grid.accuracy_loss()[0], 0.0)
 
-    def test_grid_serialisation_roundtrip(self, tiny_cnn, victims, small_eval):
-        x, y = small_eval
-        grid = multiplier_sweep(tiny_cnn, victims, FGMLinf(), x, y, EPSILONS)
+    def test_grid_serialisation_roundtrip(self, grid):
         restored = RobustnessGrid.from_dict(grid.to_dict())
         assert np.allclose(restored.values, grid.values)
         assert restored.victim_labels == grid.victim_labels
@@ -165,112 +149,75 @@ class TestSweep:
                 values=np.zeros((3, 1)),
             )
 
-    def test_sweep_requires_victims(self, tiny_cnn, small_eval):
-        x, y = small_eval
+    def test_sweep_requires_victims(self, suite):
         with pytest.raises(ConfigurationError):
-            multiplier_sweep(tiny_cnn, {}, FGMLinf(), x, y, EPSILONS)
+            grid_from_suite(suite, {})
+
+
+def _transfer_table(session, attack, epsilon, multiplier="M4", sources=()):
+    spec = ExperimentSpec(
+        name=f"transfer-{attack}-{epsilon}",
+        kind="transfer",
+        model=SPEC_LENET,
+        transfer_sources=sources,
+        victims=VictimSpec(multipliers=(multiplier,), calibration_samples=64),
+        attacks=(AttackSpec(attack),),
+        sweep=SweepSpec(epsilons=(epsilon,), n_samples=30),
+    )
+    return session.run(spec).table
 
 
 class TestTransferability:
-    def test_cells_cover_all_pairs(self, tiny_cnn, trained_lenet, calibration_batch, small_eval):
-        x, y = small_eval
-        victims = {
-            "AxTiny": build_axdnn(tiny_cnn, "M4", calibration_batch),
-            "AxL5": build_axdnn(trained_lenet, "M4", calibration_batch),
-        }
-        cells = transferability_analysis(
-            {"AccTiny": tiny_cnn, "AccL5": trained_lenet},
-            victims,
-            get_attack("BIM_linf"),
-            x,
-            y,
-            epsilon=0.1,
-            dataset_name="synthetic-mnist",
-        )
+    def test_cells_cover_all_pairs(self, experiment_session):
+        cells = _transfer_table(
+            experiment_session, "BIM_linf", 0.1, sources=(SPEC_FFNN,)
+        ).cells
         assert len(cells) == 4
         sources = {cell.source for cell in cells}
-        assert sources == {"AccTiny", "AccL5"}
+        assert sources == {"AccL5", "AccFF"}
 
-    def test_attack_reduces_accuracy_on_some_victim(self, tiny_cnn, trained_lenet, calibration_batch, small_eval):
-        x, y = small_eval
-        victims = {"AxL5": build_axdnn(trained_lenet, "M4", calibration_batch)}
-        cells = transferability_analysis(
-            {"AccL5": trained_lenet},
-            victims,
-            get_attack("BIM_linf"),
-            x,
-            y,
-            epsilon=0.25,
-            dataset_name="synthetic-mnist",
-        )
+    def test_attack_reduces_accuracy_on_some_victim(self, experiment_session):
+        cells = _transfer_table(experiment_session, "BIM_linf", 0.25).cells
         assert cells[0].accuracy_after <= cells[0].accuracy_before
 
-    def test_paper_cell_format(self, tiny_cnn, calibration_batch, small_eval):
-        x, y = small_eval
-        victims = {"AxTiny": build_axdnn(tiny_cnn, "M2", calibration_batch)}
-        cells = transferability_analysis(
-            {"AccTiny": tiny_cnn}, victims, get_attack("FGM_linf"), x, y, 0.1, "mnist"
-        )
+    def test_paper_cell_format(self, experiment_session):
+        cells = _transfer_table(experiment_session, "FGM_linf", 0.1, "M2").cells
         text = cells[0].as_paper_cell()
         assert "/" in text
         assert cells[0].accuracy_drop == pytest.approx(
             cells[0].accuracy_before - cells[0].accuracy_after
         )
 
-    def test_table_lookup(self, tiny_cnn, calibration_batch, small_eval):
-        x, y = small_eval
-        attack = get_attack("BIM_linf")
-        victims = {"AxTiny": build_axdnn(tiny_cnn, "M2", calibration_batch)}
-        cells = transferability_analysis(
-            {"AccTiny": tiny_cnn}, victims, attack, x, y, 0.05, "mnist"
-        )
-        table = build_transferability_table(attack, 0.05, [cells])
-        assert table.cell("AccTiny", "AxTiny", "mnist").dataset == "mnist"
+    def test_table_lookup(self, experiment_session):
+        table = _transfer_table(experiment_session, "BIM_linf", 0.05, "M2")
+        assert table.cell("AccL5", "AxL5", "synthetic-mnist").dataset == "synthetic-mnist"
         with pytest.raises(ConfigurationError):
-            table.cell("nope", "AxTiny", "mnist")
+            table.cell("nope", "AxL5", "synthetic-mnist")
         assert table.to_dict()["epsilon"] == 0.05
 
 
 class TestQuantizationAnalysis:
-    def test_comparison_fields(self, tiny_cnn, calibration_batch, small_eval):
-        x, y = small_eval
-        comparison = compare_float_and_quantized(
-            tiny_cnn, FGMLinf(), x, y, EPSILONS, calibration_batch
+    @pytest.fixture(scope="class")
+    def study(self, experiment_session):
+        spec = ExperimentSpec(
+            name="quantization-fgm-cr",
+            kind="quantization",
+            model=SPEC_LENET,
+            victims=VictimSpec(calibration_samples=64),
+            attacks=(AttackSpec("FGM_linf"), AttackSpec("CR_l2")),
+            sweep=SweepSpec(epsilons=tuple(EPSILONS), n_samples=30),
         )
+        return experiment_session.run(spec).study
+
+    def test_comparison_fields(self, study):
+        comparison = study.comparisons["FGM_linf"]
         assert len(comparison.float_robustness) == 3
         assert len(comparison.quantized_robustness) == 3
         assert len(comparison.quantization_gain()) == 3
         assert comparison.to_dict()["attack"] == "FGM_linf"
 
-    def test_study_aggregates_attacks(self, tiny_cnn, calibration_batch, small_eval):
-        x, y = small_eval
-        study = quantization_study(
-            tiny_cnn,
-            [FGMLinf(), get_attack("CR_l2")],
-            x,
-            y,
-            EPSILONS,
-            calibration_batch,
-        )
+    def test_study_aggregates_attacks(self, study):
         assert isinstance(study, QuantizationStudy)
         assert set(study.comparisons) == {"FGM_linf", "CR_l2"}
         assert isinstance(study.mean_quantization_gain(), float)
         assert set(study.to_dict()) == {"FGM_linf", "CR_l2"}
-
-
-class TestReport:
-    def test_report_roundtrip(self, tmp_path, tiny_cnn, calibration_batch, small_eval):
-        x, y = small_eval
-        victims = build_victims(tiny_cnn, ["M1"], calibration_batch)
-        grid = multiplier_sweep(tiny_cnn, victims, FGMLinf(), x, y, EPSILONS)
-        record = ExperimentRecord("fig4a", "BIM linf sweep")
-        record.add_grid(grid)
-        record.extra["note"] = "test"
-        report = ReproductionReport()
-        report.add(record)
-        path = str(tmp_path / "report.json")
-        report.save(path)
-        loaded = ReproductionReport.load(path)
-        assert loaded.get("fig4a") is not None
-        assert np.allclose(loaded.get("fig4a").grids[0].values, grid.values)
-        assert loaded.get("missing") is None

@@ -3,23 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.attacks import FGML2, FGMLinf, get_attack
-from repro.robustness import attack_panel, build_victims
+from repro.attacks import FGML2, FGMLinf
+from repro.robustness import AdversarialSuite, build_victims, grid_from_suite
 from repro.robustness.sweep import RobustnessGrid
 
 
 @pytest.fixture(scope="module")
 def panel(tiny_cnn, mnist_small, calibration_batch):
+    """One grid per attack over shared victims (a figure panel, e.g. Fig. 4a-d)."""
     victims = build_victims(tiny_cnn, ["M1", "M4"], calibration_batch)
-    return attack_panel(
-        tiny_cnn,
-        victims,
-        [FGMLinf(), FGML2()],
-        mnist_small.test.images[:30],
-        mnist_small.test.labels[:30],
-        [0.0, 0.1, 0.25],
-        "synthetic-mnist",
-    )
+    return [
+        grid_from_suite(
+            AdversarialSuite.generate(
+                tiny_cnn,
+                attack,
+                mnist_small.test.images[:30],
+                mnist_small.test.labels[:30],
+                [0.0, 0.1, 0.25],
+            ),
+            victims,
+            dataset_name="synthetic-mnist",
+            source_name=tiny_cnn.name,
+        )
+        for attack in (FGMLinf(), FGML2())
+    ]
 
 
 class TestAttackPanel:
