@@ -222,11 +222,24 @@ class ExperimentResult:
                         for cell in table_payload["cells"]
                     ],
                 )
+            grids = [
+                RobustnessGrid.from_dict(grid) for grid in payload.get("grids", [])
+            ]
+            # a document that parses but lacks its kind's payload (one grid
+            # per attack, the study, the table) is as unusable as a
+            # misshapen one: refuse it so the run recomputes
+            missing = {
+                "panel": len(grids) != len(spec.attacks),
+                "quantization": study is None,
+                "transfer": table is None,
+            }[spec.kind]
+            if missing:
+                raise ConfigurationError(
+                    f"result payload lacks the {spec.kind} payload its spec needs"
+                )
             return cls(
                 spec=spec,
-                grids=[
-                    RobustnessGrid.from_dict(grid) for grid in payload.get("grids", [])
-                ],
+                grids=grids,
                 study=study,
                 table=table,
                 source_accuracies={

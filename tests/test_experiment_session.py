@@ -344,6 +344,58 @@ class TestResultPlumbing:
         assert store.get_json("result", digest) == result.to_dict()
         assert counters == {"train": 1, "craft": 1}
 
+    def test_payloadless_stored_result_is_evicted_and_recomputed(
+        self, store, counters
+    ):
+        # parses as a result, but holds no grid: served from the store it
+        # would make every result.grid(...) raise
+        spec = tiny_spec()
+        digest = spec.content_hash()
+        store.put_json("result", digest, {"result_version": RESULT_VERSION})
+        result = Session(store=store).run(spec)
+        assert not result.from_cache
+        assert result.grids[0].values.shape == (2, 2)
+        assert store.get_json("result", digest) == result.to_dict()
+        assert counters == {"train": 1, "craft": 1}
+
+    def test_result_missing_one_attacks_grid_is_recomputed(self, store, counters):
+        spec = tiny_spec(attacks=(AttackSpec("FGM_linf"), AttackSpec("BIM_linf")))
+        digest = spec.content_hash()
+        first = Session(store=store).run(spec)
+        payload = store.get_json("result", digest)
+        payload["grids"] = payload["grids"][:1]
+        store.put_json("result", digest, payload)
+        again = Session(store=store).run(spec)
+        assert not again.from_cache
+        assert again.to_dict() == first.to_dict()
+        # the model and both suites were still valid: only the result level
+        # was recomputed
+        assert counters == {"train": 1, "craft": 2}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tiny_spec(),
+            tiny_spec(name="quant", kind="quantization"),
+            tiny_spec(
+                name="transfer",
+                kind="transfer",
+                transfer_sources=(
+                    ModelSpec(
+                        architecture="ffnn", dataset="mnist", n_train=64,
+                        n_test=32, epochs=1,
+                    ),
+                ),
+                sweep=SweepSpec(epsilons=(0.05,), n_samples=8),
+            ),
+        ],
+        ids=["panel", "quantization", "transfer"],
+    )
+    def test_from_dict_refuses_a_result_without_its_kinds_payload(self, spec):
+        payload = {"result_version": RESULT_VERSION, "source_accuracies": {"A": 1.0}}
+        with pytest.raises(ConfigurationError, match=f"lacks the {spec.kind}"):
+            ExperimentResult.from_dict(payload, spec=spec)
+
     @settings(max_examples=300, deadline=None)
     @given(payload=RESULT_PAYLOADS)
     def test_from_dict_refuses_any_other_shape(self, payload):
