@@ -21,8 +21,8 @@ Scale knobs (environment variables):
 ``REPRO_BENCH_EPOCHS``
     Training epochs for the accurate models (default 4).
 ``REPRO_BENCH_WORKERS``
-    Processes that craft the figure sweeps' adversarial examples (default
-    ``auto`` = one per core; ``1`` crafts in-process; results are
+    Threads that craft the figure sweeps' adversarial examples (default
+    ``auto`` = one per core; ``1`` crafts inline; results are
     invariant to this knob — see ``repro.attacks.engine``).  Training and
     victim evaluation are serial.
 ``REPRO_REQUIRE_CACHED``
@@ -66,7 +66,7 @@ N_CIFAR_SAMPLES = env_int("REPRO_BENCH_SAMPLES_CIFAR", 32, minimum=1)
 N_TRAIN = env_int("REPRO_BENCH_TRAIN", 1500, minimum=1)
 N_EPOCHS = env_int("REPRO_BENCH_EPOCHS", 4, minimum=1)
 
-#: crafting processes used by every figure sweep (grids are invariant to this)
+#: crafting threads used by every figure sweep (grids are invariant to this)
 BENCH_WORKERS = env_str("REPRO_BENCH_WORKERS", "auto")
 
 #: the scale knobs stamped into every report's environment fingerprint, so

@@ -7,8 +7,8 @@ attacks), together with the l0/l2/linf distance metrics.
 
 Attacks are declarative step/init descriptions driven by the unified
 batched runtime in :mod:`repro.attacks.engine`, which amortises epsilon
-sweeps (``generate_sweep``) and shards crafting batches over worker
-processes — bit-identically for every worker count.
+sweeps (``generate_sweep``) and shards crafting batches over threads —
+bit-identically for every worker count.
 """
 
 from repro.attacks.base import (

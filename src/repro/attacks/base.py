@@ -131,8 +131,8 @@ class Attack(ABC):
     ) -> np.ndarray:
         """Craft adversarial examples within the given perturbation budget.
 
-        ``workers`` shards the batch across worker processes (``"auto"`` =
-        one per core; the default reads ``REPRO_DEFAULT_WORKERS``, else 1);
+        ``workers`` shards the batch across threads, each on its own copy
+        of ``model`` (``"auto"`` = one per core; the default reads ``REPRO_DEFAULT_WORKERS``, else 1);
         results are bit-identical for every worker count.  Regeneration with
         equal inputs is bit-identical; pass a varying ``seed`` to override
         the attack's own seed when fresh randomness per call is wanted

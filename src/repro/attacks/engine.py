@@ -1,4 +1,4 @@
-"""Unified batched attack runtime (epsilon-sweep amortization + process sharding).
+"""Unified batched attack runtime (epsilon-sweep amortization + shard threads).
 
 The paper's pipeline (Algorithm 1) crafts every adversarial example on the
 source model before any victim is evaluated, so attack generation is the
@@ -19,26 +19,31 @@ that diverge per budget (PGD after the random start, BIM from step two,
 DeepFool) still run per budget — exactly the work a per-epsilon loop would
 do, never more.
 
-**Process sharding.**  Crafting is gradient-bound and GIL-heavy — worker
-threads neither speed it up nor share one model's backward caches safely —
-so with ``workers > 1`` the engine shards the *batch* across worker
-processes (:class:`repro.nn.runtime.ProcessShardPool`, started with
-``spawn``).  This is the one parallel path in the repo: it crafts a
-ten-budget BIM sweep 1.6-1.7x faster on two cores (PERFORMANCE.md).  Models
-travel as :func:`repro.nn.serialization.dumps_model` snapshots.
+**Shard threads.**  With ``workers > 1`` the engine shards the *batch*
+across a thread pool.  Layers keep their backward caches as attributes, so
+threads cannot share one model: each thread crafts on its own
+:func:`copy.deepcopy` of the source model (layers drop their transient
+caches on copy, see :meth:`repro.nn.layers.base.Layer.__getstate__`).
+NumPy's array kernels and the compiled im2col/col2im release the GIL,
+and that is where a gradient-bound sweep spends its time: a ten-budget BIM
+sweep crafts 1.6-1.7x faster on two threads than serially (PERFORMANCE.md,
+"Parallelism").
 
 Reproducibility contract: results are bit-identical (a) for every worker
-count, including the in-process loop of ``workers=1``, and (b) between
+count, including the inline loop of ``workers=1``, and (b) between
 per-budget :meth:`generate` calls and one :meth:`generate_sweep`.  This
 holds because the shard decomposition depends only on ``(n_samples,
 shard_size)`` — never on ``workers`` — and each shard's RNG is spawned from
 a root :class:`numpy.random.SeedSequence` keyed by the attack's seed, so
-shard *i* sees the same stream no matter which process (or how many) runs
+shard *i* sees the same stream no matter which thread (or how many) runs
 it, and hooks consume the stream only in epsilon-independent positions.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -53,13 +58,11 @@ from repro.attacks.base import (
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
 from repro.nn.runtime import (
-    ProcessShardPool,
     WorkerSpec,
     batch_slices,
     resolve_workers,
     validate_batch_size,
 )
-from repro.nn.serialization import dumps_model, loads_model
 
 #: samples per shard — fixed independently of the worker count, which is
 #: what keeps results bit-identical for every ``workers`` value
@@ -104,21 +107,6 @@ def _sweep_shard(
     return out
 
 
-def _craft_shard_task(task: dict) -> Dict[float, np.ndarray]:
-    """Worker-process entry point (module-level so ``spawn`` can import it)."""
-    model = task["model"]
-    if isinstance(model, bytes):
-        model = loads_model(model)
-    return _sweep_shard(
-        task["attack"],
-        model,
-        task["images"],
-        task["labels"],
-        task["epsilons"],
-        task["seed"],
-    )
-
-
 class AttackEngine:
     """Batched attack runtime bound to one source model.
 
@@ -128,8 +116,8 @@ class AttackEngine:
         The source model adversarial examples are crafted on (the accurate
         float DNN, per the paper's threat model).
     workers:
-        Worker processes for batch sharding: a positive int, ``"auto"``
-        (one per core) or ``None`` (``REPRO_DEFAULT_WORKERS``, else 1).
+        Threads for batch sharding: a positive int, ``"auto"`` (one per
+        core) or ``None`` (``REPRO_DEFAULT_WORKERS``, else 1).
         Results are bit-identical for every value.
     shard_size:
         Samples per shard.  Part of the attack semantics for seeded attacks
@@ -211,30 +199,22 @@ class AttackEngine:
 
     # ------------------------------------------------------------ dispatch
     def _run_shards(self, attack, images, labels, epsilons, slices, seeds):
-        use_processes = (
-            self.workers > 1
-            and len(slices) > 1
-            and isinstance(self.model, Sequential)
-        )
-        if not use_processes:
+        workers = min(self.workers, len(slices))
+        if workers == 1 or not isinstance(self.model, Sequential):
             return [
                 _sweep_shard(attack, self.model, images[s], labels[s], epsilons, seed)
                 for s, seed in zip(slices, seeds)
             ]
-        payload = dumps_model(self.model)
-        tasks = [
-            {
-                "model": payload,
-                "attack": attack,
-                "images": images[s],
-                "labels": labels[s],
-                "epsilons": epsilons,
-                "seed": seed,
-            }
-            for s, seed in zip(slices, seeds)
-        ]
-        # context manager: a crafting failure tears the spawn pool down
-        # instead of leaking worker processes; the happy path keeps the
-        # warm executor cached for the next sweep
-        with ProcessShardPool(self.workers) as pool:
-            return pool.map(_craft_shard_task, tasks)
+        # layer backward caches are per-layer attributes, so each thread
+        # crafts on its own copy of the source model
+        local = threading.local()
+
+        def craft(shard):
+            s, seed = shard
+            model = getattr(local, "model", None)
+            if model is None:
+                model = local.model = copy.deepcopy(self.model)
+            return _sweep_shard(attack, model, images[s], labels[s], epsilons, seed)
+
+        with ThreadPoolExecutor(workers, thread_name_prefix="repro-craft") as pool:
+            return list(pool.map(craft, zip(slices, seeds)))

@@ -36,7 +36,7 @@ Examples::
     python -m repro.cli report --results benchmarks/results --output EXPERIMENTS.md
 
 ``run``, ``sweep`` and ``serve`` take ``--workers``: the number of
-processes that craft adversarial suites (a positive int or ``auto``).
+threads that craft adversarial suites (a positive int or ``auto``).
 Training and evaluation are serial, and results are invariant to it.
 """
 
@@ -79,9 +79,9 @@ def add_workers_argument(parser: argparse.ArgumentParser, default: str = None) -
     parser.add_argument(
         "--workers",
         default=default,
-        help="processes crafting adversarial examples: a positive int or "
-        "'auto' (one per core); training and evaluation are serial, and "
-        "results are invariant to it",
+        help="threads crafting adversarial examples, each on its own copy "
+        "of the source model: a positive int or 'auto' (one per core); "
+        "training and evaluation are serial, and results are invariant to it",
     )
 
 

@@ -286,7 +286,7 @@ class Session:
         An :class:`ArtifactStore`, a root directory path, or ``None`` for
         the default root (``$REPRO_ARTIFACT_DIR`` or ``~/.cache/repro``).
     workers:
-        Processes that craft adversarial suites (a positive int, ``"auto"``
+        Threads that craft adversarial suites (a positive int, ``"auto"``
         or ``None`` for ``REPRO_DEFAULT_WORKERS``, else 1); overridable per
         :meth:`resolve_suite` call.  Training and evaluation are serial.
         Results are invariant to it.

@@ -35,14 +35,12 @@ from repro.nn.metrics import accuracy, accuracy_percent, confusion_matrix, top_k
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.runtime import (
-    ProcessShardPool,
     available_workers,
     batch_slices,
     resolve_workers,
     run_batched,
     validate_batch_size,
 )
-from repro.nn.serialization import dumps_model, loads_model
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -80,9 +78,6 @@ __all__ = [
     "accuracy_percent",
     "confusion_matrix",
     "top_k_accuracy",
-    "dumps_model",
-    "loads_model",
-    "ProcessShardPool",
     "available_workers",
     "batch_slices",
     "resolve_workers",

@@ -66,9 +66,9 @@ class Layer:
 
     #: names of instance attributes holding transient forward-pass caches
     #: (im2col buffers, activation masks, input shapes).  Subclasses declare
-    #: theirs so that pickling a layer — e.g. shipping a model snapshot to a
-    #: spawn-started attack worker — carries parameters, never the last
-    #: batch's activations.  Each starts as None, which is also what a
+    #: theirs so that copying a layer — e.g. the per-thread model copies of
+    #: sharded attack crafting — carries parameters, never the last batch's
+    #: activations.  Each starts as None, which is also what a
     #: forward under :func:`no_grad_cache` leaves behind.
     _transient_attrs: Tuple[str, ...] = ()
 
@@ -135,11 +135,12 @@ class Layer:
 
     # ----------------------------------------------------------- utilities
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without transient forward-pass caches.
+        """Pickle or copy without transient forward-pass caches.
 
-        A pickled layer is a snapshot of its configuration and parameters; a
-        following ``backward`` on the unpickled copy requires a fresh forward
-        pass, exactly as after :func:`no_grad_cache` inference.
+        A pickled or :func:`copy.deepcopy`-ed layer is a snapshot of its
+        configuration and parameters; a following ``backward`` on the copy
+        requires a fresh forward pass, exactly as after
+        :func:`no_grad_cache` inference.
         """
         state = self.__dict__.copy()
         for attr in self._transient_attrs:

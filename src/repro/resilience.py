@@ -5,8 +5,8 @@ artifact-store IO — is deterministic and content-addressed (PRs 1-5), which
 makes crash recovery *provable*: a resumed or retried computation must
 produce byte-identical artifacts, so fault tolerance is tested as a
 bit-identity invariant rather than a best-effort behavior.  This module
-holds the shared machinery the store, the worker pools and the trainer build
-that recovery on:
+holds the shared machinery the store, the remote backends and the trainer
+build that recovery on:
 
 :class:`RetryPolicy`
     Bounded attempts with deterministic exponential backoff (no jitter — the
@@ -22,13 +22,13 @@ that recovery on:
 
 :class:`FaultInjector` / :class:`FaultRule`
     A process-global, deterministically scripted fault plan.  Production
-    code consults *named fault points* (``store.write``, ``pool.process``,
-    ``trainer.epoch``, and the remote-store points ``backend.get`` /
-    ``backend.put`` / ``backend.head`` / ``backend.list`` /
-    ``backend.delete``, ...) via :meth:`FaultInjector.consult`; with no plan
+    code consults *named fault points* (``store.write``, ``store.read``,
+    ``store.corrupt``, ``trainer.epoch``, and the remote-store points
+    ``backend.get`` / ``backend.put`` / ``backend.head`` / ``backend.list``
+    / ``backend.delete``, ...) via :meth:`FaultInjector.consult`; with no plan
     active the consult is a single attribute check and the runtime cost is
     nil.  A chaos test activates a plan — "raise ``OSError`` on the second
-    store write", "SIGKILL the worker crafting shard 3", "corrupt 8 bytes of
+    store write", "SIGKILL the trainer at epoch 2", "corrupt 8 bytes of
     this artifact" — and the production retry/recovery paths run exactly as
     a real fault would run them, without monkeypatching.  Plans can also be
     supplied from the environment (``REPRO_FAULT_PLAN`` holding the JSON
@@ -231,7 +231,7 @@ FAULT_ERRORS: Dict[str, type] = {
     "KeyboardInterrupt": KeyboardInterrupt,
 }
 
-_ACTIONS = ("raise", "delay", "exit", "sigkill", "kill_worker", "corrupt")
+_ACTIONS = ("raise", "delay", "exit", "sigkill", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class FaultRule:
     """One scripted fault: *at this point, on this consult, do this*.
 
     ``point`` names the fault point consulted by production code;
-    ``index`` is the 0-based consult (or shard) ordinal the rule fires on,
+    ``index`` is the 0-based consult ordinal the rule fires on,
     and ``count`` how many consecutive consults it covers.  Actions:
 
     ``raise``
@@ -252,17 +252,13 @@ class FaultRule:
     ``sigkill``
         ``SIGKILL`` the calling process — the harshest interruption the OS
         offers (the CI resume-determinism job uses this at ``trainer.epoch``).
-    ``kill_worker``
-        Handled by :class:`repro.nn.runtime.ProcessShardPool`: the worker
-        process running the matching shard kills itself, and the pool's
-        self-healing path must recover.
     ``corrupt``
         Handled by the artifact store: overwrite ``corrupt_bytes`` bytes of
         the just-written payload at ``corrupt_offset`` — a simulated torn or
         bit-rotted artifact that :meth:`ArtifactStore.verify` must catch.
 
-    Rules hold only primitives (the error as a *name*), so they pickle
-    cleanly into spawned worker processes.
+    Rules hold only primitives (the error as a *name*), so a plan travels
+    as JSON through :data:`FAULT_PLAN_ENV_VAR` into child processes.
     """
 
     point: str
@@ -291,7 +287,7 @@ class FaultRule:
             raise FaultInjectionError("index must be >= 0 and count >= 1")
 
     def matches(self, ordinal: int) -> bool:
-        """Whether the rule covers the given 0-based consult/shard ordinal."""
+        """Whether the rule covers the given 0-based consult ordinal."""
         return self.index <= ordinal < self.index + self.count
 
     def trigger(self) -> None:
@@ -304,7 +300,7 @@ class FaultRule:
             os._exit(self.exit_code)
         elif self.action == "sigkill":
             os.kill(os.getpid(), signal.SIGKILL)
-        # kill_worker / corrupt are caller-interpreted: consult returns them
+        # corrupt is caller-interpreted: consult returns it
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultRule":
@@ -361,7 +357,7 @@ class FaultInjector:
 
     @classmethod
     def _load_env_plan(cls) -> None:
-        # the environment plan is read once per process: spawned children and
+        # the environment plan is read once per process: child processes and
         # CLI invocations inherit chaos through the environment
         if cls._env_loaded:
             return
@@ -390,8 +386,8 @@ class FaultInjector:
         """Consult a fault point; fires any matching rule of the active plan.
 
         Process-local actions (``raise``/``delay``/``exit``/``sigkill``)
-        execute here; caller-interpreted actions (``kill_worker``,
-        ``corrupt``) are returned for the call site to apply.  Returns
+        execute here; the caller-interpreted ``corrupt`` is returned for
+        the call site to apply.  Returns
         ``None`` when nothing fires — the common case, and with no plan
         active the only work is one attribute check.
         """
@@ -419,35 +415,6 @@ class FaultInjector:
             )
             rule.trigger()
         return rule
-
-    @classmethod
-    def rules_for(cls, point: str) -> Tuple[FaultRule, ...]:
-        """The still-armed rules of one point (for shipping into workers)."""
-        if cls._plan is None and cls._env_loaded:
-            return ()
-        cls._load_env_plan()
-        with cls._lock:
-            if cls._plan is None:
-                return ()
-            return tuple(r for r in cls._plan if r.point == point)
-
-    @classmethod
-    def disarm(cls, point: str) -> None:
-        """Remove every rule of one point from the active plan.
-
-        Used by recovery paths after a caller-interpreted fault was applied
-        out-of-process (a killed worker cannot update the parent's
-        counters): the pool disarms ``pool.worker`` after the crash so the
-        retried map runs clean.
-        """
-        with cls._lock:
-            if cls._plan is None:
-                return
-            remaining = tuple(r for r in cls._plan if r.point != point)
-            removed = len(cls._plan) - len(remaining)
-            cls._plan = remaining
-            if removed:
-                cls._fired.append((point, -1, FaultRule(point=point, action="delay")))
 
 
 class fault_plan:

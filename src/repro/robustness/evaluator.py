@@ -15,8 +15,8 @@ the victim, so :class:`AdversarialSuite` materialises the examples once per
 (attack, epsilon) and every victim re-uses them.  Generation runs through
 :class:`repro.attacks.engine.AttackEngine`: the whole budget sweep is
 crafted in one amortised pass (epsilon-independent gradients and noise
-draws are shared across budgets) and the batch is sharded over worker
-processes when ``workers > 1``.
+draws are shared across budgets) and the batch is sharded over threads
+when ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class AdversarialSuite:
         The full sweep runs in one :meth:`AttackEngine.generate_sweep` pass:
         bit-identical to one ``generate`` call per budget, but shared work
         (single-step gradients, noise draws) is paid once, and the batch is
-        sharded over worker processes when ``workers > 1``.  Pass a
+        sharded over threads when ``workers > 1``.  Pass a
         pre-configured ``engine`` to override the shard size.
         ``seed`` overrides the attack's own seed for this crafting pass —
         the declarative experiment API threads its experiment seed through

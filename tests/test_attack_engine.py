@@ -2,16 +2,25 @@
 
 The engine's contract is bit-for-bit reproducibility along three axes:
 per-budget ``generate`` vs one amortised ``generate_sweep``, and every
-worker count (1 / N / 'auto'; 1 runs in-process, more on the spawn pool) —
+worker count (1 / N / 'auto'; 1 runs inline, more on shard threads that
+each craft on their own copy of the source model) —
 plus the amortization guarantee that an FGM-family epsilon sweep costs exactly
 one gradient evaluation.
 """
+
+import copy
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.attacks import (
     AttackEngine,
     FGML2,
@@ -25,7 +34,7 @@ from repro.attacks import (
 from repro.attacks.engine import DEFAULT_SHARD_SIZE
 from repro.attacks.extended import EXTENDED_ATTACKS, get_extended_attack
 from repro.errors import ConfigurationError
-from repro.nn import ProcessShardPool, Sequential, dumps_model, loads_model
+from repro.nn import AvgPool2D, Conv2D, Dense, Dropout, Flatten, ReLU, Sequential
 from repro.robustness import AdversarialSuite
 
 ALL_KEYS = sorted(available_attacks()) + sorted(EXTENDED_ATTACKS)
@@ -46,6 +55,35 @@ def _make_attack(key):
 @pytest.fixture(scope="module")
 def engine_data(mnist_small):
     return mnist_small.test.images[:12], mnist_small.test.labels[:12]
+
+
+def _pooled_dropout_cnn():
+    """An untrained source model with Dropout and AvgPool layers.
+
+    Built fresh per call, so its transient caches are all None until a
+    forward pass on this very object fills them.
+    """
+    return Sequential(
+        [
+            Conv2D(4, kernel_size=3, padding="valid"),
+            ReLU(),
+            AvgPool2D(2),
+            Flatten(),
+            Dropout(0.3, seed=5),
+            Dense(10),
+        ],
+        input_shape=(28, 28, 1),
+        name="pooled_dropout_cnn",
+        seed=9,
+    )
+
+
+def _transient_caches(model):
+    return [
+        getattr(layer, attr)
+        for layer in model.layers
+        for attr in layer._transient_attrs
+    ]
 
 
 class _GradientSpy:
@@ -85,23 +123,35 @@ class TestSweepMatchesGenerate:
 
 
 class TestWorkerInvariance:
+    @pytest.mark.parametrize("source", ["tiny_cnn", "pooled_dropout_cnn"])
     @pytest.mark.parametrize("key", sorted(available_attacks()))
-    def test_bit_identical_across_worker_counts(self, key, tiny_cnn, engine_data):
+    def test_bit_identical_across_worker_counts(
+        self, key, source, request, engine_data
+    ):
         x, y = engine_data
         attack = _make_attack(key)
+        if source == "tiny_cnn":
+            model = request.getfixturevalue("tiny_cnn")
+        else:
+            model = _pooled_dropout_cnn()
         # shard_size=5 over 12 samples -> 3 shards, so workers=2 really
-        # dispatches to the process pool
-        serial = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate(
+        # dispatches to the shard threads
+        sharded = AttackEngine(model, workers=2, shard_size=5).generate(
             attack, x, y, 0.25
         )
-        sharded = AttackEngine(tiny_cnn, workers=2, shard_size=5).generate(
+        auto = AttackEngine(model, workers="auto", shard_size=5).generate(
             attack, x, y, 0.25
         )
-        auto = AttackEngine(tiny_cnn, workers="auto", shard_size=5).generate(
+        if source == "pooled_dropout_cnn":
+            # the threads crafted on copies: the source's own caches are
+            # as the build left them
+            assert all(cache is None for cache in _transient_caches(model))
+        serial = AttackEngine(model, workers=1, shard_size=5).generate(
             attack, x, y, 0.25
         )
         assert np.array_equal(serial, sharded), key
         assert np.array_equal(serial, auto), key
+        assert multiprocessing.active_children() == []
 
     def test_sweep_bit_identical_across_worker_counts(self, tiny_cnn, engine_data):
         x, y = engine_data
@@ -128,6 +178,62 @@ class TestWorkerInvariance:
             attack, x, y, 0.4
         )
         assert np.array_equal(serial, fallback)
+
+
+#: a module-level script with no ``if __name__ == "__main__"`` guard: a
+#: spawn-started worker would re-run it on import
+_GUARDLESS_SCRIPT = textwrap.dedent(
+    """
+    import hashlib
+    import logging
+    import multiprocessing
+
+    import numpy as np
+
+    from repro.attacks import AttackEngine, BIMLinf
+    from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+
+    logging.basicConfig(level=logging.WARNING)
+    model = Sequential(
+        [Conv2D(4, kernel_size=3), ReLU(), Flatten(), Dense(10)],
+        input_shape=(8, 8, 1),
+        seed=2,
+    )
+    rng = np.random.default_rng(0)
+    x = rng.random((12, 8, 8, 1))
+    y = rng.integers(0, 10, size=12)
+    for workers in (2, 1):
+        sweep = AttackEngine(model, workers=workers, shard_size=4).generate_sweep(
+            BIMLinf(steps=3), x, y, [0.05, 0.1, 0.2]
+        )
+        digest = hashlib.sha256(
+            b"".join(sweep[eps].tobytes() for eps in sorted(sweep))
+        ).hexdigest()
+        print(workers, digest, len(multiprocessing.active_children()))
+    """
+)
+
+
+class TestGuardlessScript:
+    def test_sharded_sweep_runs_in_a_script_without_main_guard(self, tmp_path):
+        script = tmp_path / "guardless.py"
+        script.write_text(_GUARDLESS_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "process shard pool kept failing" not in result.stderr
+        rows = [line.split() for line in result.stdout.splitlines()]
+        assert [row[0] for row in rows] == ["2", "1"]
+        (_, sharded, children_sharded), (_, serial, children_serial) = rows
+        assert sharded == serial
+        assert children_sharded == children_serial == "0"
 
 
 class TestSweepAmortization:
@@ -306,36 +412,29 @@ class TestValidation:
         assert AttackEngine(tiny_cnn).shard_size == DEFAULT_SHARD_SIZE
 
 
-class TestModelSnapshots:
-    def test_roundtrip_preserves_predictions(self, tiny_cnn, engine_data):
+class TestModelCopies:
+    """Shard threads craft on ``copy.deepcopy`` copies of the source."""
+
+    def test_copy_preserves_predictions(self, tiny_cnn, engine_data):
         x, _ = engine_data
-        clone = loads_model(dumps_model(tiny_cnn))
+        clone = copy.deepcopy(tiny_cnn)
         assert np.array_equal(clone.predict(x), tiny_cnn.predict(x))
 
-    def test_snapshot_drops_backward_caches(self, tiny_cnn, engine_data):
+    def test_copy_drops_backward_caches(self, tiny_cnn, engine_data):
         x, y = engine_data
         tiny_cnn.input_gradient(x, y)  # populate im2col / input caches
-        cached = dumps_model(tiny_cnn)
-        for layer in loads_model(cached).layers:
-            for attr in layer._transient_attrs:
-                assert getattr(layer, attr) is None, (layer.name, attr)
-        # the live model's caches are untouched by serialization
-        assert any(
-            getattr(layer, attr) is not None
-            for layer in tiny_cnn.layers
-            for attr in layer._transient_attrs
-        )
+        clone = copy.deepcopy(tiny_cnn)
+        assert all(cache is None for cache in _transient_caches(clone))
+        # the live model's caches are untouched by copying
+        assert any(cache is not None for cache in _transient_caches(tiny_cnn))
 
-    def test_snapshot_is_cache_free_sized(self, tiny_cnn, engine_data):
-        x, y = engine_data
-        fresh = len(dumps_model(tiny_cnn))
-        tiny_cnn.input_gradient(x, y)
-        after_gradient = len(dumps_model(tiny_cnn))
-        assert after_gradient == fresh
-
-    def test_rejects_non_models(self):
-        with pytest.raises(ConfigurationError):
-            dumps_model(object())
+    def test_copy_carries_an_independent_dropout_stream(self):
+        model = _pooled_dropout_cnn()
+        clone = copy.deepcopy(model)
+        source_rng, clone_rng = model.layers[4]._rng, clone.layers[4]._rng
+        assert clone_rng is not source_rng
+        assert clone_rng.bit_generator.state == source_rng.bit_generator.state
+        assert np.array_equal(clone_rng.random(4), source_rng.random(4))
 
 
 class TestSweepProperties:
@@ -343,8 +442,6 @@ class TestSweepProperties:
 
     @pytest.fixture(scope="class")
     def small_model(self):
-        from repro.nn import Dense, Flatten, ReLU
-
         return Sequential(
             [Flatten(), Dense(12), ReLU(), Dense(10)],
             input_shape=(6, 6, 1),
@@ -372,22 +469,3 @@ class TestSweepProperties:
         for epsilon in epsilons:
             single = engine.generate(PGDLinf(steps=2, seed=seed), x, y, epsilon)
             assert np.array_equal(sweep[float(epsilon)], single)
-
-
-class TestProcessShardPool:
-    def test_single_worker_runs_inline(self):
-        pool = ProcessShardPool(1)
-        assert pool.map(len, [[1, 2], [3]]) == [2, 1]
-
-    def test_single_item_runs_inline(self):
-        pool = ProcessShardPool(4)
-        assert pool.map(len, [[1, 2, 3]]) == [3]
-
-    def test_empty_items(self):
-        assert ProcessShardPool(2).map(len, []) == []
-
-    def test_workers_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_WORKERS", "3")
-        assert ProcessShardPool(None).workers == 3
-        with pytest.raises(ConfigurationError):
-            ProcessShardPool(0)

@@ -2,7 +2,7 @@
 
 Batched inference is serial: outputs are concatenated in input order, the
 remainder batch is handled and inputs are validated.  ``workers`` counts
-crafting processes only; the three inference entry points that keep a
+crafting threads only; the three inference entry points that keep a
 ``workers=`` keyword accept ``None`` or ``1`` and refuse anything else.
 The process-wide LUT cache and the thread-local grad-cache flag survive
 concurrent use from several threads (the service's job and query threads
@@ -172,7 +172,7 @@ class TestSweepWorkerInvariance:
     def test_suite_grid_invariant_to_workers(
         self, tiny_cnn, approx_tiny_m8, quantized_tiny, mnist_small
     ):
-        """Crafting processes never change the grid."""
+        """Crafting threads never change the grid."""
         x = mnist_small.test.images[:10]
         y = mnist_small.test.labels[:10]
         victims = {"M1": quantized_tiny, "M8": approx_tiny_m8}
