@@ -8,7 +8,6 @@ from repro.analysis.experiments import (
     high_error_multiplier_more_vulnerable,
     l2_milder_than_linf,
     monotonic_decrease,
-    quantization_helps_but_approximation_hurts,
     summarize,
 )
 from repro.analysis.paper_data import (
@@ -36,7 +35,6 @@ __all__ = [
     "l2_milder_than_linf",
     "high_error_multiplier_more_vulnerable",
     "approximation_not_universally_defensive",
-    "quantization_helps_but_approximation_hurts",
     "summarize",
     "compare_with_paper_grid",
     "format_grid",

@@ -11,9 +11,7 @@ the *shape* of every result:
 * high-MAE AxDNNs sit below low-MAE AxDNNs;
 * the gradient attacks collapse accuracy to ~0 beyond a small linf budget;
 * the decision attacks (CR / RAU) hurt the high-error AxDNNs much more than
-  the accurate DNN, while RAG barely moves anything;
-* quantization alone improves robustness while approximation on top of
-  quantization removes the benefit.
+  the accurate DNN, while RAG barely moves anything.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.robustness.quantization_analysis import QuantizationStudy
 from repro.robustness.sweep import RobustnessGrid
 
 
@@ -120,32 +117,6 @@ def approximation_not_universally_defensive(
         detail=(
             f"max extra accuracy loss of an AxDNN over the accurate DNN = "
             f"{worst:.1f} points"
-        ),
-    )
-
-
-def quantization_helps_but_approximation_hurts(
-    study: QuantizationStudy,
-    approx_grid: RobustnessGrid,
-    quantized_victim: str = "M1",
-    approximate_victim: str = "M8",
-) -> TrendCheck:
-    """Fig. 8 vs Fig. 4/5: quantization gains robustness, approximation gives it back."""
-    quant_gain = study.mean_quantization_gain()
-    baseline = approx_grid.accuracy_loss()
-    quant_index = approx_grid.victim_labels.index(quantized_victim)
-    approx_index = approx_grid.victim_labels.index(approximate_victim)
-    extra_loss = float(
-        (baseline[:, approx_index] - baseline[:, quant_index]).max()
-    )
-    passed = quant_gain >= -1.0 and extra_loss > 0.0
-    return TrendCheck(
-        name="quantization_vs_approximation",
-        passed=passed,
-        detail=(
-            f"mean robustness gain of quantization = {quant_gain:.1f} points; "
-            f"max extra loss of {approximate_victim} over {quantized_victim} = "
-            f"{extra_loss:.1f} points"
         ),
     )
 

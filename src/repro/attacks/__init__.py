@@ -3,7 +3,9 @@
 Implements the ten attacks of the paper's Table I: FGM, BIM and PGD in their
 l2 and linf variants (gradient attacks), plus Contrast Reduction, Repeated
 Additive Gaussian noise and Repeated Additive Uniform noise (decision
-attacks), together with the l0/l2/linf distance metrics.
+attacks), together with the l0/l2/linf distance metrics.  These ten are
+the whole attack surface: every ``AttackSpec`` and ``repro.cli attacks``
+names one of them.
 
 Attacks are declarative step/init descriptions driven by the unified
 batched runtime in :mod:`repro.attacks.engine`, which amortises epsilon
@@ -36,14 +38,6 @@ from repro.attacks.distances import (
     project_l2_ball,
     project_linf_ball,
 )
-from repro.attacks.extended import (
-    EXTENDED_ATTACKS,
-    AdditiveGaussianL2,
-    BlendedUniformNoiseL2,
-    DeepFoolL2,
-    SaltAndPepperNoise,
-    get_extended_attack,
-)
 from repro.attacks.fgm import FGML2, FGMLinf
 from repro.attacks.noise import (
     RepeatedAdditiveGaussianL2,
@@ -55,9 +49,7 @@ from repro.attacks.registry import (
     PAPER_EPSILONS,
     attack_table,
     available_attacks,
-    decision_attacks,
     get_attack,
-    gradient_attacks,
 )
 
 __all__ = [
@@ -91,13 +83,5 @@ __all__ = [
     "get_attack",
     "available_attacks",
     "attack_table",
-    "gradient_attacks",
-    "decision_attacks",
     "PAPER_EPSILONS",
-    "SaltAndPepperNoise",
-    "AdditiveGaussianL2",
-    "BlendedUniformNoiseL2",
-    "DeepFoolL2",
-    "EXTENDED_ATTACKS",
-    "get_extended_attack",
 ]

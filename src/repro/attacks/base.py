@@ -209,8 +209,3 @@ class Attack(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(norm={self.norm!r})"
-
-
-def predicted_labels(model: Sequential, images: np.ndarray) -> np.ndarray:
-    """Labels predicted by the source model (used by decision attacks)."""
-    return model.predict_classes(images)

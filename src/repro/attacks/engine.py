@@ -15,8 +15,8 @@ gradient exactly once and scale it per budget; BIM's first step (taken at
 the clean images for every budget) shares one gradient; decision noise
 attacks draw each repeat's unit-scale noise once for all budgets; contrast
 reduction computes its perturbation direction once.  Iterative trajectories
-that diverge per budget (PGD after the random start, BIM from step two,
-DeepFool) still run per budget — exactly the work a per-epsilon loop would
+that diverge per budget (PGD after the random start, BIM from step two)
+still run per budget — exactly the work a per-epsilon loop would
 do, never more.
 
 **Shard threads.**  With ``workers > 1`` the engine shards the *batch*

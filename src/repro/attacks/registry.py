@@ -72,13 +72,3 @@ def attack_parameters(key: str) -> Optional[Tuple[str, ...]]:
 def attack_table() -> List[AttackMetadata]:
     """Metadata of every attack — the reproduction of the paper's Table I."""
     return [get_attack(key).metadata() for key in available_attacks()]
-
-
-def gradient_attacks() -> List[str]:
-    """Keys of the gradient-based attacks."""
-    return [key for key in available_attacks() if get_attack(key).attack_type == "gradient"]
-
-
-def decision_attacks() -> List[str]:
-    """Keys of the decision-based attacks."""
-    return [key for key in available_attacks() if get_attack(key).attack_type == "decision"]

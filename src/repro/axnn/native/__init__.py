@@ -144,22 +144,29 @@ class FusedMember:
         return self.lut.shape[0]
 
 
-def _check_operand(name: str, array, dtypes, shape) -> None:
+def check_operand(name: str, array, dtypes, shape, writeable: bool = False) -> None:
     """Raise :class:`ShapeError` unless ``array`` is a C-contiguous array of
-    one of ``dtypes`` whose shape matches ``shape`` (``None`` = any)."""
+    one of ``dtypes`` whose shape matches ``shape`` (``None`` = any size),
+    and writeable when ``writeable``: what a compiled loop needs of an
+    operand it reads or writes through a raw pointer."""
     if not (
         isinstance(array, np.ndarray)
         and array.dtype in dtypes
         and array.flags["C_CONTIGUOUS"]
+        and (array.flags["WRITEABLE"] or not writeable)
         and array.ndim == len(shape)
         and all(want is None or got == want for got, want in zip(array.shape, shape))
     ):
         got = getattr(array, "shape", None), getattr(array, "dtype", None)
         raise ShapeError(
-            f"fused layer operand {name}: expected C-contiguous "
+            f"{name}: expected C-contiguous{' writeable' if writeable else ''} "
             f"{'/'.join(np.dtype(d).name for d in dtypes)} of shape {shape}, "
             f"got {got}"
         )
+
+
+def _member_operand(name: str, array, dtypes, shape) -> None:
+    check_operand(f"fused layer operand {name}", array, dtypes, shape)
 
 
 def check_layer_members(
@@ -175,11 +182,11 @@ def check_layer_members(
     if len(set(slots)) != len(slots) or any(not 0 <= s < n_slots for s in slots):
         raise ShapeError(f"fused layer slots {slots} are not distinct in [0, {n_slots})")
     for member in members:
-        _check_operand("correction", member.correction, (np.int64,), (n_dim,))
+        _member_operand("correction", member.correction, (np.int64,), (n_dim,))
         if member.bias is not None:
-            _check_operand("bias", member.bias, (np.float64,), (n_dim,))
+            _member_operand("bias", member.bias, (np.float64,), (n_dim,))
         if member.table is not None:
-            _check_operand("table", member.table, (np.int32,), (k_dim, None, None))
+            _member_operand("table", member.table, (np.int32,), (k_dim, None, None))
             _, codes_total, n_pad = member.table.shape
             if n_pad < n_dim or n_pad % 8 or codes_total == 0:
                 raise ShapeError(
@@ -188,12 +195,12 @@ def check_layer_members(
                 )
             continue
         if member.weight_factors is not None:
-            _check_operand(
+            _member_operand(
                 "weight_factors", member.weight_factors, (np.float64,), (None, n_dim)
             )
             rank = 1
             if member.code_factors is not None:
-                _check_operand(
+                _member_operand(
                     "code_factors", member.code_factors, (np.float64,), (None, None)
                 )
                 rank = member.code_factors.shape[1]
@@ -203,9 +210,9 @@ def check_layer_members(
                     f"are not {k_dim} x rank {rank} rows"
                 )
             continue
-        _check_operand("sign", member.sign, (np.int8,), (k_dim, n_dim))
-        _check_operand("mag", member.mag, (np.uint8,), (k_dim, n_dim))
-        _check_operand("lut", member.lut, (np.int16, np.int32), (None, None))
+        _member_operand("sign", member.sign, (np.int8,), (k_dim, n_dim))
+        _member_operand("mag", member.mag, (np.uint8,), (k_dim, n_dim))
+        _member_operand("lut", member.lut, (np.int16, np.int32), (None, None))
         if member.mag.size and int(member.mag.max()) >= member.lut.shape[1]:
             raise ShapeError("fused layer magnitudes exceed the LUT's columns")
 

@@ -31,12 +31,12 @@ import tempfile
 from typing import Optional
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 from repro.axnn.native import (
     PANEL_OP_KINDS,
     check_layer_call,
     check_layer_members,
+    check_operand,
     check_panel_program,
 )
 from repro.errors import ConfigurationError, ShapeError
@@ -59,14 +59,6 @@ _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels
 
 class NativeBuildError(RuntimeError):
     """The C kernel library could not be built or loaded on this host."""
-
-
-def _i8(flags="C_CONTIGUOUS"):
-    return ndpointer(dtype=np.int8, flags=flags)
-
-
-def _u8(flags="C_CONTIGUOUS"):
-    return ndpointer(dtype=np.uint8, flags=flags)
 
 
 def cache_dir() -> str:
@@ -150,43 +142,45 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
     except OSError as exc:
         raise NativeBuildError(f"loading {path} failed: {exc}") from exc
     i64 = ctypes.c_int64
-    for suffix, lut_dtype in (("i16", np.int16), ("i32", np.int32)):
+    # raw addresses throughout: the wrappers below check every operand's
+    # dtype, C-contiguity, shape and (outputs) writeability before the call
+    for suffix in ("i16", "i32"):
         fn = getattr(lib, f"repro_lut_matmul_{suffix}")
         fn.restype = None
         fn.argtypes = [
-            _u8(),  # codes (M, K)
-            _i8(),  # sign (K, N)
-            _u8(),  # mag (K, N)
-            ndpointer(dtype=lut_dtype, flags="C_CONTIGUOUS"),  # lut (C, C)
+            ctypes.c_void_p,  # codes (M, K) uint8
+            ctypes.c_void_p,  # sign (K, N) int8
+            ctypes.c_void_p,  # mag (K, N) uint8
+            ctypes.c_void_p,  # lut (C, C) int16 or int32
             i64, i64, i64, i64,  # m, k, n, lut_cols
-            ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
+            ctypes.c_void_p,  # out (M, N) int64
         ]
     table = lib.repro_table_matmul_i32
     table.restype = None
     table.argtypes = [
-        _u8(),  # codes (M, K)
-        ndpointer(dtype=np.int32, flags="C_CONTIGUOUS"),  # table (K, C, n_pad)
+        ctypes.c_void_p,  # codes (M, K) uint8
+        ctypes.c_void_p,  # table (K, C, n_pad) int32
         i64, i64, i64, i64, i64,  # m, k, n, codes_total, n_pad
-        ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
+        ctypes.c_void_p,  # out (M, N) int64
     ]
     col2im = lib.repro_col2im_f64
     col2im.restype = None
     col2im.argtypes = [
-        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS"),  # cols
+        ctypes.c_void_p,  # cols float64
         i64, i64, i64,  # batch, out_h, out_w
         i64, i64, i64, i64,  # kh, kw, channels, stride
         i64, i64,  # padded_h, padded_w
-        ndpointer(dtype=np.float64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
+        ctypes.c_void_p,  # out float64
     ]
-    for suffix, image_dtype in (("f64", np.float64), ("u8", np.uint8)):
+    for suffix in ("f64", "u8"):
         gather = getattr(lib, f"repro_im2col_{suffix}")
         gather.restype = None
         gather.argtypes = [
-            ndpointer(dtype=image_dtype, flags="C_CONTIGUOUS"),  # padded image
+            ctypes.c_void_p,  # padded image
             i64, i64, i64, i64,  # batch, padded_h, padded_w, channels
             i64, i64, i64,  # kh, kw, stride
             i64, i64,  # out_h, out_w
-            ndpointer(dtype=image_dtype, flags="C_CONTIGUOUS,WRITEABLE"),  # cols
+            ctypes.c_void_p,  # cols, the image's dtype
         ]
     layer = lib.repro_layer_f64
     layer.restype = ctypes.c_int
@@ -216,58 +210,107 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
 
 
 def lut_matmul(lib: ctypes.CDLL, codes, sign, mag, lut, out) -> None:
-    """Dispatch the LUT matmul to the i16 or i32 entry point by LUT dtype."""
+    """Dispatch the LUT matmul to the i16 or i32 entry point by LUT dtype.
+
+    Raises :class:`ShapeError` unless ``codes`` is uint8 ``(M, K)``,
+    ``sign`` int8 and ``mag`` uint8 ``(K, N)``, ``lut`` int16 or int32
+    ``(C, C')`` and ``out`` a writeable int64 ``(M, N)``, all C-contiguous.
+    """
+    check_operand("lut_matmul codes", codes, (np.uint8,), (None, None))
     m, k = codes.shape
-    n = out.shape[1]
-    if lut.dtype == np.int16:
-        fn = lib.repro_lut_matmul_i16
-    else:
-        fn = lib.repro_lut_matmul_i32
-    fn(codes, sign, mag, lut, m, k, n, lut.shape[1], out)
+    check_operand("lut_matmul sign", sign, (np.int8,), (k, None))
+    n = sign.shape[1]
+    check_operand("lut_matmul mag", mag, (np.uint8,), (k, n))
+    check_operand("lut_matmul lut", lut, (np.int16, np.int32), (None, None))
+    check_operand("lut_matmul out", out, (np.int64,), (m, n), writeable=True)
+    fn = lib.repro_lut_matmul_i16 if lut.dtype == np.int16 else lib.repro_lut_matmul_i32
+    fn(codes.ctypes.data, sign.ctypes.data, mag.ctypes.data, lut.ctypes.data,
+       m, k, n, lut.shape[1], out.ctypes.data)
 
 
 def table_matmul(lib: ctypes.CDLL, codes, table, out) -> None:
-    """Accumulate ``out[m, n] = sum_k table[k, codes[m, k], n]``."""
+    """Accumulate ``out[m, n] = sum_k table[k, codes[m, k], n]``.
+
+    Raises :class:`ShapeError` unless ``codes`` is uint8 ``(M, K)``,
+    ``table`` int32 ``(K, C, n_pad)`` with ``n_pad`` a multiple of 8 lanes
+    covering ``N``, and ``out`` a writeable int64 ``(M, N)``, all
+    C-contiguous.
+    """
+    check_operand("table_matmul codes", codes, (np.uint8,), (None, None))
     m, k = codes.shape
+    check_operand("table_matmul table", table, (np.int32,), (k, None, None))
     _, codes_total, n_pad = table.shape
+    check_operand("table_matmul out", out, (np.int64,), (m, None), writeable=True)
+    n = out.shape[1]
+    if n > n_pad or n_pad % 8:
+        raise ShapeError(
+            f"table_matmul: table {table.shape} does not cover {n} outputs "
+            "in 8-lane blocks"
+        )
     lib.repro_table_matmul_i32(
-        codes, table, m, k, out.shape[1], codes_total, n_pad, out
+        codes.ctypes.data, table.ctypes.data, m, k, n, codes_total, n_pad,
+        out.ctypes.data,
     )
+
+
+def _check_patches(what, image, cols, dtypes, kernel_h, kernel_w, stride,
+                   image_out: bool):
+    """Raise :class:`ShapeError` unless the padded NHWC ``image`` and the
+    patch matrix ``cols`` are C-contiguous arrays of one dtype of
+    ``dtypes``, the one the loop writes (``image`` when ``image_out``, else
+    ``cols``) is writeable, ``cols`` holds one ``kernel_h * kernel_w * C``
+    patch row per output pixel and every patch lies inside the image: the
+    C loops read and write through raw pointers."""
+    check_operand(f"{what} image", image, dtypes, (None,) * 4, writeable=image_out)
+    batch, padded_h, padded_w, channels = image.shape
+    check_operand(f"{what} cols", cols, (image.dtype,), (batch, None, None, None),
+                  writeable=not image_out)
+    _, out_h, out_w, patch = cols.shape
+    if (
+        patch != kernel_h * kernel_w * channels
+        or (out_h - 1) * stride + kernel_h > padded_h
+        or (out_w - 1) * stride + kernel_w > padded_w
+    ):
+        raise ShapeError(
+            f"{what}: cols {cols.shape} does not match image {image.shape} "
+            f"with a {kernel_h}x{kernel_w} kernel at stride {stride}"
+        )
 
 
 def col2im_add(lib: ctypes.CDLL, cols, out, kernel_h, kernel_w, stride,
                out_h, out_w) -> None:
-    """Scatter-add ``cols`` into the pre-zeroed padded image ``out``."""
+    """Scatter-add ``cols`` into the pre-zeroed padded image ``out``.
+
+    Raises :class:`ShapeError` unless both are C-contiguous float64, ``out``
+    is writeable and ``cols`` is ``(batch, out_h, out_w, kernel_h *
+    kernel_w * C)`` for ``out``'s ``(batch, padded_h, padded_w, C)``.
+    """
+    _check_patches("col2im", out, cols, (np.float64,), kernel_h, kernel_w, stride,
+                   image_out=True)
+    if cols.shape[1:3] != (out_h, out_w):
+        raise ShapeError(f"col2im: cols {cols.shape} are not {out_h}x{out_w} patches")
     batch, padded_h, padded_w, channels = out.shape
     lib.repro_col2im_f64(
-        cols, batch, out_h, out_w, kernel_h, kernel_w, channels, stride,
-        padded_h, padded_w, out,
+        cols.ctypes.data, batch, out_h, out_w, kernel_h, kernel_w, channels, stride,
+        padded_h, padded_w, out.ctypes.data,
     )
 
 
 def im2col(lib: ctypes.CDLL, x_padded, cols, kernel_h, kernel_w, stride) -> None:
     """Gather the patches of the padded image ``x_padded`` into ``cols``.
 
-    Raises :class:`ShapeError` unless every patch lies inside the image and
-    ``cols`` holds exactly one patch row per output pixel — the C loop reads
-    and writes through raw pointers.
+    Raises :class:`ShapeError` unless both are C-contiguous float64 or
+    uint8 of one dtype, ``cols`` is writeable, every patch lies inside the
+    image and ``cols`` holds exactly one patch row per output pixel.
     """
+    _check_patches("im2col", x_padded, cols, (np.float64, np.uint8), kernel_h,
+                   kernel_w, stride, image_out=False)
     batch, padded_h, padded_w, channels = x_padded.shape
-    _, out_h, out_w, patch = cols.shape
-    if (
-        cols.shape[0] != batch
-        or patch != kernel_h * kernel_w * channels
-        or (out_h - 1) * stride + kernel_h > padded_h
-        or (out_w - 1) * stride + kernel_w > padded_w
-    ):
-        raise ShapeError(
-            f"im2col: cols {cols.shape} does not match image {x_padded.shape} "
-            f"with a {kernel_h}x{kernel_w} kernel at stride {stride}"
-        )
+    _, out_h, out_w, _ = cols.shape
     gather = lib.repro_im2col_u8 if x_padded.dtype == np.uint8 else lib.repro_im2col_f64
     gather(
-        x_padded, batch, padded_h, padded_w, channels, kernel_h, kernel_w,
-        stride, out_h, out_w, cols,
+        x_padded.ctypes.data, batch, padded_h, padded_w, channels, kernel_h,
+        kernel_w, stride, out_h, out_w, cols.ctypes.data,
     )
 
 

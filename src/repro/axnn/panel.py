@@ -35,13 +35,13 @@ member on its signed table or LUT loop; an ``exact`` member, and a
 :data:`repro.axnn.kernels.FACTOR_PRODUCT_MAX_RANK`, on the float64
 factors its kernel holds, through BLAS ``dgemm``; any other 8-bit kernel
 in the LUT loop), and applies
-ReLU and the ``pool_size <= 2`` average pool in NumPy's order; flatten and
+ReLU and the 2 x 2 average pool in NumPy's order; flatten and
 inference-mode dropout are no-ops.
 
 **The fallback.**  Without a native backend, or for a plan the program
-cannot express (a max pool, a pool over 2, batch-norm, another float
-layer, a wider than 8-bit activation scheme or a kernel no compiled loop
-can run), or for an input whose sample shape is not the source model's,
+cannot express (a float layer other than those four, a wider than 8-bit
+activation scheme or a kernel no compiled loop can run), or for an input
+whose sample shape is not the source model's,
 a pass is each victim's own ``AxModel.forward`` (PERFORMANCE.md, "Deleting
 the panel's NumPy walk", has what sharing stages in NumPy saved).  The Ax
 layers keep those stages as separate methods (``quantize_cols``/
@@ -218,7 +218,7 @@ class VictimPanel:
                 elif type(layer) is ReLU:
                     ops.append(_native.PanelOp("relu", blocks, _as_hwc(shape)))
                     op_layers.append(first.name)
-                elif type(layer) is AvgPool2D and layer.pool_size <= 2 and len(shape) == 3:
+                elif type(layer) is AvgPool2D and len(shape) == 3:
                     op = _native.PanelOp(
                         "avgpool", blocks, shape,
                         window=layer.pool_size, stride=layer.stride,

@@ -274,17 +274,12 @@ def _cmd_multipliers(args: argparse.Namespace) -> int:
 
 def _cmd_attacks(args: argparse.Namespace) -> int:
     from repro.attacks import attack_table
-    from repro.attacks.extended import EXTENDED_ATTACKS
 
     print(f"{'key':>10} {'attack':>32} {'type':>10} {'norm':>6}")
     print("-" * 62)
     for metadata in attack_table():
         key = f"{metadata.short_name}_{metadata.norm}"
         print(f"{key:>10} {metadata.name:>32} {metadata.attack_type:>10} {metadata.norm:>6}")
-    if args.extended:
-        print("\nextension attacks (beyond the paper's Table I):")
-        for key in sorted(EXTENDED_ATTACKS):
-            print(f"  {key}")
     return 0
 
 
@@ -418,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     mult.add_argument("--names", default="", help="comma-separated subset to show")
     mult.set_defaults(func=_cmd_multipliers)
 
-    attacks = subparsers.add_parser("attacks", help="list the attack registry (Table I)")
-    attacks.add_argument("--extended", action="store_true", help="also list extension attacks")
+    attacks = subparsers.add_parser(
+        "attacks", help="list the paper's ten Table I attacks (the attack registry)"
+    )
     attacks.set_defaults(func=_cmd_attacks)
 
     report = subparsers.add_parser("report", help="generate EXPERIMENTS.md from benchmark results")

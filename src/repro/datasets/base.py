@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,21 +26,6 @@ class DataSplit:
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
-
-    def subset(self, count: int) -> "DataSplit":
-        """First ``count`` samples (used to keep benchmark runtimes bounded)."""
-        return DataSplit(self.images[:count], self.labels[:count])
-
-    def batches(
-        self, batch_size: int, shuffle: bool = False, seed: int = 0
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate over mini-batches."""
-        order = np.arange(len(self))
-        if shuffle:
-            np.random.default_rng(seed).shuffle(order)
-        for start in range(0, len(self), batch_size):
-            index = order[start : start + batch_size]
-            yield self.images[index], self.labels[index]
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 This is the substitute for the paper's TensorFlow training stack: it provides
 exactly what the methodology requires — training the accurate float models,
-batched inference, and input gradients for gradient-based attacks.
+batched inference, and input gradients for gradient-based attacks.  Its
+layers are the ones the paper's LeNet-5, AlexNet and FFNN are built from:
+``Conv2D``, ``Dense``, ``ReLU``, the 2 x 2 ``AvgPool2D``, ``Flatten`` and
+``Dropout``, with He-normal weights and a softmax cross-entropy loss.
 """
 
 from repro.nn.engine import FlatParameterView
@@ -17,21 +20,15 @@ from repro.nn.functional import (
 )
 from repro.nn.layers import (
     AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    GlobalAvgPool2D,
     Layer,
-    MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
 )
-from repro.nn.losses import CrossEntropyLoss, Loss, MeanSquaredError
-from repro.nn.metrics import accuracy, accuracy_percent, confusion_matrix, top_k_accuracy
+from repro.nn.losses import CrossEntropyLoss, Loss
+from repro.nn.metrics import accuracy, accuracy_percent
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.runtime import (
@@ -56,18 +53,11 @@ __all__ = [
     "Conv2D",
     "Dense",
     "AvgPool2D",
-    "MaxPool2D",
-    "GlobalAvgPool2D",
     "Flatten",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
     "Dropout",
-    "BatchNorm",
     "Loss",
     "CrossEntropyLoss",
-    "MeanSquaredError",
     "Optimizer",
     "SGD",
     "Adam",
@@ -76,8 +66,6 @@ __all__ = [
     "TrainingHistory",
     "accuracy",
     "accuracy_percent",
-    "confusion_matrix",
-    "top_k_accuracy",
     "available_workers",
     "batch_slices",
     "resolve_workers",

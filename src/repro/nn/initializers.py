@@ -1,4 +1,4 @@
-"""Weight initializers for the NumPy DNN framework."""
+"""The weight initializer of the NumPy DNN framework."""
 
 from __future__ import annotations
 
@@ -6,54 +6,13 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
-
-def zeros(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """All-zero initializer (used for biases)."""
-    return np.zeros(shape, dtype=np.float64)
-
-
-def glorot_uniform(
-    shape: Tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform initializer."""
-    fan_in, fan_out = _fans(shape)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
 
 def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He (Kaiming) normal initializer, suited to ReLU networks."""
-    fan_in, _ = _fans(shape)
+    """He (Kaiming) normal initializer, suited to ReLU networks.
+
+    ``shape`` is a dense ``(in, out)`` or convolution ``(kh, kw, in, out)``
+    weight shape; its fan-in is the product of every axis but the last.
+    """
+    fan_in = int(np.prod(shape[:-1]))
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Fan-in / fan-out of a dense or convolutional weight shape."""
-    if len(shape) == 2:  # dense: (in, out)
-        return shape[0], shape[1]
-    if len(shape) == 4:  # conv: (kh, kw, in, out)
-        receptive = shape[0] * shape[1]
-        return receptive * shape[2], receptive * shape[3]
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    raise ConfigurationError(f"unsupported weight shape {shape}")
-
-
-INITIALIZERS = {
-    "zeros": zeros,
-    "glorot_uniform": glorot_uniform,
-    "he_normal": he_normal,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown initializer {name!r}; known: {sorted(INITIALIZERS)}"
-        ) from exc

@@ -1,12 +1,11 @@
-"""Layer zoo for the NumPy DNN framework."""
+"""Layer zoo for the NumPy DNN framework: the layers the paper's networks use."""
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.activations import ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.layers.activations import ReLU
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.norm import BatchNorm
-from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn.layers.pooling import AvgPool2D
 from repro.nn.layers.reshape import Flatten
 
 __all__ = [
@@ -14,13 +13,7 @@ __all__ = [
     "Conv2D",
     "Dense",
     "AvgPool2D",
-    "MaxPool2D",
-    "GlobalAvgPool2D",
     "Flatten",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
     "Dropout",
-    "BatchNorm",
 ]

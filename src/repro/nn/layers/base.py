@@ -159,8 +159,3 @@ class Layer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-    @classmethod
-    def reset_name_counters(cls) -> None:
-        """Reset the automatic name counters (used by tests for determinism)."""
-        cls._instance_counts.clear()

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.functional import col2im, conv_output_size, im2col
-from repro.nn.initializers import get_initializer
+from repro.nn.initializers import he_normal
 from repro.nn.layers.base import Layer
 
 
@@ -30,7 +30,6 @@ class Conv2D(Layer):
         stride: int = 1,
         padding: str = "valid",
         use_bias: bool = True,
-        kernel_initializer: str = "he_normal",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
@@ -47,7 +46,6 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         self.use_bias = use_bias
-        self.kernel_initializer = kernel_initializer
 
     # ------------------------------------------------------------ geometry
     @property
@@ -63,9 +61,8 @@ class Conv2D(Layer):
                 f"{self.name}: Conv2D expects (H, W, C) inputs, got {input_shape}"
             )
         in_channels = input_shape[2]
-        initializer = get_initializer(self.kernel_initializer)
         shape = (self.kernel_size, self.kernel_size, in_channels, self.filters)
-        self.params["weight"] = initializer(shape, rng)
+        self.params["weight"] = he_normal(shape, rng)
         if self.use_bias:
             self.params["bias"] = np.zeros(self.filters, dtype=np.float64)
         self.built = True

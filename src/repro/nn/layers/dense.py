@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.initializers import get_initializer
+from repro.nn.initializers import he_normal
 from repro.nn.layers.base import Layer
 
 
@@ -20,8 +20,8 @@ class Dense(Layer):
         Number of output features.
     use_bias:
         Whether to add a bias vector.
-    kernel_initializer:
-        Name of the weight initializer (see :mod:`repro.nn.initializers`).
+
+    Weights are drawn with :func:`repro.nn.initializers.he_normal`.
     """
 
     _transient_attrs = ("_input_cache",)
@@ -30,7 +30,6 @@ class Dense(Layer):
         self,
         units: int,
         use_bias: bool = True,
-        kernel_initializer: str = "he_normal",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
@@ -38,7 +37,6 @@ class Dense(Layer):
             raise ConfigurationError(f"units must be positive, got {units}")
         self.units = units
         self.use_bias = use_bias
-        self.kernel_initializer = kernel_initializer
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 1:
@@ -46,8 +44,7 @@ class Dense(Layer):
                 f"{self.name}: Dense expects flat inputs, got shape {input_shape}"
             )
         in_features = input_shape[0]
-        initializer = get_initializer(self.kernel_initializer)
-        self.params["weight"] = initializer((in_features, self.units), rng)
+        self.params["weight"] = he_normal((in_features, self.units), rng)
         if self.use_bias:
             self.params["bias"] = np.zeros(self.units, dtype=np.float64)
         self.built = True

@@ -73,14 +73,3 @@ class CrossEntropyLoss(Loss):
     ) -> Tuple[float, np.ndarray]:
         self._check(logits, np.asarray(targets))
         return softmax_cross_entropy(logits, targets)
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error between predictions and float targets."""
-
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        diff = predictions - targets
-        return float(np.mean(diff ** 2))
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return 2.0 * (predictions - targets) / predictions.size

@@ -24,28 +24,3 @@ def accuracy(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:
 def accuracy_percent(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Accuracy expressed in percent (the unit used throughout the paper)."""
     return accuracy(predicted_labels, true_labels) * 100.0
-
-
-def confusion_matrix(
-    predicted_labels: np.ndarray, true_labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Confusion matrix with true classes on rows and predictions on columns."""
-    predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    if predicted_labels.shape != true_labels.shape:
-        raise ShapeError("label arrays must have equal shapes")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, predicted in zip(true_labels, predicted_labels):
-        matrix[true, predicted] += 1
-    return matrix
-
-
-def top_k_accuracy(logits: np.ndarray, true_labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose true label is in the top-k logits."""
-    logits = np.asarray(logits)
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] != true_labels.shape[0]:
-        raise ShapeError("logits must be (N, classes) aligned with labels")
-    top_k = np.argsort(-logits, axis=1)[:, :k]
-    hits = np.any(top_k == true_labels[:, None], axis=1)
-    return float(np.mean(hits))

@@ -230,22 +230,5 @@ class Sequential:
                     )
                 layer.params[pname] = value.copy()
 
-    # ------------------------------------------------------------ reporting
-    def summary(self) -> str:
-        """Human-readable architecture summary."""
-        self._require_built()
-        lines = [f"Model: {self.name}"]
-        shape: Tuple[int, ...] = self.input_shape  # type: ignore[assignment]
-        lines.append(f"{'layer':<24} {'output shape':<20} {'params':>10}")
-        lines.append("-" * 56)
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            lines.append(
-                f"{layer.name:<24} {str(shape):<20} {layer.parameter_count():>10}"
-            )
-        lines.append("-" * 56)
-        lines.append(f"total parameters: {self.parameter_count()}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Sequential(name={self.name!r}, layers={len(self.layers)})"

@@ -53,17 +53,6 @@ class TrainingHistory:
     train_accuracy: List[float] = field(default_factory=list)
     validation_accuracy: List[float] = field(default_factory=list)
 
-    def last(self) -> Dict[str, float]:
-        """Metrics of the final epoch."""
-        result: Dict[str, float] = {}
-        if self.train_loss:
-            result["train_loss"] = self.train_loss[-1]
-        if self.train_accuracy:
-            result["train_accuracy"] = self.train_accuracy[-1]
-        if self.validation_accuracy:
-            result["validation_accuracy"] = self.validation_accuracy[-1]
-        return result
-
 
 class Trainer:
     """Trains a :class:`repro.nn.model.Sequential` model with mini-batch SGD."""

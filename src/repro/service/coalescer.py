@@ -69,10 +69,6 @@ class Coalescer(Generic[T]):
         with self._lock:
             return list(self._entries.values())
 
-    def forget(self, key: str) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -214,7 +214,7 @@ def json_response(
     status: int, payload, headers: Optional[Mapping[str, str]] = None
 ) -> bytes:
     """A JSON response body (sorted keys, trailing newline for curl comfort)."""
-    body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return render_response(status, body, "application/json", headers)
 
 

@@ -18,9 +18,7 @@ from repro.attacks import (
     RepeatedAdditiveUniformLinf,
     attack_table,
     available_attacks,
-    decision_attacks,
     get_attack,
-    gradient_attacks,
     l0_distance,
     l2_distance,
     linf_distance,
@@ -235,10 +233,6 @@ class TestRegistry:
         assert table[("CR", "l2")] == "decision"
         assert table[("RAG", "l2")] == "decision"
         assert table[("RAU", "linf")] == "decision"
-
-    def test_gradient_and_decision_partition(self):
-        assert set(gradient_attacks()) | set(decision_attacks()) == set(available_attacks())
-        assert not set(gradient_attacks()) & set(decision_attacks())
 
     def test_paper_epsilons(self):
         assert PAPER_EPSILONS[0] == 0.0

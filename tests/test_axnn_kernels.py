@@ -641,21 +641,21 @@ class TestInferenceCacheRelease:
         assert all(l._cols_cache is None for l in conv_layers)
 
     def test_predict_releases_activation_and_pool_caches(self, mnist_small):
-        from repro.nn import MaxPool2D, Sequential
+        from repro.nn import AvgPool2D, Sequential
         from repro.nn.layers.activations import ReLU
 
         model = Sequential(
-            [ReLU(), MaxPool2D(pool_size=2)], input_shape=(28, 28, 1), seed=0
+            [ReLU(), AvgPool2D(pool_size=2)], input_shape=(28, 28, 1), seed=0
         )
         x = mnist_small.test.images[:4]
         model.predict(x)
         relu, pool = model.layers
         assert relu._mask is None
-        assert pool._argmax is None
+        assert pool._input_shape is None
         # a plain forward (attack-gradient path) keeps the caches
         model.forward(x, training=False)
         assert relu._mask is not None
-        assert pool._argmax is not None
+        assert pool._input_shape is not None
 
     def test_input_gradient_still_works_after_predict(self, tiny_cnn, mnist_small):
         x = mnist_small.test.images[:4]

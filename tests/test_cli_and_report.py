@@ -104,10 +104,10 @@ class TestCLI:
         assert "MAE%" in output
 
     def test_attacks_command(self, capsys):
-        assert main(["attacks", "--extended"]) == 0
+        assert main(["attacks"]) == 0
         output = capsys.readouterr().out
         assert "BIM_linf" in output
-        assert "DF_l2" in output
+        assert "RAU_linf" in output
 
     def test_report_command(self, results_dir, tmp_path, capsys):
         output_path = str(tmp_path / "EXPERIMENTS.md")

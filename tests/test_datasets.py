@@ -72,27 +72,13 @@ class TestRendering:
 
 
 class TestDataSplit:
-    def test_length_and_subset(self):
+    def test_length(self):
         split = DataSplit(np.zeros((10, 4, 4, 1)), np.zeros(10, dtype=int))
         assert len(split) == 10
-        assert len(split.subset(3)) == 3
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeError):
             DataSplit(np.zeros((10, 4, 4, 1)), np.zeros(9, dtype=int))
-
-    def test_batches_cover_all_samples(self):
-        split = DataSplit(np.arange(10).reshape(10, 1).astype(float), np.arange(10))
-        seen = []
-        for images, labels in split.batches(3):
-            assert images.shape[0] == labels.shape[0]
-            seen.extend(labels.tolist())
-        assert sorted(seen) == list(range(10))
-
-    def test_shuffled_batches_are_permutation(self):
-        split = DataSplit(np.arange(20).reshape(20, 1).astype(float), np.arange(20))
-        labels = [l for _, batch in split.batches(7, shuffle=True, seed=1) for l in batch]
-        assert sorted(labels) == list(range(20))
 
 
 class TestSyntheticMNIST:

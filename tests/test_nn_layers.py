@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.initializers import get_initializer, glorot_uniform, he_normal, zeros
+from repro.nn.initializers import he_normal
 from repro.nn.layers import (
     AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    GlobalAvgPool2D,
     Layer,
-    MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
 )
 from repro.nn.layers.base import no_grad_cache
 
@@ -78,25 +72,27 @@ def check_param_gradient(layer, x, param_name, atol=1e-5):
 
 
 class TestInitializers:
-    def test_zeros(self):
-        assert not np.any(zeros((3, 4), RNG))
-
-    def test_glorot_bounds(self):
-        w = glorot_uniform((50, 60), np.random.default_rng(0))
-        limit = np.sqrt(6.0 / 110)
-        assert np.abs(w).max() <= limit
-
     def test_he_normal_scale(self):
         w = he_normal((1000, 10), np.random.default_rng(0))
         assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.2)
 
     def test_conv_shape_fans(self):
-        w = glorot_uniform((3, 3, 8, 16), np.random.default_rng(0))
-        assert w.shape == (3, 3, 8, 16)
+        # a conv kernel's fan-in is kh * kw * in_channels
+        w = he_normal((3, 3, 8, 160), np.random.default_rng(0))
+        assert w.shape == (3, 3, 8, 160)
+        assert w.std() == pytest.approx(np.sqrt(2.0 / 72), rel=0.1)
 
-    def test_unknown_initializer(self):
-        with pytest.raises(ConfigurationError):
-            get_initializer("nope")
+    def test_layers_draw_he_normal_weights(self):
+        conv = Conv2D(4, 3)
+        conv.build((6, 6, 2), np.random.default_rng(5))
+        dense = Dense(3)
+        dense.build((7,), np.random.default_rng(5))
+        assert np.array_equal(
+            conv.params["weight"], he_normal((3, 3, 2, 4), np.random.default_rng(5))
+        )
+        assert np.array_equal(
+            dense.params["weight"], he_normal((7, 3), np.random.default_rng(5))
+        )
 
 
 class TestDense:
@@ -209,32 +205,20 @@ class TestPooling:
         layer = AvgPool2D(pool_size=2)
         check_input_gradient(layer, RNG.normal(size=(2, 4, 4, 3)))
 
-    def test_max_pool_values(self):
-        layer = MaxPool2D(pool_size=2)
-        x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
-        assert layer.forward(x)[0, 1, 1, 0] == 15.0
-
-    def test_max_pool_gradient(self):
-        layer = MaxPool2D(pool_size=2)
-        check_input_gradient(layer, RNG.normal(size=(2, 4, 4, 3)))
-
-    def test_global_avg_pool(self):
-        layer = GlobalAvgPool2D()
-        x = RNG.normal(size=(2, 4, 4, 3))
-        assert np.allclose(layer.forward(x), x.mean(axis=(1, 2)))
-
-    def test_global_avg_pool_gradient(self):
-        layer = GlobalAvgPool2D()
-        check_input_gradient(layer, RNG.normal(size=(2, 3, 3, 2)))
-
     def test_output_shapes(self):
         assert AvgPool2D(2).output_shape((8, 8, 5)) == (4, 4, 5)
-        assert MaxPool2D(2, stride=1).output_shape((8, 8, 5)) == (7, 7, 5)
-        assert GlobalAvgPool2D().output_shape((8, 8, 5)) == (5,)
+        assert AvgPool2D(2, stride=1).output_shape((8, 8, 5)) == (7, 7, 5)
 
     def test_rejects_bad_pool_size(self):
         with pytest.raises(ConfigurationError):
             AvgPool2D(0)
+
+    @pytest.mark.parametrize("pool_size", [3, 4])
+    def test_rejects_pools_above_two(self, pool_size):
+        # a 9-element window mean is NumPy's pairwise sum, which the
+        # offset loop does not reproduce bit for bit
+        with pytest.raises(ConfigurationError, match="pool_size"):
+            AvgPool2D(pool_size=pool_size)
 
 
 class TestActivations:
@@ -247,19 +231,6 @@ class TestActivations:
     def test_relu_gradient(self):
         check_input_gradient(ReLU(), RNG.normal(size=(4, 7)) + 0.05)
 
-    def test_tanh_gradient(self):
-        check_input_gradient(Tanh(), RNG.normal(size=(4, 7)))
-
-    def test_sigmoid_gradient(self):
-        check_input_gradient(Sigmoid(), RNG.normal(size=(4, 7)))
-
-    def test_softmax_rows_sum_to_one(self):
-        out = Softmax().forward(RNG.normal(size=(5, 9)))
-        assert np.allclose(out.sum(axis=-1), 1.0)
-
-    def test_softmax_gradient(self):
-        check_input_gradient(Softmax(), RNG.normal(size=(3, 5)))
-
 
 def _built(layer, input_shape):
     layer.build(input_shape, np.random.default_rng(0))
@@ -269,12 +240,7 @@ def _built(layer, input_shape):
 #: float layers whose backward needs a cached forward: (factory, input shape)
 CACHING_LAYERS = {
     "relu": (ReLU, (2, 4, 4, 3)),
-    "tanh": (Tanh, (2, 4, 4, 3)),
-    "sigmoid": (Sigmoid, (2, 4, 4, 3)),
-    "softmax": (Softmax, (2, 5)),
     "avg_pool": (lambda: AvgPool2D(2), (2, 4, 4, 3)),
-    "max_pool": (lambda: MaxPool2D(2), (2, 4, 4, 3)),
-    "global_avg_pool": (GlobalAvgPool2D, (2, 4, 4, 3)),
     "conv2d": (lambda: _built(Conv2D(2, 3), (4, 4, 3)), (2, 4, 4, 3)),
     "dense": (lambda: _built(Dense(3), (5,)), (2, 5)),
 }
@@ -300,7 +266,7 @@ class TestBackwardWithoutForward:
             layer.backward(np.ones_like(out))
 
 
-class TestFlattenDropoutBatchNorm:
+class TestFlattenDropout:
     def test_flatten_roundtrip(self):
         layer = Flatten()
         x = RNG.normal(size=(2, 3, 4, 5))
@@ -333,35 +299,6 @@ class TestFlattenDropoutBatchNorm:
     def test_dropout_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
             Dropout(1.0)
-
-    def test_batchnorm_normalises(self):
-        layer = BatchNorm()
-        layer.build((6,), np.random.default_rng(0))
-        x = RNG.normal(loc=3.0, scale=2.0, size=(200, 6))
-        out = layer.forward(x, training=True)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        layer = BatchNorm(momentum=0.5)
-        layer.build((3,), np.random.default_rng(0))
-        x = RNG.normal(size=(50, 3)) * 2.0 + 1.0
-        for _ in range(20):
-            layer.forward(x, training=True)
-        eval_out = layer.forward(x, training=False)
-        train_out = layer.forward(x, training=True)
-        assert np.allclose(eval_out, train_out, atol=0.2)
-
-    def test_batchnorm_gradient(self):
-        layer = BatchNorm()
-        layer.build((4,), np.random.default_rng(0))
-        check_input_gradient(layer, RNG.normal(size=(6, 4)), atol=1e-4)
-
-    def test_batchnorm_channelwise_on_images(self):
-        layer = BatchNorm()
-        layer.build((4, 4, 3), np.random.default_rng(0))
-        out = layer.forward(RNG.normal(size=(5, 4, 4, 3)), training=True)
-        assert out.shape == (5, 4, 4, 3)
 
 
 class TestLayerNaming:

@@ -11,16 +11,13 @@ from repro.nn import (
     CrossEntropyLoss,
     Dense,
     Flatten,
-    MeanSquaredError,
     ReLU,
     Sequential,
     Trainer,
     accuracy,
     accuracy_percent,
-    confusion_matrix,
     one_hot,
     softmax,
-    top_k_accuracy,
 )
 
 RNG = np.random.default_rng(0)
@@ -72,20 +69,6 @@ class TestCrossEntropyLoss:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             CrossEntropyLoss().value(np.zeros((2, 3)), np.zeros(3, dtype=int))
-
-
-class TestMSE:
-    def test_zero_for_equal(self):
-        loss = MeanSquaredError()
-        x = RNG.normal(size=(3, 3))
-        assert loss.value(x, x) == 0.0
-
-    def test_gradient_direction(self):
-        loss = MeanSquaredError()
-        predictions = np.array([[1.0, 2.0]])
-        targets = np.array([[0.0, 0.0]])
-        grad = loss.gradient(predictions, targets)
-        assert np.all(grad > 0)
 
 
 class TestOptimizers:
@@ -178,12 +161,6 @@ class TestSequentialModel:
         with pytest.raises(ShapeError):
             model.load_state_dict(state)
 
-    def test_summary_mentions_every_layer(self):
-        model = self._model()
-        text = model.summary()
-        for layer in model.layers:
-            assert layer.name in text
-
     def test_input_gradient_shape_and_direction(self):
         model = self._model()
         x = RNG.normal(size=(6, 8))
@@ -239,7 +216,6 @@ class TestTrainer:
         trainer = Trainer(model, optimizer=Adam(0.01), seed=2)
         history = trainer.fit(x, y, epochs=2, batch_size=32, validation_data=(x, y))
         assert len(history.validation_accuracy) == 2
-        assert "validation_accuracy" in history.last()
 
     def test_small_cnn_learns_mnist_subset(self, mnist_small):
         model = Sequential(
@@ -275,14 +251,3 @@ class TestMetrics:
     def test_accuracy_shape_mismatch(self):
         with pytest.raises(ShapeError):
             accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), 2)
-        assert matrix[0, 1] == 1
-        assert matrix.sum() == 3
-
-    def test_top_k(self):
-        logits = np.array([[0.1, 0.5, 0.4], [0.9, 0.08, 0.02]])
-        # first sample: label 2 is in the top-2; second: label 2 is not
-        assert top_k_accuracy(logits, np.array([2, 2]), k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(logits, np.array([0, 0]), k=1) == pytest.approx(0.5)

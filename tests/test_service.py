@@ -50,6 +50,7 @@ from repro.service.protocol import (
     HttpError,
     Request,
     format_sse_event,
+    json_response,
     match_path,
     parse_deadline_s,
     read_request,
@@ -269,6 +270,12 @@ class TestProtocol:
         assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
         assert b"Content-Length: 2" in raw
         assert b"Connection: close" in raw
+
+    def test_json_response_is_one_sorted_line(self):
+        raw = json_response(200, {"b": [1, 2], "a": {"d": 1, "c": None}})
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert b"Content-Type: application/json" in head
+        assert body == b'{"a": {"c": null, "d": 1}, "b": [1, 2]}\n'
 
     def test_parse_deadline_header_and_body(self):
         request = Request(

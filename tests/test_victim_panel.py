@@ -22,12 +22,11 @@ from repro.errors import ConfigurationError
 from repro.models import build_alexnet, build_lenet5
 from repro.nn import (
     AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    MaxPool2D,
+    Layer,
     ReLU,
     Sequential,
 )
@@ -424,6 +423,21 @@ def alexnet_panel(alexnet_victims):
 ORACLE_AT_60 = {"lenet": LENET_LABELS, "alexnet": ["A3"]}
 
 
+class _HalveLayer(Layer):
+    """A float layer the compiled panel program has no op for."""
+
+    def forward(self, x, training=False):
+        return x * 0.5
+
+    def backward(self, grad_output):
+        return grad_output * 0.5
+
+
+class _ReLUSubclass(ReLU):
+    """The program matches float layers by exact type, so a subclass (which
+    may override ``forward``) runs each victim's own forward."""
+
+
 class TestCompiledPass:
     """The one oracle entry of the compiled panel pass: its logits are the
     bytes of each victim's own ``AxModel.predict`` and of the seed-order
@@ -508,13 +522,7 @@ class TestCompiledPass:
                 _assert_panel_matches(panel, victims, x, oracle_labels=list(victims))
 
     @pytest.mark.parametrize(
-        "layer",
-        [
-            lambda: MaxPool2D(pool_size=2),
-            lambda: AvgPool2D(pool_size=3, stride=1),
-            lambda: BatchNorm(),
-        ],
-        ids=["max-pool", "pool-3", "batch-norm"],
+        "layer", [_HalveLayer, _ReLUSubclass], ids=["custom-layer", "relu-subclass"]
     )
     def test_plans_the_program_cannot_express_run_each_forward(
         self, mnist_small, layer, monkeypatch
