@@ -109,6 +109,17 @@ class TestCLI:
         assert "BIM_linf" in output
         assert "RAU_linf" in output
 
+    def test_attacks_command_lists_exactly_the_registry(self, capsys):
+        from repro.attacks import available_attacks
+
+        assert main(["attacks"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert sorted(row.split()[0] for row in rows) == sorted(available_attacks())
+        assert len(rows) == 10
+        # the extension attacks and their flag are gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["attacks", "--extended"])
+
     def test_report_command(self, results_dir, tmp_path, capsys):
         output_path = str(tmp_path / "EXPERIMENTS.md")
         assert main(["report", "--results", results_dir, "--output", output_path]) == 0

@@ -369,92 +369,6 @@ class TestNativeIm2Col:
         assert _native_backend(images[0], np.zeros(4), dtypes=(np.float64, np.uint8)) is None
 
 
-class _RecordingLib:
-    """Stands in for the loaded library: records each entry point it is
-    asked to run instead of running it."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        return lambda *args: self.calls.append(name)
-
-
-def _read_only(array):
-    array = array.copy()
-    array.flags.writeable = False
-    return array
-
-
-def _wrapper_cases():
-    """Per wrapper: a valid argument list, and for each kind of defect the
-    index of the argument to replace and its replacement."""
-    from repro.axnn.native import cext
-
-    u8, f64 = np.uint8, np.float64
-    lut = (
-        cext.lut_matmul,
-        [np.zeros((3, 4), u8), np.zeros((4, 5), np.int8), np.zeros((4, 5), u8),
-         np.zeros((256, 256), np.int16), np.zeros((3, 5), np.int64)],
-        {"dtype": (0, np.zeros((3, 4), np.int64)),
-         "non-contiguous": (1, np.zeros((4, 10), np.int8)[:, ::2]),
-         "read-only": (4, _read_only(np.zeros((3, 5), np.int64))),
-         "shape": (4, np.zeros((3, 6), np.int64))},
-    )
-    table = (
-        cext.table_matmul,
-        [np.zeros((3, 4), u8), np.zeros((4, 256, 8), np.int32),
-         np.zeros((3, 5), np.int64)],
-        {"dtype": (1, np.zeros((4, 256, 8), np.int64)),
-         "non-contiguous": (0, np.zeros((3, 8), u8)[:, ::2]),
-         "read-only": (2, _read_only(np.zeros((3, 5), np.int64))),
-         "shape": (2, np.zeros((3, 9), np.int64))},
-    )
-    col2im_add = (
-        cext.col2im_add,
-        [np.zeros((2, 3, 3, 18)), np.zeros((2, 5, 5, 2)), 3, 3, 1, 3, 3],
-        {"dtype": (0, np.zeros((2, 3, 3, 18), np.float32)),
-         "non-contiguous": (0, np.zeros((2, 3, 3, 36))[..., ::2]),
-         "read-only": (1, _read_only(np.zeros((2, 5, 5, 2)))),
-         "shape": (1, np.zeros((2, 5, 4, 2)))},
-    )
-    gather = (
-        cext.im2col,
-        [np.zeros((2, 5, 5, 2), u8), np.zeros((2, 3, 3, 18), u8), 3, 3, 1],
-        {"dtype": (1, np.zeros((2, 3, 3, 18), f64)),
-         "non-contiguous": (0, np.zeros((2, 5, 5, 4), u8)[..., ::2]),
-         "read-only": (1, _read_only(np.zeros((2, 3, 3, 18), u8))),
-         "shape": (1, np.zeros((2, 3, 3, 17), u8))},
-    )
-    return {"lut_matmul": lut, "table_matmul": table, "col2im_add": col2im_add,
-            "im2col": gather}
-
-
-class TestWrapperChecks:
-    """Every compiled entry point takes raw addresses, so its wrapper checks
-    each operand's dtype, C-contiguity, shape and (outputs) writeability and
-    raises before the foreign call."""
-
-    @pytest.mark.parametrize("wrapper", ["lut_matmul", "table_matmul", "col2im_add", "im2col"])
-    def test_valid_operands_reach_the_entry_point(self, wrapper):
-        function, args, _ = _wrapper_cases()[wrapper]
-        lib = _RecordingLib()
-        function(lib, *args)
-        assert len(lib.calls) == 1
-
-    @pytest.mark.parametrize("defect", ["dtype", "non-contiguous", "read-only", "shape"])
-    @pytest.mark.parametrize("wrapper", ["lut_matmul", "table_matmul", "col2im_add", "im2col"])
-    def test_defective_operand_raises_before_the_call(self, wrapper, defect):
-        function, args, defects = _wrapper_cases()[wrapper]
-        index, replacement = defects[defect]
-        args = list(args)
-        args[index] = replacement
-        lib = _RecordingLib()
-        with pytest.raises(ShapeError):
-            function(lib, *args)
-        assert lib.calls == []
-
-
 class TestBackendResolution:
     def test_requested_backend_normalisation(self, clean_backend_state):
         monkeypatch = clean_backend_state

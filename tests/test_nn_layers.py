@@ -194,6 +194,17 @@ class TestConv2D:
             layer.forward(np.zeros((2, 6, 6)))
 
 
+#: AvgPool2D geometries: (pool_size, stride, input height; width is one more)
+POOL_GEOMETRIES = {
+    "1x1": (1, 1, 3),
+    "1x1-gapped": (1, 2, 5),
+    "tiling": (2, 2, 4),
+    "remainder": (2, 2, 5),
+    "overlapping": (2, 1, 4),
+    "gapped": (2, 3, 7),
+}
+
+
 class TestPooling:
     def test_avg_pool_values(self):
         layer = AvgPool2D(pool_size=2)
@@ -212,6 +223,27 @@ class TestPooling:
     def test_rejects_bad_pool_size(self):
         with pytest.raises(ConfigurationError):
             AvgPool2D(0)
+
+    @pytest.mark.parametrize("pool, stride, size", POOL_GEOMETRIES.values(),
+                             ids=list(POOL_GEOMETRIES))
+    def test_forward_is_the_window_mean(self, pool, stride, size):
+        layer = AvgPool2D(pool, stride=stride)
+        x = RNG.normal(size=(2, size, size + 1, 3))
+        out = layer.forward(x)
+        assert out.shape[1:] == layer.output_shape(x.shape[1:])
+        for oh in range(out.shape[1]):
+            for ow in range(out.shape[2]):
+                window = x[:, oh * stride : oh * stride + pool, ow * stride : ow * stride + pool]
+                assert np.allclose(out[:, oh, ow], window.mean(axis=(1, 2)))
+
+    @pytest.mark.parametrize("pool, stride, size", POOL_GEOMETRIES.values(),
+                             ids=list(POOL_GEOMETRIES))
+    def test_gradient_across_geometries(self, pool, stride, size):
+        # gapped and remainder geometries leave input cells no window reads:
+        # their gradient must be zero, not stale
+        check_input_gradient(
+            AvgPool2D(pool, stride=stride), RNG.normal(size=(2, size, size + 1, 2))
+        )
 
     @pytest.mark.parametrize("pool_size", [3, 4])
     def test_rejects_pools_above_two(self, pool_size):
@@ -241,6 +273,7 @@ def _built(layer, input_shape):
 CACHING_LAYERS = {
     "relu": (ReLU, (2, 4, 4, 3)),
     "avg_pool": (lambda: AvgPool2D(2), (2, 4, 4, 3)),
+    "avg_pool_overlapping": (lambda: AvgPool2D(2, stride=1), (2, 4, 4, 3)),
     "conv2d": (lambda: _built(Conv2D(2, 3), (4, 4, 3)), (2, 4, 4, 3)),
     "dense": (lambda: _built(Dense(3), (5,)), (2, 5)),
 }

@@ -277,6 +277,17 @@ class TestProtocol:
         assert b"Content-Type: application/json" in head
         assert body == b'{"a": {"c": null, "d": 1}, "b": [1, 2]}\n'
 
+    def test_json_response_round_trips_what_a_query_answers(self):
+        payload = {
+            "accuracy": [0.1, 1e-300, 97.65625],
+            "labels": ["M1", "échelle"],
+            "grid": [[0.0, -0.0], []],
+            "ok": True,
+        }
+        _, body = json_response(200, payload).split(b"\r\n\r\n", 1)
+        assert body.count(b"\n") == 1
+        assert json.loads(body) == payload
+
     def test_parse_deadline_header_and_body(self):
         request = Request(
             method="POST",
